@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .errors import LexError, ParseError, PlxError
-from .interpreter import ExecutionResult, Interpreter, evaluate_program
+from .interpreter import Interpreter, evaluate_program, run_source
 from .nodes import ExprStmt
 from .objects import render_value
 from .parser import parse_expression, parse_source
@@ -52,17 +52,6 @@ def _mode_pragma(source: str):
         return None
 
 
-def _execute(source: str, mode: EqualityMode, prelude: str, sink) \
-        -> ExecutionResult:
-    program = parse_source(source)
-    interp = Interpreter(mode=mode, sink=sink)
-    if prelude:
-        result = evaluate_program(parse_source(prelude), interp)
-        if not result.ok:
-            return result
-    return evaluate_program(program, interp)
-
-
 # --- run ---
 
 def _cmd_run(options) -> int:
@@ -73,8 +62,8 @@ def _cmd_run(options) -> int:
         return 2
     try:
         prelude = _prelude_source(options)
-        result = _execute(source, EqualityMode(options.mode), prelude,
-                          sink=None)
+        result = run_source(source, mode=EqualityMode(options.mode),
+                            prelude_source=prelude)
     except (LexError, ParseError) as err:
         print(_diagnostic(err), file=sys.stderr)
         return 2
@@ -122,7 +111,7 @@ def _cmd_corpus(options) -> int:
         mode = _mode_pragma(source) or EqualityMode(options.mode)
         problems = []
         try:
-            result = _execute(source, mode, prelude, sink=None)
+            result = run_source(source, mode=mode, prelude_source=prelude)
             output = _normalize(result.output)
             got_error = result.error_kind if not result.ok else None
             error_message = result.error_message

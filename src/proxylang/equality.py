@@ -83,8 +83,7 @@ def loose_equals(interp, a, b, mode=None) -> bool:
     a = resolve_for_mode(interp, a, mode)
     b = resolve_for_mode(interp, b, mode)
     if isinstance(a, ObjectRef) or isinstance(b, ObjectRef):
-        return isinstance(a, ObjectRef) and isinstance(b, ObjectRef) \
-            and a.index == b.index
+        return raw_identical(a, b)  # objects never coerce
     return primitive_loose_equals(a, b)
 
 

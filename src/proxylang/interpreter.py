@@ -397,6 +397,10 @@ def _builtin_weakmap(interp, this, args):
     return create_weakmap(interp)
 
 
+def _builtin_raw_weakmap(interp, this, args):
+    return create_weakmap(interp, raw=True)
+
+
 def _builtin_reflect_apply(interp, this, args):
     fn = _arg(args, 0)
     this_value = _arg(args, 1)
@@ -434,6 +438,8 @@ def _install_builtins(interp: Interpreter) -> None:
               interp.alloc_native("contractViolation",
                                   _builtin_contract_violation))
     g.declare("WeakMap", interp.alloc_native("WeakMap", _builtin_weakmap))
+    g.declare("RawWeakMap",
+              interp.alloc_native("RawWeakMap", _builtin_raw_weakmap))
 
     reflect = interp.heap.alloc_object({
         "apply": interp.alloc_native("apply", _builtin_reflect_apply),
@@ -456,11 +462,20 @@ def _install_builtins(interp: Interpreter) -> None:
 
 def evaluate_program(program: Program, interp: Interpreter) \
         -> ExecutionResult:
-    """Run a parsed program, capturing runtime errors in the result."""
+    """Run a parsed program, capturing runtime errors in the result.
+
+    Host recursion that outruns Python's limit (say, a trap-less
+    forwarding chain far deeper than any call stack) comes back as a
+    StackOverflow; the unwinding has restored the call depth and the
+    override stack, so the interpreter stays usable."""
     try:
         interp.exec_program(program)
     except PlxRuntimeError as err:
         return ExecutionResult("error", err.kind, err.message, err.line,
+                               interp.output_text())
+    except RecursionError:
+        return ExecutionResult("error", StackOverflow.kind,
+                               "host recursion limit exceeded", None,
                                interp.output_text())
     return ExecutionResult("ok", None, None, None, interp.output_text())
 

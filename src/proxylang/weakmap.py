@@ -1,11 +1,15 @@
-"""Identity-keyed maps whose keys respect the active equality mode.
+"""Identity-keyed maps: WeakMap, which respects the active equality
+mode, and RawWeakMap, the map counterpart of :===:.
 
 A WeakMap stores entries under the key's equality object, resolved
 fresh at every operation. In trap mode a transparent proxy and its
 target therefore address the same entry, while in opaque mode they are
-distinct keys. Only objects are valid keys. Entries are held strongly;
-the name follows the host-language convention for identity-keyed maps,
-not a collection contract.
+distinct keys. A RawWeakMap never resolves: a proxy and its target are
+distinct keys in every mode, as they are under :===:, so it can be keyed
+by wrappers (a membrane's wrapper -> inner index needs that). Both are
+one IdentityMap type, told apart by its ``raw`` flag. Only objects are
+valid keys. Entries are held strongly; the name follows the host-language
+convention for identity-keyed maps, not a collection contract.
 """
 
 from .errors import LangTypeError
@@ -14,45 +18,49 @@ from .equality import resolve_for_mode
 
 
 class IdentityMap:
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "raw")
 
-    def __init__(self):
+    def __init__(self, raw: bool = False):
         self.entries: dict = {}  # resolved heap index -> value
+        self.raw = raw           # key by raw identity, whatever the mode
 
 
-def _resolve_key(interp, key) -> int:
+def _resolve_key(interp, imap: IdentityMap, key) -> int:
     if not isinstance(key, ObjectRef):
-        raise LangTypeError(f"WeakMap keys must be objects, "
+        name = "RawWeakMap" if imap.raw else "WeakMap"
+        raise LangTypeError(f"{name} keys must be objects, "
                             f"not {kind_of(key)}")
-    resolved = resolve_for_mode(interp, key, interp.mode)
-    return resolved.index
+    if imap.raw:
+        return key.index
+    return resolve_for_mode(interp, key, interp.mode).index
 
 
 def idmap_set(interp, imap: IdentityMap, key, value) -> None:
-    imap.entries[_resolve_key(interp, key)] = value
+    imap.entries[_resolve_key(interp, imap, key)] = value
 
 
 def idmap_get(interp, imap: IdentityMap, key):
-    return imap.entries.get(_resolve_key(interp, key), UNDEFINED)
+    return imap.entries.get(_resolve_key(interp, imap, key), UNDEFINED)
 
 
 def idmap_has(interp, imap: IdentityMap, key) -> bool:
-    return _resolve_key(interp, key) in imap.entries
+    return _resolve_key(interp, imap, key) in imap.entries
 
 
 def idmap_delete(interp, imap: IdentityMap, key) -> bool:
-    return imap.entries.pop(_resolve_key(interp, key), _MISSING) \
+    return imap.entries.pop(_resolve_key(interp, imap, key), _MISSING) \
         is not _MISSING
 
 
 _MISSING = object()
 
 
-def create_weakmap(interp) -> ObjectRef:
-    """Allocate a map object with set/get/has/delete methods."""
+def create_weakmap(interp, raw: bool = False) -> ObjectRef:
+    """Allocate a map object with set/get/has/delete methods; ``raw``
+    makes it a RawWeakMap."""
     from .objects import NativeFunction
 
-    imap = IdentityMap()
+    imap = IdentityMap(raw)
     ref = interp.heap.alloc(OrdinaryObject())
     obj = interp.heap.deref(ref)
 

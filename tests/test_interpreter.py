@@ -8,6 +8,7 @@ from proxylang.equality import EqualityMode
 from proxylang.errors import LexError, ParseError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.parser import parse_source
+from proxylang.proxies import proxy_create
 
 
 def run(source, mode="opaque"):
@@ -250,6 +251,29 @@ def test_stack_depth_resets_after_overflow():
     assert result.error_kind == "StackOverflow"
     assert interp.depth == 0
     # the interpreter stays usable
+    follow_up = evaluate_program(parse_source("print(1);"), interp)
+    assert follow_up.ok
+
+
+def test_host_recursion_comes_back_as_stack_overflow():
+    # p.x through 100,000 trap-less forwarding proxies recurses once per
+    # link on the host stack; evaluate_program must still return a
+    # result, with the call depth and the override stack unwound
+    interp = Interpreter(mode="trap")
+    p = interp.heap.alloc_object({"x": 1.0})
+    handler = interp.heap.alloc_object()
+    for _ in range(100_000):
+        p = proxy_create(interp, p, handler)
+    interp.globals.declare("p", p)
+    result = evaluate_program(parse_source("""
+    var q = new Proxy({}, {});
+    print("before");
+    Proxy.withTransparency(q, true, function() { print(p.x); });
+    """), interp)
+    assert (result.status, result.error_kind) == ("error", "StackOverflow")
+    assert result.output == "before\n"
+    assert interp.depth == 0
+    assert interp.override_stack == []
     follow_up = evaluate_program(parse_source("print(1);"), interp)
     assert follow_up.ok
 

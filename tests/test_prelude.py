@@ -194,6 +194,75 @@ def test_membrane_primitives_cross_unwrapped():
     """) == "4 text 3\n"
 
 
+MODES = ("opaque", "transparent", "operators", "trap")
+
+
+def test_membrane_gives_a_proxy_and_its_target_distinct_wrappers():
+    # a proxy inside the graph is its own inner object: it gets its own
+    # wrapper, and unwrapping that wrapper gives the proxy back, not its
+    # target, so writes through the membrane keep the proxy's traps
+    source = """
+    var t = { v: 1 };
+    var inner = { t: t, p: new Proxy(t, {}) };
+    var m = membrane(inner);
+    var wt = m.wrapper.t;
+    var wp = m.wrapper.p;
+    print(wp :===: wt);
+    m.wrapper.x = wp;
+    print(inner.x :===: inner.p);
+    """
+    for mode in MODES:
+        assert out(source, mode) == "false\ntrue\n", mode
+
+
+def _sweep_counts(monkeypatch, mode, n):
+    """Raw comparisons and map operations of a membrane sweep that
+    reads, writes back and re-reads each of ``n`` objects."""
+    import proxylang.interpreter as interpreter
+    import proxylang.weakmap as weakmap
+
+    counts = {"raw": 0, "map": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    for op in ("opaque_strict_equals", "opaque_loose_equals"):
+        monkeypatch.setattr(interpreter, op,
+                            counting("raw", getattr(interpreter, op)))
+    for op in ("idmap_set", "idmap_get", "idmap_has", "idmap_delete"):
+        monkeypatch.setattr(weakmap, op, counting("map", getattr(weakmap, op)))
+    assert out(f"""
+    var all = {{ length: {n} }};
+    var i = 0;
+    while (i < {n}) {{ all[i] = {{ v: i }}; i = i + 1; }}
+    var m = membrane(all);
+    var w = m.wrapper;
+    var s = 0;
+    i = 0;
+    while (i < w.length) {{
+      var node = w[i];
+      node.self = node;
+      s = s + node.self.v;
+      i = i + 1;
+    }}
+    print(s);
+    """, mode) == f"{n * (n - 1) // 2}\n"
+    monkeypatch.undo()
+    return counts
+
+
+def test_membrane_bookkeeping_is_linear(monkeypatch):
+    for mode in MODES:
+        small = _sweep_counts(monkeypatch, mode, 40)
+        large = _sweep_counts(monkeypatch, mode, 160)
+        assert small["raw"] == large["raw"] == 0, mode
+        assert small["map"] > 0, mode
+        assert large["map"] <= 4 * small["map"] + 8, (mode, small, large)
+
+
 # --- property contracts ---
 
 def test_contract_property_allows_valid_writes():

@@ -2,7 +2,7 @@ import pytest
 
 from proxylang.equality import EqualityMode
 from proxylang.errors import LangTypeError
-from proxylang.interpreter import Interpreter
+from proxylang.interpreter import Interpreter, run_source
 from proxylang.objects import NULL, UNDEFINED, internal_call, internal_get
 from proxylang.proxies import proxy_create, revoke
 from proxylang.weakmap import (IdentityMap, create_weakmap, idmap_delete,
@@ -121,3 +121,76 @@ def test_separate_maps_are_independent():
     obj = interp.heap.alloc_object()
     idmap_set(interp, m1, obj, 1.0)
     assert not idmap_has(interp, m2, obj)
+
+
+# --- RawWeakMap: keys by raw identity in every mode ---
+
+MODES = list(EqualityMode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_raw_map_keeps_proxy_and_target_distinct(mode):
+    interp = Interpreter(mode=mode)
+    imap = IdentityMap(raw=True)
+    target = interp.heap.alloc_object()
+    proxy = transparent_proxy(interp, target)
+    idmap_set(interp, imap, target, 1.0)
+    assert idmap_get(interp, imap, proxy) is UNDEFINED
+    assert not idmap_has(interp, imap, proxy)
+    idmap_set(interp, imap, proxy, 2.0)
+    assert idmap_get(interp, imap, target) == 1.0
+    assert idmap_get(interp, imap, proxy) == 2.0
+    assert idmap_delete(interp, imap, proxy)
+    assert idmap_has(interp, imap, target)
+    assert len(imap.entries) == 1
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_raw_map_accepts_revoked_proxy_key(mode):
+    interp = Interpreter(mode=mode)
+    imap = IdentityMap(raw=True)
+    target = interp.heap.alloc_object()
+    proxy = transparent_proxy(interp, target)
+    idmap_set(interp, imap, proxy, "live")
+    revoke(interp, proxy)
+    assert idmap_get(interp, imap, proxy) == "live"
+    idmap_set(interp, imap, proxy, "revoked")
+    assert idmap_get(interp, imap, proxy) == "revoked"
+    assert idmap_get(interp, imap, target) is UNDEFINED
+    assert idmap_delete(interp, imap, proxy)
+
+
+def test_raw_map_object_keys_only():
+    interp = Interpreter(mode=EqualityMode.TRAP)
+    imap = IdentityMap(raw=True)
+    for bad in (1.0, "k", True, NULL, UNDEFINED):
+        for op in (idmap_get, idmap_has, idmap_delete):
+            with pytest.raises(LangTypeError, match="RawWeakMap keys"):
+                op(interp, imap, bad)
+        with pytest.raises(LangTypeError, match="RawWeakMap keys"):
+            idmap_set(interp, imap, bad, 1.0)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_weakmap_and_raw_map_side_by_side(mode):
+    # the same probes through both builtins: WeakMap still resolves
+    # through the mode, RawWeakMap never does
+    aliases = "true" if mode is not EqualityMode.OPAQUE else "false"
+    result = run_source("""
+    var t = {};
+    var p = new Proxy(t, { isTransparent: function(t, p) { return true; } });
+    var wm = WeakMap();
+    var raw = RawWeakMap();
+    wm.set(t, "t");
+    raw.set(t, "t");
+    print(wm.has(p), raw.has(p), raw.has(t), raw.get(p));
+    print(raw.set(p, "p") :===: raw, raw.get(p), raw.get(t));
+    """, mode=mode)
+    assert result.ok, (result.error_kind, result.error_message)
+    assert result.output == f"{aliases} false true undefined\ntrue p t\n"
+
+
+def test_raw_map_primitive_key_is_a_language_error():
+    result = run_source("RawWeakMap().set(1, 2);")
+    assert result.error_kind == "TypeError"
+    assert "RawWeakMap keys must be objects" in result.error_message
