@@ -3,7 +3,7 @@ behavior is configurable per interpreter."""
 
 from .errors import (ContractViolation, LangReferenceError, LangTypeError,
                      LexError, ParseError, PlxError, PlxRuntimeError,
-                     RevokedProxyError, StackOverflow)
+                     ResourceError, RevokedProxyError, StackOverflow)
 from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        loose_equals, opaque_loose_equals,
                        opaque_strict_equals, raw_identical, resolve_for_mode,
@@ -22,8 +22,8 @@ from .proxies import (ProxyObject, get_equality_object, is_transparent,
 
 __all__ = [
     "ContractViolation", "LangReferenceError", "LangTypeError", "LexError",
-    "ParseError", "PlxError", "PlxRuntimeError", "RevokedProxyError",
-    "StackOverflow",
+    "ParseError", "PlxError", "PlxRuntimeError", "ResourceError",
+    "RevokedProxyError", "StackOverflow",
     "EqualityMode", "builtin_is_equal", "builtin_is_identical",
     "loose_equals", "opaque_loose_equals", "opaque_strict_equals",
     "raw_identical", "resolve_for_mode", "strict_equals",

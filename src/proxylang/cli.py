@@ -6,7 +6,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import LexError, ParseError, PlxError
+from .errors import LexError, ParseError, PlxError, StackOverflow
 from .interpreter import Interpreter, evaluate_program, run_source
 from .nodes import ExprStmt
 from .objects import render_value
@@ -212,6 +212,11 @@ def _cmd_repl(options) -> int:
                         print(render_value(value))
         except PlxError as err:
             print(_diagnostic(err), file=sys.stderr)
+        except RecursionError:
+            # as evaluate_program does; the unwinding has restored the
+            # interpreter's call depth and override stack
+            print(_diagnostic(StackOverflow("host recursion limit exceeded")),
+                  file=sys.stderr)
 
 
 def main(argv=None) -> int:

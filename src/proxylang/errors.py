@@ -63,3 +63,7 @@ class ContractViolation(PlxRuntimeError):
 
 class StackOverflow(PlxRuntimeError):
     kind = "StackOverflow"
+
+
+class ResourceError(PlxRuntimeError):
+    kind = "ResourceError"

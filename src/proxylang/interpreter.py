@@ -5,16 +5,22 @@ equality mode, an output sink, and the dynamic transparency override
 stack. Programs run via evaluate_program, which captures runtime errors
 in an ExecutionResult instead of letting them escape; static errors
 (LexError, ParseError) raise from parse_source before anything runs.
+
+Evaluation calls one handler per node class, found in _EVAL or _EXEC by
+the node's class. An error takes the line of the innermost node that
+raises it, so only the handlers of nodes that can raise one tag it.
 """
 
 import io
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from ._stacklimit import ensure_deep_stack
 from .errors import (ContractViolation, LangReferenceError, LangTypeError,
-                     PlxRuntimeError, StackOverflow)
+                     PlxRuntimeError, ResourceError, StackOverflow)
 from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     ExprStmt, FunctionDecl, FunctionExpr, Identifier, If,
                     MethodCall, New, NullLit, NumberLit, ObjectLit, Program,
@@ -33,13 +39,6 @@ from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
 from .weakmap import create_weakmap
 
 MAX_CALL_DEPTH = 1024
-
-
-class ReturnSignal(Exception):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
 
 
 class Environment:
@@ -135,241 +134,291 @@ class Interpreter:
             env = Environment(record.env)
             for i, param in enumerate(record.params):
                 env.declare(param, args[i] if i < len(args) else UNDEFINED)
-            try:
-                for stmt in record.body.statements:
-                    self.exec_stmt(stmt, env)
-            except ReturnSignal as signal:
-                return signal.value
-            return UNDEFINED
+            returned = _run(self, record.body.statements, env)
+            return UNDEFINED if returned is None else returned[0]
         finally:
             self.depth -= 1
 
     # --- program execution ---
 
     def exec_program(self, program: Program) -> None:
-        for stmt in program.statements:
-            self.exec_stmt(stmt, self.globals)
+        _run(self, program.statements, self.globals)
 
     def exec_toplevel(self, stmt):
-        return self.exec_stmt(stmt, self.globals)
+        """Run a top-level statement; give an expression statement's value."""
+        if stmt.__class__ is ExprStmt:
+            return self.eval_toplevel(stmt.expr)
+        _EXEC[stmt.__class__](self, stmt, self.globals)
 
     def eval_toplevel(self, expr):
-        return self.eval_expr(expr, self.globals)
+        return _EVAL[expr.__class__](self, expr, self.globals)
 
-    def exec_stmt(self, stmt, env):
-        try:
-            return self._exec(stmt, env)
-        except PlxRuntimeError as err:
-            if err.line is None and getattr(stmt, "line", 0):
-                err.line = stmt.line
-            raise
 
-    def _exec(self, stmt, env):
-        if isinstance(stmt, ExprStmt):
-            return self.eval_expr(stmt.expr, env)
-        if isinstance(stmt, VarDecl):
-            env.declare(stmt.name, self.eval_expr(stmt.init, env))
-            return None
-        if isinstance(stmt, Assign):
-            env.assign(stmt.name, self.eval_expr(stmt.value, env))
-            return None
-        if isinstance(stmt, PropertySet):
-            self._exec_property_set(stmt, env)
-            return None
-        if isinstance(stmt, If):
-            if truthy(self.eval_expr(stmt.cond, env)):
-                self._exec_block(stmt.then, env)
-            elif stmt.otherwise is not None:
-                self._exec_block(stmt.otherwise, env)
-            return None
-        if isinstance(stmt, While):
-            while truthy(self.eval_expr(stmt.cond, env)):
-                self._exec_block(stmt.body, env)
-            return None
-        if isinstance(stmt, Return):
-            value = UNDEFINED if stmt.value is None \
-                else self.eval_expr(stmt.value, env)
-            raise ReturnSignal(value)
-        if isinstance(stmt, FunctionDecl):
-            record = FunctionRecord(stmt.params, stmt.body, env, stmt.name)
-            env.declare(stmt.name, self.alloc_function(record))
-            return None
-        if isinstance(stmt, Block):
-            self._exec_block(stmt, env)
-            return None
-        raise TypeError(f"not a statement node: {stmt!r}")
+# --- statement handlers: (interp, node, env) -> None | (return value,) ---
 
-    def _exec_block(self, block: Block, env) -> None:
-        child = Environment(env)
-        for stmt in block.statements:
-            self.exec_stmt(stmt, child)
+def _at(err, node):
+    """Give an error the node's line, unless an inner node gave it one."""
+    if err.line is None:
+        err.line = node.line
+    return err
 
-    def _exec_property_set(self, stmt: PropertySet, env) -> None:
-        obj = self.eval_expr(stmt.obj, env)
-        if not isinstance(obj, ObjectRef):
-            raise LangTypeError(
-                f"cannot set a property on {kind_of(obj)}",
-                line=stmt.line)
-        key = stmt.key if not stmt.computed \
-            else to_property_key(self.eval_expr(stmt.key, env))
-        value = self.eval_expr(stmt.value, env)
-        internal_set(self, obj, key, value, obj)
 
-    # --- expression evaluation ---
+def _run(interp, statements, env):
+    for stmt in statements:
+        returned = _EXEC[stmt.__class__](interp, stmt, env)
+        if returned is not None:
+            return returned
 
-    def eval_expr(self, node, env):
-        try:
-            return self._eval(node, env)
-        except PlxRuntimeError as err:
-            if err.line is None and getattr(node, "line", 0):
-                err.line = node.line
-            raise
 
-    def _eval(self, node, env):
-        if isinstance(node, NumberLit):
-            return node.value
-        if isinstance(node, StringLit):
-            return node.value
-        if isinstance(node, BoolLit):
-            return node.value
-        if isinstance(node, NullLit):
-            return NULL
-        if isinstance(node, UndefinedLit):
-            return UNDEFINED
-        if isinstance(node, Identifier):
-            return env.lookup(node.name)
-        if isinstance(node, Binary):
-            return self._eval_binary(node, env)
-        if isinstance(node, PropertyGet):
-            obj = self.eval_expr(node.obj, env)
-            if not isinstance(obj, ObjectRef):
-                raise LangTypeError(
-                    f"cannot read a property of {kind_of(obj)}")
-            key = node.key if not node.computed \
-                else to_property_key(self.eval_expr(node.key, env))
-            return internal_get(self, obj, key, obj)
-        if isinstance(node, Call):
-            callee = self.eval_expr(node.callee, env)
-            args = [self.eval_expr(a, env) for a in node.args]
-            return self.call_value(callee, UNDEFINED, args)
-        if isinstance(node, MethodCall):
-            obj = self.eval_expr(node.obj, env)
-            if not isinstance(obj, ObjectRef):
-                raise LangTypeError(
-                    f"cannot call a method of {kind_of(obj)}")
-            key = node.key if not node.computed \
-                else to_property_key(self.eval_expr(node.key, env))
-            method = internal_get(self, obj, key, obj)
-            args = [self.eval_expr(a, env) for a in node.args]
-            return self.call_value(method, obj, args)
-        if isinstance(node, ObjectLit):
-            props = {}
-            for key, value_expr in node.entries:
-                props[key] = self.eval_expr(value_expr, env)
-            return self.heap.alloc_object(props)
-        if isinstance(node, FunctionExpr):
-            return self.alloc_function(
-                FunctionRecord(node.params, node.body, env))
-        if isinstance(node, Unary):
-            if node.op == "!":
-                return not truthy(self.eval_expr(node.operand, env))
-            value = self.eval_expr(node.operand, env)
-            if not isinstance(value, float):
-                raise LangTypeError(
-                    f"unary '-' needs a number, not {kind_of(value)}")
-            return -value
-        if isinstance(node, Conditional):
-            if truthy(self.eval_expr(node.cond, env)):
-                return self.eval_expr(node.then, env)
-            return self.eval_expr(node.otherwise, env)
-        if isinstance(node, New):
-            return self._eval_new(node, env)
-        raise TypeError(f"not an expression node: {node!r}")
+def _expr_stmt(interp, node, env):
+    expr = node.expr
+    _EVAL[expr.__class__](interp, expr, env)
 
-    def _eval_new(self, node: New, env):
-        callee = self.eval_expr(node.callee, env)
-        if not (isinstance(callee, ObjectRef)
-                and callee.index == self._proxy_builtin_index):
+
+def _var_decl(interp, node, env):
+    init = node.init
+    env.declare(node.name, _EVAL[init.__class__](interp, init, env))
+
+
+def _assign(interp, node, env):
+    value = node.value
+    value = _EVAL[value.__class__](interp, value, env)
+    try:
+        env.assign(node.name, value)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _property_set(interp, node, env):
+    obj = node.obj
+    try:
+        obj = _EVAL[obj.__class__](interp, obj, env)
+        if obj.__class__ is not ObjectRef:
+            raise LangTypeError(f"cannot set a property on {kind_of(obj)}")
+        key = node.key
+        if node.computed:
+            key = to_property_key(_EVAL[key.__class__](interp, key, env))
+        value = node.value
+        internal_set(interp, obj, key,
+                     _EVAL[value.__class__](interp, value, env), obj)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _if(interp, node, env):
+    cond = node.cond
+    block = node.then if truthy(_EVAL[cond.__class__](interp, cond, env)) \
+        else node.otherwise
+    if block is not None:
+        return _run(interp, block.statements, Environment(env))
+
+
+def _while(interp, node, env):
+    cond = node.cond
+    while truthy(_EVAL[cond.__class__](interp, cond, env)):
+        returned = _run(interp, node.body.statements, Environment(env))
+        if returned is not None:
+            return returned
+
+
+def _return(interp, node, env):
+    value = node.value
+    return (UNDEFINED,) if value is None \
+        else (_EVAL[value.__class__](interp, value, env),)
+
+
+def _function_decl(interp, node, env):
+    record = FunctionRecord(node.params, node.body, env, node.name)
+    env.declare(node.name, interp.alloc_function(record))
+
+
+def _block(interp, node, env):
+    return _run(interp, node.statements, Environment(env))
+
+
+_EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,
+         PropertySet: _property_set, If: _if, While: _while,
+         Return: _return, FunctionDecl: _function_decl, Block: _block}
+
+
+# --- expression handlers: (interp, node, env) -> value ---
+
+def _literal(interp, node, env):
+    return node.value
+
+
+def _identifier(interp, node, env):
+    try:
+        return env.lookup(node.name)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _binary(interp, node, env):
+    left = node.left
+    right = node.right
+    op = node.op
+    try:
+        left = _EVAL[left.__class__](interp, left, env)
+        if op == "&&" or op == "||":
+            # && stops at a falsy left operand, || at a truthy one
+            if truthy(left) == (op == "||"):
+                return left
+            return _EVAL[right.__class__](interp, right, env)
+        return _BINARY[op](interp, left,
+                           _EVAL[right.__class__](interp, right, env))
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _property_get(interp, node, env):
+    obj = node.obj
+    try:
+        obj = _EVAL[obj.__class__](interp, obj, env)
+        if obj.__class__ is not ObjectRef:
+            raise LangTypeError(f"cannot read a property of {kind_of(obj)}")
+        key = node.key
+        if node.computed:
+            key = to_property_key(_EVAL[key.__class__](interp, key, env))
+        return internal_get(interp, obj, key, obj)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _call(interp, node, env):
+    callee = node.callee
+    try:
+        callee = _EVAL[callee.__class__](interp, callee, env)
+        args = [_EVAL[arg.__class__](interp, arg, env) for arg in node.args]
+        return interp.call_value(callee, UNDEFINED, args)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _method_call(interp, node, env):
+    obj = node.obj
+    try:
+        obj = _EVAL[obj.__class__](interp, obj, env)
+        if obj.__class__ is not ObjectRef:
+            raise LangTypeError(f"cannot call a method of {kind_of(obj)}")
+        key = node.key
+        if node.computed:
+            key = to_property_key(_EVAL[key.__class__](interp, key, env))
+        method = internal_get(interp, obj, key, obj)
+        args = [_EVAL[arg.__class__](interp, arg, env) for arg in node.args]
+        return interp.call_value(method, obj, args)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
+
+
+def _object_lit(interp, node, env):
+    return interp.heap.alloc_object(
+        {key: _EVAL[value.__class__](interp, value, env)
+         for key, value in node.entries})
+
+
+def _function_expr(interp, node, env):
+    return interp.alloc_function(FunctionRecord(node.params, node.body, env))
+
+
+def _unary(interp, node, env):
+    operand = node.operand
+    value = _EVAL[operand.__class__](interp, operand, env)
+    if node.op == "!":
+        return not truthy(value)
+    if value.__class__ is not float:
+        raise LangTypeError(
+            f"unary '-' needs a number, not {kind_of(value)}",
+            line=node.line)
+    return -value
+
+
+def _conditional(interp, node, env):
+    cond = node.cond
+    branch = node.then if truthy(_EVAL[cond.__class__](interp, cond, env)) \
+        else node.otherwise
+    return _EVAL[branch.__class__](interp, branch, env)
+
+
+def _new(interp, node, env):
+    callee = node.callee
+    try:
+        callee = _EVAL[callee.__class__](interp, callee, env)
+        if not (callee.__class__ is ObjectRef
+                and callee.index == interp._proxy_builtin_index):
             raise LangTypeError("'new' can only construct Proxy")
         if len(node.args) != 2:
             raise LangTypeError("new Proxy takes a target and a handler")
-        target = self.eval_expr(node.args[0], env)
-        handler = self.eval_expr(node.args[1], env)
-        return proxy_create(self, target, handler)
+        target, handler = [_EVAL[arg.__class__](interp, arg, env)
+                           for arg in node.args]
+        return proxy_create(interp, target, handler)
+    except PlxRuntimeError as err:
+        raise _at(err, node)
 
-    def _eval_binary(self, node: Binary, env):
-        op = node.op
-        if op == "&&":
-            left = self.eval_expr(node.left, env)
-            return self.eval_expr(node.right, env) if truthy(left) else left
-        if op == "||":
-            left = self.eval_expr(node.left, env)
-            return left if truthy(left) else self.eval_expr(node.right, env)
 
-        left = self.eval_expr(node.left, env)
-        right = self.eval_expr(node.right, env)
+_EVAL = {NumberLit: _literal, StringLit: _literal, BoolLit: _literal,
+         NullLit: lambda interp, node, env: NULL,
+         UndefinedLit: lambda interp, node, env: UNDEFINED,
+         Identifier: _identifier, Binary: _binary,
+         PropertyGet: _property_get, Call: _call, MethodCall: _method_call,
+         ObjectLit: _object_lit, FunctionExpr: _function_expr,
+         Unary: _unary, Conditional: _conditional, New: _new}
 
-        if op == "==":
-            return loose_equals(self, left, right)
-        if op == "!=":
-            return not loose_equals(self, left, right)
-        if op == "===":
-            return strict_equals(self, left, right)
-        if op == "!==":
-            return not strict_equals(self, left, right)
-        if op == ":==:":
-            return opaque_loose_equals(self, left, right)
-        if op == ":===:":
-            return opaque_strict_equals(self, left, right)
 
-        if op == "+":
-            if isinstance(left, str) or isinstance(right, str):
-                if isinstance(left, ObjectRef) or isinstance(right, ObjectRef):
-                    raise LangTypeError(
-                        "cannot concatenate an object with a string")
-                left_text = left if isinstance(left, str) \
-                    else render_value(left)
-                right_text = right if isinstance(right, str) \
-                    else render_value(right)
-                return left_text + right_text
-            self._require_numbers(op, left, right)
-            return left + right
-        if op in ("-", "*", "/"):
-            self._require_numbers(op, left, right)
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            return self._divide(left, right)
-        if op in ("<", "<=", ">", ">="):
-            if isinstance(left, str) and isinstance(right, str):
-                pass
-            else:
-                self._require_numbers(op, left, right)
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
-        raise TypeError(f"unknown operator {op!r}")
+# --- binary operators: (interp, left value, right value) -> value ---
 
-    @staticmethod
-    def _require_numbers(op, left, right) -> None:
-        if not isinstance(left, float) or not isinstance(right, float):
-            bad = right if isinstance(left, float) else left
-            raise LangTypeError(
-                f"'{op}' needs numbers, not {kind_of(bad)}")
+def _not_numbers(op, left, right):
+    bad = right if left.__class__ is float else left
+    return LangTypeError(f"'{op}' needs numbers, not {kind_of(bad)}")
 
-    @staticmethod
-    def _divide(left: float, right: float) -> float:
-        if right == 0.0:
-            if left != left or left == 0.0:
-                return math.nan
-            sign = math.copysign(1.0, left) * math.copysign(1.0, right)
-            return math.inf * sign
-        return left / right
+
+def _plus(interp, left, right):
+    if left.__class__ is float and right.__class__ is float:
+        return left + right
+    if isinstance(left, str) or isinstance(right, str):
+        if isinstance(left, ObjectRef) or isinstance(right, ObjectRef):
+            raise LangTypeError("cannot concatenate an object with a string")
+        return render_value(left) + render_value(right)
+    raise _not_numbers("+", left, right)
+
+
+def _operator(op, apply, kinds=(float,)):
+    """A binary operator on two operands of the same class in kinds."""
+    def operate(interp, left, right):
+        kind = left.__class__
+        if kind in kinds and right.__class__ is kind:
+            return apply(left, right)
+        raise _not_numbers(op, left, right)
+    return operate
+
+
+def _divide(left: float, right: float) -> float:
+    if right == 0.0:
+        if left != left or left == 0.0:
+            return math.nan
+        sign = math.copysign(1.0, left) * math.copysign(1.0, right)
+        return math.inf * sign
+    return left / right
+
+
+# the equality functions are looked up when called, not bound here, so
+# that a host can wrap them in this module (as a tracer does)
+_BINARY = {
+    "==": lambda interp, a, b: loose_equals(interp, a, b),
+    "!=": lambda interp, a, b: not loose_equals(interp, a, b),
+    "===": lambda interp, a, b: strict_equals(interp, a, b),
+    "!==": lambda interp, a, b: not strict_equals(interp, a, b),
+    ":==:": lambda interp, a, b: opaque_loose_equals(interp, a, b),
+    ":===:": lambda interp, a, b: opaque_strict_equals(interp, a, b),
+    "+": _plus,
+    "-": _operator("-", operator.sub),
+    "*": _operator("*", operator.mul),
+    "/": _operator("/", _divide),
+    "<": _operator("<", operator.lt, (float, str)),
+    "<=": _operator("<=", operator.le, (float, str)),
+    ">": _operator(">", operator.gt, (float, str)),
+    ">=": _operator(">=", operator.ge, (float, str)),
+}
 
 
 # --- builtins ---
@@ -466,18 +515,27 @@ def evaluate_program(program: Program, interp: Interpreter) \
 
     Host recursion that outruns Python's limit (say, a trap-less
     forwarding chain far deeper than any call stack) comes back as a
-    StackOverflow; the unwinding has restored the call depth and the
-    override stack, so the interpreter stays usable."""
+    StackOverflow, and host memory running out as a ResourceError; the
+    unwinding has restored the call depth and the override stack, so the
+    interpreter stays usable."""
     try:
         interp.exec_program(program)
     except PlxRuntimeError as err:
-        return ExecutionResult("error", err.kind, err.message, err.line,
-                               interp.output_text())
+        error = err
     except RecursionError:
-        return ExecutionResult("error", StackOverflow.kind,
-                               "host recursion limit exceeded", None,
-                               interp.output_text())
-    return ExecutionResult("ok", None, None, None, interp.output_text())
+        error = StackOverflow("host recursion limit exceeded")
+    except MemoryError:
+        error = ResourceError("host memory exhausted")
+    else:
+        return ExecutionResult("ok", None, None, None, interp.output_text())
+    return ExecutionResult("error", error.kind, error.message, error.line,
+                           interp.output_text())
+
+
+@lru_cache(maxsize=8)
+def _parse_prelude(source: str) -> Program:
+    # evaluation never mutates a parsed program, so one serves every run
+    return parse_source(source)
 
 
 def run_source(source: str, *, mode=EqualityMode.OPAQUE,
@@ -485,11 +543,11 @@ def run_source(source: str, *, mode=EqualityMode.OPAQUE,
                sink=None) -> ExecutionResult:
     """Parse and run a script. Static errors raise; runtime errors are
     captured in the result. The prelude, when given, runs first in the
-    same interpreter."""
+    same interpreter; it is parsed once per process and source text."""
     program = parse_source(source)
     interp = Interpreter(mode=mode, sink=sink)
     if prelude_source:
-        prelude_result = evaluate_program(parse_source(prelude_source),
+        prelude_result = evaluate_program(_parse_prelude(prelude_source),
                                           interp)
         if not prelude_result.ok:
             return prelude_result

@@ -307,6 +307,20 @@ def test_repl_mode_flag(monkeypatch, capsys):
     assert lines[1] == "true"
 
 
+def test_repl_survives_host_recursion(monkeypatch, capsys):
+    # p.x through 100,000 trap-less forwarding proxies outruns the host's
+    # recursion limit; the session reports it and runs the next statement
+    code, out, err = drive_repl(monkeypatch, capsys, [
+        "var h = {}; var p = {x: 1}; var i = 0;",
+        "while (i < 100000) { p = new Proxy(p, h); i = i + 1; }",
+        "p.x;",
+        "i + 1",
+    ], "--no-prelude")
+    assert code == 0
+    assert "StackOverflow: host recursion limit exceeded" in err
+    assert out.splitlines()[1] == "100001"
+
+
 def test_repl_has_prelude(monkeypatch, capsys):
     code, out, err = drive_repl(
         monkeypatch, capsys, ["typeofValue(membrane)"])

@@ -1,14 +1,21 @@
 import io
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import proxylang.interpreter as interpreter
+from proxylang import nodes
 from proxylang.equality import EqualityMode
 from proxylang.errors import LexError, ParseError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
+from proxylang.nodes import pretty_print
 from proxylang.parser import parse_source
+from proxylang.prelude import default_prelude_source
 from proxylang.proxies import proxy_create
+
+MODES = ["opaque", "transparent", "operators", "trap"]
 
 
 def run(source, mode="opaque"):
@@ -278,6 +285,24 @@ def test_host_recursion_comes_back_as_stack_overflow():
     assert follow_up.ok
 
 
+def test_host_memory_exhaustion_comes_back_as_resource_error():
+    def exhausted(interp, this, args):
+        raise MemoryError
+    interp = Interpreter()
+    interp.globals.declare("allocate", interp.alloc_native("allocate",
+                                                          exhausted))
+    result = evaluate_program(parse_source("""
+    function f() { return allocate(); }
+    print("before");
+    f();
+    """), interp)
+    assert (result.status, result.error_kind) == ("error", "ResourceError")
+    assert result.output == "before\n"
+    assert interp.depth == 0
+    follow_up = evaluate_program(parse_source("print(1);"), interp)
+    assert follow_up.ok
+
+
 # --- error reporting ---
 
 def test_runtime_error_lines():
@@ -299,6 +324,55 @@ def test_output_preserved_up_to_error():
     result = err('print("one");\nprint("two");\nboom;')
     assert result.output == "one\ntwo\n"
     assert result.error_line == 3
+
+
+# An error takes the line of the innermost node that raises it: the node
+# itself, not the statement around it, and in a called function the
+# callee's line, not the call site's.
+
+ERROR_LINES = [
+    ("undefined identifier",
+     "var a = 1;\nprint(a +\n  nope);", "ReferenceError", 3),
+    ("property read on a primitive",
+     "var n = 1;\nprint(n.x);", "TypeError", 2),
+    ("computed key of the wrong type",
+     "var o = {};\nprint(o[\n  null]);", "TypeError", 2),
+    ("method call on a primitive",
+     'var s = "a";\n\ns.m();', "TypeError", 3),
+    ("call of a non-callable",
+     "var f = 1;\nprint(\n  f(\n    2));", "TypeError", 3),
+    ("method call of a missing method",
+     "var o = {};\no.nothing();", "TypeError", 2),
+    ("new of a non-Proxy",
+     "var F = {};\nvar x = new F({}, {});", "TypeError", 2),
+    ("binary type error",
+     "var a = {};\nvar b = 1 -\n  a;", "TypeError", 2),
+    ("unary type error",
+     'var u = -\n  "s";', "TypeError", 1),
+    ("property set on a primitive",
+     "var n = 1;\nn.x = 2;", "TypeError", 2),
+    ("assignment to an undeclared name",
+     "var a = 1;\nnope = 2;", "ReferenceError", 2),
+    ("revoked-proxy trap inside a multi-line expression",
+     "var p = new Proxy({x: 1}, {});\nProxy.revoke(p);\n"
+     "print(1 +\n  2 +\n  p.x +\n  3);", "RevokedProxyError", 5),
+    ("error from a native builtin",
+     'var a = 1;\ncontractViolation(\n  "no");', "ContractViolation", 2),
+    ("error inside a called function",
+     "function f(o) {\n  return o.x.y;\n}\nf({});", "TypeError", 2),
+    ("stack overflow at the call",
+     "function f() {\n  return 1 + f();\n}\nf();", "StackOverflow", 2),
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("source, kind, line",
+                         [case[1:] for case in ERROR_LINES],
+                         ids=[case[0] for case in ERROR_LINES])
+def test_error_kind_and_line_by_node(source, kind, line, mode):
+    result = err(source, mode)
+    assert (result.error_kind, result.error_line) == (kind, line), \
+        result.error_message
 
 
 def test_static_errors_raise():
@@ -344,6 +418,37 @@ def test_custom_sink():
     assert result.output == "to sink\n"
 
 
+def test_runs_share_one_parsed_prelude(monkeypatch):
+    # a prelude text no other test uses, so its first run parses it
+    prelude = default_prelude_source() + "\nvar probe = 7;\n"
+    source = """
+    var t = {v: 1};
+    var r = revocable(t);
+    var m = membrane(t);
+    print(r.proxy == t, r.proxy :==: t, m.wrapper.v, probe);
+    r.revoke();
+    print(r.proxy == t);
+    """
+    parses = []
+
+    def counting_parse(text):
+        parses.append(text)
+        return parse_source(text)
+    monkeypatch.setattr(interpreter, "parse_source", counting_parse)
+    for _ in range(2):
+        for mode in MODES:
+            interp = Interpreter(mode=mode)
+            assert evaluate_program(parse_source(prelude), interp).ok
+            fresh = evaluate_program(parse_source(source), interp)
+            assert fresh.ok, fresh.error_message
+            assert run_source(source, mode=mode, prelude_source=prelude) \
+                == fresh
+    assert parses.count(prelude) == 1
+    cached = interpreter._parse_prelude(prelude)
+    assert pretty_print(cached) == pretty_print(parse_source(prelude))
+    assert cached == parse_source(prelude)
+
+
 def test_prelude_error_is_reported():
     result = run_source("print(1);", prelude_source="boom;")
     assert not result.ok
@@ -378,3 +483,8 @@ def test_loop_count_model(n):
     print(total);
     """
     assert out(source) == f"{n * (n - 1) // 2}\n"
+
+
+def test_every_node_class_has_a_handler():
+    assert set(interpreter._EVAL) == set(typing.get_args(nodes.Expr))
+    assert set(interpreter._EXEC) == set(typing.get_args(nodes.Stmt))
