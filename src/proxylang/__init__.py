@@ -12,7 +12,7 @@ from .interpreter import (Environment, ExecutionResult, Interpreter,
                           evaluate_program, run_source)
 from .lexer import Token, tokenize
 from .nodes import Program, pretty_print
-from .objects import (NULL, UNDEFINED, Heap, ObjectRef, internal_call,
+from .objects import (NULL, UNDEFINED, Heap, HeapObject, internal_call,
                       internal_delete, internal_get, internal_has,
                       internal_own_keys, internal_set, render_value)
 from .parser import parse, parse_expression, parse_source
@@ -31,7 +31,7 @@ __all__ = [
     "run_source",
     "Token", "tokenize",
     "Program", "pretty_print",
-    "NULL", "UNDEFINED", "Heap", "ObjectRef", "internal_call",
+    "NULL", "UNDEFINED", "Heap", "HeapObject", "internal_call",
     "internal_delete", "internal_get", "internal_has", "internal_own_keys",
     "internal_set", "render_value",
     "parse", "parse_expression", "parse_source",

@@ -6,7 +6,8 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import LexError, ParseError, PlxError, StackOverflow
+from .errors import (LexError, ParseError, PlxError, ResourceError,
+                     StackOverflow)
 from .interpreter import Interpreter, evaluate_program, run_source
 from .nodes import ExprStmt
 from .objects import render_value
@@ -216,6 +217,9 @@ def _cmd_repl(options) -> int:
             # as evaluate_program does; the unwinding has restored the
             # interpreter's call depth and override stack
             print(_diagnostic(StackOverflow("host recursion limit exceeded")),
+                  file=sys.stderr)
+        except MemoryError:
+            print(_diagnostic(ResourceError("host memory exhausted")),
                   file=sys.stderr)
 
 

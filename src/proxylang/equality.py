@@ -29,7 +29,7 @@ import math
 import re
 from enum import Enum
 
-from .objects import NULL, UNDEFINED, ObjectRef
+from .objects import NULL, UNDEFINED, HeapObject
 from .proxies import ProxyObject, get_equality_object
 
 
@@ -42,11 +42,9 @@ class EqualityMode(Enum):
 
 def raw_identical(a, b) -> bool:
     """Reference identity on objects, same-type value equality otherwise."""
-    if isinstance(a, ObjectRef) or isinstance(b, ObjectRef):
-        return isinstance(a, ObjectRef) and isinstance(b, ObjectRef) \
-            and a.index == b.index
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a is b
+    if isinstance(a, (HeapObject, bool)) \
+            or isinstance(b, (HeapObject, bool)):
+        return a is b  # objects are their own references
     if isinstance(a, float) and isinstance(b, float):
         return a == b  # NaN != NaN, 0.0 == -0.0
     if isinstance(a, str) and isinstance(b, str):
@@ -56,20 +54,15 @@ def raw_identical(a, b) -> bool:
 
 def resolve_for_mode(interp, value, mode: EqualityMode):
     """The object (or primitive) an equality operand stands for."""
-    if not isinstance(value, ObjectRef):
-        return value
     if mode is EqualityMode.OPAQUE:
         return value
     if mode is EqualityMode.TRAP:
         return get_equality_object(interp, value)
     # transparent and operators modes resolve unconditionally, pausing
     # only at revoked proxies
-    current = value
-    while True:
-        obj = interp.heap.deref(current)
-        if not isinstance(obj, ProxyObject) or obj.revoked:
-            return current
-        current = obj.target
+    while isinstance(value, ProxyObject) and not value.revoked:
+        value = value.target
+    return value
 
 
 def strict_equals(interp, a, b, mode=None) -> bool:
@@ -82,7 +75,7 @@ def loose_equals(interp, a, b, mode=None) -> bool:
     mode = interp.mode if mode is None else mode
     a = resolve_for_mode(interp, a, mode)
     b = resolve_for_mode(interp, b, mode)
-    if isinstance(a, ObjectRef) or isinstance(b, ObjectRef):
+    if isinstance(a, HeapObject) or isinstance(b, HeapObject):
         return raw_identical(a, b)  # objects never coerce
     return primitive_loose_equals(a, b)
 

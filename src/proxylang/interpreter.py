@@ -1,10 +1,12 @@
 """Tree-walking evaluator and the embedding API.
 
-An Interpreter owns a heap, a global environment with the builtins, an
-equality mode, an output sink, and the dynamic transparency override
-stack. Programs run via evaluate_program, which captures runtime errors
-in an ExecutionResult instead of letting them escape; static errors
-(LexError, ParseError) raise from parse_source before anything runs.
+An Interpreter owns a global environment with the builtins, an equality
+mode, an output sink, the dynamic transparency override stack, and an
+allocation counter. Objects are their own references, and the host's
+collector frees them once unreachable. Programs run via evaluate_program,
+which captures runtime errors in an ExecutionResult instead of letting
+them escape; static errors (LexError, ParseError) raise from
+parse_source before anything runs.
 
 Evaluation calls one handler per node class, found in _EVAL or _EXEC by
 the node's class. An error takes the line of the innermost node that
@@ -26,10 +28,10 @@ from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     MethodCall, New, NullLit, NumberLit, ObjectLit, Program,
                     PropertyGet, PropertySet, Return, StringLit,
                     UndefinedLit, Unary, VarDecl, While)
-from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, NativeFunction,
-                      ObjectRef, OrdinaryObject, internal_call, internal_get,
-                      internal_set, is_callable, kind_of, render_value,
-                      to_property_key, truthy)
+from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, HeapObject,
+                      NativeFunction, OrdinaryObject, internal_call,
+                      internal_get, internal_set, is_callable, kind_of,
+                      render_value, to_property_key, truthy)
 from .parser import parse_source
 from .proxies import (proxy_create, revoke, unpack_args_object,
                       with_transparency)
@@ -90,11 +92,10 @@ class Interpreter:
         self.mode = mode
         self.heap = Heap()
         self.sink = sink if sink is not None else io.StringIO()
-        self.override_stack: list = []  # (proxy heap index, bool), LIFO
+        self.override_stack: list = []  # (proxy, bool), LIFO
         self.depth = 0
         self.globals = Environment()
-        self._proxy_builtin_index = -1
-        _install_builtins(self)
+        self._proxy_builtin = _install_builtins(self)
 
     # --- output ---
 
@@ -107,17 +108,17 @@ class Interpreter:
 
     # --- allocation helpers ---
 
-    def alloc_native(self, name: str, fn) -> ObjectRef:
+    def alloc_native(self, name: str, fn) -> OrdinaryObject:
         return self.heap.alloc(OrdinaryObject(
             function=NativeFunction(name, fn)))
 
-    def alloc_function(self, record: FunctionRecord) -> ObjectRef:
+    def alloc_function(self, record: FunctionRecord) -> OrdinaryObject:
         return self.heap.alloc(OrdinaryObject(function=record))
 
     # --- calls ---
 
     def call_value(self, value, this_value, args):
-        if not isinstance(value, ObjectRef):
+        if not isinstance(value, HeapObject):
             raise LangTypeError(f"{kind_of(value)} is not callable")
         return internal_call(self, value, this_value, args)
 
@@ -193,7 +194,7 @@ def _property_set(interp, node, env):
     obj = node.obj
     try:
         obj = _EVAL[obj.__class__](interp, obj, env)
-        if obj.__class__ is not ObjectRef:
+        if not isinstance(obj, HeapObject):
             raise LangTypeError(f"cannot set a property on {kind_of(obj)}")
         key = node.key
         if node.computed:
@@ -275,7 +276,7 @@ def _property_get(interp, node, env):
     obj = node.obj
     try:
         obj = _EVAL[obj.__class__](interp, obj, env)
-        if obj.__class__ is not ObjectRef:
+        if not isinstance(obj, HeapObject):
             raise LangTypeError(f"cannot read a property of {kind_of(obj)}")
         key = node.key
         if node.computed:
@@ -299,7 +300,7 @@ def _method_call(interp, node, env):
     obj = node.obj
     try:
         obj = _EVAL[obj.__class__](interp, obj, env)
-        if obj.__class__ is not ObjectRef:
+        if not isinstance(obj, HeapObject):
             raise LangTypeError(f"cannot call a method of {kind_of(obj)}")
         key = node.key
         if node.computed:
@@ -344,8 +345,7 @@ def _new(interp, node, env):
     callee = node.callee
     try:
         callee = _EVAL[callee.__class__](interp, callee, env)
-        if not (callee.__class__ is ObjectRef
-                and callee.index == interp._proxy_builtin_index):
+        if callee is not interp._proxy_builtin:
             raise LangTypeError("'new' can only construct Proxy")
         if len(node.args) != 2:
             raise LangTypeError("new Proxy takes a target and a handler")
@@ -376,7 +376,7 @@ def _plus(interp, left, right):
     if left.__class__ is float and right.__class__ is float:
         return left + right
     if isinstance(left, str) or isinstance(right, str):
-        if isinstance(left, ObjectRef) or isinstance(right, ObjectRef):
+        if isinstance(left, HeapObject) or isinstance(right, HeapObject):
             raise LangTypeError("cannot concatenate an object with a string")
         return render_value(left) + render_value(right)
     raise _not_numbers("+", left, right)
@@ -454,7 +454,7 @@ def _builtin_reflect_apply(interp, this, args):
     fn = _arg(args, 0)
     this_value = _arg(args, 1)
     args_obj = _arg(args, 2)
-    if not is_callable(interp.heap, fn):
+    if not is_callable(fn):
         raise LangTypeError("Reflect.apply needs a callable")
     return interp.call_value(
         fn, this_value, unpack_args_object(interp, args_obj))
@@ -478,7 +478,8 @@ def _builtin_with_transparency(interp, this, args):
                              _arg(args, 2))
 
 
-def _install_builtins(interp: Interpreter) -> None:
+def _install_builtins(interp: Interpreter) -> OrdinaryObject:
+    """Declare the builtins; give the Proxy object, which 'new' accepts."""
     g = interp.globals
     g.declare("print", interp.alloc_native("print", _builtin_print))
     g.declare("typeofValue",
@@ -503,8 +504,8 @@ def _install_builtins(interp: Interpreter) -> None:
         "withTransparency": interp.alloc_native(
             "withTransparency", _builtin_with_transparency),
     })
-    interp._proxy_builtin_index = proxy.index
     g.declare("Proxy", proxy)
+    return proxy
 
 
 # --- embedding API ---

@@ -1,7 +1,9 @@
-"""Value domain and the ordinary-object heap.
+"""Value domain, ordinary objects and the allocation counter.
 
 Values are floats (all numbers), bools, strings, the null and undefined
-singletons, and references into an append-only heap. Property tables are
+singletons, and objects. An object is its own reference: raw identity is
+Python identity, and the host's collector frees an object once nothing
+reaches it. The heap only counts allocations. Property tables are
 string keyed and insertion ordered. Numbers used as property keys are
 converted to their printed decimal form, so obj[0] and obj["0"] address
 the same slot; every other non-string key is a type error.
@@ -32,14 +34,6 @@ NULL = Null()
 UNDEFINED = Undefined()
 
 
-@dataclass(frozen=True)
-class ObjectRef:
-    index: int
-
-
-Value = Union[float, bool, str, Null, Undefined, ObjectRef]
-
-
 @dataclass
 class FunctionRecord:
     """A function defined in the language: parameters, body, closure."""
@@ -57,28 +51,13 @@ class NativeFunction:
 
 
 class HeapObject:
-    """Internal operation surface shared by ordinary objects and proxies."""
+    """Base of every language object, ordinary or proxy. Subclasses keep
+    Python's identity equality and hashing: an object is its own
+    reference."""
+    __slots__ = ()
 
-    def get(self, interp, self_ref, key, receiver):
-        raise NotImplementedError
 
-    def set(self, interp, self_ref, key, value, receiver):
-        raise NotImplementedError
-
-    def has(self, interp, self_ref, key):
-        raise NotImplementedError
-
-    def delete(self, interp, self_ref, key):
-        raise NotImplementedError
-
-    def own_keys(self, interp, self_ref):
-        raise NotImplementedError
-
-    def call(self, interp, self_ref, this_value, args):
-        raise NotImplementedError
-
-    def is_callable_obj(self, heap) -> bool:
-        raise NotImplementedError
+Value = Union[float, bool, str, Null, Undefined, HeapObject]
 
 
 class OrdinaryObject(HeapObject):
@@ -88,77 +67,75 @@ class OrdinaryObject(HeapObject):
         self.properties: dict = dict(properties or {})
         self.function = function  # FunctionRecord | NativeFunction | None
 
-    def get(self, interp, self_ref, key, receiver):
+    def get(self, interp, key, receiver):
         return self.properties.get(key, UNDEFINED)
 
-    def set(self, interp, self_ref, key, value, receiver):
+    def set(self, interp, key, value, receiver):
         self.properties[key] = value
 
-    def has(self, interp, self_ref, key):
+    def has(self, interp, key):
         return key in self.properties
 
-    def delete(self, interp, self_ref, key):
+    def delete(self, interp, key):
         if key in self.properties:
             del self.properties[key]
             return True
         return False
 
-    def own_keys(self, interp, self_ref):
+    def own_keys(self, interp):
         return list(self.properties)
 
-    def call(self, interp, self_ref, this_value, args):
+    def call(self, interp, this_value, args):
         if self.function is None:
             raise LangTypeError("object is not callable")
         return interp.invoke(self.function, this_value, args)
 
-    def is_callable_obj(self, heap) -> bool:
+    def is_callable_obj(self) -> bool:
         return self.function is not None
 
 
 class Heap:
-    """Append-only object store; a reference is a stable slot index."""
+    """Allocation counter: len(heap) is the number of objects allocated."""
+    __slots__ = ("_allocated",)
 
     def __init__(self):
-        self._slots: list = []
+        self._allocated = 0
 
-    def alloc(self, obj: HeapObject) -> ObjectRef:
-        self._slots.append(obj)
-        return ObjectRef(len(self._slots) - 1)
+    def alloc(self, obj: HeapObject) -> HeapObject:
+        self._allocated += 1
+        return obj
 
-    def alloc_object(self, props: Iterable = ()) -> ObjectRef:
+    def alloc_object(self, props: Iterable = ()) -> OrdinaryObject:
         return self.alloc(OrdinaryObject(dict(props)))
 
-    def deref(self, ref: ObjectRef) -> HeapObject:
-        return self._slots[ref.index]
-
     def __len__(self):
-        return len(self._slots)
+        return self._allocated
 
 
 # --- internal operations, dispatched on the object's class ---
 
-def internal_get(interp, ref: ObjectRef, key: str, receiver) -> Value:
-    return interp.heap.deref(ref).get(interp, ref, key, receiver)
+def internal_get(interp, obj: HeapObject, key: str, receiver) -> Value:
+    return obj.get(interp, key, receiver)
 
 
-def internal_set(interp, ref: ObjectRef, key: str, value, receiver) -> None:
-    interp.heap.deref(ref).set(interp, ref, key, value, receiver)
+def internal_set(interp, obj: HeapObject, key: str, value, receiver) -> None:
+    obj.set(interp, key, value, receiver)
 
 
-def internal_has(interp, ref: ObjectRef, key: str) -> bool:
-    return interp.heap.deref(ref).has(interp, ref, key)
+def internal_has(interp, obj: HeapObject, key: str) -> bool:
+    return obj.has(interp, key)
 
 
-def internal_delete(interp, ref: ObjectRef, key: str) -> bool:
-    return interp.heap.deref(ref).delete(interp, ref, key)
+def internal_delete(interp, obj: HeapObject, key: str) -> bool:
+    return obj.delete(interp, key)
 
 
-def internal_own_keys(interp, ref: ObjectRef) -> list:
-    return interp.heap.deref(ref).own_keys(interp, ref)
+def internal_own_keys(interp, obj: HeapObject) -> list:
+    return obj.own_keys(interp)
 
 
-def internal_call(interp, ref: ObjectRef, this_value, args) -> Value:
-    return interp.heap.deref(ref).call(interp, ref, this_value, args)
+def internal_call(interp, obj: HeapObject, this_value, args) -> Value:
+    return obj.call(interp, this_value, args)
 
 
 # --- value helpers ---
@@ -174,7 +151,7 @@ def kind_of(value) -> str:
         return "null"
     if value is UNDEFINED:
         return "undefined"
-    if isinstance(value, ObjectRef):
+    if isinstance(value, HeapObject):
         return "object"
     raise TypeError(f"not a language value: {value!r}")
 
@@ -215,7 +192,7 @@ def render_value(value) -> str:
         return "null"
     if value is UNDEFINED:
         return "undefined"
-    if isinstance(value, ObjectRef):
+    if isinstance(value, HeapObject):
         return "[object]"
     raise TypeError(f"not a language value: {value!r}")
 
@@ -229,6 +206,5 @@ def to_property_key(value) -> str:
         f"property keys must be strings or numbers, not {kind_of(value)}")
 
 
-def is_callable(heap: Heap, value) -> bool:
-    return isinstance(value, ObjectRef) \
-        and heap.deref(value).is_callable_obj(heap)
+def is_callable(value) -> bool:
+    return isinstance(value, HeapObject) and value.is_callable_obj()

@@ -21,7 +21,7 @@ It is decided in this order:
 """
 
 from .errors import LangTypeError, RevokedProxyError
-from .objects import (NULL, UNDEFINED, HeapObject, ObjectRef, format_number,
+from .objects import (NULL, UNDEFINED, HeapObject, format_number,
                       internal_call, internal_delete, internal_get,
                       internal_has, internal_own_keys, internal_set,
                       is_callable, kind_of, truthy)
@@ -30,61 +30,61 @@ from .objects import (NULL, UNDEFINED, HeapObject, ObjectRef, format_number,
 class ProxyObject(HeapObject):
     __slots__ = ("target", "handler", "revoked")
 
-    def __init__(self, target: ObjectRef, handler: ObjectRef):
+    def __init__(self, target: HeapObject, handler: HeapObject):
         self.target = target
         self.handler = handler
         self.revoked = False
 
     # --- internal operations ---
 
-    def get(self, interp, self_ref, key, receiver):
+    def get(self, interp, key, receiver):
         trap = self._trap(interp, "get")
         if trap is None:
             return internal_get(interp, self.target, key, receiver)
         return interp.call_value(trap, self.handler,
-                                 [self.target, key, self_ref])
+                                 [self.target, key, self])
 
-    def set(self, interp, self_ref, key, value, receiver):
+    def set(self, interp, key, value, receiver):
         trap = self._trap(interp, "set")
         if trap is None:
             internal_set(interp, self.target, key, value, receiver)
             return
         # the trap's return value carries no meaning
         interp.call_value(trap, self.handler,
-                          [self.target, key, value, self_ref])
+                          [self.target, key, value, self])
 
-    def has(self, interp, self_ref, key):
+    def has(self, interp, key):
         trap = self._trap(interp, "has")
         if trap is None:
             return internal_has(interp, self.target, key)
         return truthy(interp.call_value(trap, self.handler,
-                                        [self.target, key, self_ref]))
+                                        [self.target, key, self]))
 
-    def delete(self, interp, self_ref, key):
+    def delete(self, interp, key):
         trap = self._trap(interp, "deleteProperty")
         if trap is None:
             return internal_delete(interp, self.target, key)
         return truthy(interp.call_value(trap, self.handler,
-                                        [self.target, key, self_ref]))
+                                        [self.target, key, self]))
 
-    def own_keys(self, interp, self_ref):
+    def own_keys(self, interp):
         trap = self._trap(interp, "ownKeys")
         if trap is None:
             return internal_own_keys(interp, self.target)
         result = interp.call_value(trap, self.handler,
-                                   [self.target, self_ref])
+                                   [self.target, self])
         return unpack_key_object(interp, result)
 
-    def call(self, interp, self_ref, this_value, args):
+    def call(self, interp, this_value, args):
         trap = self._trap(interp, "apply")
         if trap is None:
             return internal_call(interp, self.target, this_value, args)
         args_obj = pack_args_object(interp, args)
         return interp.call_value(
-            trap, self.handler, [self.target, this_value, args_obj, self_ref])
+            trap, self.handler, [self.target, this_value, args_obj, self])
 
-    def is_callable_obj(self, heap) -> bool:
-        return heap.deref(self.target).is_callable_obj(heap)
+    def is_callable_obj(self) -> bool:
+        return self.target.is_callable_obj()
 
     # --- trap lookup ---
 
@@ -94,17 +94,17 @@ class ProxyObject(HeapObject):
         trap = internal_get(interp, self.handler, name, self.handler)
         if trap is UNDEFINED or trap is NULL:
             return None
-        if not is_callable(interp.heap, trap):
+        if not is_callable(trap):
             raise LangTypeError(f"trap '{name}' is not callable")
         return trap
 
 
-def proxy_create(interp, target, handler) -> ObjectRef:
+def proxy_create(interp, target, handler) -> ProxyObject:
     """Allocate a proxy; target and handler must both be objects."""
-    if not isinstance(target, ObjectRef):
+    if not isinstance(target, HeapObject):
         raise LangTypeError(
             f"proxy target must be an object, not {kind_of(target)}")
-    if not isinstance(handler, ObjectRef):
+    if not isinstance(handler, HeapObject):
         raise LangTypeError(
             f"proxy handler must be an object, not {kind_of(handler)}")
     return interp.heap.alloc(ProxyObject(target, handler))
@@ -112,27 +112,25 @@ def proxy_create(interp, target, handler) -> ObjectRef:
 
 def revoke(interp, value) -> None:
     """Permanently disable a proxy's traps. Revoking twice is a no-op."""
-    if not isinstance(value, ObjectRef):
+    if not isinstance(value, ProxyObject):
+        if isinstance(value, HeapObject):
+            raise LangTypeError(
+                "cannot revoke an object that is not a proxy")
         raise LangTypeError(f"cannot revoke a {kind_of(value)}")
-    obj = interp.heap.deref(value)
-    if not isinstance(obj, ProxyObject):
-        raise LangTypeError("cannot revoke an object that is not a proxy")
-    obj.revoked = True
+    value.revoked = True
 
 
-def is_transparent(interp, proxy_ref: ObjectRef) -> bool:
+def is_transparent(interp, proxy: ProxyObject) -> bool:
     """Decide whether equality may look through the proxy (rules 1-4)."""
-    proxy = interp.heap.deref(proxy_ref)
-    for index, flag in reversed(interp.override_stack):
-        if index == proxy_ref.index:
+    for overridden, flag in reversed(interp.override_stack):
+        if overridden is proxy:
             return flag
     if proxy.revoked:
         return False
     trap = internal_get(interp, proxy.handler, "isTransparent", proxy.handler)
-    if not is_callable(interp.heap, trap):
+    if not is_callable(trap):
         return False
-    result = interp.call_value(trap, proxy.handler,
-                               [proxy.target, proxy_ref])
+    result = interp.call_value(trap, proxy.handler, [proxy.target, proxy])
     return truthy(result)
 
 
@@ -143,34 +141,27 @@ def get_equality_object(interp, value):
     at revoked proxies. Proxy chains are acyclic because targets are
     fixed at construction, so the walk terminates.
     """
-    current = value
-    while isinstance(current, ObjectRef):
-        obj = interp.heap.deref(current)
-        if not isinstance(obj, ProxyObject):
-            return current
-        if not is_transparent(interp, current):
-            return current
-        current = obj.target
-    return current
+    while isinstance(value, ProxyObject) and is_transparent(interp, value):
+        value = value.target
+    return value
 
 
-def with_transparency(interp, proxy_ref, flag, thunk):
+def with_transparency(interp, proxy, flag, thunk):
     """Run thunk with the proxy's transparency pinned to flag.
 
     The override is visible to every equality decision in the dynamic
     extent of the call, nests innermost-wins, and is removed when the
     thunk finishes, whether it returns or raises.
     """
-    if not isinstance(proxy_ref, ObjectRef) \
-            or not isinstance(interp.heap.deref(proxy_ref), ProxyObject):
+    if not isinstance(proxy, ProxyObject):
         raise LangTypeError("transparency overrides require a proxy")
     if not isinstance(flag, bool):
         raise LangTypeError(
             f"transparency must be a boolean, not {kind_of(flag)}")
-    if not is_callable(interp.heap, thunk):
+    if not is_callable(thunk):
         raise LangTypeError("the body of a transparency override "
                             "must be callable")
-    interp.override_stack.append((proxy_ref.index, flag))
+    interp.override_stack.append((proxy, flag))
     try:
         return interp.call_value(thunk, UNDEFINED, [])
     finally:
@@ -179,7 +170,7 @@ def with_transparency(interp, proxy_ref, flag, thunk):
 
 # --- argument packing for apply and ownKeys traps ---
 
-def pack_args_object(interp, args) -> ObjectRef:
+def pack_args_object(interp, args) -> HeapObject:
     """Box a positional argument list as {"0": v0, ..., "length": n}."""
     props = {str(i): v for i, v in enumerate(args)}
     props["length"] = float(len(args))
@@ -188,7 +179,7 @@ def pack_args_object(interp, args) -> ObjectRef:
 
 def unpack_args_object(interp, value) -> list:
     """Read {"0".."length"} back into a positional list."""
-    if not isinstance(value, ObjectRef):
+    if not isinstance(value, HeapObject):
         raise LangTypeError(
             f"an arguments object is required, not {kind_of(value)}")
     length = internal_get(interp, value, "length", value)

@@ -8,12 +8,15 @@ distinct keys. A RawWeakMap never resolves: a proxy and its target are
 distinct keys in every mode, as they are under :===:, so it can be keyed
 by wrappers (a membrane's wrapper -> inner index needs that). Both are
 one IdentityMap type, told apart by its ``raw`` flag. Only objects are
-valid keys. Entries are held strongly; the name follows the host-language
-convention for identity-keyed maps, not a collection contract.
+valid keys, and an entry is stored under the resolved object itself,
+compared by identity. Entries are held strongly; the name follows the
+host-language convention for identity-keyed maps, not a collection
+contract.
 """
 
 from .errors import LangTypeError
-from .objects import UNDEFINED, ObjectRef, OrdinaryObject, kind_of
+from .objects import (UNDEFINED, HeapObject, NativeFunction, OrdinaryObject,
+                      kind_of)
 from .equality import resolve_for_mode
 
 
@@ -21,18 +24,18 @@ class IdentityMap:
     __slots__ = ("entries", "raw")
 
     def __init__(self, raw: bool = False):
-        self.entries: dict = {}  # resolved heap index -> value
+        self.entries: dict = {}  # resolved object -> value
         self.raw = raw           # key by raw identity, whatever the mode
 
 
-def _resolve_key(interp, imap: IdentityMap, key) -> int:
-    if not isinstance(key, ObjectRef):
+def _resolve_key(interp, imap: IdentityMap, key) -> HeapObject:
+    if not isinstance(key, HeapObject):
         name = "RawWeakMap" if imap.raw else "WeakMap"
         raise LangTypeError(f"{name} keys must be objects, "
                             f"not {kind_of(key)}")
     if imap.raw:
-        return key.index
-    return resolve_for_mode(interp, key, interp.mode).index
+        return key
+    return resolve_for_mode(interp, key, interp.mode)
 
 
 def idmap_set(interp, imap: IdentityMap, key, value) -> None:
@@ -55,21 +58,18 @@ def idmap_delete(interp, imap: IdentityMap, key) -> bool:
 _MISSING = object()
 
 
-def create_weakmap(interp, raw: bool = False) -> ObjectRef:
+def create_weakmap(interp, raw: bool = False) -> OrdinaryObject:
     """Allocate a map object with set/get/has/delete methods; ``raw``
     makes it a RawWeakMap."""
-    from .objects import NativeFunction
-
     imap = IdentityMap(raw)
-    ref = interp.heap.alloc(OrdinaryObject())
-    obj = interp.heap.deref(ref)
+    obj = interp.heap.alloc(OrdinaryObject())
 
     def arg(args, i):
         return args[i] if i < len(args) else UNDEFINED
 
     def wm_set(itp, this, args):
         idmap_set(itp, imap, arg(args, 0), arg(args, 1))
-        return ref
+        return obj
 
     def wm_get(itp, this, args):
         return idmap_get(itp, imap, arg(args, 0))
@@ -84,4 +84,4 @@ def create_weakmap(interp, raw: bool = False) -> ObjectRef:
                      ("has", wm_has), ("delete", wm_delete)):
         obj.properties[name] = interp.heap.alloc(
             OrdinaryObject(function=NativeFunction(name, fn)))
-    return ref
+    return obj

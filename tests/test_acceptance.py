@@ -22,7 +22,7 @@ from proxylang.equality import (
 )
 from proxylang.errors import ContractViolation, PlxRuntimeError, RevokedProxyError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
-from proxylang.objects import NULL, UNDEFINED, ObjectRef, internal_get
+from proxylang.objects import NULL, UNDEFINED, internal_get
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 from proxylang.proxies import ProxyObject, proxy_create, with_transparency
@@ -361,22 +361,21 @@ def test_criterion_07_membrane_and_revocation():
                                     env.lookup("w2"))
         # the dry side holds only wrappers, never a wet reference
         for wrapper in wrappers:
-            assert isinstance(interp.heap.deref(wrapper), ProxyObject)
+            assert isinstance(wrapper, ProxyObject)
             for wet in wet_refs:
                 assert not opaque_strict_equals(interp, wrapper, wet)
 
         revoke = internal_get(interp, env.lookup("m"), "revoke",
                               env.lookup("m"))
         interp.call_value(revoke, None, [])
-        for ref in wrappers:
-            obj = interp.heap.deref(ref)
+        for obj in wrappers:
             for probe in (
-                lambda: obj.get(interp, ref, "x", ref),
-                lambda: obj.set(interp, ref, "x", 1.0, ref),
-                lambda: obj.has(interp, ref, "x"),
-                lambda: obj.delete(interp, ref, "x"),
-                lambda: obj.own_keys(interp, ref),
-                lambda: obj.call(interp, ref, None, []),
+                lambda: obj.get(interp, "x", obj),
+                lambda: obj.set(interp, "x", 1.0, obj),
+                lambda: obj.has(interp, "x"),
+                lambda: obj.delete(interp, "x"),
+                lambda: obj.own_keys(interp),
+                lambda: obj.call(interp, None, []),
             ):
                 with pytest.raises(RevokedProxyError):
                     probe()

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import proxylang.interpreter as interpreter
 from proxylang.cli import main
 
 from conftest import CORPUS_DIR
@@ -310,15 +311,37 @@ def test_repl_mode_flag(monkeypatch, capsys):
 def test_repl_survives_host_recursion(monkeypatch, capsys):
     # p.x through 100,000 trap-less forwarding proxies outruns the host's
     # recursion limit; the session reports it and runs the next statement
-    code, out, err = drive_repl(monkeypatch, capsys, [
-        "var h = {}; var p = {x: 1}; var i = 0;",
-        "while (i < 100000) { p = new Proxy(p, h); i = i + 1; }",
-        "p.x;",
-        "i + 1",
-    ], "--no-prelude")
+    escaped = False
+    try:
+        code, out, err = drive_repl(monkeypatch, capsys, [
+            "var h = {}; var p = {x: 1}; var i = 0;",
+            "while (i < 100000) { p = new Proxy(p, h); i = i + 1; }",
+            "p.x;",
+            "i + 1",
+        ], "--no-prelude")
+    except RecursionError:
+        escaped = True
+    # failing outside the handler keeps pytest from formatting the
+    # escaped exception's traceback, one entry per forwarding link
+    if escaped:
+        pytest.fail("a host RecursionError ended the session")
     assert code == 0
     assert "StackOverflow: host recursion limit exceeded" in err
     assert out.splitlines()[1] == "100001"
+
+
+def test_repl_survives_host_memory_exhaustion(monkeypatch, capsys):
+    def exhausted(interp, this, args):
+        raise MemoryError
+    monkeypatch.setattr(interpreter, "_builtin_typeof", exhausted)
+    code, out, err = drive_repl(monkeypatch, capsys, [
+        "var x = 1;",
+        "typeofValue(x);",
+        "x + 1",
+    ], "--no-prelude")
+    assert code == 0
+    assert "ResourceError: host memory exhausted" in err
+    assert out.splitlines()[1] == "2"
 
 
 def test_repl_has_prelude(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 resolve_for_mode, strict_equals,
                                 string_to_number)
 from proxylang.interpreter import Interpreter
-from proxylang.objects import NULL, UNDEFINED, ObjectRef
+from proxylang.objects import NULL, UNDEFINED, OrdinaryObject
 from proxylang.proxies import proxy_create, revoke
 
 MODES = list(EqualityMode)
@@ -38,9 +38,10 @@ def chain(interp, flags):
 # --- raw identity ---
 
 def test_raw_identical_objects_by_reference():
-    assert raw_identical(ObjectRef(3), ObjectRef(3))
-    assert not raw_identical(ObjectRef(3), ObjectRef(4))
-    assert not raw_identical(ObjectRef(3), 3.0)
+    a, b = OrdinaryObject(), OrdinaryObject()
+    assert raw_identical(a, a)
+    assert not raw_identical(a, b)
+    assert not raw_identical(a, 3.0)
 
 
 def test_raw_identical_primitives():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -5,11 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxylang.errors import LangTypeError
-from proxylang.interpreter import Interpreter
-from proxylang.objects import (NULL, UNDEFINED, ObjectRef, format_number,
-                               internal_delete, internal_get, internal_has,
-                               internal_own_keys, internal_set, kind_of,
-                               render_value, to_property_key, truthy)
+from proxylang.interpreter import Interpreter, evaluate_program
+from proxylang.objects import (NULL, UNDEFINED, HeapObject, OrdinaryObject,
+                               format_number, internal_delete, internal_get,
+                               internal_has, internal_own_keys, internal_set,
+                               kind_of, render_value, to_property_key, truthy)
+from proxylang.parser import parse_source
+from proxylang.proxies import ProxyObject
 
 
 @pytest.fixture
@@ -55,10 +58,43 @@ def test_delete_all_subsets_against_dict_model(interp):
 
 def test_allocations_are_distinct(interp):
     refs = [interp.heap.alloc_object() for _ in range(1000)]
-    assert len({r.index for r in refs}) == 1000
+    assert len({id(r) for r in refs}) == 1000
     # writes through one reference never show through another
     internal_set(interp, refs[0], "k", 1.0, refs[0])
     assert internal_get(interp, refs[1], "k", refs[1]) is UNDEFINED
+
+
+def test_objects_compare_by_identity():
+    # an object is its own reference, so no kind of object may redefine
+    # equality or hashing
+    kinds = HeapObject.__subclasses__()
+    assert {OrdinaryObject, ProxyObject} <= set(kinds)
+    for kind in kinds:
+        assert kind.__eq__ is object.__eq__
+        assert kind.__hash__ is object.__hash__
+
+
+def test_unreachable_objects_are_freed():
+    # every iteration makes an object and a closure over it; once the loop
+    # is over nothing reaches them, yet the heap has counted them all
+    def live_objects():
+        gc.collect()
+        return sum(isinstance(o, OrdinaryObject) for o in gc.get_objects())
+
+    before = live_objects()
+    interp = Interpreter()
+    builtins = len(interp.heap)
+    result = evaluate_program(parse_source("""
+    var i = 0;
+    while (i < 100000) {
+        var t = {a: i};
+        var f = function() { return t; };
+        i = i + 1;
+    }
+    """), interp)
+    assert result.ok
+    assert len(interp.heap) == builtins + 200_000
+    assert live_objects() - before <= builtins
 
 
 def test_reinsertion_moves_key_to_end(interp):
@@ -73,7 +109,7 @@ def test_property_keys():
     assert to_property_key(0.0) == "0"
     assert to_property_key(1.5) == "1.5"
     assert to_property_key(-0.0) == "0"
-    for bad in (True, NULL, UNDEFINED, ObjectRef(0)):
+    for bad in (True, NULL, UNDEFINED, OrdinaryObject()):
         with pytest.raises(LangTypeError):
             to_property_key(bad)
 
@@ -112,7 +148,7 @@ def test_render_value(interp):
 def test_truthiness():
     for falsy in (False, 0.0, -0.0, float("nan"), "", NULL, UNDEFINED):
         assert not truthy(falsy)
-    for true in (True, 1.0, -1.0, "x", "0", ObjectRef(0)):
+    for true in (True, 1.0, -1.0, "x", "0", OrdinaryObject()):
         assert truthy(true)
 
 
@@ -122,7 +158,7 @@ def test_kind_of():
     assert kind_of("") == "string"
     assert kind_of(NULL) == "null"
     assert kind_of(UNDEFINED) == "undefined"
-    assert kind_of(ObjectRef(3)) == "object"
+    assert kind_of(OrdinaryObject()) == "object"
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

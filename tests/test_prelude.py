@@ -2,7 +2,7 @@ import pytest
 
 from proxylang.errors import RevokedProxyError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
-from proxylang.objects import ObjectRef, internal_call, internal_get
+from proxylang.objects import HeapObject, internal_call, internal_get
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 from proxylang.proxies import ProxyObject
@@ -152,22 +152,21 @@ def test_membrane_revoke_covers_all_internal_operations():
     """)
     env = interp.globals
     wrappers = [env.lookup(n) for n in ("w1", "w2", "w3")]
-    for ref in wrappers:
-        assert isinstance(ref, ObjectRef)
-        obj = interp.heap.deref(ref)
+    for obj in wrappers:
+        assert isinstance(obj, HeapObject)
         assert isinstance(obj, ProxyObject)
         with pytest.raises(RevokedProxyError):
-            obj.get(interp, ref, "x", ref)
+            obj.get(interp, "x", obj)
         with pytest.raises(RevokedProxyError):
-            obj.set(interp, ref, "x", 1.0, ref)
+            obj.set(interp, "x", 1.0, obj)
         with pytest.raises(RevokedProxyError):
-            obj.has(interp, ref, "x")
+            obj.has(interp, "x")
         with pytest.raises(RevokedProxyError):
-            obj.delete(interp, ref, "x")
+            obj.delete(interp, "x")
         with pytest.raises(RevokedProxyError):
-            obj.own_keys(interp, ref)
+            obj.own_keys(interp)
         with pytest.raises(RevokedProxyError):
-            obj.call(interp, ref, None, [])
+            obj.call(interp, None, [])
 
 
 def test_membrane_isolation_in_operators_mode():
@@ -454,8 +453,7 @@ def test_contract_wrappers_report_transparent_via_builtin():
     """, mode="opaque")
     env = interp.globals
     wrapped = env.lookup("wrapped")
-    obj = interp.heap.deref(wrapped)
-    assert isinstance(obj, ProxyObject)
+    assert isinstance(wrapped, ProxyObject)
     from proxylang.proxies import is_transparent
     assert is_transparent(interp, wrapped) is True
 

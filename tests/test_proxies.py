@@ -4,7 +4,7 @@ import pytest
 
 from proxylang.errors import LangTypeError, RevokedProxyError
 from proxylang.interpreter import Interpreter
-from proxylang.objects import (NULL, UNDEFINED, NativeFunction, ObjectRef,
+from proxylang.objects import (NULL, UNDEFINED, NativeFunction,
                                OrdinaryObject, internal_call,
                                internal_delete, internal_get, internal_has,
                                internal_own_keys, internal_set)
