@@ -12,9 +12,7 @@ from .interpreter import (Environment, ExecutionResult, Interpreter,
                           evaluate_program, run_source)
 from .lexer import Token, tokenize
 from .nodes import Program, pretty_print
-from .objects import (NULL, UNDEFINED, Heap, HeapObject, internal_call,
-                      internal_delete, internal_get, internal_has,
-                      internal_own_keys, internal_set, render_value)
+from .objects import NULL, UNDEFINED, Heap, HeapObject, render_value
 from .parser import parse, parse_expression, parse_source
 from .prelude import default_prelude_source
 from .proxies import (ProxyObject, get_equality_object, is_transparent,
@@ -31,9 +29,7 @@ __all__ = [
     "run_source",
     "Token", "tokenize",
     "Program", "pretty_print",
-    "NULL", "UNDEFINED", "Heap", "HeapObject", "internal_call",
-    "internal_delete", "internal_get", "internal_has", "internal_own_keys",
-    "internal_set", "render_value",
+    "NULL", "UNDEFINED", "Heap", "HeapObject", "render_value",
     "parse", "parse_expression", "parse_source",
     "default_prelude_source",
     "ProxyObject", "get_equality_object", "is_transparent", "proxy_create",

@@ -6,9 +6,9 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import (LexError, ParseError, PlxError, ResourceError,
-                     StackOverflow)
-from .interpreter import Interpreter, evaluate_program, run_source
+from .errors import LexError, ParseError, PlxError
+from .interpreter import (HOST_ERRORS, Interpreter, evaluate_program,
+                          host_error, run_source)
 from .nodes import ExprStmt
 from .objects import render_value
 from .parser import parse_expression, parse_source
@@ -213,14 +213,8 @@ def _cmd_repl(options) -> int:
                         print(render_value(value))
         except PlxError as err:
             print(_diagnostic(err), file=sys.stderr)
-        except RecursionError:
-            # as evaluate_program does; the unwinding has restored the
-            # interpreter's call depth and override stack
-            print(_diagnostic(StackOverflow("host recursion limit exceeded")),
-                  file=sys.stderr)
-        except MemoryError:
-            print(_diagnostic(ResourceError("host memory exhausted")),
-                  file=sys.stderr)
+        except HOST_ERRORS as err:
+            print(_diagnostic(host_error(err)), file=sys.stderr)
 
 
 def main(argv=None) -> int:

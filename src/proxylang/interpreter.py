@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from ._stacklimit import ensure_deep_stack
 from .errors import (ContractViolation, LangReferenceError, LangTypeError,
                      PlxRuntimeError, ResourceError, StackOverflow)
 from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
@@ -29,10 +28,9 @@ from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     PropertyGet, PropertySet, Return, StringLit,
                     UndefinedLit, Unary, VarDecl, While)
 from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, HeapObject,
-                      NativeFunction, OrdinaryObject, internal_call,
-                      internal_get, internal_set, is_callable, kind_of,
+                      NativeFunction, OrdinaryObject, is_callable, kind_of,
                       render_value, to_property_key, truthy)
-from .parser import parse_source
+from .parser import ensure_recursion_limit, parse_source
 from .proxies import (proxy_create, revoke, unpack_args_object,
                       with_transparency)
 from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
@@ -86,7 +84,7 @@ class ExecutionResult:
 
 class Interpreter:
     def __init__(self, mode=EqualityMode.OPAQUE, sink=None):
-        ensure_deep_stack()
+        ensure_recursion_limit()
         if isinstance(mode, str):
             mode = EqualityMode(mode)
         self.mode = mode
@@ -120,7 +118,7 @@ class Interpreter:
     def call_value(self, value, this_value, args):
         if not isinstance(value, HeapObject):
             raise LangTypeError(f"{kind_of(value)} is not callable")
-        return internal_call(self, value, this_value, args)
+        return value.call(self, this_value, args)
 
     def invoke(self, record, this_value, args):
         """Run a FunctionRecord or NativeFunction as one call frame."""
@@ -200,8 +198,7 @@ def _property_set(interp, node, env):
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
         value = node.value
-        internal_set(interp, obj, key,
-                     _EVAL[value.__class__](interp, value, env), obj)
+        obj.set(interp, key, _EVAL[value.__class__](interp, value, env), obj)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -281,7 +278,7 @@ def _property_get(interp, node, env):
         key = node.key
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
-        return internal_get(interp, obj, key, obj)
+        return obj.get(interp, key, obj)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -305,7 +302,7 @@ def _method_call(interp, node, env):
         key = node.key
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
-        method = internal_get(interp, obj, key, obj)
+        method = obj.get(interp, key, obj)
         args = [_EVAL[arg.__class__](interp, arg, env) for arg in node.args]
         return interp.call_value(method, obj, args)
     except PlxRuntimeError as err:
@@ -510,23 +507,29 @@ def _install_builtins(interp: Interpreter) -> OrdinaryObject:
 
 # --- embedding API ---
 
-def evaluate_program(program: Program, interp: Interpreter) \
-        -> ExecutionResult:
-    """Run a parsed program, capturing runtime errors in the result.
+HOST_ERRORS = (RecursionError, MemoryError)
 
-    Host recursion that outruns Python's limit (say, a trap-less
-    forwarding chain far deeper than any call stack) comes back as a
-    StackOverflow, and host memory running out as a ResourceError; the
+
+def host_error(err: BaseException) -> PlxRuntimeError:
+    """The language error that stands for a host error in HOST_ERRORS,
+    such as host recursion through a deep chain of proxy handlers. The
     unwinding has restored the call depth and the override stack, so the
     interpreter stays usable."""
+    if isinstance(err, RecursionError):
+        return StackOverflow("host recursion limit exceeded")
+    return ResourceError("host memory exhausted")
+
+
+def evaluate_program(program: Program, interp: Interpreter) \
+        -> ExecutionResult:
+    """Run a parsed program, capturing runtime errors in the result,
+    host errors included (see host_error)."""
     try:
         interp.exec_program(program)
     except PlxRuntimeError as err:
         error = err
-    except RecursionError:
-        error = StackOverflow("host recursion limit exceeded")
-    except MemoryError:
-        error = ResourceError("host memory exhausted")
+    except HOST_ERRORS as err:
+        error = host_error(err)
     else:
         return ExecutionResult("ok", None, None, None, interp.output_text())
     return ExecutionResult("error", error.kind, error.message, error.line,

@@ -11,7 +11,7 @@ the same slot; every other non-string key is a type error.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 from .errors import LangTypeError
 
@@ -55,9 +55,6 @@ class HeapObject:
     Python's identity equality and hashing: an object is its own
     reference."""
     __slots__ = ()
-
-
-Value = Union[float, bool, str, Null, Undefined, HeapObject]
 
 
 class OrdinaryObject(HeapObject):
@@ -110,32 +107,6 @@ class Heap:
 
     def __len__(self):
         return self._allocated
-
-
-# --- internal operations, dispatched on the object's class ---
-
-def internal_get(interp, obj: HeapObject, key: str, receiver) -> Value:
-    return obj.get(interp, key, receiver)
-
-
-def internal_set(interp, obj: HeapObject, key: str, value, receiver) -> None:
-    obj.set(interp, key, value, receiver)
-
-
-def internal_has(interp, obj: HeapObject, key: str) -> bool:
-    return obj.has(interp, key)
-
-
-def internal_delete(interp, obj: HeapObject, key: str) -> bool:
-    return obj.delete(interp, key)
-
-
-def internal_own_keys(interp, obj: HeapObject) -> list:
-    return obj.own_keys(interp)
-
-
-def internal_call(interp, obj: HeapObject, this_value, args) -> Value:
-    return obj.call(interp, this_value, args)
 
 
 # --- value helpers ---

@@ -28,6 +28,8 @@ Equality operators do not mix within one chain: `a == b == c` parses
 left-associatively, `a == b === c` is a parse error.
 """
 
+import sys
+
 from .errors import ParseError
 from .lexer import Token, decode_string_lexeme, tokenize
 from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
@@ -40,10 +42,21 @@ EQUALITY_OPS = frozenset(["==", "!=", "===", "!==", ":==:", ":===:"])
 RELATIONAL_OPS = frozenset(["<", "<=", ">", ">="])
 
 _MAX_NESTING = 400
+# host frames for _MAX_NESTING levels of parentheses (about 4,800) and for
+# the evaluator's deepest call stack (about 7,200), with room to spare
+HOST_RECURSION_LIMIT = 20_000
+
+
+def ensure_recursion_limit() -> None:
+    """Raise Python's recursion limit to HOST_RECURSION_LIMIT, the one
+    process-global setting parsing and Interpreter() make; never lower it."""
+    if sys.getrecursionlimit() < HOST_RECURSION_LIMIT:
+        sys.setrecursionlimit(HOST_RECURSION_LIMIT)
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
+        ensure_recursion_limit()
         self.tokens = tokens
         self.pos = 0
         self.fn_depth = 0

@@ -22,8 +22,6 @@ It is decided in this order:
 
 from .errors import LangTypeError, RevokedProxyError
 from .objects import (NULL, UNDEFINED, HeapObject, format_number,
-                      internal_call, internal_delete, internal_get,
-                      internal_has, internal_own_keys, internal_set,
                       is_callable, kind_of, truthy)
 
 
@@ -38,60 +36,78 @@ class ProxyObject(HeapObject):
     # --- internal operations ---
 
     def get(self, interp, key, receiver):
-        trap = self._trap(interp, "get")
+        link, trap = self._forward(interp, "get")
         if trap is None:
-            return internal_get(interp, self.target, key, receiver)
-        return interp.call_value(trap, self.handler,
-                                 [self.target, key, self])
+            return link.get(interp, key, receiver)
+        return interp.call_value(trap, link.handler,
+                                 [link.target, key, link])
 
     def set(self, interp, key, value, receiver):
-        trap = self._trap(interp, "set")
+        link, trap = self._forward(interp, "set")
         if trap is None:
-            internal_set(interp, self.target, key, value, receiver)
+            link.set(interp, key, value, receiver)
             return
         # the trap's return value carries no meaning
-        interp.call_value(trap, self.handler,
-                          [self.target, key, value, self])
+        interp.call_value(trap, link.handler,
+                          [link.target, key, value, link])
 
     def has(self, interp, key):
-        trap = self._trap(interp, "has")
+        link, trap = self._forward(interp, "has")
         if trap is None:
-            return internal_has(interp, self.target, key)
-        return truthy(interp.call_value(trap, self.handler,
-                                        [self.target, key, self]))
+            return link.has(interp, key)
+        return truthy(interp.call_value(trap, link.handler,
+                                        [link.target, key, link]))
 
     def delete(self, interp, key):
-        trap = self._trap(interp, "deleteProperty")
+        link, trap = self._forward(interp, "deleteProperty")
         if trap is None:
-            return internal_delete(interp, self.target, key)
-        return truthy(interp.call_value(trap, self.handler,
-                                        [self.target, key, self]))
+            return link.delete(interp, key)
+        return truthy(interp.call_value(trap, link.handler,
+                                        [link.target, key, link]))
 
     def own_keys(self, interp):
-        trap = self._trap(interp, "ownKeys")
+        link, trap = self._forward(interp, "ownKeys")
         if trap is None:
-            return internal_own_keys(interp, self.target)
-        result = interp.call_value(trap, self.handler,
-                                   [self.target, self])
+            return link.own_keys(interp)
+        result = interp.call_value(trap, link.handler,
+                                   [link.target, link])
         return unpack_key_object(interp, result)
 
     def call(self, interp, this_value, args):
-        trap = self._trap(interp, "apply")
+        link, trap = self._forward(interp, "apply")
         if trap is None:
-            return internal_call(interp, self.target, this_value, args)
+            return link.call(interp, this_value, args)
         args_obj = pack_args_object(interp, args)
         return interp.call_value(
-            trap, self.handler, [self.target, this_value, args_obj, self])
+            trap, link.handler, [link.target, this_value, args_obj, link])
 
     def is_callable_obj(self) -> bool:
-        return self.target.is_callable_obj()
+        obj = self.target
+        while obj.__class__ is ProxyObject:
+            obj = obj.target
+        return obj.is_callable_obj()
 
     # --- trap lookup ---
+
+    def _forward(self, interp, name: str):
+        """Give the first link of the chain whose handler has a trap for
+        name, with that trap; or the ordinary object at the end, with None.
+        Trap-less links are passed in a loop, so a forwarding chain of any
+        depth costs no host stack. Links are asked in order, so a revoked
+        or badly trapped link raises where the operation reaches it."""
+        link = self
+        while True:
+            trap = link._trap(interp, name)
+            if trap is not None:
+                return link, trap
+            link = link.target
+            if link.__class__ is not ProxyObject:
+                return link, None
 
     def _trap(self, interp, name: str):
         if self.revoked:
             raise RevokedProxyError(f"'{name}' on a revoked proxy")
-        trap = internal_get(interp, self.handler, name, self.handler)
+        trap = self.handler.get(interp, name, self.handler)
         if trap is UNDEFINED or trap is NULL:
             return None
         if not is_callable(trap):
@@ -127,7 +143,7 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
             return flag
     if proxy.revoked:
         return False
-    trap = internal_get(interp, proxy.handler, "isTransparent", proxy.handler)
+    trap = proxy.handler.get(interp, "isTransparent", proxy.handler)
     if not is_callable(trap):
         return False
     result = interp.call_value(trap, proxy.handler, [proxy.target, proxy])
@@ -182,12 +198,12 @@ def unpack_args_object(interp, value) -> list:
     if not isinstance(value, HeapObject):
         raise LangTypeError(
             f"an arguments object is required, not {kind_of(value)}")
-    length = internal_get(interp, value, "length", value)
+    length = value.get(interp, "length", value)
     if not isinstance(length, float) or length != length \
             or length < 0 or length != int(length):
         raise LangTypeError(
             "'length' of an arguments object must be a non-negative integer")
-    return [internal_get(interp, value, format_number(float(i)), value)
+    return [value.get(interp, format_number(float(i)), value)
             for i in range(int(length))]
 
 

@@ -1,16 +1,24 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from proxylang._stacklimit import ensure_deep_stack
 from proxylang.prelude import default_prelude_source
-
-ensure_deep_stack()
 
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
 COINCIDENCE_DIR = TESTS_DIR / "coincidence"
 DATA_DIR = TESTS_DIR / "data"
+
+
+def run_in_child(code: str, timeout: float = 120) \
+        -> subprocess.CompletedProcess:
+    """Run Python code in a fresh process, so that a probe whose host
+    recursion outruns the C stack fails one test instead of ending the
+    test run."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

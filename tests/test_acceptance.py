@@ -22,7 +22,7 @@ from proxylang.equality import (
 )
 from proxylang.errors import ContractViolation, PlxRuntimeError, RevokedProxyError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
-from proxylang.objects import NULL, UNDEFINED, internal_get
+from proxylang.objects import NULL, UNDEFINED
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 from proxylang.proxies import ProxyObject, proxy_create, with_transparency
@@ -346,12 +346,9 @@ def test_criterion_07_membrane_and_revocation():
         env = interp.globals
 
         wet_refs = [env.lookup("wet")]
-        wet_refs.append(internal_get(interp, wet_refs[0], "child",
-                                     wet_refs[0]))
-        wet_refs.append(internal_get(interp, wet_refs[1], "leaf",
-                                     wet_refs[1]))
-        wet_refs.append(internal_get(interp, wet_refs[0], "f",
-                                     wet_refs[0]))
+        wet_refs.append(wet_refs[0].get(interp, "child", wet_refs[0]))
+        wet_refs.append(wet_refs[1].get(interp, "leaf", wet_refs[1]))
+        wet_refs.append(wet_refs[0].get(interp, "f", wet_refs[0]))
 
         wrappers = [env.lookup(n) for n in ("w0", "w1", "w2", "w3")]
         # repeated crossings reuse the cached wrapper, by raw identity
@@ -365,8 +362,7 @@ def test_criterion_07_membrane_and_revocation():
             for wet in wet_refs:
                 assert not opaque_strict_equals(interp, wrapper, wet)
 
-        revoke = internal_get(interp, env.lookup("m"), "revoke",
-                              env.lookup("m"))
+        revoke = env.lookup("m").get(interp, "revoke", env.lookup("m"))
         interp.call_value(revoke, None, [])
         for obj in wrappers:
             for probe in (

@@ -6,7 +6,7 @@ import pytest
 import proxylang.interpreter as interpreter
 from proxylang.cli import main
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, run_in_child
 
 
 def invoke(capsys, *argv):
@@ -308,26 +308,46 @@ def test_repl_mode_flag(monkeypatch, capsys):
     assert lines[1] == "true"
 
 
-def test_repl_survives_host_recursion(monkeypatch, capsys):
-    # p.x through 100,000 trap-less forwarding proxies outruns the host's
-    # recursion limit; the session reports it and runs the next statement
-    escaped = False
+REPL_HANDLER_CHAIN_PROBE = '''
+import builtins
+import sys
+from proxylang.cli import main
+
+feed = iter([
+    "var h = {}; var i = 0;",
+    "while (i < 100000) { h = new Proxy({}, h); i = i + 1; }",
+    "new Proxy({x: 1}, h).x;",
+    "i + 1",
+])
+
+
+def fake_input(prompt=""):
     try:
-        code, out, err = drive_repl(monkeypatch, capsys, [
-            "var h = {}; var p = {x: 1}; var i = 0;",
-            "while (i < 100000) { p = new Proxy(p, h); i = i + 1; }",
-            "p.x;",
-            "i + 1",
-        ], "--no-prelude")
-    except RecursionError:
-        escaped = True
-    # failing outside the handler keeps pytest from formatting the
-    # escaped exception's traceback, one entry per forwarding link
-    if escaped:
+        return next(feed)
+    except StopIteration:
+        raise EOFError
+
+
+builtins.input = fake_input
+try:
+    code = main(["repl", "--no-prelude"])
+except RecursionError:
+    print("a host RecursionError ended the session", file=sys.stderr)
+    code = 3
+sys.exit(code)
+'''
+
+
+def test_repl_survives_host_recursion():
+    # reading a trap through 100,000 handlers, each a proxy whose own
+    # handler is the next, outruns the host's recursion limit; the
+    # session reports it and runs the next statement
+    proc = run_in_child(REPL_HANDLER_CHAIN_PROBE)
+    if "a host RecursionError ended the session" in proc.stderr:
         pytest.fail("a host RecursionError ended the session")
-    assert code == 0
-    assert "StackOverflow: host recursion limit exceeded" in err
-    assert out.splitlines()[1] == "100001"
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "StackOverflow: host recursion limit exceeded" in proc.stderr
+    assert proc.stdout.splitlines()[1] == "100001"
 
 
 def test_repl_survives_host_memory_exhaustion(monkeypatch, capsys):

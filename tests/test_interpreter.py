@@ -1,4 +1,6 @@
 import io
+import json
+import resource
 import typing
 
 import pytest
@@ -13,7 +15,8 @@ from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.nodes import pretty_print
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
-from proxylang.proxies import proxy_create
+
+from conftest import run_in_child
 
 MODES = ["opaque", "transparent", "operators", "trap"]
 
@@ -262,36 +265,94 @@ def test_stack_depth_resets_after_overflow():
     assert follow_up.ok
 
 
-def test_host_recursion_comes_back_as_stack_overflow():
-    # p.x through 100,000 trap-less forwarding proxies recurses once per
-    # link on the host stack; evaluate_program must still return a
-    # result, with the call depth and the override stack unwound
-    interp = Interpreter(mode="trap")
-    p = interp.heap.alloc_object({"x": 1.0})
-    handler = interp.heap.alloc_object()
-    for _ in range(100_000):
-        p = proxy_create(interp, p, handler)
-    interp.globals.declare("p", p)
-    program = parse_source("""
-    var q = new Proxy({}, {});
-    print("before");
-    Proxy.withTransparency(q, true, function() { print(p.x); });
-    """)
-    escaped = False
-    try:
-        result = evaluate_program(program, interp)
-    except RecursionError:
-        escaped = True
-    # failing outside the handler keeps pytest from formatting the
-    # escaped exception's traceback, one entry per forwarding link
-    if escaped:
-        pytest.fail("a host RecursionError escaped evaluate_program")
-    assert (result.status, result.error_kind) == ("error", "StackOverflow")
-    assert result.output == "before\n"
-    assert interp.depth == 0
-    assert interp.override_stack == []
+HANDLER_CHAIN_PROBE = '''
+import json
+from proxylang.interpreter import Interpreter, evaluate_program
+from proxylang.parser import parse_source
+from proxylang.proxies import proxy_create
+
+interp = Interpreter(mode="trap")
+h = interp.heap.alloc_object()
+for _ in range(100_000):
+    h = proxy_create(interp, interp.heap.alloc_object(), h)
+interp.globals.declare("h", h)
+program = parse_source("""
+var q = new Proxy({}, {});
+print("before");
+Proxy.withTransparency(q, true, function() {
+  print(new Proxy({x: 1}, h).x);
+});
+""")
+try:
+    result = evaluate_program(program, interp)
+except RecursionError:
+    print(json.dumps({"escaped": True}))
+else:
     follow_up = evaluate_program(parse_source("print(1);"), interp)
-    assert follow_up.ok
+    print(json.dumps({
+        "escaped": False, "status": result.status,
+        "error_kind": result.error_kind, "output": result.output,
+        "depth": interp.depth, "override_stack": len(interp.override_stack),
+        "follow_up_ok": follow_up.ok}))
+'''
+
+
+def test_host_recursion_comes_back_as_stack_overflow():
+    # reading a trap through 100,000 handlers, each a proxy whose own
+    # handler is the next, recurses once per handler on the host stack;
+    # evaluate_program must still return a result, with the call depth
+    # and the override stack unwound
+    proc = run_in_child(HANDLER_CHAIN_PROBE)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    probe = json.loads(proc.stdout)
+    if probe["escaped"]:
+        pytest.fail("a host RecursionError escaped evaluate_program")
+    assert (probe["status"], probe["error_kind"]) == ("error", "StackOverflow")
+    assert probe["output"] == "before\n"
+    assert probe["depth"] == 0
+    assert probe["override_stack"] == 0
+    assert probe["follow_up_ok"]
+
+
+DEEP_FORWARDING = """
+var h = {};
+function chain(t) {
+  var i = 0;
+  while (i < 100000) { t = new Proxy(t, h); i = i + 1; }
+  return t;
+}
+var o = {x: 1};
+var p = chain(o);
+print(p.x);
+p.y = 2;
+print(p.y, o.y);
+var f = chain(function(a, b) { return a + b; });
+print(f(40, 2));
+print(Reflect.apply(f, undefined, { 0: 1, 1: 2, length: 2 }));
+"""
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_forwarding_chain_reaches_target(mode):
+    before = resource.getrlimit(resource.RLIMIT_STACK)
+    assert out(DEEP_FORWARDING, mode) == "1\n2 2\n42\n3\n"
+    assert resource.getrlimit(resource.RLIMIT_STACK) == before
+
+
+def test_interpreter_leaves_the_stack_rlimit_alone():
+    # in a child whose soft limit is below its hard one, so that a raise
+    # would show
+    proc = run_in_child("""
+import resource
+from proxylang.interpreter import Interpreter
+_, hard = resource.getrlimit(resource.RLIMIT_STACK)
+if hard == resource.RLIM_INFINITY or hard > 8 << 20:
+    resource.setrlimit(resource.RLIMIT_STACK, (8 << 20, hard))
+before = resource.getrlimit(resource.RLIMIT_STACK)
+Interpreter()
+print(before == resource.getrlimit(resource.RLIMIT_STACK))
+""")
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 def test_host_memory_exhaustion_comes_back_as_resource_error():

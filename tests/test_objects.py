@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from proxylang.errors import LangTypeError
 from proxylang.interpreter import Interpreter, evaluate_program
 from proxylang.objects import (NULL, UNDEFINED, HeapObject, OrdinaryObject,
-                               format_number, internal_delete, internal_get,
-                               internal_has, internal_own_keys, internal_set,
-                               kind_of, render_value, to_property_key, truthy)
+                               format_number, kind_of, render_value,
+                               to_property_key, truthy)
 from proxylang.parser import parse_source
 from proxylang.proxies import ProxyObject
 
@@ -22,21 +21,21 @@ def interp():
 
 def test_get_after_set(interp):
     ref = interp.heap.alloc_object()
-    internal_set(interp, ref, "a", 1.0, ref)
-    assert internal_get(interp, ref, "a", ref) == 1.0
-    internal_set(interp, ref, "a", "two", ref)
-    assert internal_get(interp, ref, "a", ref) == "two"
-    assert internal_get(interp, ref, "missing", ref) is UNDEFINED
+    ref.set(interp, "a", 1.0, ref)
+    assert ref.get(interp, "a", ref) == 1.0
+    ref.set(interp, "a", "two", ref)
+    assert ref.get(interp, "a", ref) == "two"
+    assert ref.get(interp, "missing", ref) is UNDEFINED
 
 
 def test_own_keys_matches_has(interp):
     ref = interp.heap.alloc_object([("x", 1.0), ("y", 2.0)])
-    internal_set(interp, ref, "z", 3.0, ref)
-    keys = internal_own_keys(interp, ref)
+    ref.set(interp, "z", 3.0, ref)
+    keys = ref.own_keys(interp)
     assert keys == ["x", "y", "z"]  # insertion order
     for key in keys:
-        assert internal_has(interp, ref, key)
-    assert not internal_has(interp, ref, "w")
+        assert ref.has(interp, key)
+    assert not ref.has(interp, "w")
 
 
 def test_delete_all_subsets_against_dict_model(interp):
@@ -49,19 +48,19 @@ def test_delete_all_subsets_against_dict_model(interp):
         for key in subset:
             expected = key in model
             model.pop(key, None)
-            assert internal_delete(interp, ref, key) is expected
-        assert internal_own_keys(interp, ref) == list(model)
+            assert ref.delete(interp, key) is expected
+        assert ref.own_keys(interp) == list(model)
         # deleting again reports absence
         for key in subset:
-            assert internal_delete(interp, ref, key) is False
+            assert ref.delete(interp, key) is False
 
 
 def test_allocations_are_distinct(interp):
     refs = [interp.heap.alloc_object() for _ in range(1000)]
     assert len({id(r) for r in refs}) == 1000
     # writes through one reference never show through another
-    internal_set(interp, refs[0], "k", 1.0, refs[0])
-    assert internal_get(interp, refs[1], "k", refs[1]) is UNDEFINED
+    refs[0].set(interp, "k", 1.0, refs[0])
+    assert refs[1].get(interp, "k", refs[1]) is UNDEFINED
 
 
 def test_objects_compare_by_identity():
@@ -99,9 +98,9 @@ def test_unreachable_objects_are_freed():
 
 def test_reinsertion_moves_key_to_end(interp):
     ref = interp.heap.alloc_object([("a", 1.0), ("b", 2.0)])
-    internal_delete(interp, ref, "a")
-    internal_set(interp, ref, "a", 3.0, ref)
-    assert internal_own_keys(interp, ref) == ["b", "a"]
+    ref.delete(interp, "a")
+    ref.set(interp, "a", 3.0, ref)
+    assert ref.own_keys(interp) == ["b", "a"]
 
 
 def test_property_keys():
@@ -116,8 +115,8 @@ def test_property_keys():
 
 def test_number_and_string_keys_alias(interp):
     ref = interp.heap.alloc_object()
-    internal_set(interp, ref, to_property_key(0.0), "zero", ref)
-    assert internal_get(interp, ref, "0", ref) == "zero"
+    ref.set(interp, to_property_key(0.0), "zero", ref)
+    assert ref.get(interp, "0", ref) == "zero"
 
 
 @pytest.mark.parametrize("value,text", [

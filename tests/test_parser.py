@@ -10,6 +10,8 @@ from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
                              StringLit, VarDecl, While, pretty_print)
 from proxylang.parser import parse_expression, parse_source
 
+from conftest import run_in_child
+
 
 def stmt(source):
     program = parse_source(source)
@@ -190,6 +192,22 @@ def test_deep_nesting_rejected_structurally():
     source = "x = " + "!" * 5000 + "y;"
     with pytest.raises(ParseError):
         parse_source(source)
+
+
+def test_deepest_nesting_parses_in_a_fresh_process():
+    # parsing raises the recursion limit itself, so no Interpreter() has
+    # to have run first for the deepest nesting the parser accepts
+    proc = run_in_child("""
+from proxylang.errors import ParseError
+from proxylang.interpreter import run_source
+print(run_source("print(" + "(" * 398 + "1" + ")" * 398 + ");").output)
+try:
+    run_source("x = " + "(" * 2000 + "1" + ")" * 2000 + ";")
+except ParseError as err:
+    print(err.message)
+""")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "1\n\nexpression nesting too deep\n"
 
 
 def test_parse_expression_entry():

@@ -2,7 +2,7 @@ import pytest
 
 from proxylang.errors import RevokedProxyError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
-from proxylang.objects import HeapObject, internal_call, internal_get
+from proxylang.objects import HeapObject
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 from proxylang.proxies import ProxyObject
@@ -428,6 +428,30 @@ def test_contract_method_is_transparent_in_trap_mode():
     """, mode="trap") == "true false\n"
 
 
+@pytest.mark.parametrize("mode", ["opaque", "transparent", "operators",
+                                  "trap"])
+def test_contract_method_guard_is_made_once_per_member(mode):
+    interp = interp_after("""
+    var o = contractMethod({ m: function(x) { return x + 1; } }, "m",
+        function(a) { return true; }, function(r) { return true; });
+    print(o.m :===: o.m, o.m(1));
+    """, mode)
+    assert interp.output_text() == "true 2\n"
+    read = parse_source("o.m;")
+    evaluate_program(read, interp)
+    allocated = len(interp.heap)
+    evaluate_program(read, interp)
+    assert len(interp.heap) == allocated
+    # a non-object member is still rejected by new Proxy
+    result = run("""
+    var o = contractMethod({ m: 5 }, "m",
+        function(a) { return true; }, function(r) { return true; });
+    o.m;
+    """, mode)
+    assert (result.error_kind, result.error_message) == \
+        ("TypeError", "proxy target must be an object, not number")
+
+
 def test_contract_behavior_identical_across_modes():
     source = """
     var account = contractProperty({ balance: 10 }, "balance",
@@ -463,10 +487,10 @@ def test_prelude_functions_callable_from_host():
     env = interp.globals
     revocable_fn = env.lookup("revocable")
     seed = env.lookup("seed")
-    pair = internal_call(interp, revocable_fn, None, [seed])
-    proxy = internal_get(interp, pair, "proxy", pair)
-    assert internal_get(interp, proxy, "x", proxy) == 1.0
-    revoke = internal_get(interp, pair, "revoke", pair)
-    internal_call(interp, revoke, None, [])
+    pair = revocable_fn.call(interp, None, [seed])
+    proxy = pair.get(interp, "proxy", pair)
+    assert proxy.get(interp, "x", proxy) == 1.0
+    revoke = pair.get(interp, "revoke", pair)
+    revoke.call(interp, None, [])
     with pytest.raises(RevokedProxyError):
-        internal_get(interp, proxy, "x", proxy)
+        proxy.get(interp, "x", proxy)

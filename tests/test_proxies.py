@@ -4,10 +4,7 @@ import pytest
 
 from proxylang.errors import LangTypeError, RevokedProxyError
 from proxylang.interpreter import Interpreter
-from proxylang.objects import (NULL, UNDEFINED, NativeFunction,
-                               OrdinaryObject, internal_call,
-                               internal_delete, internal_get, internal_has,
-                               internal_own_keys, internal_set)
+from proxylang.objects import NULL, UNDEFINED
 from proxylang.proxies import (get_equality_object, is_transparent,
                                pack_args_object, proxy_create, revoke,
                                unpack_args_object, with_transparency)
@@ -32,13 +29,13 @@ def make_proxy(interp, target=None, handler_props=None):
 
 def test_absent_traps_forward(interp):
     proxy, target, _ = make_proxy(interp)
-    internal_set(interp, proxy, "foo", 42.0, proxy)
-    assert internal_get(interp, target, "foo", target) == 42.0
-    assert internal_get(interp, proxy, "foo", proxy) == 42.0
-    assert internal_has(interp, proxy, "foo")
-    assert internal_own_keys(interp, proxy) == ["foo"]
-    assert internal_delete(interp, proxy, "foo")
-    assert not internal_has(interp, target, "foo")
+    proxy.set(interp, "foo", 42.0, proxy)
+    assert target.get(interp, "foo", target) == 42.0
+    assert proxy.get(interp, "foo", proxy) == 42.0
+    assert proxy.has(interp, "foo")
+    assert proxy.own_keys(interp) == ["foo"]
+    assert proxy.delete(interp, "foo")
+    assert not target.has(interp, "foo")
 
 
 def test_get_trap_receives_target_key_proxy(interp):
@@ -50,22 +47,22 @@ def test_get_trap_receives_target_key_proxy(interp):
 
     proxy, target, handler = make_proxy(
         interp, handler_props={"get": native(interp, trap)})
-    assert internal_get(interp, proxy, "foo", proxy) == 7.0
+    assert proxy.get(interp, "foo", proxy) == 7.0
     assert seen["args"] == [target, "foo", proxy]
     # the target is untouched and direct access bypasses the trap
-    assert internal_get(interp, target, "foo", target) is UNDEFINED
+    assert target.get(interp, "foo", target) is UNDEFINED
 
 
 def test_set_trap_result_is_ignored(interp):
     def trap(itp, this, args):
         target, key, value = args[0], args[1], args[2]
-        internal_set(itp, target, key, value * 2, target)
+        target.set(itp, key, value * 2, target)
         return "ignored"
 
     proxy, target, _ = make_proxy(
         interp, handler_props={"set": native(interp, trap)})
-    internal_set(interp, proxy, "n", 10.0, proxy)
-    assert internal_get(interp, target, "n", target) == 20.0
+    proxy.set(interp, "n", 10.0, proxy)
+    assert target.get(interp, "n", target) == 20.0
 
 
 def test_has_and_delete_traps_coerce_to_boolean(interp):
@@ -73,8 +70,8 @@ def test_has_and_delete_traps_coerce_to_boolean(interp):
         "has": native(interp, lambda itp, this, args: 1.0),
         "deleteProperty": native(interp, lambda itp, this, args: ""),
     })
-    assert internal_has(interp, proxy, "anything") is True
-    assert internal_delete(interp, proxy, "anything") is False
+    assert proxy.has(interp, "anything") is True
+    assert proxy.delete(interp, "anything") is False
 
 
 def test_own_keys_trap_unpacks_key_object(interp):
@@ -83,7 +80,7 @@ def test_own_keys_trap_unpacks_key_object(interp):
 
     proxy, _, _ = make_proxy(
         interp, handler_props={"ownKeys": native(interp, trap)})
-    assert internal_own_keys(interp, proxy) == ["a", "b"]
+    assert proxy.own_keys(interp) == ["a", "b"]
 
 
 def test_own_keys_trap_rejects_non_strings(interp):
@@ -93,7 +90,7 @@ def test_own_keys_trap_rejects_non_strings(interp):
     proxy, _, _ = make_proxy(
         interp, handler_props={"ownKeys": native(interp, trap)})
     with pytest.raises(LangTypeError):
-        internal_own_keys(interp, proxy)
+        proxy.own_keys(interp)
 
 
 def test_apply_trap_receives_packed_args(interp):
@@ -107,20 +104,20 @@ def test_apply_trap_receives_packed_args(interp):
     handler = interp.heap.alloc_object(
         {"apply": native(interp, trap)})
     proxy = proxy_create(interp, fn, handler)
-    result = internal_call(interp, proxy, NULL, ["first", "second"])
+    result = proxy.call(interp, NULL, ["first", "second"])
     assert result == "first"
     assert seen["target"] == fn
     assert seen["this"] is NULL
     assert seen["proxy"] == proxy
     packed = seen["packed"]
-    assert internal_get(interp, packed, "length", packed) == 2.0
-    assert internal_get(interp, packed, "0", packed) == "first"
+    assert packed.get(interp, "length", packed) == 2.0
+    assert packed.get(interp, "0", packed) == "first"
 
 
 def test_apply_absent_forwards_positionally(interp):
     fn = native(interp, lambda itp, this, args: args[0] + args[1])
     proxy, _, _ = make_proxy(interp, target=fn)
-    assert internal_call(interp, proxy, UNDEFINED, [1.0, 2.0]) == 3.0
+    assert proxy.call(interp, UNDEFINED, [1.0, 2.0]) == 3.0
 
 
 def test_trap_lookup_through_handler_proxy(interp):
@@ -137,26 +134,69 @@ def test_trap_lookup_through_handler_proxy(interp):
     handler_proxy = proxy_create(interp, inner_handler, meta_handler)
     target = interp.heap.alloc_object()
     proxy = proxy_create(interp, target, handler_proxy)
-    assert internal_get(interp, proxy, "x", proxy) == "from-meta"
+    assert proxy.get(interp, "x", proxy) == "from-meta"
 
 
 def test_present_non_callable_trap_is_an_error(interp):
     proxy, _, _ = make_proxy(interp, handler_props={"get": 5.0})
     with pytest.raises(LangTypeError):
-        internal_get(interp, proxy, "x", proxy)
+        proxy.get(interp, "x", proxy)
 
 
 def test_null_trap_counts_as_absent(interp):
     proxy, target, _ = make_proxy(interp, handler_props={"get": NULL})
-    internal_set(interp, target, "x", 1.0, target)
-    assert internal_get(interp, proxy, "x", proxy) == 1.0
+    target.set(interp, "x", 1.0, target)
+    assert proxy.get(interp, "x", proxy) == 1.0
 
 
 def test_proxy_target_may_be_proxy(interp):
     base = interp.heap.alloc_object([("x", "deep")])
     inner, _, _ = make_proxy(interp, target=base)
     outer, _, _ = make_proxy(interp, target=inner)
-    assert internal_get(interp, outer, "x", outer) == "deep"
+    assert outer.get(interp, "x", outer) == "deep"
+
+
+def forwarding_chain(interp, target, depth=100_000, handler=None):
+    handler = handler if handler is not None else interp.heap.alloc_object()
+    for _ in range(depth):
+        target = proxy_create(interp, target, handler)
+    return target
+
+
+def without_host_recursion(operation, *args):
+    """operation(*args); fails outside the handler if it recursed past the
+    host limit, so pytest does not format one traceback entry per link."""
+    try:
+        return operation(*args)
+    except RecursionError:
+        pass
+    pytest.fail("a trap-less forwarding chain recursed on the host stack")
+
+
+def test_deep_forwarding_chain_reaches_target(interp):
+    base = interp.heap.alloc_object({"x": 1.0, "y": 2.0})
+    chain = forwarding_chain(interp, base)
+    assert without_host_recursion(chain.has, interp, "x")
+    assert not without_host_recursion(chain.has, interp, "z")
+    assert without_host_recursion(chain.own_keys, interp) == ["x", "y"]
+    assert without_host_recursion(chain.delete, interp, "y") is True
+    assert without_host_recursion(chain.delete, interp, "y") is False
+    assert base.own_keys(interp) == ["x"]
+
+
+def test_innermost_trap_answers_through_deep_chain(interp):
+    seen = {}
+
+    def trap(itp, this, args):
+        seen["args"] = args
+        return "yes"
+
+    base = interp.heap.alloc_object()
+    inner, _, _ = make_proxy(interp, target=base,
+                             handler_props={"has": native(interp, trap)})
+    chain = forwarding_chain(interp, inner)
+    assert without_host_recursion(chain.has, interp, "anything") is True
+    assert seen["args"] == [base, "anything", inner]
 
 
 def test_create_requires_objects(interp):
@@ -175,17 +215,17 @@ def test_revoked_operations_error(interp):
     proxy, _, _ = make_proxy(interp, target=fn)
     revoke(interp, proxy)
     with pytest.raises(RevokedProxyError):
-        internal_get(interp, proxy, "x", proxy)
+        proxy.get(interp, "x", proxy)
     with pytest.raises(RevokedProxyError):
-        internal_set(interp, proxy, "x", 1.0, proxy)
+        proxy.set(interp, "x", 1.0, proxy)
     with pytest.raises(RevokedProxyError):
-        internal_has(interp, proxy, "x")
+        proxy.has(interp, "x")
     with pytest.raises(RevokedProxyError):
-        internal_delete(interp, proxy, "x")
+        proxy.delete(interp, "x")
     with pytest.raises(RevokedProxyError):
-        internal_own_keys(interp, proxy)
+        proxy.own_keys(interp)
     with pytest.raises(RevokedProxyError):
-        internal_call(interp, proxy, UNDEFINED, [])
+        proxy.call(interp, UNDEFINED, [])
 
 
 def test_revoke_is_idempotent_and_proxy_only(interp):
@@ -411,7 +451,7 @@ def test_args_object_round_trip(interp):
     values = [1.0, "two", NULL, UNDEFINED, True]
     packed = pack_args_object(interp, values)
     assert unpack_args_object(interp, packed) == values
-    assert internal_get(interp, packed, "length", packed) == 5.0
+    assert packed.get(interp, "length", packed) == 5.0
 
 
 def test_unpack_rejects_bad_length(interp):

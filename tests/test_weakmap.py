@@ -3,7 +3,7 @@ import pytest
 from proxylang.equality import EqualityMode
 from proxylang.errors import LangTypeError
 from proxylang.interpreter import Interpreter, run_source
-from proxylang.objects import NULL, UNDEFINED, internal_call, internal_get
+from proxylang.objects import NULL, UNDEFINED
 from proxylang.proxies import proxy_create, revoke
 from proxylang.weakmap import (IdentityMap, create_weakmap, idmap_delete,
                                idmap_get, idmap_has, idmap_set)
@@ -102,8 +102,8 @@ def test_weakmap_object_surface():
     proxy = transparent_proxy(interp, target)
 
     def call_method(name, args):
-        method = internal_get(interp, wm, name, wm)
-        return internal_call(interp, method, wm, args)
+        method = wm.get(interp, name, wm)
+        return method.call(interp, wm, args)
 
     assert call_method("set", [target, 42.0]) == wm  # returns the map
     assert call_method("get", [proxy]) == 42.0
