@@ -37,8 +37,10 @@ def _prelude_source(options) -> str:
     return default_prelude_source()
 
 
-def _diagnostic(err: PlxError) -> str:
-    return str(err)
+def _print_runtime_error(result) -> None:
+    line = f" at line {result.error_line}" if result.error_line else ""
+    print(f"{result.error_kind}{line}: {result.error_message}",
+          file=sys.stderr)
 
 
 def _mode_pragma(source: str):
@@ -66,16 +68,14 @@ def _cmd_run(options) -> int:
         result = run_source(source, mode=EqualityMode(options.mode),
                             prelude_source=prelude)
     except (LexError, ParseError) as err:
-        print(_diagnostic(err), file=sys.stderr)
+        print(err, file=sys.stderr)
         return 2
     except OSError as err:
         print(f"cannot read prelude: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(result.output)
     if not result.ok:
-        line = f" at line {result.error_line}" if result.error_line else ""
-        print(f"{result.error_kind}{line}: {result.error_message}",
-              file=sys.stderr)
+        _print_runtime_error(result)
         return 1
     return 0
 
@@ -149,16 +149,17 @@ def _cmd_corpus(options) -> int:
 def _cmd_repl(options) -> int:
     interp = Interpreter(mode=EqualityMode(options.mode), sink=sys.stdout)
     try:
-        prelude = _prelude_source(options)
+        prelude = parse_source(_prelude_source(options))
+    except (LexError, ParseError) as err:
+        print(err, file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"cannot read prelude: {err}", file=sys.stderr)
         return 2
-    if prelude:
-        result = evaluate_program(parse_source(prelude), interp)
-        if not result.ok:
-            print(f"{result.error_kind}: {result.error_message}",
-                  file=sys.stderr)
-            return 1
+    result = evaluate_program(prelude, interp)
+    if not result.ok:
+        _print_runtime_error(result)
+        return 1
 
     print(f"proxylang (equality mode: {interp.mode.value}; "
           "end with ctrl-d)")
@@ -191,15 +192,15 @@ def _cmd_repl(options) -> int:
                     echo_expr = parse_expression(buffer)
                 except (LexError, ParseError):
                     if force:
-                        print(_diagnostic(err), file=sys.stderr)
+                        print(err, file=sys.stderr)
                         buffer = ""
                     continue
             else:
-                print(_diagnostic(err), file=sys.stderr)
+                print(err, file=sys.stderr)
                 buffer = ""
                 continue
         except LexError as err:
-            print(_diagnostic(err), file=sys.stderr)
+            print(err, file=sys.stderr)
             buffer = ""
             continue
         buffer = ""
@@ -212,9 +213,9 @@ def _cmd_repl(options) -> int:
                     if isinstance(stmt, ExprStmt):
                         print(render_value(value))
         except PlxError as err:
-            print(_diagnostic(err), file=sys.stderr)
+            print(err, file=sys.stderr)
         except HOST_ERRORS as err:
-            print(_diagnostic(host_error(err)), file=sys.stderr)
+            print(host_error(err), file=sys.stderr)
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,6 @@
 """Tokenizer for .plx source text."""
 
+import re
 from dataclasses import dataclass
 
 from .errors import LexError
@@ -9,7 +10,7 @@ KEYWORDS = frozenset([
     "true", "false", "null", "undefined",
 ])
 
-# Longest lexeme first so maximal munch falls out of a linear scan:
+# Longest lexeme first so maximal munch falls out of ordered alternation:
 # ':===:' must win over ':==:', and '===' over '=='.
 PUNCTUATORS = (
     ":===:", ":==:", "===", "!==", "==", "!=", "<=", ">=", "&&", "||",
@@ -19,9 +20,32 @@ PUNCTUATORS = (
 
 ESCAPES = {"n": "\n", "t": "\t", '"': '"', "'": "'", "\\": "\\"}
 
-_DIGITS = "0123456789"
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_REST = _IDENT_START | set(_DIGITS)
+_ESCAPE = "\\\\[" + re.escape("".join(ESCAPES)) + "]"
+
+
+def _string_body(quote: str) -> str:
+    """The longest valid string body after the quote: a string ends at the
+    first unescaped quote of its own kind and never spans a line."""
+    plain = f"[^{quote}\\\\\\n]*"
+    return f"{plain}(?:{_ESCAPE}{plain})*"
+
+
+# One alternative per token class, tried in order at each position, so the
+# order is the lexer's tie-break: comments come before the '/' punctuator,
+# a valid string before the catch-all that reports a broken one, and the
+# catch-all comes last, where anything it matches is an error.
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r\v\f]+)",
+    r"(?P<comment>//[^\n]*|/\*.*?\*/)",
+    r"(?P<open_comment>/\*)",
+    "(?P<string>" + "|".join(q + _string_body(q) + q for q in "\"'") + ")",
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
+    r"(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)",
+    "(?P<punctuator>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+    r"(?P<error>.)",
+]), re.DOTALL)
+_STRING_BODY = {q: re.compile(_string_body(q)) for q in "\"'"}
 
 
 @dataclass
@@ -40,117 +64,42 @@ def tokenize(source: str) -> list[Token]:
     and characters outside the language raise LexError with a position.
     """
     tokens: list[Token] = []
-    pos, line, col = 0, 1, 1
-    n = len(source)
-
-    while pos < n:
-        ch = source[pos]
-
-        if ch == "\n":
-            pos += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind, lexeme, pos = m.lastgroup, m.group(), m.start()
+        if kind == "word":
+            tokens.append(Token("keyword" if lexeme in KEYWORDS
+                                else "identifier",
+                                lexeme, line, pos - line_start + 1))
+        elif kind == "punctuator" or kind == "number" or kind == "string":
+            tokens.append(Token(kind, lexeme, line, pos - line_start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r\v\f":
-            pos += 1
-            col += 1
-            continue
-
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            if end == -1:
-                end = n
-            col += end - pos
-            pos = end
-            continue
-
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line, col)
-            segment = source[pos:end + 2]
-            newlines = segment.count("\n")
+            line_start = pos + 1
+        elif kind == "comment":
+            newlines = lexeme.count("\n")
             if newlines:
                 line += newlines
-                col = len(segment) - segment.rfind("\n")
-            else:
-                col += len(segment)
-            pos = end + 2
-            continue
-
-        if ch in "'\"":
-            start_line, start_col = line, col
-            i = pos + 1
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise LexError("unterminated string literal",
-                                   start_line, start_col)
-                if source[i] == ch:
-                    break
-                if source[i] == "\\":
-                    if i + 1 >= n:
-                        raise LexError("unterminated string literal",
-                                       start_line, start_col)
-                    if source[i + 1] not in ESCAPES:
-                        raise LexError(
-                            f"unsupported escape sequence '\\{source[i + 1]}'",
-                            start_line, start_col + (i + 1 - pos))
-                    i += 2
-                else:
-                    i += 1
-            lexeme = source[pos:i + 1]
-            tokens.append(Token("string", lexeme, start_line, start_col))
-            col += len(lexeme)
-            pos = i + 1
-            continue
-
-        if ch in _DIGITS:
-            i = pos
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i + 1 < n and source[i] == "." and source[i + 1] in _DIGITS:
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            lexeme = source[pos:i]
-            tokens.append(Token("number", lexeme, line, col))
-            col += len(lexeme)
-            pos = i
-            continue
-
-        if ch in _IDENT_START:
-            i = pos
-            while i < n and source[i] in _IDENT_REST:
-                i += 1
-            lexeme = source[pos:i]
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-            pos = i
-            continue
-
-        for punct in PUNCTUATORS:
-            if source.startswith(punct, pos):
-                tokens.append(Token("punctuator", punct, line, col))
-                col += len(punct)
-                pos += len(punct)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", line, col)
-
+                line_start = pos + lexeme.rfind("\n") + 1
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment",
+                           line, pos - line_start + 1)
+        elif kind == "error":
+            _raise_error(source, lexeme, pos, line, pos - line_start + 1)
     return tokens
+
+
+def _raise_error(source: str, ch: str, pos: int, line: int, column: int):
+    if ch in _STRING_BODY:
+        end = _STRING_BODY[ch].match(source, pos + 1).end()
+        if source.startswith("\\", end) and end + 1 < len(source):
+            raise LexError(
+                f"unsupported escape sequence '\\{source[end + 1]}'",
+                line, column + end + 1 - pos)
+        raise LexError("unterminated string literal", line, column)
+    raise LexError(f"unexpected character {ch!r}", line, column)
 
 
 def decode_string_lexeme(lexeme: str) -> str:
     """Turn a string token's lexeme (quotes included) into its value."""
-    body = lexeme[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            out.append(ESCAPES[body[i + 1]])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: ESCAPES[m.group(1)], lexeme[1:-1])

@@ -11,21 +11,19 @@ appear only as bodies of if/while/function):
                 | 'return' expr? ';'
                 | expr ('=' expr)? ';'        assignment targets: IDENT, member
     expr       := conditional
-    conditional:= or ('?' conditional ':' conditional)?
-    or         := and ('||' and)*
-    and        := equality ('&&' equality)*
-    equality   := relational (EQ_OP relational)*    one operator per chain
-    relational := additive (('<'|'<='|'>'|'>=') additive)*
-    additive   := multiplicative (('+'|'-') multiplicative)*
-    multiplicative := unary (('*'|'/') unary)*
+    conditional:= binary ('?' conditional ':' conditional)?
+    binary     := unary (BINARY_OP unary)*    levels from _LEVELS
     unary      := ('!'|'-') unary | postfix
     postfix    := atom ('.' IDENT args? | '[' expr ']' args? | args)*
     atom       := 'new' member args | primary
     primary    := NUMBER | STRING | 'true' | 'false' | 'null' | 'undefined'
                 | IDENT | '(' expr ')' | object literal | 'function' expr
 
-Equality operators do not mix within one chain: `a == b == c` parses
-left-associatively, `a == b === c` is a parse error.
+The binary operators and their binding levels, from '||' (loosest) to
+'*' and '/' (tightest), are the _LEVELS table, and one precedence-climbing
+loop parses them all, left-associatively. Equality operators do not mix
+within one chain: `a == b == c` is `(a == b) == c`, `a == b === c` is a
+parse error.
 """
 
 import sys
@@ -38,12 +36,18 @@ from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     Program, PropertyGet, PropertySet, Return, StringLit,
                     UndefinedLit, Unary, VarDecl, While)
 
-EQUALITY_OPS = frozenset(["==", "!=", "===", "!==", ":==:", ":===:"])
-RELATIONAL_OPS = frozenset(["<", "<=", ">", ">="])
+# binding level of each binary operator: a higher level binds tighter
+_LEVELS = {"||": 1, "&&": 2,
+           "==": 3, "!=": 3, "===": 3, "!==": 3, ":==:": 3, ":===:": 3,
+           "<": 4, "<=": 4, ">": 4, ">=": 4,
+           "+": 5, "-": 5,
+           "*": 6, "/": 6}
+_EQUALITY = 3
 
 _MAX_NESTING = 400
-# host frames for _MAX_NESTING levels of parentheses (about 4,800) and for
-# the evaluator's deepest call stack (about 7,200), with room to spare
+# host frames for _MAX_NESTING levels of parentheses (2,810 measured, 7
+# parser frames a level) and for the evaluator's deepest call stack (7,182
+# for rec(1023)), with room to spare
 HOST_RECURSION_LIMIT = 20_000
 
 
@@ -166,12 +170,8 @@ class _Parser:
         tok = self.take()
         name = self.expect_identifier("a function name")
         params = self.parse_params()
-        self.fn_depth += 1
-        try:
-            body = self.parse_block()
-        finally:
-            self.fn_depth -= 1
-        return FunctionDecl(name.lexeme, params, body, line=tok.line)
+        return FunctionDecl(name.lexeme, params, self.parse_function_body(),
+                            line=tok.line)
 
     def parse_params(self) -> list:
         self.expect_punct("(")
@@ -255,7 +255,7 @@ class _Parser:
             self.nesting -= 1
 
     def parse_conditional(self) -> Expr:
-        cond = self.parse_or()
+        cond = self.parse_binary(1)
         if self.match_punct("?"):
             then = self.parse_conditional()
             self.expect_punct(":")
@@ -263,66 +263,30 @@ class _Parser:
             return Conditional(cond, then, otherwise, line=cond.line)
         return cond
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.check_punct("||"):
-            self.take()
-            right = self.parse_and()
-            left = Binary("||", left, right, line=left.line)
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_equality()
-        while self.check_punct("&&"):
-            self.take()
-            right = self.parse_equality()
-            left = Binary("&&", left, right, line=left.line)
-        return left
-
-    def parse_equality(self) -> Expr:
-        left = self.parse_relational()
+    def parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: the longest left-associative run of binary
+        operators of level min_level or tighter."""
+        left = self.parse_unary()
         chain_op = None
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != "punctuator" \
-                    or tok.lexeme not in EQUALITY_OPS:
+            if tok is None or tok.kind != "punctuator":
                 return left
-            if chain_op is not None and tok.lexeme != chain_op:
-                self.error(
-                    f"cannot mix '{chain_op}' and '{tok.lexeme}' in one "
-                    "comparison chain; expected ';' or ')' or parentheses "
-                    "around the inner comparison", tok)
-            chain_op = tok.lexeme
+            level = _LEVELS.get(tok.lexeme, 0)
+            if level < min_level:
+                return left
+            op = tok.lexeme
+            if level == _EQUALITY:
+                # every equality operator this call consumes is in one chain
+                if chain_op is not None and op != chain_op:
+                    self.error(
+                        f"cannot mix '{chain_op}' and '{op}' in one "
+                        "comparison chain; expected ';' or ')' or "
+                        "parentheses around the inner comparison", tok)
+                chain_op = op
             self.take()
-            right = self.parse_relational()
-            left = Binary(chain_op, left, right, line=left.line)
-
-    def parse_relational(self) -> Expr:
-        left = self.parse_additive()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "punctuator" \
-                    or tok.lexeme not in RELATIONAL_OPS:
-                return left
-            op = self.take().lexeme
-            right = self.parse_additive()
+            right = self.parse_binary(level + 1)
             left = Binary(op, left, right, line=left.line)
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.check_punct("+") or self.check_punct("-"):
-            op = self.take().lexeme
-            right = self.parse_multiplicative()
-            left = Binary(op, left, right, line=left.line)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
-        left = self.parse_unary()
-        while self.check_punct("*") or self.check_punct("/"):
-            op = self.take().lexeme
-            right = self.parse_unary()
-            left = Binary(op, left, right, line=left.line)
-        return left
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
@@ -447,12 +411,14 @@ class _Parser:
     def parse_function_expr(self) -> FunctionExpr:
         tok = self.expect_keyword("function")
         params = self.parse_params()
+        return FunctionExpr(params, self.parse_function_body(), line=tok.line)
+
+    def parse_function_body(self) -> Block:
         self.fn_depth += 1
         try:
-            body = self.parse_block()
+            return self.parse_block()
         finally:
             self.fn_depth -= 1
-        return FunctionExpr(params, body, line=tok.line)
 
     def parse_object_literal(self) -> ObjectLit:
         tok = self.expect_punct("{")

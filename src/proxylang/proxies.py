@@ -16,11 +16,15 @@ It is decided in this order:
    any entry on the override stack names this proxy;
 2. revoked proxies are never transparent;
 3. a callable isTransparent trap on the handler, invoked with
-   (target, proxy) and coerced to a boolean;
+   (target, proxy) and coerced to a boolean. While it is looked up and
+   runs, the proxy is overridden opaque, so the trap can compare its own
+   proxy without asking itself again. A language error from the lookup or
+   the trap, or the proxy revoked by its own trap, is an opaque vote (a
+   host RecursionError or MemoryError is not caught);
 4. otherwise false.
 """
 
-from .errors import LangTypeError, RevokedProxyError
+from .errors import LangTypeError, PlxRuntimeError, RevokedProxyError
 from .objects import (NULL, UNDEFINED, HeapObject, format_number,
                       is_callable, kind_of, truthy)
 
@@ -143,11 +147,16 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
             return flag
     if proxy.revoked:
         return False
-    trap = proxy.handler.get(interp, "isTransparent", proxy.handler)
-    if not is_callable(trap):
+    interp.override_stack.append((proxy, False))
+    try:
+        trap = proxy.handler.get(interp, "isTransparent", proxy.handler)
+        answer = is_callable(trap) and truthy(
+            interp.call_value(trap, proxy.handler, [proxy.target, proxy]))
+    except PlxRuntimeError:
         return False
-    result = interp.call_value(trap, proxy.handler, [proxy.target, proxy])
-    return truthy(result)
+    finally:
+        interp.override_stack.pop()
+    return answer and not proxy.revoked
 
 
 def get_equality_object(interp, value):

@@ -370,6 +370,25 @@ def test_repl_has_prelude(monkeypatch, capsys):
     assert out.splitlines()[1] == "object"
 
 
+@pytest.mark.parametrize("text,code,diagnostic", [
+    ("var x = ;\n", 2,
+     "ParseError at line 1, column 9: expected an expression but found ';'"),
+    ('var s = "open;\n', 2,
+     "LexError at line 1, column 9: unterminated string literal"),
+    ("var x = 1;\nboom;\n", 1,
+     "ReferenceError at line 2: 'boom' is not defined"),
+])
+def test_repl_reports_prelude_errors_like_run(monkeypatch, tmp_path, capsys,
+                                              text, code, diagnostic):
+    prelude = write(tmp_path, "bad.plx", text)
+    script = write(tmp_path, "x.plx", "print(1);\n")
+    run = invoke(capsys, "run", str(script), "--prelude", str(prelude))
+    repl = drive_repl(monkeypatch, capsys, ["1 + 1"],
+                      "--prelude", str(prelude))
+    assert run == (code, "", diagnostic + "\n")
+    assert repl == run
+
+
 # --- packaging entry points ---
 
 def test_module_entry_point(tmp_path):

@@ -110,6 +110,43 @@ def test_error_positions_exact():
     assert (exc.value.line, exc.value.column) == (2, 3)
 
 
+@pytest.mark.parametrize("source,message,line,column", [
+    # a string that does not close is reported at its opening quote
+    ('x = "open', "unterminated string literal", 1, 5),
+    ("a;\n  'line\nbreak'", "unterminated string literal", 2, 3),
+    # an unsupported escape is reported at the character after the '\\'
+    ('"bad \\q escape"', "unsupported escape sequence '\\q'", 1, 7),
+    ('"ab\\\n"', "unsupported escape sequence '\\\n'", 1, 5),
+    ('"ab\\', "unterminated string literal", 1, 1),
+    ("a;\nb;\n  /* never closed", "unterminated block comment", 3, 3),
+    ("/*/", "unterminated block comment", 1, 1),
+    # identifiers, digits and blanks are ASCII only
+    ("var \u00e9 = 1;", "unexpected character '\u00e9'", 1, 5),
+    ("x = \u0663;", "unexpected character '\u0663'", 1, 5),
+    ("a\u00a0b", "unexpected character '\\xa0'", 1, 2),
+    ("a & b", "unexpected character '&'", 1, 3),
+    ("a | b", "unexpected character '|'", 1, 3),
+])
+def test_lex_errors_exact(source, message, line, column):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) \
+        == (message, line, column)
+
+
+@given(st.lists(st.sampled_from(
+    ["a", "var", "x1", "$_", "42", "3.5", '"s"', "'t\\n'", ":===:", "==",
+     "(", ")", ";", ".", "/", " ", "\t", "\r", "\n", "// note\n",
+     "/* a\nb */", "/**/"]), max_size=30))
+def test_token_positions_point_at_lexemes(parts):
+    source = "".join(parts)
+    lines = source.split("\n")
+    for tok in tokenize(source):
+        start = tok.column - 1
+        assert lines[tok.line - 1][start:start + len(tok.lexeme)] \
+            == tok.lexeme
+
+
 @given(st.text(max_size=200))
 def test_fuzz_never_crashes(source):
     # any input either tokenizes or raises a positioned LexError

@@ -54,15 +54,30 @@ def test_equality_same_op_chains_left():
                                        Identifier("b")), Identifier("c"))
 
 
-@pytest.mark.parametrize("source", [
-    "a == b === c;", "a === b == c;", "a :==: b == c;", "a != b !== c;",
-    "a === b :===: c;",
+@pytest.mark.parametrize("source,column", [
+    pytest.param(source, column, id=source) for source, column in [
+        ("a == b === c;", 8), ("a === b == c;", 9), ("a :==: b == c;", 10),
+        ("a != b !== c;", 8), ("a === b :===: c;", 9),
+        # the chain rule holds below a looser and above a tighter operator
+        ("a && b == c === d;", 13), ("a < b == c < d === e;", 16),
+    ]
 ])
-def test_equality_mixed_ops_rejected(source):
+def test_equality_mixed_ops_rejected(source, column):
     with pytest.raises(ParseError) as exc:
         parse_source(source)
     assert "cannot mix" in exc.value.message
     assert "expected" in exc.value.message
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_equality_chains_end_at_looser_operators():
+    # each side of '&&' and each arm of '?:' is a chain of its own
+    assert expr("a == b && c === d") == Binary(
+        "&&", Binary("==", Identifier("a"), Identifier("b")),
+        Binary("===", Identifier("c"), Identifier("d")))
+    assert expr("a == b ? c === d : e") == Conditional(
+        Binary("==", Identifier("a"), Identifier("b")),
+        Binary("===", Identifier("c"), Identifier("d")), Identifier("e"))
 
 
 def test_mixed_ops_fine_with_parens():

@@ -1,7 +1,7 @@
 import pytest
 
-from proxylang.equality import EqualityMode
-from proxylang.errors import LangTypeError
+from proxylang.equality import EqualityMode, strict_equals
+from proxylang.errors import LangReferenceError, LangTypeError
 from proxylang.interpreter import Interpreter, run_source
 from proxylang.objects import NULL, UNDEFINED
 from proxylang.proxies import proxy_create, revoke
@@ -93,6 +93,42 @@ def test_revoked_key_resolves_to_itself():
     idmap_set(interp, imap, proxy, "r")
     assert idmap_get(interp, imap, proxy) == "r"
     assert idmap_get(interp, imap, target) is UNDEFINED
+
+
+def test_trap_mode_key_whose_trap_misbehaves_is_opaque():
+    # a key whose isTransparent trap raises, compares its own proxy or
+    # revokes it resolves to the proxy itself: the map answers, nothing
+    # raises, and the override stack is empty afterwards
+    interp = Interpreter(mode=EqualityMode.TRAP)
+    target = interp.heap.alloc_object()
+    asked = []
+
+    def raises(itp, this, args):
+        raise LangReferenceError("'missingName' is not defined")
+
+    def self_compare(itp, this, args):
+        asked.append(args[1])
+        return strict_equals(itp, args[1], args[0])
+
+    def self_revoke(itp, this, args):
+        revoke(itp, args[1])
+        return True
+
+    for trap in (raises, self_compare, self_revoke):
+        imap = IdentityMap()
+        idmap_set(interp, imap, target, 1.0)
+        handler = interp.heap.alloc_object({
+            "isTransparent": interp.alloc_native("isTransparent", trap)})
+        proxy = proxy_create(interp, target, handler)
+        assert idmap_get(interp, imap, proxy) is UNDEFINED
+        assert not idmap_has(interp, imap, proxy)
+        idmap_set(interp, imap, proxy, 2.0)
+        assert idmap_get(interp, imap, target) == 1.0
+        assert idmap_get(interp, imap, proxy) == 2.0
+        assert idmap_delete(interp, imap, proxy)
+        assert idmap_get(interp, imap, target) == 1.0
+        assert interp.override_stack == []
+    assert len(asked) == 5  # once per operation on the proxy, never again
 
 
 def test_weakmap_object_surface():
