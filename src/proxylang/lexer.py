@@ -30,25 +30,27 @@ def _string_body(quote: str) -> str:
     return f"{plain}(?:{_ESCAPE}{plain})*"
 
 
-# One alternative per token class, tried in order at each position, so the
-# order is the lexer's tie-break: comments come before the '/' punctuator,
-# a valid string before the catch-all that reports a broken one, and the
-# catch-all comes last, where anything it matches is an error.
-_TOKEN = re.compile("|".join([
-    r"(?P<newline>\n)",
-    r"(?P<blank>[ \t\r\v\f]+)",
+# Each match is a run of blanks and then one token, newline or comment, so
+# blanks cost no match of their own. The alternatives are tried in
+# order, so the order is the lexer's tie-break: comments come before the
+# '/' punctuator, a valid string before the catch-all that reports a broken
+# one, and the catch-all comes last, where anything it matches is an error.
+# The catch-all excludes blanks: otherwise, at blanks that end the input,
+# the regex would give blanks back from the run and report one of them.
+_TOKEN = re.compile("[ \t\r\v\f]*(?:" + "|".join([
+    r"(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)",
     r"(?P<comment>//[^\n]*|/\*.*?\*/)",
     r"(?P<open_comment>/\*)",
-    "(?P<string>" + "|".join(q + _string_body(q) + q for q in "\"'") + ")",
-    r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
-    r"(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)",
     "(?P<punctuator>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
-    r"(?P<error>.)",
-]), re.DOTALL)
+    r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
+    r"(?P<newline>\n)",
+    "(?P<string>" + "|".join(q + _string_body(q) + q for q in "\"'") + ")",
+    r"(?P<error>[^ \t\r\v\f])",
+]) + ")", re.DOTALL)
 _STRING_BODY = {q: re.compile(_string_body(q)) for q in "\"'"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # "identifier" | "keyword" | "number" | "string" | "punctuator"
     lexeme: str
@@ -66,7 +68,9 @@ def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(source):
-        kind, lexeme, pos = m.lastgroup, m.group(), m.start()
+        kind = m.lastgroup
+        lexeme = m.group(kind)
+        pos = m.end() - len(lexeme)
         if kind == "word":
             tokens.append(Token("keyword" if lexeme in KEYWORDS
                                 else "identifier",
@@ -84,7 +88,7 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "open_comment":
             raise LexError("unterminated block comment",
                            line, pos - line_start + 1)
-        elif kind == "error":
+        else:
             _raise_error(source, lexeme, pos, line, pos - line_start + 1)
     return tokens
 

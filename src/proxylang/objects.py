@@ -103,7 +103,7 @@ class Heap:
         return obj
 
     def alloc_object(self, props: Iterable = ()) -> OrdinaryObject:
-        return self.alloc(OrdinaryObject(dict(props)))
+        return self.alloc(OrdinaryObject(props))
 
     def __len__(self):
         return self._allocated

@@ -24,6 +24,12 @@ The binary operators and their binding levels, from '||' (loosest) to
 loop parses them all, left-associatively. Equality operators do not mix
 within one chain: `a == b == c` is `(a == b) == c`, `a == b === c` is a
 parse error.
+
+The parser works on a copy of the token list that ends in one token of
+kind "eof" with an empty lexeme, placed just past the last token (1:1 for
+no tokens), so the current token is always `tokens[pos]` and an error at
+end of input points there. Punctuators and keywords are matched by lexeme
+alone: no token of another kind can have the same lexeme.
 """
 
 import sys
@@ -61,109 +67,83 @@ def ensure_recursion_limit() -> None:
 class _Parser:
     def __init__(self, tokens: list[Token]):
         ensure_recursion_limit()
-        self.tokens = tokens
+        if tokens:
+            last = tokens[-1]
+            eof = Token("eof", "", last.line, last.column + len(last.lexeme))
+        else:
+            eof = Token("eof", "", 1, 1)
+        self.tokens = [*tokens, eof]
         self.pos = 0
         self.fn_depth = 0
         self.nesting = 0
 
     # --- token plumbing ---
 
-    def peek(self, offset: int = 0):
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
-
     def take(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def _eof_pos(self):
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.line, last.column + len(last.lexeme)
-        return 1, 1
+    def error(self, message: str, token: Token):
+        raise ParseError(message, token.line, token.column,
+                         at_eof=token.kind == "eof")
 
-    def error(self, message: str, token=None):
-        if token is None:
-            line, col = self._eof_pos()
-            raise ParseError(message, line, col, at_eof=True)
-        raise ParseError(message, token.line, token.column)
+    def expected(self, what: str):
+        tok = self.tokens[self.pos]
+        if tok.kind == "eof":
+            self.error(f"expected {what} but reached end of input", tok)
+        self.error(f"expected {what} but found '{tok.lexeme}'", tok)
 
-    def check(self, kind: str, lexeme=None) -> bool:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            return False
-        return lexeme is None or tok.lexeme == lexeme
-
-    def check_punct(self, lexeme: str) -> bool:
-        return self.check("punctuator", lexeme)
-
-    def check_keyword(self, word: str) -> bool:
-        return self.check("keyword", word)
-
-    def match_punct(self, lexeme: str) -> bool:
-        if self.check_punct(lexeme):
+    def match(self, lexeme: str) -> bool:
+        if self.tokens[self.pos].lexeme == lexeme:
             self.pos += 1
             return True
         return False
 
-    def expect_punct(self, lexeme: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.error(f"expected '{lexeme}' but reached end of input")
-        if tok.kind != "punctuator" or tok.lexeme != lexeme:
-            self.error(f"expected '{lexeme}' but found '{tok.lexeme}'", tok)
-        return self.take()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.error(f"expected '{word}' but reached end of input")
-        if tok.kind != "keyword" or tok.lexeme != word:
-            self.error(f"expected '{word}' but found '{tok.lexeme}'", tok)
-        return self.take()
+    def expect(self, lexeme: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.lexeme != lexeme:
+            self.expected(f"'{lexeme}'")
+        self.pos += 1
+        return tok
 
     def expect_identifier(self, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            self.error(f"expected {what} but reached end of input")
+        tok = self.tokens[self.pos]
         if tok.kind != "identifier":
-            self.error(f"expected {what} but found '{tok.lexeme}'", tok)
-        return self.take()
+            self.expected(what)
+        self.pos += 1
+        return tok
 
     # --- statements ---
 
     def parse_program(self) -> Program:
         statements = []
-        while self.peek() is not None:
+        while self.tokens[self.pos].kind != "eof":
             statements.append(self.parse_statement())
         return Program(statements, line=1)
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a statement but reached end of input")
-        if tok.kind == "keyword":
-            if tok.lexeme == "var":
-                return self.parse_var()
-            if tok.lexeme == "function":
-                # function expressions in statement position would be
-                # ambiguous, so a leading 'function' is a declaration
-                return self.parse_function_decl()
-            if tok.lexeme == "if":
-                return self.parse_if()
-            if tok.lexeme == "while":
-                return self.parse_while()
-            if tok.lexeme == "return":
-                return self.parse_return()
+        lexeme = self.tokens[self.pos].lexeme
+        if lexeme == "var":
+            return self.parse_var()
+        if lexeme == "function":
+            # function expressions in statement position would be
+            # ambiguous, so a leading 'function' is a declaration
+            return self.parse_function_decl()
+        if lexeme == "if":
+            return self.parse_if()
+        if lexeme == "while":
+            return self.parse_while()
+        if lexeme == "return":
+            return self.parse_return()
         return self.parse_expression_statement()
 
     def parse_var(self) -> VarDecl:
         tok = self.take()
         name = self.expect_identifier("a variable name")
-        self.expect_punct("=")
+        self.expect("=")
         init = self.parse_expr()
-        self.expect_punct(";")
+        self.expect(";")
         return VarDecl(name.lexeme, init, line=tok.line)
 
     def parse_function_decl(self) -> FunctionDecl:
@@ -174,44 +154,39 @@ class _Parser:
                             line=tok.line)
 
     def parse_params(self) -> list:
-        self.expect_punct("(")
+        self.expect("(")
         params = []
-        if not self.check_punct(")"):
+        if not self.match(")"):
             params.append(self.expect_identifier("a parameter name").lexeme)
-            while self.match_punct(","):
+            while self.match(","):
                 params.append(
                     self.expect_identifier("a parameter name").lexeme)
-        self.expect_punct(")")
+            self.expect(")")
         return params
 
     def parse_block(self) -> Block:
-        open_tok = self.peek()
-        self.expect_punct("{")
+        open_tok = self.expect("{")
         statements = []
-        while not self.check_punct("}"):
-            if self.peek() is None:
-                self.error("expected '}' but reached end of input")
+        while not self.match("}"):
+            if self.tokens[self.pos].kind == "eof":
+                self.expected("'}'")
             statements.append(self.parse_statement())
-        self.expect_punct("}")
         return Block(statements, line=open_tok.line)
 
     def parse_if(self) -> If:
         tok = self.take()
-        self.expect_punct("(")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_punct(")")
+        self.expect(")")
         then = self.parse_block()
-        otherwise = None
-        if self.check_keyword("else"):
-            self.take()
-            otherwise = self.parse_block()
+        otherwise = self.parse_block() if self.match("else") else None
         return If(cond, then, otherwise, line=tok.line)
 
     def parse_while(self) -> While:
         tok = self.take()
-        self.expect_punct("(")
+        self.expect("(")
         cond = self.parse_expr()
-        self.expect_punct(")")
+        self.expect(")")
         body = self.parse_block()
         return While(cond, body, line=tok.line)
 
@@ -220,24 +195,24 @@ class _Parser:
         if self.fn_depth == 0:
             self.error("'return' outside of a function", tok)
         value = None
-        if not self.check_punct(";"):
+        if not self.match(";"):
             value = self.parse_expr()
-        self.expect_punct(";")
+            self.expect(";")
         return Return(value, line=tok.line)
 
     def parse_expression_statement(self):
         expr = self.parse_expr()
-        if self.check_punct("="):
-            eq = self.take()
+        eq = self.tokens[self.pos]
+        if self.match("="):
             value = self.parse_expr()
-            self.expect_punct(";")
+            self.expect(";")
             if isinstance(expr, Identifier):
                 return Assign(expr.name, value, line=expr.line)
             if isinstance(expr, PropertyGet):
                 return PropertySet(expr.obj, expr.key, expr.computed, value,
                                    line=expr.line)
             self.error("invalid assignment target", eq)
-        self.expect_punct(";")
+        self.expect(";")
         return ExprStmt(expr, line=expr.line)
 
     # --- expressions ---
@@ -245,10 +220,9 @@ class _Parser:
     def parse_expr(self) -> Expr:
         self.nesting += 1
         if self.nesting > _MAX_NESTING:
-            tok = self.peek()
-            line = tok.line if tok else self._eof_pos()[0]
-            col = tok.column if tok else self._eof_pos()[1]
-            raise ParseError("expression nesting too deep", line, col)
+            tok = self.tokens[self.pos]
+            raise ParseError("expression nesting too deep",
+                             tok.line, tok.column)
         try:
             return self.parse_conditional()
         finally:
@@ -256,9 +230,9 @@ class _Parser:
 
     def parse_conditional(self) -> Expr:
         cond = self.parse_binary(1)
-        if self.match_punct("?"):
+        if self.match("?"):
             then = self.parse_conditional()
-            self.expect_punct(":")
+            self.expect(":")
             otherwise = self.parse_conditional()
             return Conditional(cond, then, otherwise, line=cond.line)
         return cond
@@ -269,30 +243,28 @@ class _Parser:
         left = self.parse_unary()
         chain_op = None
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "punctuator":
-                return left
-            level = _LEVELS.get(tok.lexeme, 0)
+            op = self.tokens[self.pos].lexeme
+            level = _LEVELS.get(op, 0)
             if level < min_level:
                 return left
-            op = tok.lexeme
             if level == _EQUALITY:
                 # every equality operator this call consumes is in one chain
                 if chain_op is not None and op != chain_op:
                     self.error(
                         f"cannot mix '{chain_op}' and '{op}' in one "
                         "comparison chain; expected ';' or ')' or "
-                        "parentheses around the inner comparison", tok)
+                        "parentheses around the inner comparison",
+                        self.tokens[self.pos])
                 chain_op = op
-            self.take()
+            self.pos += 1
             right = self.parse_binary(level + 1)
             left = Binary(op, left, right, line=left.line)
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind == "punctuator" \
-                and tok.lexeme in ("!", "-"):
-            self.take()
+        tok = self.tokens[self.pos]
+        op = tok.lexeme
+        if op == "!" or op == "-":
+            self.pos += 1
             self.nesting += 1
             if self.nesting > _MAX_NESTING:
                 raise ParseError("expression nesting too deep",
@@ -301,53 +273,55 @@ class _Parser:
                 operand = self.parse_unary()
             finally:
                 self.nesting -= 1
-            return Unary(tok.lexeme, operand, line=tok.line)
+            return Unary(op, operand, line=tok.line)
         return self.parse_postfix()
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_atom()
         while True:
-            if self.match_punct("."):
+            op = self.tokens[self.pos].lexeme
+            if op == ".":
+                self.pos += 1
                 name = self.expect_identifier("a property name")
-                if self.check_punct("("):
+                if self.tokens[self.pos].lexeme == "(":
                     args = self.parse_args()
                     expr = MethodCall(expr, name.lexeme, False, args,
                                       line=expr.line)
                 else:
                     expr = PropertyGet(expr, name.lexeme, False,
                                        line=expr.line)
-            elif self.check_punct("["):
-                self.take()
+            elif op == "[":
+                self.pos += 1
                 key = self.parse_expr()
-                self.expect_punct("]")
-                if self.check_punct("("):
+                self.expect("]")
+                if self.tokens[self.pos].lexeme == "(":
                     args = self.parse_args()
                     expr = MethodCall(expr, key, True, args, line=expr.line)
                 else:
                     expr = PropertyGet(expr, key, True, line=expr.line)
-            elif self.check_punct("("):
+            elif op == "(":
                 args = self.parse_args()
                 expr = Call(expr, args, line=expr.line)
             else:
                 return expr
 
     def parse_args(self) -> list:
-        self.expect_punct("(")
+        self.expect("(")
         args = []
-        if not self.check_punct(")"):
+        if not self.match(")"):
             args.append(self.parse_expr())
-            while self.match_punct(","):
+            while self.match(","):
                 args.append(self.parse_expr())
-        self.expect_punct(")")
+            self.expect(")")
         return args
 
     def parse_atom(self) -> Expr:
-        if self.check_keyword("new"):
+        if self.tokens[self.pos].lexeme == "new":
             tok = self.take()
             callee = self.parse_member_chain()
-            if not self.check_punct("("):
-                nxt = self.peek()
-                self.error("expected '(' after the constructed value", nxt)
+            if self.tokens[self.pos].lexeme != "(":
+                self.error("expected '(' after the constructed value",
+                           self.tokens[self.pos])
             args = self.parse_args()
             return New(callee, args, line=tok.line)
         return self.parse_primary()
@@ -357,59 +331,50 @@ class _Parser:
         # call arguments so the trailing '(' belongs to the construction.
         expr = self.parse_primary()
         while True:
-            if self.match_punct("."):
+            if self.match("."):
                 name = self.expect_identifier("a property name")
                 expr = PropertyGet(expr, name.lexeme, False, line=expr.line)
-            elif self.check_punct("["):
-                self.take()
+            elif self.match("["):
                 key = self.parse_expr()
-                self.expect_punct("]")
+                self.expect("]")
                 expr = PropertyGet(expr, key, True, line=expr.line)
             else:
                 return expr
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            self.error("expected an expression but reached end of input")
-        if tok.kind == "number":
-            self.take()
-            return NumberLit(float(tok.lexeme), line=tok.line)
-        if tok.kind == "string":
-            self.take()
-            return StringLit(decode_string_lexeme(tok.lexeme), line=tok.line)
-        if tok.kind == "identifier":
-            self.take()
-            return Identifier(tok.lexeme, line=tok.line)
-        if tok.kind == "keyword":
-            if tok.lexeme == "true":
-                self.take()
-                return BoolLit(True, line=tok.line)
-            if tok.lexeme == "false":
-                self.take()
-                return BoolLit(False, line=tok.line)
-            if tok.lexeme == "null":
-                self.take()
-                return NullLit(line=tok.line)
-            if tok.lexeme == "undefined":
-                self.take()
-                return UndefinedLit(line=tok.line)
-            if tok.lexeme == "function":
-                return self.parse_function_expr()
-            self.error(f"expected an expression but found '{tok.lexeme}'",
-                       tok)
-        if tok.kind == "punctuator":
-            if tok.lexeme == "(":
-                self.take()
-                expr = self.parse_expr()
-                self.expect_punct(")")
-                return expr
-            if tok.lexeme == "{":
-                return self.parse_object_literal()
-        self.error(f"expected an expression but found '{tok.lexeme}'", tok)
+        tok = self.tokens[self.pos]
+        kind, lexeme = tok.kind, tok.lexeme
+        if kind == "number":
+            self.pos += 1
+            return NumberLit(float(lexeme), line=tok.line)
+        if kind == "string":
+            self.pos += 1
+            return StringLit(decode_string_lexeme(lexeme), line=tok.line)
+        if kind == "identifier":
+            self.pos += 1
+            return Identifier(lexeme, line=tok.line)
+        if lexeme == "true" or lexeme == "false":
+            self.pos += 1
+            return BoolLit(lexeme == "true", line=tok.line)
+        if lexeme == "null":
+            self.pos += 1
+            return NullLit(line=tok.line)
+        if lexeme == "undefined":
+            self.pos += 1
+            return UndefinedLit(line=tok.line)
+        if lexeme == "function":
+            return self.parse_function_expr()
+        if lexeme == "(":
+            self.pos += 1
+            expr = self.parse_expr()
+            self.expect(")")
+            return expr
+        if lexeme == "{":
+            return self.parse_object_literal()
+        self.expected("an expression")
 
     def parse_function_expr(self) -> FunctionExpr:
-        tok = self.expect_keyword("function")
+        tok = self.take()
         params = self.parse_params()
         return FunctionExpr(params, self.parse_function_body(), line=tok.line)
 
@@ -421,31 +386,28 @@ class _Parser:
             self.fn_depth -= 1
 
     def parse_object_literal(self) -> ObjectLit:
-        tok = self.expect_punct("{")
+        tok = self.take()
         entries = []
-        if not self.check_punct("}"):
+        if not self.match("}"):
             entries.append(self.parse_object_entry())
-            while self.match_punct(","):
+            while self.match(","):
                 entries.append(self.parse_object_entry())
-        self.expect_punct("}")
+            self.expect("}")
         return ObjectLit(entries, line=tok.line)
 
     def parse_object_entry(self):
-        tok = self.peek()
-        if tok is None:
-            self.error("expected a property key but reached end of input")
+        tok = self.tokens[self.pos]
         if tok.kind in ("identifier", "keyword"):
-            key = self.take().lexeme
+            key = tok.lexeme
         elif tok.kind == "string":
-            key = decode_string_lexeme(self.take().lexeme)
+            key = decode_string_lexeme(tok.lexeme)
         elif tok.kind == "number":
-            lexeme = self.take().lexeme
-            value = float(lexeme)
-            key = str(int(value)) if value == int(value) else lexeme
+            value = float(tok.lexeme)
+            key = str(int(value)) if value == int(value) else tok.lexeme
         else:
-            self.error(f"expected a property key but found '{tok.lexeme}'",
-                       tok)
-        self.expect_punct(":")
+            self.expected("a property key")
+        self.pos += 1
+        self.expect(":")
         return (key, self.parse_expr())
 
 
@@ -461,8 +423,8 @@ def parse_expression(source: str) -> Expr:
     """Parse a single expression with nothing trailing (REPL helper)."""
     parser = _Parser(tokenize(source))
     expr = parser.parse_expr()
-    leftover = parser.peek()
-    if leftover is not None:
+    leftover = parser.tokens[parser.pos]
+    if leftover.kind != "eof":
         parser.error(f"unexpected '{leftover.lexeme}' after the expression",
                      leftover)
     return expr

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxylang.errors import LexError
-from proxylang.lexer import decode_string_lexeme, tokenize
+from proxylang.lexer import Token, decode_string_lexeme, tokenize
 
 
 def lexemes(source):
@@ -134,10 +134,41 @@ def test_lex_errors_exact(source, message, line, column):
         == (message, line, column)
 
 
+# blanks before a token, an error, a newline, a comment or the end of input
+@pytest.mark.parametrize("source,expected", [
+    ("x \t\v\f\r", [("x", 1, 1)]),
+    (" \t\v\f\r ", []),
+    ("", []),
+    ("a  \n \tb", [("a", 1, 1), ("b", 2, 3)]),
+    ("a \t// note\n  b", [("a", 1, 1), ("b", 2, 3)]),
+    ("a \v/* x\ny */ \fb", [("a", 1, 1), ("b", 2, 7)]),
+])
+def test_blank_runs(source, expected):
+    assert [(t.lexeme, t.line, t.column) for t in tokenize(source)] \
+        == expected
+
+
+@pytest.mark.parametrize("source,message,line,column", [
+    ("  @", "unexpected character '@'", 1, 3),
+    ("a;\n\t \f#", "unexpected character '#'", 2, 4),
+    ("x  \t/* open", "unterminated block comment", 1, 5),
+    ("x =  'open", "unterminated string literal", 1, 6),
+])
+def test_blanks_before_an_error(source, message, line, column):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert (exc.value.message, exc.value.line, exc.value.column) \
+        == (message, line, column)
+
+
+def test_no_end_of_input_token():
+    assert tokenize("a  ") == [Token("identifier", "a", 1, 1)]
+
+
 @given(st.lists(st.sampled_from(
     ["a", "var", "x1", "$_", "42", "3.5", '"s"', "'t\\n'", ":===:", "==",
-     "(", ")", ";", ".", "/", " ", "\t", "\r", "\n", "// note\n",
-     "/* a\nb */", "/**/"]), max_size=30))
+     "(", ")", ";", ".", "/", " ", "\t", "\r", "\v", "\f", "  ", "\n",
+     "// note\n", "/* a\nb */", "/**/"]), max_size=30))
 def test_token_positions_point_at_lexemes(parts):
     source = "".join(parts)
     lines = source.split("\n")

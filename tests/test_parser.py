@@ -8,9 +8,11 @@ from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
                              Identifier, If, MethodCall, New, NumberLit,
                              ObjectLit, PropertyGet, PropertySet, Return,
                              StringLit, VarDecl, While, pretty_print)
-from proxylang.parser import parse_expression, parse_source
+from proxylang.lexer import tokenize
+from proxylang.parser import parse, parse_expression, parse_source
+from proxylang.prelude import default_prelude_source
 
-from conftest import run_in_child
+from conftest import COINCIDENCE_DIR, CORPUS_DIR, run_in_child
 
 
 def stmt(source):
@@ -184,6 +186,73 @@ def test_parse_errors(source, fragment):
     assert fragment in exc.value.message
 
 
+# (message, line, column, at_eof) of each error: at end of input an error
+# points just past the last token, or at 1:1 when there is none
+@pytest.mark.parametrize("source,message,line,column,at_eof", [
+    ("var", "expected a variable name but reached end of input", 1, 4, True),
+    ("var x", "expected '=' but reached end of input", 1, 6, True),
+    ("function f(", "expected a parameter name but reached end of input",
+     1, 12, True),
+    ("function f(a,", "expected a parameter name but reached end of input",
+     1, 14, True),
+    ("if (a) { b;", "expected '}' but reached end of input", 1, 12, True),
+    ("new Proxy", "expected '(' after the constructed value", 1, 10, True),
+    ("new Proxy(a", "expected ')' but reached end of input", 1, 12, True),
+    ("x.", "expected a property name but reached end of input", 1, 3, True),
+    ("f(1, 2", "expected ')' but reached end of input", 1, 7, True),
+    ("o = {", "expected a property key but reached end of input", 1, 6, True),
+    ("o = {;", "expected a property key but found ';'", 1, 6, False),
+    ("o = {a", "expected ':' but reached end of input", 1, 7, True),
+    ("o = {a:", "expected an expression but reached end of input",
+     1, 8, True),
+    ("a ?", "expected an expression but reached end of input", 1, 4, True),
+    ("a ? b", "expected ':' but reached end of input", 1, 6, True),
+    ("a ? b :", "expected an expression but reached end of input",
+     1, 8, True),
+    ("x = -", "expected an expression but reached end of input", 1, 6, True),
+    ("print(1) 2;", "expected ';' but found '2'", 1, 10, False),
+    ("1 = 2;", "invalid assignment target", 1, 3, False),
+    # nesting too deep is never at_eof, on a token or at end of input
+    pytest.param("x = " + "(" * 400 + "1", "expression nesting too deep",
+                 1, 405, False, id="400 parens then a token"),
+    pytest.param("x = " + "(" * 400, "expression nesting too deep",
+                 1, 405, False, id="400 parens at end of input"),
+    pytest.param("x = " + "-" * 400 + "1;", "expression nesting too deep",
+                 1, 404, False, id="400 minus signs"),
+])
+def test_parse_errors_exact(source, message, line, column, at_eof):
+    with pytest.raises(ParseError) as exc:
+        parse_source(source)
+    err = exc.value
+    assert (err.message, err.line, err.column, err.at_eof) \
+        == (message, line, column, at_eof)
+
+
+@pytest.mark.parametrize("source,message,line,column,at_eof", [
+    ("", "expected an expression but reached end of input", 1, 1, True),
+    ("(", "expected an expression but reached end of input", 1, 2, True),
+    ("1 2", "unexpected '2' after the expression", 1, 3, False),
+])
+def test_parse_expression_errors_exact(source, message, line, column,
+                                       at_eof):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(source)
+    err = exc.value
+    assert (err.message, err.line, err.column, err.at_eof) \
+        == (message, line, column, at_eof)
+
+
+def test_parse_leaves_the_token_list_alone():
+    tokens = tokenize("var x = f(1, 2);")
+    before = list(tokens)
+    parse(tokens)
+    assert tokens == before
+    short = tokens[:3]
+    with pytest.raises(ParseError):
+        parse(short)
+    assert short == before[:3]
+
+
 def test_error_position():
     with pytest.raises(ParseError) as exc:
         parse_source("var x = 1;\nvar = 2;")
@@ -259,6 +328,20 @@ def test_roundtrip_fixed(source):
     first = parse_source(source)
     printed = pretty_print(first)
     assert parse_source(printed) == first
+
+
+REAL_PROGRAMS = sorted([*CORPUS_DIR.glob("*.plx"),
+                        *COINCIDENCE_DIR.glob("*.plx")])
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+      for path in REAL_PROGRAMS),
+    pytest.param(default_prelude_source(), id="prelude.plx"),
+])
+def test_roundtrip_real_programs(source):
+    first = parse_source(source)
+    assert parse_source(pretty_print(first)) == first
 
 
 # random expression ASTs survive print -> parse -> print
