@@ -11,6 +11,15 @@ parse_source before anything runs.
 Evaluation calls one handler per node class, found in _EVAL or _EXEC by
 the node's class. An error takes the line of the innermost node that
 raises it, so only the handlers of nodes that can raise one tag it.
+
+Scopes: a call runs its body in a fresh Environment holding the
+parameters; an if, while or nested block gets one only if Block.scoped (a
+direct statement is a var or function declaration). This is exact: only
+_var_decl and _function_decl declare into the current scope, and hosts
+declare on globals, so an unscoped block's Environment would stay empty
+and every lookup, assignment and closure would pass through it. Name reads
+and assignments walk the chain in their handlers; Environment.lookup is
+the host's read.
 """
 
 import io
@@ -56,15 +65,6 @@ class Environment:
         while env is not None:
             if name in env.bindings:
                 return env.bindings[name]
-            env = env.parent
-        raise LangReferenceError(f"'{name}' is not defined")
-
-    def assign(self, name: str, value) -> None:
-        env = self
-        while env is not None:
-            if name in env.bindings:
-                env.bindings[name] = value
-                return
             env = env.parent
         raise LangReferenceError(f"'{name}' is not defined")
 
@@ -182,10 +182,13 @@ def _var_decl(interp, node, env):
 def _assign(interp, node, env):
     value = node.value
     value = _EVAL[value.__class__](interp, value, env)
-    try:
-        env.assign(node.name, value)
-    except PlxRuntimeError as err:
-        raise _at(err, node)
+    name = node.name
+    while env is not None:
+        if name in env.bindings:
+            env.bindings[name] = value
+            return
+        env = env.parent
+    raise LangReferenceError(f"'{name}' is not defined", line=node.line)
 
 
 def _property_set(interp, node, env):
@@ -208,13 +211,16 @@ def _if(interp, node, env):
     block = node.then if truthy(_EVAL[cond.__class__](interp, cond, env)) \
         else node.otherwise
     if block is not None:
-        return _run(interp, block.statements, Environment(env))
+        return _run(interp, block.statements,
+                    Environment(env) if block.scoped else env)
 
 
 def _while(interp, node, env):
     cond = node.cond
+    body = node.body
     while truthy(_EVAL[cond.__class__](interp, cond, env)):
-        returned = _run(interp, node.body.statements, Environment(env))
+        returned = _run(interp, body.statements,
+                        Environment(env) if body.scoped else env)
         if returned is not None:
             return returned
 
@@ -231,7 +237,8 @@ def _function_decl(interp, node, env):
 
 
 def _block(interp, node, env):
-    return _run(interp, node.statements, Environment(env))
+    return _run(interp, node.statements,
+                Environment(env) if node.scoped else env)
 
 
 _EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,
@@ -246,10 +253,12 @@ def _literal(interp, node, env):
 
 
 def _identifier(interp, node, env):
-    try:
-        return env.lookup(node.name)
-    except PlxRuntimeError as err:
-        raise _at(err, node)
+    name = node.name
+    while env is not None:
+        if name in env.bindings:
+            return env.bindings[name]
+        env = env.parent
+    raise LangReferenceError(f"'{name}' is not defined", line=node.line)
 
 
 def _binary(interp, node, env):
@@ -310,9 +319,9 @@ def _method_call(interp, node, env):
 
 
 def _object_lit(interp, node, env):
-    return interp.heap.alloc_object(
+    return interp.heap.alloc(OrdinaryObject(
         {key: _EVAL[value.__class__](interp, value, env)
-         for key, value in node.entries})
+         for key, value in node.entries}))
 
 
 def _function_expr(interp, node, env):

@@ -2,7 +2,10 @@
 
 Every node carries a source line for runtime diagnostics; the line is
 excluded from equality so structural comparison (round-trip tests, REPL
-echoes) ignores layout.
+echoes) ignores layout. Nodes are slotted dataclasses and have no
+__dict__; Program also takes weak references. Block.scoped is computed
+from the statements when the block is built (so its statements are not
+edited afterwards) and, like the line, is left out of equality and repr.
 """
 
 from dataclasses import dataclass, field
@@ -18,41 +21,41 @@ def _pos():
 
 # --- expressions ---
 
-@dataclass
+@dataclass(slots=True)
 class NumberLit:
     value: float
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit:
     value: str
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit:
     value: bool
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class NullLit:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class UndefinedLit:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Identifier:
     name: str
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectLit:
     # (key, value) pairs in source order; duplicate keys resolve at
     # evaluation time, last write wins.
@@ -60,14 +63,14 @@ class ObjectLit:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionExpr:
     params: list
     body: "Block"
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertyGet:
     obj: "Expr"
     key: Union[str, "Expr"]  # str for `.name`, Expr for `[expr]`
@@ -75,14 +78,14 @@ class PropertyGet:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     callee: "Expr"
     args: list
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodCall:
     obj: "Expr"
     key: Union[str, "Expr"]
@@ -91,14 +94,14 @@ class MethodCall:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class New:
     callee: "Expr"
     args: list
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str
     left: "Expr"
@@ -106,14 +109,14 @@ class Binary:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str
     operand: "Expr"
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Conditional:
     cond: "Expr"
     then: "Expr"
@@ -128,21 +131,21 @@ Expr = Union[NumberLit, StringLit, BoolLit, NullLit, UndefinedLit,
 
 # --- statements ---
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl:
     name: str
     init: Expr
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     name: str
     value: Expr
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertySet:
     obj: Expr
     key: Union[str, Expr]
@@ -151,19 +154,25 @@ class PropertySet:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt:
     expr: Expr
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     statements: list
     line: int = _pos()
+    # a direct statement declares, so the block needs its own scope
+    scoped: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.scoped = any(isinstance(s, (VarDecl, FunctionDecl))
+                          for s in self.statements)
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: Expr
     then: Block
@@ -171,20 +180,20 @@ class If:
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class While:
     cond: Expr
     body: Block
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class Return:
     value: Optional[Expr]
     line: int = _pos()
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDecl:
     name: str
     params: list
@@ -196,7 +205,7 @@ Stmt = Union[VarDecl, Assign, PropertySet, ExprStmt, If, While, Return,
              FunctionDecl, Block]
 
 
-@dataclass
+@dataclass(slots=True, weakref_slot=True)
 class Program:
     statements: list
     line: int = _pos()

@@ -61,7 +61,8 @@ class OrdinaryObject(HeapObject):
     __slots__ = ("properties", "function")
 
     def __init__(self, properties=None, function=None):
-        self.properties: dict = dict(properties or {})
+        # the dict given is kept, not copied
+        self.properties: dict = {} if properties is None else properties
         self.function = function  # FunctionRecord | NativeFunction | None
 
     def get(self, interp, key, receiver):
@@ -103,7 +104,8 @@ class Heap:
         return obj
 
     def alloc_object(self, props: Iterable = ()) -> OrdinaryObject:
-        return self.alloc(OrdinaryObject(props))
+        """Allocate an object with a copy of props (a mapping or pairs)."""
+        return self.alloc(OrdinaryObject(dict(props)))
 
     def __len__(self):
         return self._allocated

@@ -25,8 +25,8 @@ It is decided in this order:
 """
 
 from .errors import LangTypeError, PlxRuntimeError, RevokedProxyError
-from .objects import (NULL, UNDEFINED, HeapObject, format_number,
-                      is_callable, kind_of, truthy)
+from .objects import (NULL, UNDEFINED, HeapObject, OrdinaryObject,
+                      format_number, is_callable, kind_of, truthy)
 
 
 class ProxyObject(HeapObject):
@@ -199,7 +199,7 @@ def pack_args_object(interp, args) -> HeapObject:
     """Box a positional argument list as {"0": v0, ..., "length": n}."""
     props = {str(i): v for i, v in enumerate(args)}
     props["length"] = float(len(args))
-    return interp.heap.alloc_object(props)
+    return interp.heap.alloc(OrdinaryObject(props))
 
 
 def unpack_args_object(interp, value) -> list:

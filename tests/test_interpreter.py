@@ -73,8 +73,42 @@ def test_block_scoping_of_declarations():
     # declarations inside a block do not leak out
     result = err("if (true) { var inner = 1; } print(inner);")
     assert result.error_kind == "ReferenceError"
+    source = "var i = 0; while (i < 2) { var w = i; i = i + 1; } print(w);"
+    assert err(source).error_kind == "ReferenceError"
+    source = "if (true) { function f() { return 1; } } print(f());"
+    assert err(source).error_kind == "ReferenceError"
     # but assignment reaches outward
     assert out("var x = 0; if (true) { x = 5; } print(x);") == "5\n"
+
+
+def test_nested_block_declaration_stays_in_the_nested_block():
+    result = err("if (true) { if (true) { var z = 1; } print(z); }")
+    assert result.error_kind == "ReferenceError"
+    assert result.error_message == "'z' is not defined"
+    assert result.error_line == 1
+
+
+def test_assignment_reaches_the_nearest_shadowing_declaration():
+    source = ("var x = 1; if (true) { var x = 2; if (true) { x = 3; } "
+              "print(x); } print(x);")
+    assert out(source) == "3\n1\n"
+
+
+def test_loop_closures_see_their_own_scope():
+    # a body that declares makes a scope per iteration
+    source = """
+    var fs = {}; var i = 0;
+    while (i < 3) { var j = i; fs[i] = function () { return j; }; i = i + 1; }
+    print(fs[0](), fs[1](), fs[2]());
+    """
+    assert out(source) == "0 1 2\n"
+    # a body that does not shares the enclosing scope
+    source = """
+    var fs = {}; var i = 0;
+    while (i < 3) { fs[i] = function () { return i; }; i = i + 1; }
+    print(fs[0](), fs[1](), fs[2]());
+    """
+    assert out(source) == "3 3 3\n"
 
 
 def test_closures_capture_environment():

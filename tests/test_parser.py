@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -377,3 +379,45 @@ def test_roundtrip_generated(tree):
     program = Program([ExprStmt(tree)])
     printed = pretty_print(program)
     assert parse_source(printed) == program
+
+
+# --- node layout ---
+
+EVERY_NODE = """
+var o = { a: 1, b: "s", c: true, d: null, e: undefined };
+function f(x) { return -x; }
+x = new Proxy(o, {});
+o.a = o.b;
+if (o.c) { f(1); } else { o.m(!x ? 1 + 2 : (function () { })); }
+while (false) { }
+"""
+
+
+def test_parsed_nodes_have_no_dict():
+    from proxylang import nodes
+    classes = {cls for cls in vars(nodes).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    seen, todo = set(), [parse_source(EVERY_NODE)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif dataclasses.is_dataclass(item):
+            assert not hasattr(item, "__dict__"), type(item).__name__
+            seen.add(type(item))
+            todo.extend(getattr(item, f.name)
+                        for f in dataclasses.fields(item))
+    assert seen == classes
+
+
+def test_block_scoped_when_a_direct_statement_declares():
+    assert stmt("if (a) { var x = 1; }").then.scoped
+    assert stmt("if (a) { function g() { } }").then.scoped
+    outer = stmt("while (a) { if (b) { var x = 1; } }").body
+    assert not outer.scoped
+    assert outer.statements[0].then.scoped
+    assert not stmt("while (a) { }").body.scoped
+    # computed, not compared
+    assert Block([VarDecl("x", NumberLit(1.0))]).scoped
+    assert Block([VarDecl("x", NumberLit(1.0))]) \
+        == stmt("if (a) { var x = 1; }").then

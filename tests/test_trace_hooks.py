@@ -6,6 +6,8 @@ one would break ``perfbench/run.py --trace 1`` without failing any other
 tier-1 test, so their places are pinned here.
 """
 
+import weakref
+
 import proxylang
 import proxylang.interpreter as interpreter
 import proxylang.objects as objects
@@ -53,3 +55,9 @@ def test_heap_length_counts_allocations():
     assert isinstance(allocated, int)
     interp.heap.alloc_object()
     assert len(interp.heap) == allocated + 1
+
+
+def test_programs_take_weak_references():
+    # the tracer keeps prelude programs by weak reference
+    program = parser.parse_source("var x = 1;")
+    assert weakref.ref(program)() is program
