@@ -13,8 +13,8 @@ the node's class. An error takes the line of the innermost node that
 raises it, so only the handlers of nodes that can raise one tag it.
 
 Scopes: a call runs its body in a fresh Environment holding the
-parameters; an if, while or nested block gets one only if Block.scoped (a
-direct statement is a var or function declaration). This is exact: only
+parameters; an if or while block gets one only if Block.scoped (a direct
+statement is a var or function declaration). This is exact: only
 _var_decl and _function_decl declare into the current scope, and hosts
 declare on globals, so an unscoped block's Environment would stay empty
 and every lookup, assignment and closure would pass through it. Name reads
@@ -31,14 +31,14 @@ from typing import Optional
 
 from .errors import (ContractViolation, LangReferenceError, LangTypeError,
                      PlxRuntimeError, ResourceError, StackOverflow)
-from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
-                    ExprStmt, FunctionDecl, FunctionExpr, Identifier, If,
-                    MethodCall, New, NullLit, NumberLit, ObjectLit, Program,
-                    PropertyGet, PropertySet, Return, StringLit,
-                    UndefinedLit, Unary, VarDecl, While)
+from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
+                    FunctionDecl, FunctionExpr, Identifier, If, MethodCall,
+                    New, NullLit, NumberLit, ObjectLit, Program, PropertyGet,
+                    PropertySet, Return, StringLit, UndefinedLit, Unary,
+                    VarDecl, While)
 from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, HeapObject,
-                      NativeFunction, OrdinaryObject, is_callable, kind_of,
-                      render_value, to_property_key, truthy)
+                      NativeFunction, OrdinaryObject, arg, is_callable,
+                      kind_of, render_value, to_property_key, truthy)
 from .parser import ensure_recursion_limit, parse_source
 from .proxies import (proxy_create, revoke, unpack_args_object,
                       with_transparency)
@@ -201,7 +201,7 @@ def _property_set(interp, node, env):
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
         value = node.value
-        obj.set(interp, key, _EVAL[value.__class__](interp, value, env), obj)
+        obj.set(interp, key, _EVAL[value.__class__](interp, value, env))
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -236,14 +236,9 @@ def _function_decl(interp, node, env):
     env.declare(node.name, interp.alloc_function(record))
 
 
-def _block(interp, node, env):
-    return _run(interp, node.statements,
-                Environment(env) if node.scoped else env)
-
-
 _EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,
          PropertySet: _property_set, If: _if, While: _while,
-         Return: _return, FunctionDecl: _function_decl, Block: _block}
+         Return: _return, FunctionDecl: _function_decl}
 
 
 # --- expression handlers: (interp, node, env) -> value ---
@@ -287,7 +282,7 @@ def _property_get(interp, node, env):
         key = node.key
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
-        return obj.get(interp, key, obj)
+        return obj.get(interp, key)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -311,7 +306,7 @@ def _method_call(interp, node, env):
         key = node.key
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
-        method = obj.get(interp, key, obj)
+        method = obj.get(interp, key)
         args = [_EVAL[arg.__class__](interp, arg, env) for arg in node.args]
         return interp.call_value(method, obj, args)
     except PlxRuntimeError as err:
@@ -429,89 +424,65 @@ _BINARY = {
 
 # --- builtins ---
 
-def _arg(args, i):
-    return args[i] if i < len(args) else UNDEFINED
-
-
 def _builtin_print(interp, this, args):
     interp.write(" ".join(render_value(a) for a in args) + "\n")
     return UNDEFINED
 
 
 def _builtin_typeof(interp, this, args):
-    return kind_of(_arg(args, 0))
+    return kind_of(arg(args, 0))
 
 
 def _builtin_contract_violation(interp, this, args):
-    message = _arg(args, 0)
+    message = arg(args, 0)
     text = message if isinstance(message, str) else render_value(message)
     raise ContractViolation(text)
 
 
-def _builtin_weakmap(interp, this, args):
-    return create_weakmap(interp)
-
-
-def _builtin_raw_weakmap(interp, this, args):
-    return create_weakmap(interp, raw=True)
-
-
 def _builtin_reflect_apply(interp, this, args):
-    fn = _arg(args, 0)
-    this_value = _arg(args, 1)
-    args_obj = _arg(args, 2)
+    fn = arg(args, 0)
+    this_value = arg(args, 1)
+    args_obj = arg(args, 2)
     if not is_callable(fn):
         raise LangTypeError("Reflect.apply needs a callable")
     return interp.call_value(
         fn, this_value, unpack_args_object(interp, args_obj))
 
 
-def _builtin_proxy_revoke(interp, this, args):
-    revoke(interp, _arg(args, 0))
-    return UNDEFINED
-
-
-def _builtin_proxy_is_equal(interp, this, args):
-    return builtin_is_equal(interp, _arg(args, 0), _arg(args, 1))
-
-
-def _builtin_proxy_is_identical(interp, this, args):
-    return builtin_is_identical(interp, _arg(args, 0), _arg(args, 1))
-
-
-def _builtin_with_transparency(interp, this, args):
-    return with_transparency(interp, _arg(args, 0), _arg(args, 1),
-                             _arg(args, 2))
-
-
 def _install_builtins(interp: Interpreter) -> OrdinaryObject:
-    """Declare the builtins; give the Proxy object, which 'new' accepts."""
-    g = interp.globals
-    g.declare("print", interp.alloc_native("print", _builtin_print))
-    g.declare("typeofValue",
-              interp.alloc_native("typeofValue", _builtin_typeof))
-    g.declare("contractViolation",
-              interp.alloc_native("contractViolation",
-                                  _builtin_contract_violation))
-    g.declare("WeakMap", interp.alloc_native("WeakMap", _builtin_weakmap))
-    g.declare("RawWeakMap",
-              interp.alloc_native("RawWeakMap", _builtin_raw_weakmap))
+    """Declare the builtins; give the Proxy object, which 'new' accepts.
 
-    reflect = interp.heap.alloc_object({
-        "apply": interp.alloc_native("apply", _builtin_reflect_apply),
-    })
-    g.declare("Reflect", reflect)
-
-    proxy = interp.heap.alloc_object({
-        "revoke": interp.alloc_native("revoke", _builtin_proxy_revoke),
-        "isEqual": interp.alloc_native("isEqual", _builtin_proxy_is_equal),
-        "isIdentical": interp.alloc_native("isIdentical",
-                                           _builtin_proxy_is_identical),
-        "withTransparency": interp.alloc_native(
-            "withTransparency", _builtin_with_transparency),
-    })
-    g.declare("Proxy", proxy)
-    return proxy
+    A global is a native, or an object of native members. The table is
+    read per interpreter, and its entries look their targets up in this
+    module when called, so that a host can wrap them here (as a tracer
+    does)."""
+    table = {
+        "print": _builtin_print,
+        "typeofValue": _builtin_typeof,
+        "contractViolation": _builtin_contract_violation,
+        "WeakMap": lambda interp, this, args: create_weakmap(interp),
+        "RawWeakMap":
+            lambda interp, this, args: create_weakmap(interp, raw=True),
+        "Reflect": {"apply": _builtin_reflect_apply},
+        "Proxy": {
+            "revoke": lambda interp, this, args: revoke(interp, arg(args, 0)),
+            "isEqual": lambda interp, this, args: builtin_is_equal(
+                interp, arg(args, 0), arg(args, 1)),
+            "isIdentical": lambda interp, this, args: builtin_is_identical(
+                interp, arg(args, 0), arg(args, 1)),
+            "withTransparency": lambda interp, this, args: with_transparency(
+                interp, arg(args, 0), arg(args, 1), arg(args, 2)),
+        },
+    }
+    for name, entry in table.items():
+        if isinstance(entry, dict):
+            value = interp.heap.alloc_object(
+                {member: interp.alloc_native(member, fn)
+                 for member, fn in entry.items()})
+        else:
+            value = interp.alloc_native(name, entry)
+        interp.globals.declare(name, value)
+    return interp.globals.bindings["Proxy"]
 
 
 # --- embedding API ---

@@ -202,7 +202,7 @@ class FunctionDecl:
 
 
 Stmt = Union[VarDecl, Assign, PropertySet, ExprStmt, If, While, Return,
-             FunctionDecl, Block]
+             FunctionDecl]
 
 
 @dataclass(slots=True, weakref_slot=True)
@@ -332,8 +332,6 @@ def _stmt(s, indent: int) -> str:
     if isinstance(s, FunctionDecl):
         header = f"{pad}function {s.name}({', '.join(s.params)}) "
         return header + _block_inline(s.body, indent) + "\n"
-    if isinstance(s, Block):
-        return "".join(_stmt(inner, indent) for inner in s.statements)
     raise TypeError(f"not a statement node: {s!r}")
 
 

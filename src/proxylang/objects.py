@@ -65,10 +65,10 @@ class OrdinaryObject(HeapObject):
         self.properties: dict = {} if properties is None else properties
         self.function = function  # FunctionRecord | NativeFunction | None
 
-    def get(self, interp, key, receiver):
+    def get(self, interp, key):
         return self.properties.get(key, UNDEFINED)
 
-    def set(self, interp, key, value, receiver):
+    def set(self, interp, key, value):
         self.properties[key] = value
 
     def has(self, interp, key):
@@ -181,3 +181,8 @@ def to_property_key(value) -> str:
 
 def is_callable(value) -> bool:
     return isinstance(value, HeapObject) and value.is_callable_obj()
+
+
+def arg(args, i):
+    """A native's i-th argument, undefined when fewer were passed."""
+    return args[i] if i < len(args) else UNDEFINED

@@ -39,17 +39,17 @@ class ProxyObject(HeapObject):
 
     # --- internal operations ---
 
-    def get(self, interp, key, receiver):
+    def get(self, interp, key):
         link, trap = self._forward(interp, "get")
         if trap is None:
-            return link.get(interp, key, receiver)
+            return link.get(interp, key)
         return interp.call_value(trap, link.handler,
                                  [link.target, key, link])
 
-    def set(self, interp, key, value, receiver):
+    def set(self, interp, key, value):
         link, trap = self._forward(interp, "set")
         if trap is None:
-            link.set(interp, key, value, receiver)
+            link.set(interp, key, value)
             return
         # the trap's return value carries no meaning
         interp.call_value(trap, link.handler,
@@ -111,7 +111,7 @@ class ProxyObject(HeapObject):
     def _trap(self, interp, name: str):
         if self.revoked:
             raise RevokedProxyError(f"'{name}' on a revoked proxy")
-        trap = self.handler.get(interp, name, self.handler)
+        trap = self.handler.get(interp, name)
         if trap is UNDEFINED or trap is NULL:
             return None
         if not is_callable(trap):
@@ -149,7 +149,7 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
         return False
     interp.override_stack.append((proxy, False))
     try:
-        trap = proxy.handler.get(interp, "isTransparent", proxy.handler)
+        trap = proxy.handler.get(interp, "isTransparent")
         answer = is_callable(trap) and truthy(
             interp.call_value(trap, proxy.handler, [proxy.target, proxy]))
     except PlxRuntimeError:
@@ -207,12 +207,12 @@ def unpack_args_object(interp, value) -> list:
     if not isinstance(value, HeapObject):
         raise LangTypeError(
             f"an arguments object is required, not {kind_of(value)}")
-    length = value.get(interp, "length", value)
+    length = value.get(interp, "length")
     if not isinstance(length, float) or length != length \
             or length < 0 or length != int(length):
         raise LangTypeError(
             "'length' of an arguments object must be a non-negative integer")
-    return [value.get(interp, format_number(float(i)), value)
+    return [value.get(interp, format_number(float(i)))
             for i in range(int(length))]
 
 

@@ -15,8 +15,7 @@ contract.
 """
 
 from .errors import LangTypeError
-from .objects import (UNDEFINED, HeapObject, NativeFunction, OrdinaryObject,
-                      kind_of)
+from .objects import UNDEFINED, HeapObject, OrdinaryObject, arg, kind_of
 from .equality import resolve_for_mode
 
 
@@ -64,9 +63,6 @@ def create_weakmap(interp, raw: bool = False) -> OrdinaryObject:
     imap = IdentityMap(raw)
     obj = interp.heap.alloc(OrdinaryObject())
 
-    def arg(args, i):
-        return args[i] if i < len(args) else UNDEFINED
-
     def wm_set(itp, this, args):
         idmap_set(itp, imap, arg(args, 0), arg(args, 1))
         return obj
@@ -82,6 +78,5 @@ def create_weakmap(interp, raw: bool = False) -> OrdinaryObject:
 
     for name, fn in (("set", wm_set), ("get", wm_get),
                      ("has", wm_has), ("delete", wm_delete)):
-        obj.properties[name] = interp.heap.alloc(
-            OrdinaryObject(function=NativeFunction(name, fn)))
+        obj.properties[name] = interp.alloc_native(name, fn)
     return obj

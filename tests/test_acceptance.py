@@ -346,9 +346,9 @@ def test_criterion_07_membrane_and_revocation():
         env = interp.globals
 
         wet_refs = [env.lookup("wet")]
-        wet_refs.append(wet_refs[0].get(interp, "child", wet_refs[0]))
-        wet_refs.append(wet_refs[1].get(interp, "leaf", wet_refs[1]))
-        wet_refs.append(wet_refs[0].get(interp, "f", wet_refs[0]))
+        wet_refs.append(wet_refs[0].get(interp, "child"))
+        wet_refs.append(wet_refs[1].get(interp, "leaf"))
+        wet_refs.append(wet_refs[0].get(interp, "f"))
 
         wrappers = [env.lookup(n) for n in ("w0", "w1", "w2", "w3")]
         # repeated crossings reuse the cached wrapper, by raw identity
@@ -362,12 +362,12 @@ def test_criterion_07_membrane_and_revocation():
             for wet in wet_refs:
                 assert not opaque_strict_equals(interp, wrapper, wet)
 
-        revoke = env.lookup("m").get(interp, "revoke", env.lookup("m"))
+        revoke = env.lookup("m").get(interp, "revoke")
         interp.call_value(revoke, None, [])
         for obj in wrappers:
             for probe in (
-                lambda: obj.get(interp, "x", obj),
-                lambda: obj.set(interp, "x", 1.0, obj),
+                lambda: obj.get(interp, "x"),
+                lambda: obj.set(interp, "x", 1.0),
                 lambda: obj.has(interp, "x"),
                 lambda: obj.delete(interp, "x"),
                 lambda: obj.own_keys(interp),

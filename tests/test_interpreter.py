@@ -13,6 +13,7 @@ from proxylang.equality import EqualityMode
 from proxylang.errors import LexError, ParseError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.nodes import pretty_print
+from proxylang.objects import UNDEFINED, NativeFunction
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 
@@ -262,6 +263,48 @@ def test_reflect_apply():
     assert err("Reflect.apply(1, undefined, {});").error_kind == "TypeError"
     assert err("function f() {} Reflect.apply(f, undefined, 5);") \
         .error_kind == "TypeError"
+
+
+def test_builtin_surface():
+    interp = Interpreter()
+    bindings = interp.globals.bindings
+    assert sorted(bindings) == [
+        "Proxy", "RawWeakMap", "Reflect", "WeakMap", "contractViolation",
+        "print", "typeofValue"]
+    assert len(interp.heap) == 12
+
+    def assert_native(value, name):
+        assert isinstance(value.function, NativeFunction)
+        assert value.function.name == name
+
+    for name in ("print", "typeofValue", "contractViolation", "WeakMap",
+                 "RawWeakMap"):
+        assert_native(bindings[name], name)
+    members = {"Reflect": ["apply"],
+               "Proxy": ["revoke", "isEqual", "isIdentical",
+                         "withTransparency"]}
+    for name, keys in members.items():
+        assert bindings[name].function is None
+        assert list(bindings[name].properties) == keys
+        for key in keys:
+            assert_native(bindings[name].properties[key], key)
+
+    # each map allocates itself and its four methods
+    for name in ("WeakMap", "RawWeakMap"):
+        allocated = len(interp.heap)
+        wm = interp.call_value(bindings[name], UNDEFINED, [])
+        assert len(interp.heap) == allocated + 5
+        assert list(wm.properties) == ["set", "get", "has", "delete"]
+        for key, method in wm.properties.items():
+            assert_native(method, key)
+
+    # 'new' accepts the Proxy object and no other global
+    assert interp._proxy_builtin is bindings["Proxy"]
+    assert evaluate_program(parse_source("new Proxy({}, {});"), interp).ok
+    for name in sorted(bindings.keys() - {"Proxy"}):
+        result = evaluate_program(
+            parse_source(f"new {name}({{}}, {{}});"), interp)
+        assert result.error_message == "'new' can only construct Proxy"
 
 
 # --- stack limit ---
@@ -592,3 +635,16 @@ def test_loop_count_model(n):
 def test_every_node_class_has_a_handler():
     assert set(interpreter._EVAL) == set(typing.get_args(nodes.Expr))
     assert set(interpreter._EXEC) == set(typing.get_args(nodes.Stmt))
+
+
+def test_a_bare_block_is_not_a_statement():
+    # the parser builds a Block only as the body of an if, a while or a
+    # function, so a host's Program that holds one as a statement is
+    # refused, like any other non-statement
+    program = nodes.Program([
+        nodes.Block([nodes.VarDecl("x", nodes.NumberLit(1.0))]),
+        nodes.ExprStmt(nodes.Identifier("x"))])
+    with pytest.raises(TypeError, match="not a statement node"):
+        pretty_print(program)
+    with pytest.raises(KeyError):
+        evaluate_program(program, Interpreter())

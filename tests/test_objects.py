@@ -21,16 +21,16 @@ def interp():
 
 def test_get_after_set(interp):
     ref = interp.heap.alloc_object()
-    ref.set(interp, "a", 1.0, ref)
-    assert ref.get(interp, "a", ref) == 1.0
-    ref.set(interp, "a", "two", ref)
-    assert ref.get(interp, "a", ref) == "two"
-    assert ref.get(interp, "missing", ref) is UNDEFINED
+    ref.set(interp, "a", 1.0)
+    assert ref.get(interp, "a") == 1.0
+    ref.set(interp, "a", "two")
+    assert ref.get(interp, "a") == "two"
+    assert ref.get(interp, "missing") is UNDEFINED
 
 
 def test_own_keys_matches_has(interp):
     ref = interp.heap.alloc_object([("x", 1.0), ("y", 2.0)])
-    ref.set(interp, "z", 3.0, ref)
+    ref.set(interp, "z", 3.0)
     keys = ref.own_keys(interp)
     assert keys == ["x", "y", "z"]  # insertion order
     for key in keys:
@@ -59,8 +59,8 @@ def test_allocations_are_distinct(interp):
     refs = [interp.heap.alloc_object() for _ in range(1000)]
     assert len({id(r) for r in refs}) == 1000
     # writes through one reference never show through another
-    refs[0].set(interp, "k", 1.0, refs[0])
-    assert refs[1].get(interp, "k", refs[1]) is UNDEFINED
+    refs[0].set(interp, "k", 1.0)
+    assert refs[1].get(interp, "k") is UNDEFINED
 
 
 def test_objects_compare_by_identity():
@@ -99,7 +99,7 @@ def test_unreachable_objects_are_freed():
 def test_reinsertion_moves_key_to_end(interp):
     ref = interp.heap.alloc_object([("a", 1.0), ("b", 2.0)])
     ref.delete(interp, "a")
-    ref.set(interp, "a", 3.0, ref)
+    ref.set(interp, "a", 3.0)
     assert ref.own_keys(interp) == ["b", "a"]
 
 
@@ -115,8 +115,8 @@ def test_property_keys():
 
 def test_number_and_string_keys_alias(interp):
     ref = interp.heap.alloc_object()
-    ref.set(interp, to_property_key(0.0), "zero", ref)
-    assert ref.get(interp, "0", ref) == "zero"
+    ref.set(interp, to_property_key(0.0), "zero")
+    assert ref.get(interp, "0") == "zero"
 
 
 @pytest.mark.parametrize("value,text", [

@@ -156,9 +156,9 @@ def test_membrane_revoke_covers_all_internal_operations():
         assert isinstance(obj, HeapObject)
         assert isinstance(obj, ProxyObject)
         with pytest.raises(RevokedProxyError):
-            obj.get(interp, "x", obj)
+            obj.get(interp, "x")
         with pytest.raises(RevokedProxyError):
-            obj.set(interp, "x", 1.0, obj)
+            obj.set(interp, "x", 1.0)
         with pytest.raises(RevokedProxyError):
             obj.has(interp, "x")
         with pytest.raises(RevokedProxyError):
@@ -488,9 +488,9 @@ def test_prelude_functions_callable_from_host():
     revocable_fn = env.lookup("revocable")
     seed = env.lookup("seed")
     pair = revocable_fn.call(interp, None, [seed])
-    proxy = pair.get(interp, "proxy", pair)
-    assert proxy.get(interp, "x", proxy) == 1.0
-    revoke = pair.get(interp, "revoke", pair)
+    proxy = pair.get(interp, "proxy")
+    assert proxy.get(interp, "x") == 1.0
+    revoke = pair.get(interp, "revoke")
     revoke.call(interp, None, [])
     with pytest.raises(RevokedProxyError):
-        proxy.get(interp, "x", proxy)
+        proxy.get(interp, "x")

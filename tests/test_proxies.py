@@ -29,9 +29,9 @@ def make_proxy(interp, target=None, handler_props=None):
 
 def test_absent_traps_forward(interp):
     proxy, target, _ = make_proxy(interp)
-    proxy.set(interp, "foo", 42.0, proxy)
-    assert target.get(interp, "foo", target) == 42.0
-    assert proxy.get(interp, "foo", proxy) == 42.0
+    proxy.set(interp, "foo", 42.0)
+    assert target.get(interp, "foo") == 42.0
+    assert proxy.get(interp, "foo") == 42.0
     assert proxy.has(interp, "foo")
     assert proxy.own_keys(interp) == ["foo"]
     assert proxy.delete(interp, "foo")
@@ -47,22 +47,22 @@ def test_get_trap_receives_target_key_proxy(interp):
 
     proxy, target, handler = make_proxy(
         interp, handler_props={"get": native(interp, trap)})
-    assert proxy.get(interp, "foo", proxy) == 7.0
+    assert proxy.get(interp, "foo") == 7.0
     assert seen["args"] == [target, "foo", proxy]
     # the target is untouched and direct access bypasses the trap
-    assert target.get(interp, "foo", target) is UNDEFINED
+    assert target.get(interp, "foo") is UNDEFINED
 
 
 def test_set_trap_result_is_ignored(interp):
     def trap(itp, this, args):
         target, key, value = args[0], args[1], args[2]
-        target.set(itp, key, value * 2, target)
+        target.set(itp, key, value * 2)
         return "ignored"
 
     proxy, target, _ = make_proxy(
         interp, handler_props={"set": native(interp, trap)})
-    proxy.set(interp, "n", 10.0, proxy)
-    assert target.get(interp, "n", target) == 20.0
+    proxy.set(interp, "n", 10.0)
+    assert target.get(interp, "n") == 20.0
 
 
 def test_has_and_delete_traps_coerce_to_boolean(interp):
@@ -110,8 +110,8 @@ def test_apply_trap_receives_packed_args(interp):
     assert seen["this"] is NULL
     assert seen["proxy"] == proxy
     packed = seen["packed"]
-    assert packed.get(interp, "length", packed) == 2.0
-    assert packed.get(interp, "0", packed) == "first"
+    assert packed.get(interp, "length") == 2.0
+    assert packed.get(interp, "0") == "first"
 
 
 def test_apply_absent_forwards_positionally(interp):
@@ -134,26 +134,26 @@ def test_trap_lookup_through_handler_proxy(interp):
     handler_proxy = proxy_create(interp, inner_handler, meta_handler)
     target = interp.heap.alloc_object()
     proxy = proxy_create(interp, target, handler_proxy)
-    assert proxy.get(interp, "x", proxy) == "from-meta"
+    assert proxy.get(interp, "x") == "from-meta"
 
 
 def test_present_non_callable_trap_is_an_error(interp):
     proxy, _, _ = make_proxy(interp, handler_props={"get": 5.0})
     with pytest.raises(LangTypeError):
-        proxy.get(interp, "x", proxy)
+        proxy.get(interp, "x")
 
 
 def test_null_trap_counts_as_absent(interp):
     proxy, target, _ = make_proxy(interp, handler_props={"get": NULL})
-    target.set(interp, "x", 1.0, target)
-    assert proxy.get(interp, "x", proxy) == 1.0
+    target.set(interp, "x", 1.0)
+    assert proxy.get(interp, "x") == 1.0
 
 
 def test_proxy_target_may_be_proxy(interp):
     base = interp.heap.alloc_object([("x", "deep")])
     inner, _, _ = make_proxy(interp, target=base)
     outer, _, _ = make_proxy(interp, target=inner)
-    assert outer.get(interp, "x", outer) == "deep"
+    assert outer.get(interp, "x") == "deep"
 
 
 def forwarding_chain(interp, target, depth=100_000, handler=None):
@@ -215,9 +215,9 @@ def test_revoked_operations_error(interp):
     proxy, _, _ = make_proxy(interp, target=fn)
     revoke(interp, proxy)
     with pytest.raises(RevokedProxyError):
-        proxy.get(interp, "x", proxy)
+        proxy.get(interp, "x")
     with pytest.raises(RevokedProxyError):
-        proxy.set(interp, "x", 1.0, proxy)
+        proxy.set(interp, "x", 1.0)
     with pytest.raises(RevokedProxyError):
         proxy.has(interp, "x")
     with pytest.raises(RevokedProxyError):
@@ -451,7 +451,7 @@ def test_args_object_round_trip(interp):
     values = [1.0, "two", NULL, UNDEFINED, True]
     packed = pack_args_object(interp, values)
     assert unpack_args_object(interp, packed) == values
-    assert packed.get(interp, "length", packed) == 5.0
+    assert packed.get(interp, "length") == 5.0
 
 
 def test_unpack_rejects_bad_length(interp):

@@ -138,7 +138,7 @@ def test_weakmap_object_surface():
     proxy = transparent_proxy(interp, target)
 
     def call_method(name, args):
-        method = wm.get(interp, name, wm)
+        method = wm.get(interp, name)
         return method.call(interp, wm, args)
 
     assert call_method("set", [target, 42.0]) == wm  # returns the map
