@@ -12,6 +12,13 @@ Evaluation calls one handler per node class, found in _EVAL or _EXEC by
 the node's class. An error takes the line of the innermost node that
 raises it, so only the handlers of nodes that can raise one tag it.
 
+Calls: Interpreter.call_value is the one entry for calling a value, from
+the evaluator, a trap, a builtin or the host (OrdinaryObject.call and
+ProxyObject.call lead back to it), and Interpreter.invoke is the one
+frame of a language call: it binds the parameters and runs the body
+itself. So `return f(n - 1) + 1` recurses through 5 host frames a
+level: _return, _binary, _call, call_value and invoke.
+
 Scopes: a call runs its body in a fresh Environment holding the
 parameters; an if or while block gets one only if Block.scoped (a direct
 statement is a var or function declaration). This is exact: only
@@ -53,8 +60,9 @@ MAX_CALL_DEPTH = 1024
 class Environment:
     __slots__ = ("bindings", "parent")
 
-    def __init__(self, parent=None):
-        self.bindings: dict = {}
+    def __init__(self, parent=None, bindings=None):
+        # the dict given is kept, not copied
+        self.bindings: dict = {} if bindings is None else bindings
         self.parent = parent
 
     def declare(self, name: str, value) -> None:
@@ -116,25 +124,39 @@ class Interpreter:
     # --- calls ---
 
     def call_value(self, value, this_value, args):
+        """Call a language value: the one entry for every call."""
+        if value.__class__ is OrdinaryObject:
+            if value.function is None:
+                raise LangTypeError("object is not callable")
+            return self.invoke(value.function, this_value, args)
         if not isinstance(value, HeapObject):
             raise LangTypeError(f"{kind_of(value)} is not callable")
         return value.call(self, this_value, args)
 
     def invoke(self, record, this_value, args):
-        """Run a FunctionRecord or NativeFunction as one call frame."""
+        """Run a FunctionRecord or NativeFunction as one call frame, the
+        one host frame of every language call: the body runs here, not
+        in _run, which would be a second."""
         if self.depth >= MAX_CALL_DEPTH:
             raise StackOverflow(
                 f"call stack exceeded {MAX_CALL_DEPTH} frames")
         self.depth += 1
         try:
-            if isinstance(record, NativeFunction):
+            if record.__class__ is NativeFunction:
                 result = record.fn(self, this_value, args)
                 return UNDEFINED if result is None else result
-            env = Environment(record.env)
-            for i, param in enumerate(record.params):
-                env.declare(param, args[i] if i < len(args) else UNDEFINED)
-            returned = _run(self, record.body.statements, env)
-            return UNDEFINED if returned is None else returned[0]
+            params = record.params
+            bindings = dict(zip(params, args))
+            # a missing argument is undefined; set after the zip, so that
+            # a repeated parameter name still takes its last position
+            for param in params[len(args):]:
+                bindings[param] = UNDEFINED
+            env = Environment(record.env, bindings)
+            for stmt in record.body.statements:
+                returned = _EXEC[stmt.__class__](self, stmt, env)
+                if returned is not None:
+                    return returned[0]
+            return UNDEFINED
         finally:
             self.depth -= 1
 
@@ -291,7 +313,11 @@ def _call(interp, node, env):
     callee = node.callee
     try:
         callee = _EVAL[callee.__class__](interp, callee, env)
-        args = [_EVAL[arg.__class__](interp, arg, env) for arg in node.args]
+        # a loop, not a list comprehension, which on Python 3.11 runs in
+        # a host frame of its own
+        args = []
+        for expr in node.args:
+            args.append(_EVAL[expr.__class__](interp, expr, env))
         return interp.call_value(callee, UNDEFINED, args)
     except PlxRuntimeError as err:
         raise _at(err, node)
@@ -307,7 +333,9 @@ def _method_call(interp, node, env):
         if node.computed:
             key = to_property_key(_EVAL[key.__class__](interp, key, env))
         method = obj.get(interp, key)
-        args = [_EVAL[arg.__class__](interp, arg, env) for arg in node.args]
+        args = []
+        for expr in node.args:
+            args.append(_EVAL[expr.__class__](interp, expr, env))
         return interp.call_value(method, obj, args)
     except PlxRuntimeError as err:
         raise _at(err, node)

@@ -34,7 +34,7 @@ NULL = Null()
 UNDEFINED = Undefined()
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionRecord:
     """A function defined in the language: parameters, body, closure."""
     params: list
@@ -43,7 +43,7 @@ class FunctionRecord:
     name: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NativeFunction:
     """A function implemented in Python: fn(interp, this_value, args)."""
     name: str
@@ -84,9 +84,7 @@ class OrdinaryObject(HeapObject):
         return list(self.properties)
 
     def call(self, interp, this_value, args):
-        if self.function is None:
-            raise LangTypeError("object is not callable")
-        return interp.invoke(self.function, this_value, args)
+        return interp.call_value(self, this_value, args)
 
     def is_callable_obj(self) -> bool:
         return self.function is not None

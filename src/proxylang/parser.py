@@ -52,8 +52,9 @@ _EQUALITY = 3
 
 _MAX_NESTING = 400
 # host frames for _MAX_NESTING levels of parentheses (2,810 measured, 7
-# parser frames a level) and for the evaluator's deepest call stack (7,182
-# for rec(1023)), with room to spare
+# parser frames a level) and for the evaluator's deepest call stack (5,128
+# measured for rec(1023), 5 host frames a language call), with room to
+# spare
 HOST_RECURSION_LIMIT = 20_000
 
 

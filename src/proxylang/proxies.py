@@ -80,7 +80,7 @@ class ProxyObject(HeapObject):
     def call(self, interp, this_value, args):
         link, trap = self._forward(interp, "apply")
         if trap is None:
-            return link.call(interp, this_value, args)
+            return interp.call_value(link, this_value, args)
         args_obj = pack_args_object(interp, args)
         return interp.call_value(
             trap, link.handler, [link.target, this_value, args_obj, link])
@@ -141,21 +141,35 @@ def revoke(interp, value) -> None:
 
 
 def is_transparent(interp, proxy: ProxyObject) -> bool:
-    """Decide whether equality may look through the proxy (rules 1-4)."""
-    for overridden, flag in reversed(interp.override_stack):
-        if overridden is proxy:
-            return flag
+    """Decide whether equality may look through the proxy (rules 1-4).
+
+    Trap mode runs this once per proxy per equality decision, so the
+    common case (no override, an ordinary trap answering a boolean) is
+    decided inline: no frame beyond the handler read and the call."""
+    override_stack = interp.override_stack
+    if override_stack:
+        for overridden, flag in reversed(override_stack):
+            if overridden is proxy:
+                return flag
     if proxy.revoked:
         return False
-    interp.override_stack.append((proxy, False))
+    override_stack.append((proxy, False))
     try:
         trap = proxy.handler.get(interp, "isTransparent")
-        answer = is_callable(trap) and truthy(
-            interp.call_value(trap, proxy.handler, [proxy.target, proxy]))
+        if trap.__class__ is OrdinaryObject:
+            callable_trap = trap.function is not None
+        else:
+            callable_trap = is_callable(trap)
+        answer = False
+        if callable_trap:
+            answer = interp.call_value(trap, proxy.handler,
+                                       [proxy.target, proxy])
+            if answer.__class__ is not bool:
+                answer = truthy(answer)
     except PlxRuntimeError:
         return False
     finally:
-        interp.override_stack.pop()
+        override_stack.pop()
     return answer and not proxy.revoked
 
 

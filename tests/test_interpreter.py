@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import proxylang.interpreter as interpreter
 from proxylang import nodes
 from proxylang.equality import EqualityMode
-from proxylang.errors import LexError, ParseError
+from proxylang.errors import LexError, ParseError, PlxRuntimeError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.nodes import pretty_print
 from proxylang.objects import UNDEFINED, NativeFunction
@@ -138,6 +138,29 @@ def test_return_without_value():
     assert out("function f() { return; } print(f());") == "undefined\n"
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_parameter_binding(mode):
+    # missing arguments are undefined, extra ones are ignored
+    assert out("function f(a, b, c) { return c; } print(f(1), f(1, 2));",
+               mode) == "undefined undefined\n"
+    assert out("function f(a, b) { return a + b; } print(f(1, 2, 3, 4));",
+               mode) == "3\n"
+    # a repeated parameter name takes the last position's argument, even
+    # when that argument is missing
+    assert out("function f(a, a) { return a; } print(f(1), f(1, 2));",
+               mode) == "undefined 2\n"
+    assert out("function f(a, b, a) { return a; } print(f(1, 2));",
+               mode) == "undefined\n"
+    # a closure sees the parameters of its own call, not a later one's
+    assert out("""
+    function adder(x) { return function(y) { return x + y; }; }
+    var add1 = adder(1);
+    var add10 = adder(10);
+    function x(y) { return y; }
+    print(add1(2), add10(2), x(5));
+    """, mode) == "3 12 5\n"
+
+
 def test_functions_are_objects():
     assert out("""
     function f() { return 1; }
@@ -232,6 +255,108 @@ def test_method_call_on_missing_property():
 def test_calling_non_function():
     assert err("var x = 5; x();").error_kind == "TypeError"
     assert err("var o = {}; o();").error_kind == "TypeError"
+
+
+# Every way of calling a value that cannot be called fails with the same
+# kind, message and line: a call, a method call, Reflect.apply, an apply
+# trap, and the host's call_value and obj.call.
+
+CALL_SETUP = """var rp = new Proxy(function() { return 1; }, {});
+Proxy.revoke(rp);
+var pp = new Proxy({}, {});
+"""
+NOT_CALLABLE = {"number": "5", "object": "{}", "revoked proxy": "rp",
+                "proxy over an object": "pp"}
+CALL_SITES = {
+    "call": "var f = %s;\nf();",
+    "method call": "var o = {m: %s};\no.m();",
+    "Reflect.apply": "Reflect.apply(%s, undefined, {length: 0});",
+    "apply trap": "var q = new Proxy(function() {}, {apply: %s});\nq();",
+    "call in an apply trap": "var v = %s;\n"
+                             "var q = new Proxy(function() {}, "
+                             "{apply: function(t, h, a) {\n"
+                             "  return v();\n}});\nq();",
+}
+REVOKED = ("RevokedProxyError", "'apply' on a revoked proxy")
+CALL_ERRORS = {
+    "call": {"number": ("TypeError", "number is not callable"),
+             "object": ("TypeError", "object is not callable"),
+             "revoked proxy": REVOKED,
+             "proxy over an object": ("TypeError", "object is not callable")},
+    "Reflect.apply": {
+        "number": ("TypeError", "Reflect.apply needs a callable"),
+        "object": ("TypeError", "Reflect.apply needs a callable"),
+        "revoked proxy": REVOKED,
+        "proxy over an object":
+            ("TypeError", "Reflect.apply needs a callable")},
+    "apply trap": {
+        "number": ("TypeError", "trap 'apply' is not callable"),
+        "object": ("TypeError", "trap 'apply' is not callable"),
+        "revoked proxy": REVOKED,
+        "proxy over an object":
+            ("TypeError", "trap 'apply' is not callable")},
+}
+CALL_ERRORS["method call"] = CALL_ERRORS["call in an apply trap"] = \
+    CALL_ERRORS["call"]
+CALL_LINES = {"call": 5, "method call": 5, "Reflect.apply": 4,
+              "apply trap": 5, "call in an apply trap": 6}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("site", CALL_SITES)
+@pytest.mark.parametrize("callee", NOT_CALLABLE)
+def test_call_errors_agree_across_call_sites(callee, site, mode):
+    result = err(CALL_SETUP + CALL_SITES[site] % NOT_CALLABLE[callee], mode)
+    assert (result.error_kind, result.error_message, result.error_line) \
+        == CALL_ERRORS[site][callee] + (CALL_LINES[site],)
+
+
+@pytest.mark.parametrize("callee", NOT_CALLABLE)
+def test_host_call_errors_agree(callee):
+    interp = Interpreter()
+    assert evaluate_program(parse_source(
+        CALL_SETUP + f"var v = {NOT_CALLABLE[callee]};"), interp).ok
+    value = interp.globals.lookup("v")
+    attempts = [lambda: interp.call_value(value, UNDEFINED, [])]
+    if callee != "number":
+        attempts.append(lambda: value.call(interp, UNDEFINED, []))
+    for attempt in attempts:
+        with pytest.raises(PlxRuntimeError) as caught:
+            attempt()
+        assert (caught.value.kind, caught.value.message, caught.value.line) \
+            == CALL_ERRORS["call"][callee] + (None,)
+    assert interp.depth == 0
+
+
+# An isTransparent trap votes with the truthiness of its answer; one that
+# cannot be called votes opaque. Proxy.isEqual looks through regardless.
+TRANSPARENCY_VOTES = [
+    ("1", False),
+    ("{}", False),
+    ("new Proxy(function(t, p) { return true; }, {})", True),
+    ("new Proxy(function(t, p) { return false; }, {})", False),
+    ("typeofValue", True),
+    ("function(t, p) { return true; }", True),
+    ("function(t, p) { return false; }", False),
+    ("function(t, p) { return 1; }", True),
+    ("function(t, p) { return 0; }", False),
+    ('function(t, p) { return ""; }', False),
+    ('function(t, p) { return "x"; }', True),
+    ("function(t, p) { return {}; }", True),
+    ("function(t, p) { return undefined; }", False),
+    ("function(t, p) { return null; }", False),
+    ("function(t, p) { return 0 / 0; }", False),
+]
+
+
+@pytest.mark.parametrize("trap, vote", TRANSPARENCY_VOTES,
+                         ids=[trap for trap, _ in TRANSPARENCY_VOTES])
+def test_is_transparent_votes_by_trap_kind(trap, vote):
+    seen = "true" if vote else "false"
+    assert out(f"""var o = {{}};
+    var p = new Proxy(o, {{isTransparent: {trap}}});
+    print(p === o, p == o, p !== o, Proxy.isEqual(p, o));
+    """, "trap") == f"{seen} {seen} {'false' if vote else 'true'} true\n"
 
 
 # --- new ---
