@@ -6,10 +6,9 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import LexError, ParseError, PlxError
-from .interpreter import (HOST_ERRORS, Interpreter, evaluate_program,
-                          host_error, run_source)
-from .nodes import ExprStmt
+from .errors import LexError, ParseError
+from .interpreter import Interpreter, evaluate_program, run_source
+from .nodes import ExprStmt, Program
 from .objects import render_value
 from .parser import parse_expression, parse_source
 from .prelude import default_prelude_source
@@ -29,11 +28,23 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="run without any prelude")
 
 
+class _Unreadable(Exception):
+    """A file that cannot be read as UTF-8 text; str() is the diagnostic."""
+
+
+def _read_text(path: Path) -> str:
+    """Every file the CLI reads goes through here."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise _Unreadable(f"cannot read {path}: {err}") from None
+
+
 def _prelude_source(options) -> str:
     if options.no_prelude:
         return ""
     if options.prelude is not None:
-        return options.prelude.read_text(encoding="utf-8")
+        return _read_text(options.prelude)
     return default_prelude_source()
 
 
@@ -59,19 +70,12 @@ def _mode_pragma(source: str):
 
 def _cmd_run(options) -> int:
     try:
-        source = options.script.read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"cannot read {options.script}: {err}", file=sys.stderr)
-        return 2
-    try:
+        source = _read_text(options.script)
         prelude = _prelude_source(options)
         result = run_source(source, mode=EqualityMode(options.mode),
                             prelude_source=prelude)
-    except (LexError, ParseError) as err:
+    except (_Unreadable, LexError, ParseError) as err:
         print(err, file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"cannot read prelude: {err}", file=sys.stderr)
         return 2
     sys.stdout.write(result.output)
     if not result.ok:
@@ -86,6 +90,42 @@ def _normalize(text: str) -> str:
     return text.replace("\r\n", "\n")
 
 
+def _corpus_problems(script: Path, prelude: str, mode: EqualityMode) \
+        -> list:
+    """What is wrong with one corpus script's run; empty if it passed."""
+    try:
+        source = _read_text(script)
+        expected = _normalize(_read_text(script.with_suffix(".expected")))
+        error_file = script.with_suffix(".expected-error")
+        expected_error = _read_text(error_file).strip() \
+            if error_file.exists() else None
+    except _Unreadable as err:
+        return [str(err)]
+
+    problems = []
+    try:
+        result = run_source(source, mode=_mode_pragma(source) or mode,
+                            prelude_source=prelude)
+        output = _normalize(result.output)
+        got_error = result.error_kind if not result.ok else None
+        error_message = result.error_message
+    except (LexError, ParseError) as err:
+        output = ""
+        got_error = err.kind
+        error_message = err.message
+
+    if output != expected:
+        problems.append(f"expected output {expected!r}, got {output!r}")
+    if expected_error is None:
+        if got_error is not None:
+            problems.append(f"unexpected {got_error}: {error_message}")
+    elif got_error != expected_error:
+        problems.append(
+            f"expected an error of kind {expected_error}, "
+            f"got {got_error or 'no error'}")
+    return problems
+
+
 def _cmd_corpus(options) -> int:
     root = options.corpus_dir
     if not root.is_dir():
@@ -93,8 +133,8 @@ def _cmd_corpus(options) -> int:
         return 2
     try:
         prelude = _prelude_source(options)
-    except OSError as err:
-        print(f"cannot read prelude: {err}", file=sys.stderr)
+    except _Unreadable as err:
+        print(err, file=sys.stderr)
         return 2
 
     entries = sorted(p for p in root.rglob("*.plx")
@@ -102,36 +142,8 @@ def _cmd_corpus(options) -> int:
     passed = failed = 0
     for script in entries:
         rel = script.relative_to(root).as_posix()
-        source = script.read_text(encoding="utf-8")
-        expected = _normalize(
-            script.with_suffix(".expected").read_text(encoding="utf-8"))
-        error_file = script.with_suffix(".expected-error")
-        expected_error = error_file.read_text(encoding="utf-8").strip() \
-            if error_file.exists() else None
-
-        mode = _mode_pragma(source) or EqualityMode(options.mode)
-        problems = []
-        try:
-            result = run_source(source, mode=mode, prelude_source=prelude)
-            output = _normalize(result.output)
-            got_error = result.error_kind if not result.ok else None
-            error_message = result.error_message
-        except (LexError, ParseError) as err:
-            output = ""
-            got_error = err.kind
-            error_message = err.message
-
-        if output != expected:
-            problems.append(f"expected output {expected!r}, got {output!r}")
-        if expected_error is None:
-            if got_error is not None:
-                problems.append(
-                    f"unexpected {got_error}: {error_message}")
-        elif got_error != expected_error:
-            problems.append(
-                f"expected an error of kind {expected_error}, "
-                f"got {got_error or 'no error'}")
-
+        problems = _corpus_problems(script, prelude,
+                                    EqualityMode(options.mode))
         if problems:
             failed += 1
             print(f"FAIL {rel}")
@@ -150,11 +162,8 @@ def _cmd_repl(options) -> int:
     interp = Interpreter(mode=EqualityMode(options.mode), sink=sys.stdout)
     try:
         prelude = parse_source(_prelude_source(options))
-    except (LexError, ParseError) as err:
+    except (_Unreadable, LexError, ParseError) as err:
         print(err, file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"cannot read prelude: {err}", file=sys.stderr)
         return 2
     result = evaluate_program(prelude, interp)
     if not result.ok:
@@ -180,16 +189,15 @@ def _cmd_repl(options) -> int:
             buffer = ""
             continue
         force = line.strip() == ""
-        program = None
-        echo_expr = None
         try:
-            program = parse_source(buffer)
+            statements = parse_source(buffer).statements
         except ParseError as err:
             if err.at_eof:
                 # the statement may be incomplete, or it may be a bare
                 # expression missing only its ';'
                 try:
-                    echo_expr = parse_expression(buffer)
+                    expr = parse_expression(buffer)
+                    statements = [ExprStmt(expr, line=expr.line)]
                 except (LexError, ParseError):
                     if force:
                         print(err, file=sys.stderr)
@@ -204,18 +212,15 @@ def _cmd_repl(options) -> int:
             buffer = ""
             continue
         buffer = ""
-        try:
-            if echo_expr is not None:
-                print(render_value(interp.eval_toplevel(echo_expr)))
-            else:
-                for stmt in program.statements:
-                    value = interp.exec_toplevel(stmt)
-                    if isinstance(stmt, ExprStmt):
-                        print(render_value(value))
-        except PlxError as err:
-            print(err, file=sys.stderr)
-        except HOST_ERRORS as err:
-            print(host_error(err), file=sys.stderr)
+        # each statement is a program of its own, so that an expression
+        # statement's value is echoed before the next one runs
+        for stmt in statements:
+            result = evaluate_program(Program([stmt]), interp)
+            if not result.ok:
+                _print_runtime_error(result)
+                break
+            if result.value is not None:
+                print(render_value(result.value))
 
 
 def main(argv=None) -> int:

@@ -3,10 +3,15 @@
 An Interpreter owns a global environment with the builtins, an equality
 mode, an output sink, the dynamic transparency override stack, and an
 allocation counter. Objects are their own references, and the host's
-collector frees them once unreachable. Programs run via evaluate_program,
-which captures runtime errors in an ExecutionResult instead of letting
-them escape; static errors (LexError, ParseError) raise from
-parse_source before anything runs.
+collector frees them once unreachable.
+
+One run path: every program (a script, the prelude, each REPL
+statement) runs through evaluate_program, which runs the top-level
+statements itself and gives an ExecutionResult holding the output, the
+last expression statement's value, and any runtime error. It is the one
+error boundary: the only place a host RecursionError or MemoryError is
+caught and mapped, to StackOverflow or ResourceError. Static errors
+(LexError, ParseError) raise from parse_source before anything runs.
 
 Evaluation calls one handler per node class, found in _EVAL or _EXEC by
 the node's class. An error takes the line of the innermost node that
@@ -44,11 +49,11 @@ from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
                     PropertySet, Return, StringLit, UndefinedLit, Unary,
                     VarDecl, While)
 from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, HeapObject,
-                      NativeFunction, OrdinaryObject, arg, is_callable,
-                      kind_of, render_value, to_property_key, truthy)
+                      NativeFunction, OrdinaryObject, arg, kind_of,
+                      render_value, to_property_key, truthy)
 from .parser import ensure_recursion_limit, parse_source
-from .proxies import (proxy_create, revoke, unpack_args_object,
-                      with_transparency)
+from .proxies import (is_callable, proxy_create, revoke,
+                      unpack_args_object, with_transparency)
 from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        loose_equals, opaque_loose_equals,
                        opaque_strict_equals, strict_equals)
@@ -84,6 +89,8 @@ class ExecutionResult:
     error_message: Optional[str]
     error_line: Optional[int]
     output: str
+    # the last statement's value if it is an expression statement
+    value: object = None
 
     @property
     def ok(self) -> bool:
@@ -159,20 +166,6 @@ class Interpreter:
             return UNDEFINED
         finally:
             self.depth -= 1
-
-    # --- program execution ---
-
-    def exec_program(self, program: Program) -> None:
-        _run(self, program.statements, self.globals)
-
-    def exec_toplevel(self, stmt):
-        """Run a top-level statement; give an expression statement's value."""
-        if stmt.__class__ is ExprStmt:
-            return self.eval_toplevel(stmt.expr)
-        _EXEC[stmt.__class__](self, stmt, self.globals)
-
-    def eval_toplevel(self, expr):
-        return _EVAL[expr.__class__](self, expr, self.globals)
 
 
 # --- statement handlers: (interp, node, env) -> None | (return value,) ---
@@ -515,31 +508,33 @@ def _install_builtins(interp: Interpreter) -> OrdinaryObject:
 
 # --- embedding API ---
 
-HOST_ERRORS = (RecursionError, MemoryError)
-
-
-def host_error(err: BaseException) -> PlxRuntimeError:
-    """The language error that stands for a host error in HOST_ERRORS,
-    such as host recursion through a deep chain of proxy handlers. The
-    unwinding has restored the call depth and the override stack, so the
-    interpreter stays usable."""
-    if isinstance(err, RecursionError):
-        return StackOverflow("host recursion limit exceeded")
-    return ResourceError("host memory exhausted")
-
-
 def evaluate_program(program: Program, interp: Interpreter) \
         -> ExecutionResult:
-    """Run a parsed program, capturing runtime errors in the result,
-    host errors included (see host_error)."""
+    """Run a parsed program's statements in the interpreter's globals,
+    capturing runtime errors in the result. A host RecursionError or
+    MemoryError, such as host recursion through a deep chain of proxy
+    handlers, comes back as a StackOverflow or ResourceError result; the
+    unwinding has restored the call depth and the override stack, so the
+    interpreter stays usable."""
+    env = interp.globals
+    value = None
     try:
-        interp.exec_program(program)
+        for stmt in program.statements:
+            value = None
+            if stmt.__class__ is ExprStmt:
+                expr = stmt.expr
+                value = _EVAL[expr.__class__](interp, expr, env)
+            elif _EXEC[stmt.__class__](interp, stmt, env) is not None:
+                break  # a host-built program's top-level return
     except PlxRuntimeError as err:
         error = err
-    except HOST_ERRORS as err:
-        error = host_error(err)
+    except RecursionError:
+        error = StackOverflow("host recursion limit exceeded")
+    except MemoryError:
+        error = ResourceError("host memory exhausted")
     else:
-        return ExecutionResult("ok", None, None, None, interp.output_text())
+        return ExecutionResult("ok", None, None, None, interp.output_text(),
+                               value)
     return ExecutionResult("error", error.kind, error.message, error.line,
                            interp.output_text())
 

@@ -86,9 +86,6 @@ class OrdinaryObject(HeapObject):
     def call(self, interp, this_value, args):
         return interp.call_value(self, this_value, args)
 
-    def is_callable_obj(self) -> bool:
-        return self.function is not None
-
 
 class Heap:
     """Allocation counter: len(heap) is the number of objects allocated."""
@@ -175,10 +172,6 @@ def to_property_key(value) -> str:
         return format_number(value)
     raise LangTypeError(
         f"property keys must be strings or numbers, not {kind_of(value)}")
-
-
-def is_callable(value) -> bool:
-    return isinstance(value, HeapObject) and value.is_callable_obj()
 
 
 def arg(args, i):

@@ -26,7 +26,7 @@ It is decided in this order:
 
 from .errors import LangTypeError, PlxRuntimeError, RevokedProxyError
 from .objects import (NULL, UNDEFINED, HeapObject, OrdinaryObject,
-                      format_number, is_callable, kind_of, truthy)
+                      format_number, kind_of, truthy)
 
 
 class ProxyObject(HeapObject):
@@ -85,12 +85,6 @@ class ProxyObject(HeapObject):
         return interp.call_value(
             trap, link.handler, [link.target, this_value, args_obj, link])
 
-    def is_callable_obj(self) -> bool:
-        obj = self.target
-        while obj.__class__ is ProxyObject:
-            obj = obj.target
-        return obj.is_callable_obj()
-
     # --- trap lookup ---
 
     def _forward(self, interp, name: str):
@@ -117,6 +111,14 @@ class ProxyObject(HeapObject):
         if not is_callable(trap):
             raise LangTypeError(f"trap '{name}' is not callable")
         return trap
+
+
+def is_callable(value) -> bool:
+    """Whether value can be called: a function object, or a proxy whose
+    chain of targets ends at one."""
+    while value.__class__ is ProxyObject:
+        value = value.target
+    return isinstance(value, OrdinaryObject) and value.function is not None
 
 
 def proxy_create(interp, target, handler) -> ProxyObject:

@@ -58,6 +58,18 @@ def test_run_missing_file(tmp_path, capsys):
     assert "absent.plx" in err
 
 
+@pytest.mark.parametrize("bad", ["script", "prelude"])
+def test_run_non_utf8_file(tmp_path, capsys, bad):
+    files = {"script": write(tmp_path, "x.plx", "print(1);\n"),
+             "prelude": write(tmp_path, "p.plx", "")}
+    files[bad].write_bytes(b"\xff")
+    code, out, err = invoke(capsys, "run", str(files["script"]),
+                            "--prelude", str(files["prelude"]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {files[bad]}: ")
+    assert "Traceback" not in err
+
+
 def test_run_equality_mode_flag(tmp_path, capsys):
     script = write(
         tmp_path, "mode.plx",
@@ -216,6 +228,17 @@ def test_corpus_normalizes_crlf(tmp_path, capsys):
     assert code == 0
 
 
+def test_corpus_non_utf8_script_fails_and_goes_on(tmp_path, capsys):
+    (tmp_path / "a.plx").write_bytes(b"\xff")
+    write(tmp_path, "a.expected", "")
+    write(tmp_path, "b.plx", "print(1);\n")
+    write(tmp_path, "b.expected", "1\n")
+    code, out, err = invoke(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert out == "FAIL a.plx\nPASS b.plx\n1 passed, 1 failed\n"
+    assert f"a.plx: cannot read {tmp_path / 'a.plx'}: " in err
+
+
 def test_corpus_missing_directory(tmp_path, capsys):
     code, out, err = invoke(capsys, "corpus", str(tmp_path / "nope"))
     assert code == 2
@@ -296,6 +319,23 @@ def test_repl_parse_error_resets_buffer(monkeypatch, capsys):
     code, out, err = drive_repl(monkeypatch, capsys, ["var = 3;", "4"])
     assert "ParseError" in err
     assert out.splitlines()[1] == "4"
+
+
+def test_repl_stops_an_input_at_its_first_error(monkeypatch, capsys):
+    code, out, err = drive_repl(
+        monkeypatch, capsys, ["1 + 1; boom; print(3);", "4"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["2", "4", ""]
+    assert err == "ReferenceError at line 1: 'boom' is not defined\n"
+
+
+def test_repl_non_utf8_prelude(monkeypatch, tmp_path, capsys):
+    prelude = tmp_path / "p.plx"
+    prelude.write_bytes(b"\xff")
+    code, out, err = drive_repl(monkeypatch, capsys, ["1"],
+                                "--prelude", str(prelude))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {prelude}: ")
 
 
 def test_repl_mode_flag(monkeypatch, capsys):

@@ -690,6 +690,24 @@ def test_custom_sink():
     assert result.output == "to sink\n"
 
 
+@pytest.mark.parametrize("source, value", [
+    ("var x = 2; x + 1;", 3.0),
+    ('print("a");', UNDEFINED),
+    ("1; var x = 2;", None),
+    ("", None),
+    ("1; if (true) { 2; }", None),
+])
+def test_result_value_is_the_last_expression_statement(source, value):
+    result = run(source)
+    assert result.ok
+    assert result.value == value
+
+
+def test_result_value_is_none_on_error():
+    result = run("1; boom;")
+    assert (result.ok, result.value) == (False, None)
+
+
 def test_runs_share_one_parsed_prelude(monkeypatch):
     # a prelude text no other test uses, so its first run parses it
     prelude = default_prelude_source() + "\nvar probe = 7;\n"

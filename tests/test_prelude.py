@@ -262,6 +262,18 @@ def test_membrane_bookkeeping_is_linear(monkeypatch):
         assert large["map"] <= 4 * small["map"] + 8, (mode, small, large)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_membrane_crossing_allocates_only_the_wrapper(mode):
+    # every wrapper shares the membrane's one handler, so a fresh object
+    # crossing in and back out costs the object literal and its wrapper
+    interp = interp_after("var m = membrane({}); var w = m.wrapper;", mode)
+    crossing = parse_source("w.x = {}; var r = w.x;")
+    allocated = len(interp.heap)
+    for _ in range(100):
+        assert evaluate_program(crossing, interp).ok
+    assert len(interp.heap) - allocated <= 2 * 100
+
+
 # --- property contracts ---
 
 def test_contract_property_allows_valid_writes():
