@@ -118,8 +118,11 @@ def primitive_loose_equals(a, b) -> bool:
     return False
 
 
-_WS = " \t\n\r\v\f ﻿"
-_DECIMAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# ECMAScript's StrWhiteSpaceChar: white space, every Zs space and the
+# line terminators
+_WS = ("\t\n\v\f\r \xa0\u1680\u2028\u2029\u202f\u205f\u3000\ufeff"
+       + "".join(map(chr, range(0x2000, 0x200B))))
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 _INFINITY = re.compile(r"[+-]?Infinity")
 

@@ -275,11 +275,18 @@ def _expr(e) -> str:
     if isinstance(e, PropertyGet):
         return _member(e.obj, e.key, e.computed)
     if isinstance(e, Call):
-        return f"{_expr(e.callee)}({_args(e.args)})"
+        # a bare member callee would read back as a MethodCall
+        callee = _expr(e.callee)
+        if isinstance(e.callee, PropertyGet):
+            callee = f"({callee})"
+        return f"{callee}({_args(e.args)})"
     if isinstance(e, MethodCall):
         return f"{_member(e.obj, e.key, e.computed)}({_args(e.args)})"
     if isinstance(e, New):
-        return f"new {_expr(e.callee)}({_args(e.args)})"
+        callee = _expr(e.callee)
+        if not _is_new_operand(e.callee):
+            callee = f"({callee})"
+        return f"new {callee}({_args(e.args)})"
     if isinstance(e, Binary):
         return f"({_expr(e.left)} {e.op} {_expr(e.right)})"
     if isinstance(e, Unary):
@@ -287,6 +294,14 @@ def _expr(e) -> str:
     if isinstance(e, Conditional):
         return f"({_expr(e.cond)} ? {_expr(e.then)} : {_expr(e.otherwise)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _is_new_operand(e) -> bool:
+    """Whether e prints as the operand of 'new': a primary and property
+    accesses, with no call or construction of its own."""
+    while isinstance(e, PropertyGet):
+        e = e.obj
+    return not isinstance(e, (Call, MethodCall, New))
 
 
 def _member(obj, key, computed) -> str:

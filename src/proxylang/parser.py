@@ -10,12 +10,12 @@ appear only as bodies of if/while/function):
                 | 'while' '(' expr ')' block
                 | 'return' expr? ';'
                 | expr ('=' expr)? ';'        assignment targets: IDENT, member
-    expr       := conditional
-    conditional:= binary ('?' conditional ':' conditional)?
+    expr       := binary ('?' expr ':' expr)?
     binary     := unary (BINARY_OP unary)*    levels from _LEVELS
     unary      := ('!'|'-') unary | postfix
-    postfix    := atom ('.' IDENT args? | '[' expr ']' args? | args)*
-    atom       := 'new' member args | primary
+    postfix    := ('new' operand args | primary) suffix*
+    suffix     := '.' IDENT | '[' expr ']' | args
+    operand    := primary ('.' IDENT | '[' expr ']')*    a postfix without args
     primary    := NUMBER | STRING | 'true' | 'false' | 'null' | 'undefined'
                 | IDENT | '(' expr ')' | object literal | 'function' expr
 
@@ -24,6 +24,12 @@ The binary operators and their binding levels, from '||' (loosest) to
 loop parses them all, left-associatively. Equality operators do not mix
 within one chain: `a == b == c` is `(a == b) == c`, `a == b === c` is a
 parse error.
+
+Every recursive rule is bounded, so no input can outrun the host stack.
+Expressions nest at most _MAX_NESTING (400) deep: each `expr`, including
+each arm of '?:', and each prefix '!' or '-' is one level. Blocks nest at
+most _MAX_NESTING deep too, counted on their own, so a block inside an
+expression does not lower the expression limit.
 
 The parser works on a copy of the token list that ends in one token of
 kind "eof" with an empty lexeme, placed just past the last token (1:1 for
@@ -41,6 +47,7 @@ from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     If, MethodCall, New, NullLit, NumberLit, ObjectLit,
                     Program, PropertyGet, PropertySet, Return, StringLit,
                     UndefinedLit, Unary, VarDecl, While)
+from .objects import format_number
 
 # binding level of each binary operator: a higher level binds tighter
 _LEVELS = {"||": 1, "&&": 2,
@@ -51,10 +58,12 @@ _LEVELS = {"||": 1, "&&": 2,
 _EQUALITY = 3
 
 _MAX_NESTING = 400
-# host frames for _MAX_NESTING levels of parentheses (2,810 measured, 7
-# parser frames a level) and for the evaluator's deepest call stack (5,128
-# measured for rec(1023), 5 host frames a language call), with room to
-# spare
+# host frames for the deepest parse (measured from a script's top level:
+# 2,008 for _MAX_NESTING levels of parentheses, 5 parser frames a level;
+# 1,210 for as many nested 'if' blocks, 3 a level; 4,008 for as many
+# function expressions, each in the body of the last, 10 a level) and for
+# the evaluator's deepest call stack (5,128 measured for rec(1023), 5 host
+# frames a language call), with room to spare
 HOST_RECURSION_LIMIT = 20_000
 
 
@@ -76,7 +85,8 @@ class _Parser:
         self.tokens = [*tokens, eof]
         self.pos = 0
         self.fn_depth = 0
-        self.nesting = 0
+        self.nesting = 0  # expression depth
+        self.blocks = 0  # block depth
 
     # --- token plumbing ---
 
@@ -155,23 +165,18 @@ class _Parser:
                             line=tok.line)
 
     def parse_params(self) -> list:
-        self.expect("(")
-        params = []
-        if not self.match(")"):
-            params.append(self.expect_identifier("a parameter name").lexeme)
-            while self.match(","):
-                params.append(
-                    self.expect_identifier("a parameter name").lexeme)
-            self.expect(")")
-        return params
+        return self.parse_list("(", ")", lambda: self.expect_identifier(
+            "a parameter name").lexeme)
 
     def parse_block(self) -> Block:
         open_tok = self.expect("{")
+        self.blocks = self.deeper(self.blocks, "block", open_tok)
         statements = []
         while not self.match("}"):
             if self.tokens[self.pos].kind == "eof":
                 self.expected("'}'")
             statements.append(self.parse_statement())
+        self.blocks -= 1
         return Block(statements, line=open_tok.line)
 
     def parse_if(self) -> If:
@@ -216,27 +221,40 @@ class _Parser:
         self.expect(";")
         return ExprStmt(expr, line=expr.line)
 
+    # --- shared rules ---
+
+    def deeper(self, depth: int, what: str, tok: Token) -> int:
+        """One more level of nesting; a ParseError at tok past
+        _MAX_NESTING. Callers count down again only on success: a
+        ParseError abandons its parser, so no count is ever unwound."""
+        if depth >= _MAX_NESTING:
+            raise ParseError(f"{what} nesting too deep", tok.line, tok.column)
+        return depth + 1
+
+    def parse_list(self, open_: str, close: str, parse_item) -> list:
+        """open_ (item (',' item)*)? close: parameters, arguments and
+        object-literal entries."""
+        self.expect(open_)
+        if self.match(close):
+            return []
+        items = [parse_item()]
+        while self.match(","):
+            items.append(parse_item())
+        self.expect(close)
+        return items
+
     # --- expressions ---
 
     def parse_expr(self) -> Expr:
-        self.nesting += 1
-        if self.nesting > _MAX_NESTING:
-            tok = self.tokens[self.pos]
-            raise ParseError("expression nesting too deep",
-                             tok.line, tok.column)
-        try:
-            return self.parse_conditional()
-        finally:
-            self.nesting -= 1
-
-    def parse_conditional(self) -> Expr:
-        cond = self.parse_binary(1)
+        self.nesting = self.deeper(self.nesting, "expression",
+                                   self.tokens[self.pos])
+        expr = self.parse_binary(1)
         if self.match("?"):
-            then = self.parse_conditional()
+            then = self.parse_expr()
             self.expect(":")
-            otherwise = self.parse_conditional()
-            return Conditional(cond, then, otherwise, line=cond.line)
-        return cond
+            expr = Conditional(expr, then, self.parse_expr(), line=expr.line)
+        self.nesting -= 1
+        return expr
 
     def parse_binary(self, min_level: int) -> Expr:
         """Precedence climbing: the longest left-associative run of binary
@@ -266,81 +284,49 @@ class _Parser:
         op = tok.lexeme
         if op == "!" or op == "-":
             self.pos += 1
-            self.nesting += 1
-            if self.nesting > _MAX_NESTING:
-                raise ParseError("expression nesting too deep",
-                                 tok.line, tok.column)
-            try:
-                operand = self.parse_unary()
-            finally:
-                self.nesting -= 1
+            self.nesting = self.deeper(self.nesting, "expression", tok)
+            operand = self.parse_unary()
+            self.nesting -= 1
             return Unary(op, operand, line=tok.line)
-        return self.parse_postfix()
+        return self.parse_postfix(True)
 
-    def parse_postfix(self) -> Expr:
-        expr = self.parse_atom()
+    def parse_postfix(self, calls: bool) -> Expr:
+        """A primary and its suffixes; with calls off, the operand of
+        'new', which leaves its '(' to the construction."""
+        tok = self.tokens[self.pos]
+        if calls and tok.lexeme == "new":
+            self.pos += 1
+            callee = self.parse_postfix(False)
+            if self.tokens[self.pos].lexeme != "(":
+                self.error("expected '(' after the constructed value",
+                           self.tokens[self.pos])
+            expr = New(callee, self.parse_list("(", ")", self.parse_expr),
+                       line=tok.line)
+        else:
+            expr = self.parse_primary()
         while True:
             op = self.tokens[self.pos].lexeme
             if op == ".":
                 self.pos += 1
-                name = self.expect_identifier("a property name")
-                if self.tokens[self.pos].lexeme == "(":
-                    args = self.parse_args()
-                    expr = MethodCall(expr, name.lexeme, False, args,
-                                      line=expr.line)
-                else:
-                    expr = PropertyGet(expr, name.lexeme, False,
-                                       line=expr.line)
+                key = self.expect_identifier("a property name").lexeme
+                computed = False
             elif op == "[":
                 self.pos += 1
                 key = self.parse_expr()
                 self.expect("]")
-                if self.tokens[self.pos].lexeme == "(":
-                    args = self.parse_args()
-                    expr = MethodCall(expr, key, True, args, line=expr.line)
-                else:
-                    expr = PropertyGet(expr, key, True, line=expr.line)
-            elif op == "(":
-                args = self.parse_args()
-                expr = Call(expr, args, line=expr.line)
+                computed = True
+            elif op == "(" and calls:
+                expr = Call(expr, self.parse_list("(", ")", self.parse_expr),
+                            line=expr.line)
+                continue
             else:
                 return expr
-
-    def parse_args(self) -> list:
-        self.expect("(")
-        args = []
-        if not self.match(")"):
-            args.append(self.parse_expr())
-            while self.match(","):
-                args.append(self.parse_expr())
-            self.expect(")")
-        return args
-
-    def parse_atom(self) -> Expr:
-        if self.tokens[self.pos].lexeme == "new":
-            tok = self.take()
-            callee = self.parse_member_chain()
-            if self.tokens[self.pos].lexeme != "(":
-                self.error("expected '(' after the constructed value",
-                           self.tokens[self.pos])
-            args = self.parse_args()
-            return New(callee, args, line=tok.line)
-        return self.parse_primary()
-
-    def parse_member_chain(self) -> Expr:
-        # The operand of 'new': a primary plus property accesses, with no
-        # call arguments so the trailing '(' belongs to the construction.
-        expr = self.parse_primary()
-        while True:
-            if self.match("."):
-                name = self.expect_identifier("a property name")
-                expr = PropertyGet(expr, name.lexeme, False, line=expr.line)
-            elif self.match("["):
-                key = self.parse_expr()
-                self.expect("]")
-                expr = PropertyGet(expr, key, True, line=expr.line)
+            if calls and self.tokens[self.pos].lexeme == "(":
+                expr = MethodCall(expr, key, computed,
+                                  self.parse_list("(", ")", self.parse_expr),
+                                  line=expr.line)
             else:
-                return expr
+                expr = PropertyGet(expr, key, computed, line=expr.line)
 
     def parse_primary(self) -> Expr:
         tok = self.tokens[self.pos]
@@ -371,7 +357,8 @@ class _Parser:
             self.expect(")")
             return expr
         if lexeme == "{":
-            return self.parse_object_literal()
+            entries = self.parse_list("{", "}", self.parse_object_entry)
+            return ObjectLit(entries, line=tok.line)
         self.expected("an expression")
 
     def parse_function_expr(self) -> FunctionExpr:
@@ -381,20 +368,9 @@ class _Parser:
 
     def parse_function_body(self) -> Block:
         self.fn_depth += 1
-        try:
-            return self.parse_block()
-        finally:
-            self.fn_depth -= 1
-
-    def parse_object_literal(self) -> ObjectLit:
-        tok = self.take()
-        entries = []
-        if not self.match("}"):
-            entries.append(self.parse_object_entry())
-            while self.match(","):
-                entries.append(self.parse_object_entry())
-            self.expect("}")
-        return ObjectLit(entries, line=tok.line)
+        body = self.parse_block()
+        self.fn_depth -= 1
+        return body
 
     def parse_object_entry(self):
         tok = self.tokens[self.pos]
@@ -403,8 +379,7 @@ class _Parser:
         elif tok.kind == "string":
             key = decode_string_lexeme(tok.lexeme)
         elif tok.kind == "number":
-            value = float(tok.lexeme)
-            key = str(int(value)) if value == int(value) else tok.lexeme
+            key = format_number(float(tok.lexeme))
         else:
             self.expected("a property key")
         self.pos += 1

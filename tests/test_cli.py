@@ -45,6 +45,26 @@ def test_run_parse_error(tmp_path, capsys):
     assert err.startswith("ParseError at line 1")
 
 
+@pytest.mark.parametrize("text,diagnostic", [
+    ("if (a) {\n" * 7000 + "}\n" * 7000,
+     "ParseError at line 401, column 8: block nesting too deep"),
+    ("function f() {\n" * 5000 + "}\n" * 5000,
+     "ParseError at line 401, column 14: block nesting too deep"),
+    ("x = a\n" + "? b : c\n" * 25000 + ";",
+     "ParseError at line 401, column 3: expression nesting too deep"),
+], ids=["7000 nested ifs", "5000 nested functions",
+        "25000-deep conditional chain"])
+def test_run_too_deep_is_a_parse_error(tmp_path, text, diagnostic):
+    # in a child process, so that a leaked RecursionError fails this test
+    # with a traceback on stderr instead of ending the test run
+    script = write(tmp_path, "deep.plx", text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "proxylang", "run", str(script)],
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr[-2000:]) \
+        == (2, "", diagnostic + "\n")
+
+
 def test_run_lex_error(tmp_path, capsys):
     script = write(tmp_path, "bad.plx", 'var s = "open;\n')
     code, out, err = invoke(capsys, "run", str(script))

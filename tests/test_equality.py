@@ -173,6 +173,8 @@ def test_ref_never_equals_primitive():
     (1.0, "abc", False),
     ("1", "1.0", False),
     ("", "0", False),
+    ("\u0661\u0662", 12.0, False), ("\uff11", 1.0, False),
+    ("\u20285", 5.0, True), ("\u30005", 5.0, True),
 ])
 def test_primitive_loose_pairs(a, b, expected):
     assert primitive_loose_equals(a, b) is expected
@@ -184,6 +186,9 @@ def test_primitive_loose_pairs(a, b, expected):
     ("+7", 7.0), (".5", 0.5), ("5.", 5.0), ("1e3", 1000.0), ("1E-2", 0.01),
     ("0x10", 16.0), ("0XAb", 171.0), ("Infinity", math.inf),
     ("-Infinity", -math.inf), ("+Infinity", math.inf),
+    # every StrWhiteSpaceChar is trimmed: line terminators and Zs spaces
+    ("\u20285", 5.0), ("5\u2029", 5.0), ("\u30005", 5.0),
+    ("\u1680\u2000\u200a5\u202f\u205f", 5.0), ("\xa0\ufeff5", 5.0),
 ])
 def test_string_to_number(text, expected):
     assert string_to_number(text) == expected
@@ -191,6 +196,8 @@ def test_string_to_number(text, expected):
 
 @pytest.mark.parametrize("text", [
     "abc", "1 2", "1.2.3", "0x", "-0x10", "infinity", "NaN", "1px", "--5",
+    # only ASCII digits are digits
+    "\u0661\u0662", "\uff11", "1\u0660", "\u0661e2", "0x\uff11",
 ])
 def test_string_to_number_garbage_is_nan(text):
     assert math.isnan(string_to_number(text))

@@ -1,16 +1,21 @@
-"""Host frames per language call, counted, never timed.
+"""Host frames per language call and per parse, counted, never timed.
 
 A language call and a trap-mode isTransparent vote each pass through a
 fixed chain of Python frames. These tests count the frames one call and
 one vote enter (sys.setprofile "call" events) and bound them by today's
 count, so that a refactor that puts frames back on the call path fails
-here instead of only showing up as a slower trap-mode benchmark.
+here instead of only showing up as a slower trap-mode benchmark. The
+parser's deepest inputs are bounded the same way, both in frames entered
+and in frames on the stack at once, which HOST_RECURSION_LIMIT must
+cover.
 """
 
+import gc
 import sys
 
 from proxylang.interpreter import _EVAL, Interpreter, evaluate_program
-from proxylang.parser import parse_expression, parse_source
+from proxylang.lexer import tokenize
+from proxylang.parser import parse, parse_expression, parse_source
 
 
 def frames_entered(mode, setup, expression):
@@ -55,3 +60,44 @@ def test_one_trap_mode_vote():
     assert names.count("is_transparent") == 1
     assert names.count("invoke") == 1
     assert len(names) <= 17, names
+
+
+def parse_frames(source):
+    """How many Python frames parsing source's tokens entered, and how
+    many of them were on the stack at once at the deepest point. The
+    collector is off meanwhile, so no collection callback is counted."""
+    tokens = tokenize(source)
+    entered = depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal entered, depth, deepest
+        if event == "call":
+            entered += 1
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        parse(tokens)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return entered, deepest
+
+
+def test_deepest_parses():
+    # the deepest inputs the parser accepts: 400 levels of expression
+    # (five frames a parenthesis, one a '?:' arm) and 400 of blocks (three
+    # frames an 'if')
+    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 3219, 2005),
+             ("if (a) {" * 400 + "}" * 400, 9604, 1207),
+             ("x = " + "a ? b : " * 399 + "c;", 7209, 409)]
+    for source, most_entered, most_deep in cases:
+        entered, deepest = parse_frames(source)
+        assert entered <= most_entered, source[:20]
+        assert deepest <= most_deep, source[:20]

@@ -791,3 +791,12 @@ def test_a_bare_block_is_not_a_statement():
         pretty_print(program)
     with pytest.raises(KeyError):
         evaluate_program(program, Interpreter())
+
+
+@pytest.mark.parametrize("literal,read", [
+    ("{1.50: 7}", "o[1.5]"), ("{0.50: 7}", "o[0.5]"),
+    ("{100000000000000000000000: 7}", "o[100000000000000000000000]"),
+    ("{1.50: 7}", 'o["1.5"]'),
+])
+def test_numeric_literal_keys_meet_computed_keys(literal, read):
+    assert out(f"var o = {literal}; print({read});") == "7\n"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxylang.errors import ParseError
+from proxylang.interpreter import run_source
 from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
                              ExprStmt, FunctionDecl, FunctionExpr,
                              Identifier, If, MethodCall, New, NumberLit,
@@ -135,6 +136,16 @@ def test_object_literal():
                               ("while", NumberLit(4.0))])
 
 
+@pytest.mark.parametrize("literal,key", [
+    ("{ 1.50: 7 }", "1.5"), ("{ 0.50: 2 }", "0.5"), ("{ 2.0: 1 }", "2"),
+    ("{ 007: 1 }", "7"),
+    ("{ 100000000000000000000000: 1 }", "1e+23"),
+])
+def test_object_literal_number_keys_take_the_number_form(literal, key):
+    # the key a computed access with the same number reads
+    assert expr(literal).entries[0][0] == key
+
+
 def test_object_literal_statement_position():
     # no block statements exist, so a leading '{' is an object literal
     node = stmt("{ a: 1 };")
@@ -221,6 +232,12 @@ def test_parse_errors(source, fragment):
                  1, 405, False, id="400 parens at end of input"),
     pytest.param("x = " + "-" * 400 + "1;", "expression nesting too deep",
                  1, 404, False, id="400 minus signs"),
+    pytest.param("x = a\n" + "? b : c\n" * 400 + ";",
+                 "expression nesting too deep", 401, 3, False,
+                 id="400-deep conditional chain"),
+    pytest.param("while (a) {\n" * 401 + "}\n" * 401,
+                 "block nesting too deep", 401, 11, False,
+                 id="401 nested blocks"),
 ])
 def test_parse_errors_exact(source, message, line, column, at_eof):
     with pytest.raises(ParseError) as exc:
@@ -296,6 +313,53 @@ except ParseError as err:
     assert proc.stdout == "1\n\nexpression nesting too deep\n"
 
 
+# inputs that would outrun the host stack if a recursive rule were
+# unbounded, and the diagnostic each gives: the first level past the limit
+DEEP_INPUTS = [
+    pytest.param("if (a) {\n" * 7000 + "}\n" * 7000,
+                 ("block nesting too deep", 401, 8), id="7000 nested ifs"),
+    pytest.param("function f() {\n" * 5000 + "}\n" * 5000,
+                 ("block nesting too deep", 401, 14),
+                 id="5000 nested functions"),
+    pytest.param("x = a\n" + "? b : c\n" * 25000 + ";",
+                 ("expression nesting too deep", 401, 3),
+                 id="25000-deep conditional chain"),
+]
+
+
+@pytest.mark.parametrize("source,diagnostic", DEEP_INPUTS)
+def test_deep_inputs_raise_parse_error(source, diagnostic):
+    leaked = []
+    for entry in (parse_source, run_source):
+        try:
+            with pytest.raises(ParseError) as exc:
+                entry(source)
+        except RecursionError:
+            leaked.append(entry.__name__)
+            continue
+        err = exc.value
+        assert (err.message, err.line, err.column, err.at_eof) \
+            == (*diagnostic, False)
+    # failing outside the handler keeps the 20,000-frame traceback out of
+    # the report
+    if leaked:
+        pytest.fail(f"a host RecursionError escaped {', '.join(leaked)}")
+
+
+def test_deepest_block_nesting_parses_and_runs():
+    ifs = ("var n = 0;\n" + "if (true) {\n" * 400 + "n = n + 1;\n"
+           + "}\n" * 400 + "print(n);\n")
+    assert run_source(ifs).output == "1\n"
+    # 400 nested declarations, each calling the one it declares
+    functions = ("function f() {\n" * 400 + "return 2;\n"
+                 + "}\nreturn f();\n" * 399 + "}\nprint(f());\n")
+    assert run_source(functions).output == "2\n"
+    # blocks have their own count: 400 levels of expression and 400 of
+    # blocks inside it are not too deep
+    parse_source("x = " + "(" * 399 + "function () {"
+                 + "function g() {" * 399 + "}" * 400 + ")" * 399 + ";")
+
+
 def test_parse_expression_entry():
     assert parse_expression("1 + 2") == Binary("+", NumberLit(1.0),
                                                NumberLit(2.0))
@@ -322,6 +386,13 @@ SNIPPETS = [
     "x = a ? b : c;\n",
     "y = (a == b) != (a :==: b);\n",
     "delete_me[0] = -1;\n",
+    # a member callee in parentheses is a plain call, not a method call
+    "x = (o.m)(1);\n",
+    "x = (o[k])(1);\n",
+    # the operand of 'new' has no call of its own
+    "x = new (f())(a, b);\n",
+    "x = new (o.m(1))(a, b);\n",
+    "x = new (new Proxy(a, b))(c, d);\n",
 ]
 
 
