@@ -29,6 +29,7 @@ import math
 import re
 from enum import Enum
 
+from . import proxies
 from .objects import NULL, UNDEFINED, HeapObject
 from .proxies import ProxyObject, get_equality_object
 
@@ -53,16 +54,29 @@ def raw_identical(a, b) -> bool:
 
 
 def resolve_for_mode(interp, value, mode: EqualityMode):
-    """The object (or primitive) an equality operand stands for."""
+    """The object (or primitive) an equality operand stands for.
+
+    Transparent and operators modes resolve unconditionally, pausing only
+    at revoked proxies. Targets are fixed and only revoke() revokes, so
+    the end of that walk changes only when the revocation count does: a
+    proxy operand answers from its endpoint memo while the memo's count is
+    current, and walks (and refreshes the memo) otherwise. The count is
+    read through its module at every check. Trap mode asks the votes
+    afresh every time."""
     if mode is EqualityMode.OPAQUE:
         return value
     if mode is EqualityMode.TRAP:
         return get_equality_object(interp, value)
-    # transparent and operators modes resolve unconditionally, pausing
-    # only at revoked proxies
-    while isinstance(value, ProxyObject) and not value.revoked:
-        value = value.target
-    return value
+    if value.__class__ is not ProxyObject or value.revoked:
+        return value
+    count, end = value.endpoint
+    if count == proxies.revocations:
+        return end
+    end = value.target
+    while end.__class__ is ProxyObject and not end.revoked:
+        end = end.target
+    value.endpoint = (proxies.revocations, end)
+    return end
 
 
 def strict_equals(interp, a, b, mode=None) -> bool:

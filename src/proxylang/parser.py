@@ -27,9 +27,12 @@ parse error.
 
 Every recursive rule is bounded, so no input can outrun the host stack.
 Expressions nest at most _MAX_NESTING (400) deep: each `expr`, including
-each arm of '?:', and each prefix '!' or '-' is one level. Blocks nest at
-most _MAX_NESTING deep too, counted on their own, so a block inside an
-expression does not lower the expression limit.
+each arm of '?:', and each prefix '!' or '-' is one level, and so is each
+binary operator or postfix suffix of a chain after its first, because
+printing and evaluation recurse once per link of a chain that the parser
+reads in a loop. Blocks nest at most _MAX_NESTING deep too, counted on
+their own, so a block inside an expression does not lower the expression
+limit.
 
 The parser works on a copy of the token list that ends in one token of
 kind "eof" with an empty lexeme, placed just past the last token (1:1 for
@@ -258,14 +261,17 @@ class _Parser:
 
     def parse_binary(self, min_level: int) -> Expr:
         """Precedence climbing: the longest left-associative run of binary
-        operators of level min_level or tighter."""
+        operators of level min_level or tighter. Each operator after the
+        first is one more level of expression nesting, until the run
+        ends."""
         left = self.parse_unary()
+        level = _LEVELS.get(self.tokens[self.pos].lexeme, 0)
+        if level < min_level:
+            return left
+        outer = self.nesting
         chain_op = None
         while True:
             op = self.tokens[self.pos].lexeme
-            level = _LEVELS.get(op, 0)
-            if level < min_level:
-                return left
             if level == _EQUALITY:
                 # every equality operator this call consumes is in one chain
                 if chain_op is not None and op != chain_op:
@@ -278,6 +284,12 @@ class _Parser:
             self.pos += 1
             right = self.parse_binary(level + 1)
             left = Binary(op, left, right, line=left.line)
+            level = _LEVELS.get(self.tokens[self.pos].lexeme, 0)
+            if level < min_level:
+                self.nesting = outer
+                return left
+            self.nesting = self.deeper(self.nesting, "expression",
+                                       self.tokens[self.pos])
 
     def parse_unary(self) -> Expr:
         tok = self.tokens[self.pos]
@@ -292,7 +304,10 @@ class _Parser:
 
     def parse_postfix(self, calls: bool) -> Expr:
         """A primary and its suffixes; with calls off, the operand of
-        'new', which leaves its '(' to the construction."""
+        'new', which leaves its '(' to the construction. As in a run of
+        binary operators, each suffix after the first ('.name', '[expr]'
+        or an argument list) is one more level of expression nesting,
+        until the chain ends."""
         tok = self.tokens[self.pos]
         if calls and tok.lexeme == "new":
             self.pos += 1
@@ -304,29 +319,36 @@ class _Parser:
                        line=tok.line)
         else:
             expr = self.parse_primary()
+        op = self.tokens[self.pos].lexeme
+        if op != "." and op != "[" and (op != "(" or not calls):
+            return expr
+        outer = self.nesting
         while True:
-            op = self.tokens[self.pos].lexeme
-            if op == ".":
-                self.pos += 1
-                key = self.expect_identifier("a property name").lexeme
-                computed = False
-            elif op == "[":
-                self.pos += 1
-                key = self.parse_expr()
-                self.expect("]")
-                computed = True
-            elif op == "(" and calls:
+            if op == "(":
                 expr = Call(expr, self.parse_list("(", ")", self.parse_expr),
                             line=expr.line)
-                continue
             else:
+                self.pos += 1
+                if op == ".":
+                    key = self.expect_identifier("a property name").lexeme
+                    computed = False
+                else:
+                    key = self.parse_expr()
+                    self.expect("]")
+                    computed = True
+                if calls and self.tokens[self.pos].lexeme == "(":
+                    expr = MethodCall(
+                        expr, key, computed,
+                        self.parse_list("(", ")", self.parse_expr),
+                        line=expr.line)
+                else:
+                    expr = PropertyGet(expr, key, computed, line=expr.line)
+            op = self.tokens[self.pos].lexeme
+            if op != "." and op != "[" and (op != "(" or not calls):
+                self.nesting = outer
                 return expr
-            if calls and self.tokens[self.pos].lexeme == "(":
-                expr = MethodCall(expr, key, computed,
-                                  self.parse_list("(", ")", self.parse_expr),
-                                  line=expr.line)
-            else:
-                expr = PropertyGet(expr, key, computed, line=expr.line)
+            self.nesting = self.deeper(self.nesting, "expression",
+                                       self.tokens[self.pos])
 
     def parse_primary(self) -> Expr:
         tok = self.tokens[self.pos]

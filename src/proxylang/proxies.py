@@ -9,6 +9,18 @@ revoked proxy answers every trapped operation with RevokedProxyError,
 but equality never raises: for resolution purposes a revoked proxy is
 simply its own endpoint.
 
+A proxy's target is fixed at construction, and revoke() is the only
+writer of ``revoked``, which only ever goes from false to true. So the
+endpoint of an unconditional look-through walk (transparent and
+operators modes, Proxy.isEqual, Proxy.isIdentical) can change only when
+some proxy is revoked. Each proxy memoises the endpoint of the last such
+walk started from it, stamped with the process-wide revocation count
+``revocations``, and the memo stands while the count is unchanged (see
+equality.resolve_for_mode). Trap-mode resolution is never memoised: its
+votes are language code that runs at every decision. The count is a
+plain global, so interpreters that share objects must stay on one
+thread.
+
 Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
 
@@ -29,13 +41,26 @@ from .objects import (NULL, UNDEFINED, HeapObject, OrdinaryObject,
                       format_number, kind_of, truthy)
 
 
+# how many proxies revoke() has revoked in this process; an endpoint memo
+# stamped with an older count may be stale
+revocations = 0
+
+# the memo of a proxy no walk has started from: no count matches it
+_NO_ENDPOINT = (-1, None)
+
+
 class ProxyObject(HeapObject):
-    __slots__ = ("target", "handler", "revoked")
+    """A target and a handler, both fixed at construction. ``revoked`` is
+    written only by revoke(). ``endpoint`` is (revocations, end): the end
+    of the last unconditional look-through walk started from this proxy,
+    and the revocation count it was taken at."""
+    __slots__ = ("target", "handler", "revoked", "endpoint")
 
     def __init__(self, target: HeapObject, handler: HeapObject):
         self.target = target
         self.handler = handler
         self.revoked = False
+        self.endpoint = _NO_ENDPOINT
 
     # --- internal operations ---
 
@@ -133,13 +158,17 @@ def proxy_create(interp, target, handler) -> ProxyObject:
 
 
 def revoke(interp, value) -> None:
-    """Permanently disable a proxy's traps. Revoking twice is a no-op."""
+    """Permanently disable a proxy's traps. Revoking twice is a no-op.
+    A revocation that takes effect stales every endpoint memo."""
+    global revocations
     if not isinstance(value, ProxyObject):
         if isinstance(value, HeapObject):
             raise LangTypeError(
                 "cannot revoke an object that is not a proxy")
         raise LangTypeError(f"cannot revoke a {kind_of(value)}")
-    value.revoked = True
+    if not value.revoked:
+        value.revoked = True
+        revocations += 1
 
 
 def is_transparent(interp, proxy: ProxyObject) -> bool:

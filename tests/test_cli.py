@@ -52,8 +52,13 @@ def test_run_parse_error(tmp_path, capsys):
      "ParseError at line 401, column 14: block nesting too deep"),
     ("x = a\n" + "? b : c\n" * 25000 + ";",
      "ParseError at line 401, column 3: expression nesting too deep"),
+    ("print(1\n" + "+ 1\n" * 30000 + ");",
+     "ParseError at line 401, column 1: expression nesting too deep"),
+    ("x = a\n" + ".a\n" * 30000 + ";",
+     "ParseError at line 402, column 1: expression nesting too deep"),
 ], ids=["7000 nested ifs", "5000 nested functions",
-        "25000-deep conditional chain"])
+        "25000-deep conditional chain", "30000-term sum",
+        "30000-long member read"])
 def test_run_too_deep_is_a_parse_error(tmp_path, text, diagnostic):
     # in a child process, so that a leaked RecursionError fails this test
     # with a traceback on stderr instead of ending the test run

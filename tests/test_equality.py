@@ -2,18 +2,20 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxylang import proxies
 from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 builtin_is_identical, loose_equals,
                                 opaque_loose_equals, opaque_strict_equals,
                                 primitive_loose_equals, raw_identical,
                                 resolve_for_mode, strict_equals,
                                 string_to_number)
-from proxylang.interpreter import Interpreter
+from proxylang.interpreter import Interpreter, run_source
 from proxylang.objects import NULL, UNDEFINED, OrdinaryObject
-from proxylang.proxies import proxy_create, revoke
+from proxylang.proxies import (ProxyObject, get_equality_object,
+                               proxy_create, revoke)
 
 MODES = list(EqualityMode)
 
@@ -147,6 +149,120 @@ def test_ref_never_equals_primitive():
             assert not strict_equals(interp, nodes[1], prim)
             assert not loose_equals(interp, nodes[1], prim)
             assert not loose_equals(interp, prim, nodes[0])
+
+
+# --- the look-through memo ---
+
+UNCONDITIONAL = (EqualityMode.TRANSPARENT, EqualityMode.OPERATORS)
+
+
+def fresh_end(value):
+    """The end of an unconditional look-through walk, taken afresh."""
+    while isinstance(value, ProxyObject) and not value.revoked:
+        value = value.target
+    return value
+
+
+# each step wraps one node, may revoke one proxy (through the interpreter
+# of one mode), then compares every node; nodes to wrap and proxies to
+# revoke are picked among the newest, so chains grow deep and branch, and
+# links inside chains compared the step before get revoked
+forest_steps = st.lists(
+    st.tuples(st.integers(0, 7), st.none() | st.integers(0, 7),
+              st.integers(0, len(MODES) - 1)),
+    min_size=1, max_size=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_steps)
+def test_memoised_resolution_matches_a_fresh_walk(steps):
+    # the objects are shared by one interpreter per mode, and every
+    # comparison is checked against a fresh walk in all four
+    interps = [Interpreter(mode=mode) for mode in MODES]
+    home = interps[0]
+    nodes = [home.heap.alloc_object() for _ in range(3)]
+    made = []
+    for wrap, revoked, via in steps:
+        made.append(proxy_create(home, nodes[-1 - wrap % len(nodes)],
+                                 home.heap.alloc_object()))
+        nodes.append(made[-1])
+        if revoked is not None:
+            revoke(interps[via], made[-1 - revoked % len(made)])
+        b = nodes[-1 - wrap % len(nodes)]
+        for a in nodes:
+            same = fresh_end(a) is fresh_end(b)
+            for interp in interps:
+                if interp.mode in UNCONDITIONAL:
+                    assert resolve_for_mode(interp, a, interp.mode) \
+                        is fresh_end(a)
+                    assert strict_equals(interp, a, b) == same
+                    assert loose_equals(interp, b, a) == same
+                else:
+                    assert resolve_for_mode(interp, a, interp.mode) \
+                        is (a if interp.mode is EqualityMode.OPAQUE
+                            else get_equality_object(interp, a))
+                assert builtin_is_identical(interp, a, b) == same
+                assert builtin_is_equal(interp, b, a) == same
+
+
+def test_revocation_through_another_interpreter_stales_the_memo():
+    first = interp_for(EqualityMode.TRANSPARENT)
+    second = interp_for(EqualityMode.OPAQUE)
+    nodes = chain(first, [None, None, None])
+    assert resolve_for_mode(first, nodes[3], EqualityMode.TRANSPARENT) \
+        is nodes[0]
+    revoke(second, nodes[2])
+    assert resolve_for_mode(first, nodes[3], EqualityMode.TRANSPARENT) \
+        is nodes[2]
+    # a second revocation is a no-op: the count, and so every memo, stands
+    count = proxies.revocations
+    revoke(second, nodes[2])
+    assert proxies.revocations == count
+    assert nodes[3].endpoint == (count, nodes[2])
+
+
+def test_only_resolved_operands_carry_a_memo():
+    interp = interp_for(EqualityMode.OPERATORS)
+    nodes = chain(interp, [None, None, None])
+    assert strict_equals(interp, nodes[3], nodes[0])
+    assert [node.endpoint[1] for node in nodes[1:]] \
+        == [None, None, nodes[0]]
+    # trap mode never memoises
+    trap = interp_for(EqualityMode.TRAP)
+    nodes = chain(trap, [True, True])
+    assert strict_equals(trap, nodes[2], nodes[0])
+    assert [node.endpoint[1] for node in nodes[1:]] == [None, None]
+
+
+INVALIDATION = """
+function link(t) {
+    return new Proxy(t, {isTransparent: function(t, p) { return true; }});
+}
+var o = {};
+var middle = link(link(o));
+var p = link(middle);
+var m = WeakMap();
+m.set(o, 1);
+"""
+PROBE = "print(p === o, Proxy.isIdentical(p, o), m.get(p));\n"
+REVOKE = "Proxy.revoke(middle);\n"
+
+
+@pytest.mark.parametrize("mode,before,after", [
+    ("opaque", "false true undefined", "false false undefined"),
+    ("transparent", "true true 1", "false false undefined"),
+    ("operators", "true true 1", "false false undefined"),
+    ("trap", "true true 1", "false false undefined"),
+])
+def test_revoking_a_middle_link_flips_earlier_answers(mode, before, after):
+    # every answer after the revocation is the one a run that never
+    # compared before it gives; revoking again changes nothing
+    warm = run_source(INVALIDATION + PROBE + REVOKE + PROBE + REVOKE + PROBE,
+                      mode=mode)
+    cold = run_source(INVALIDATION + REVOKE + PROBE, mode=mode)
+    assert warm.ok and cold.ok
+    assert warm.output.splitlines() == [before, after, after]
+    assert cold.output.splitlines() == [after]
 
 
 # --- primitive coercion table behaviors ---

@@ -4,7 +4,9 @@ A language call and a trap-mode isTransparent vote each pass through a
 fixed chain of Python frames. These tests count the frames one call and
 one vote enter (sys.setprofile "call" events) and bound them by today's
 count, so that a refactor that puts frames back on the call path fails
-here instead of only showing up as a slower trap-mode benchmark. The
+here instead of only showing up as a slower trap-mode benchmark. A
+repeated look-through of a deep proxy chain is bounded in lines run
+(sys.settrace "line" events), so that losing its memo fails here. The
 parser's deepest inputs are bounded the same way, both in frames entered
 and in frames on the stack at once, which HOST_RECURSION_LIMIT must
 cover.
@@ -60,6 +62,45 @@ def test_one_trap_mode_vote():
     assert names.count("is_transparent") == 1
     assert names.count("invoke") == 1
     assert len(names) <= 17, names
+
+
+def lines_run(mode, setup, expression):
+    """How many Python lines a second evaluation of expression runs
+    (sys.settrace "line" events), after setup and a first evaluation."""
+    interp = Interpreter(mode=mode)
+    assert evaluate_program(parse_source(setup), interp).ok
+    node = parse_expression(expression)
+    evaluate = _EVAL[node.__class__]
+    first = evaluate(interp, node, interp.globals)
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        value = evaluate(interp, node, interp.globals)
+    finally:
+        sys.settrace(None)
+    assert value == first
+    return value, lines
+
+
+def test_look_through_is_memoised():
+    # the first Proxy.isIdentical walks 10,000 links; the second answers
+    # from the operand's endpoint memo, so the chain's depth is not paid
+    # again: 59 lines, where an unmemoised walk runs two lines a link,
+    # 20,057 in all
+    value, lines = lines_run(
+        "opaque",
+        "var o = {}; var p = o; var i = 0;"
+        "while (i < 10000) { p = new Proxy(p, {}); i = i + 1; }",
+        "Proxy.isIdentical(p, o)")
+    assert value is True
+    assert lines <= 100, lines
 
 
 def parse_frames(source):

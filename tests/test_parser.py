@@ -324,6 +324,23 @@ DEEP_INPUTS = [
     pytest.param("x = a\n" + "? b : c\n" * 25000 + ";",
                  ("expression nesting too deep", 401, 3),
                  id="25000-deep conditional chain"),
+    # flat chains are parsed in a loop, but each link is one more level of
+    # the tree that printing and evaluation recurse through
+    pytest.param("x = 1\n" + "+ 1\n" * 30000 + ";",
+                 ("expression nesting too deep", 402, 1),
+                 id="30000-term sum"),
+    pytest.param("print(1\n" + "+ 1\n" * 30000 + ");",
+                 ("expression nesting too deep", 401, 1),
+                 id="30000-term sum as an argument"),
+    pytest.param("x = a\n" + ".a\n" * 30000 + ";",
+                 ("expression nesting too deep", 402, 1),
+                 id="30000-long member read"),
+    pytest.param("x = o\n" + "[0]\n" * 30000 + ";",
+                 ("expression nesting too deep", 401, 2),
+                 id="30000-long index read"),
+    pytest.param("x = new C\n" + "()\n" * 30000 + ";",
+                 ("expression nesting too deep", 403, 1),
+                 id="30000-long call chain"),
 ]
 
 
@@ -358,6 +375,28 @@ def test_deepest_block_nesting_parses_and_runs():
     # blocks inside it are not too deep
     parse_source("x = " + "(" * 399 + "function () {"
                  + "function g() {" * 399 + "}" * 400 + ")" * 399 + ";")
+
+
+def test_longest_flat_chains_parse_print_and_run():
+    # each link of a chain after the first is one level: an argument of
+    # print is at level 2, so 399 operators or suffixes are the most
+    def sums(n):
+        return "print(" + "1 + " * n + "1);"
+
+    def reads(n):
+        return "var a = {}; a.a = a; print(" + "a." * n + "a === a);"
+
+    assert run_source(sums(399)).output == "400\n"
+    assert run_source(reads(399)).output == "true\n"
+    assert pretty_print(parse_source(sums(399))) \
+        == "print(" + "(" * 399 + "1" + " + 1)" * 399 + ");\n"
+    for source in (sums(400), reads(400)):
+        with pytest.raises(ParseError) as exc:
+            parse_source(source)
+        assert exc.value.message == "expression nesting too deep"
+    # an expression whose every chain has one operator or one suffix is
+    # bounded exactly as before: a sum at the deepest level parses
+    parse_source("x = " + "(" * 399 + "f() + a.b" + ")" * 399 + ";")
 
 
 def test_parse_expression_entry():
