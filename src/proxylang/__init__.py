@@ -10,7 +10,7 @@ from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        strict_equals)
 from .interpreter import (Environment, ExecutionResult, Interpreter,
                           evaluate_program, run_source)
-from .lexer import Token, tokenize
+from .lexer import tokenize
 from .nodes import Program, pretty_print
 from .objects import NULL, UNDEFINED, Heap, HeapObject, render_value
 from .parser import parse, parse_expression, parse_source
@@ -27,7 +27,7 @@ __all__ = [
     "raw_identical", "resolve_for_mode", "strict_equals",
     "Environment", "ExecutionResult", "Interpreter", "evaluate_program",
     "run_source",
-    "Token", "tokenize",
+    "tokenize",
     "Program", "pretty_print",
     "NULL", "UNDEFINED", "Heap", "HeapObject", "render_value",
     "parse", "parse_expression", "parse_source",

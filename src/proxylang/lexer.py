@@ -1,7 +1,11 @@
-"""Tokenizer for .plx source text."""
+"""Tokenizer for .plx source text.
+
+A token is a plain tuple (kind, lexeme, line, column): kind is "identifier",
+"keyword", "number", "string" or "punctuator", and line and column are
+1-based and point at the lexeme's first character.
+"""
 
 import re
-from dataclasses import dataclass
 
 from .errors import LexError
 
@@ -10,13 +14,15 @@ KEYWORDS = frozenset([
     "true", "false", "null", "undefined",
 ])
 
-# Longest lexeme first so maximal munch falls out of ordered alternation:
-# ':===:' must win over ':==:', and '===' over '=='.
+# Every punctuator. _TOKEN's punctuator group spells them out so that the
+# longest wins (maximal munch): ':===:' over ':==:', '===' over '=='.
 PUNCTUATORS = (
     ":===:", ":==:", "===", "!==", "==", "!=", "<=", ">=", "&&", "||",
     "(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
     "=", "<", ">", "+", "-", "*", "/", "!",
 )
+
+WORD = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")  # a keyword or identifier
 
 ESCAPES = {"n": "\n", "t": "\t", '"': '"', "'": "'", "\\": "\\"}
 
@@ -31,69 +37,63 @@ def _string_body(quote: str) -> str:
 
 
 # Each match is a run of blanks and then one token, newline or comment, so
-# blanks cost no match of their own. The alternatives are tried in
-# order, so the order is the lexer's tie-break: comments come before the
-# '/' punctuator, a valid string before the catch-all that reports a broken
-# one, and the catch-all comes last, where anything it matches is an error.
-# The catch-all excludes blanks: otherwise, at blanks that end the input,
-# the regex would give blanks back from the run and report one of them.
+# blanks cost no match of their own. The alternatives are tried in order,
+# the frequent kinds first: every kind but the punctuators starts with a
+# character of its own, and the punctuators are one group led by a
+# character class. A '/' is the punctuator only when no '/' or '*' follows
+# it, so that comments win over it, and one that is no comment either
+# opens a comment that never closes. A valid string comes before the
+# catch-all that reports a broken one, and the catch-all comes last, where
+# anything it matches is an error. The catch-all excludes blanks:
+# otherwise, at blanks that end the input, the regex would give blanks
+# back from the run and report one of them.
 _TOKEN = re.compile("[ \t\r\v\f]*(?:" + "|".join([
-    r"(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)",
-    r"(?P<comment>//[^\n]*|/\*.*?\*/)",
-    r"(?P<open_comment>/\*)",
-    "(?P<punctuator>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+    "(?P<word>" + WORD.pattern + ")",
+    r"(?P<punctuator>[(){}\[\];,.?+*-]|:===?:|[=!](?:==?)?|[<>]=?|&&|\|\|"
+    r"|:|/(?![/*]))",
     r"(?P<number>[0-9]+(?:\.[0-9]+)?)",
     r"(?P<newline>\n)",
+    r"(?P<comment>//[^\n]*|/\*.*?\*/)",
     "(?P<string>" + "|".join(q + _string_body(q) + q for q in "\"'") + ")",
     r"(?P<error>[^ \t\r\v\f])",
 ]) + ")", re.DOTALL)
 _STRING_BODY = {q: re.compile(_string_body(q)) for q in "\"'"}
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # "identifier" | "keyword" | "number" | "string" | "punctuator"
-    lexeme: str
-    line: int
-    column: int
-
-
-def tokenize(source: str) -> list[Token]:
-    """Split source into tokens.
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """Split source into (kind, lexeme, line, column) tokens.
 
     Skips whitespace, '//' line comments, and '/* */' block comments.
     Unterminated strings or block comments, unsupported escape sequences,
     and characters outside the language raise LexError with a position.
     """
-    tokens: list[Token] = []
-    line, line_start = 1, 0
+    tokens = []
+    line, last_newline = 1, -1  # column = index - last_newline
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        lexeme = m.group(kind)
-        pos = m.end() - len(lexeme)
+        lexeme = m[kind]
         if kind == "word":
-            tokens.append(Token("keyword" if lexeme in KEYWORDS
-                                else "identifier",
-                                lexeme, line, pos - line_start + 1))
+            tokens.append(("keyword" if lexeme in KEYWORDS else "identifier",
+                           lexeme, line, m.start(kind) - last_newline))
         elif kind == "punctuator" or kind == "number" or kind == "string":
-            tokens.append(Token(kind, lexeme, line, pos - line_start + 1))
+            tokens.append((kind, lexeme, line, m.start(kind) - last_newline))
         elif kind == "newline":
             line += 1
-            line_start = pos + 1
+            last_newline = m.end() - 1
         elif kind == "comment":
             newlines = lexeme.count("\n")
             if newlines:
                 line += newlines
-                line_start = pos + lexeme.rfind("\n") + 1
-        elif kind == "open_comment":
-            raise LexError("unterminated block comment",
-                           line, pos - line_start + 1)
+                last_newline = m.start(kind) + lexeme.rfind("\n")
         else:
-            _raise_error(source, lexeme, pos, line, pos - line_start + 1)
+            pos = m.start(kind)
+            _raise_error(source, lexeme, pos, line, pos - last_newline)
     return tokens
 
 
 def _raise_error(source: str, ch: str, pos: int, line: int, column: int):
+    if ch == "/":
+        raise LexError("unterminated block comment", line, column)
     if ch in _STRING_BODY:
         end = _STRING_BODY[ch].match(source, pos + 1).end()
         if source.startswith("\\", end) and end + 1 < len(source):
@@ -106,4 +106,6 @@ def _raise_error(source: str, ch: str, pos: int, line: int, column: int):
 
 def decode_string_lexeme(lexeme: str) -> str:
     """Turn a string token's lexeme (quotes included) into its value."""
+    if "\\" not in lexeme:
+        return lexeme[1:-1]
     return re.sub(r"\\(.)", lambda m: ESCAPES[m.group(1)], lexeme[1:-1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Optional, Union
 
-from .lexer import KEYWORDS
+from .lexer import ESCAPES, KEYWORDS, WORD
 
 
 def _pos():
@@ -223,29 +223,17 @@ def number_literal(value: float) -> str:
     return format(Decimal(value), "f")
 
 
+# a double-quoted string escapes what the lexer's ESCAPES stand for, but "'"
+_ESCAPED = str.maketrans({value: "\\" + name
+                          for name, value in ESCAPES.items() if name != "'"})
+
+
 def string_literal(value: str) -> str:
-    out = ['"']
-    for ch in value:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + value.translate(_ESCAPED) + '"'
 
 
 def _is_plain_key(key: str) -> bool:
-    if not key or key in KEYWORDS:
-        return False
-    if key[0] not in "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$":
-        return False
-    return all(c.isascii() and (c.isalnum() or c in "_$") for c in key[1:])
+    return key not in KEYWORDS and WORD.fullmatch(key) is not None
 
 
 def _expr(e) -> str:
@@ -275,9 +263,10 @@ def _expr(e) -> str:
     if isinstance(e, PropertyGet):
         return _member(e.obj, e.key, e.computed)
     if isinstance(e, Call):
-        # a bare member callee would read back as a MethodCall
+        # a bare member callee would read back as a MethodCall, and a
+        # prefix operator would apply to the call
         callee = _expr(e.callee)
-        if isinstance(e.callee, PropertyGet):
+        if isinstance(e.callee, (PropertyGet, Unary)):
             callee = f"({callee})"
         return f"{callee}({_args(e.args)})"
     if isinstance(e, MethodCall):
@@ -290,7 +279,8 @@ def _expr(e) -> str:
     if isinstance(e, Binary):
         return f"({_expr(e.left)} {e.op} {_expr(e.right)})"
     if isinstance(e, Unary):
-        return f"({e.op}{_expr(e.operand)})"
+        # no punctuator starts with two of '!' and '-': '--y' is two '-'
+        return e.op + _expr(e.operand)
     if isinstance(e, Conditional):
         return f"({_expr(e.cond)} ? {_expr(e.then)} : {_expr(e.otherwise)})"
     raise TypeError(f"not an expression node: {e!r}")
@@ -298,14 +288,16 @@ def _expr(e) -> str:
 
 def _is_new_operand(e) -> bool:
     """Whether e prints as the operand of 'new': a primary and property
-    accesses, with no call or construction of its own."""
+    accesses, with no call, construction or prefix operator of its own."""
     while isinstance(e, PropertyGet):
         e = e.obj
-    return not isinstance(e, (Call, MethodCall, New))
+    return not isinstance(e, (Call, MethodCall, New, Unary))
 
 
 def _member(obj, key, computed) -> str:
     base = _expr(obj)
+    if isinstance(obj, Unary):  # a suffix binds tighter
+        base = f"({base})"
     if computed:
         return f"{base}[{_expr(key)}]"
     return f"{base}.{key}"

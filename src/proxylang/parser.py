@@ -30,21 +30,23 @@ Expressions nest at most _MAX_NESTING (400) deep: each `expr`, including
 each arm of '?:', and each prefix '!' or '-' is one level, and so is each
 binary operator or postfix suffix of a chain after its first, because
 printing and evaluation recurse once per link of a chain that the parser
-reads in a loop. Blocks nest at most _MAX_NESTING deep too, counted on
+reads in a loop; a chain also counts the left spine of a parenthesised
+first operand. Blocks nest at most _MAX_NESTING deep too, counted on
 their own, so a block inside an expression does not lower the expression
 limit.
 
-The parser works on a copy of the token list that ends in one token of
-kind "eof" with an empty lexeme, placed just past the last token (1:1 for
-no tokens), so the current token is always `tokens[pos]` and an error at
-end of input points there. Punctuators and keywords are matched by lexeme
-alone: no token of another kind can have the same lexeme.
+The parser works on a copy of the lexer's (kind, lexeme, line, column)
+tokens that ends in ("eof", "", line, column) just past the last token
+(1:1 for no tokens), so the current token is always `tokens[pos]` and an
+error at end of input points there. Punctuators and keywords are matched
+by lexeme alone: no token of another kind can have the same lexeme.
 """
 
 import sys
+from operator import attrgetter
 
 from .errors import ParseError
-from .lexer import Token, decode_string_lexeme, tokenize
+from .lexer import decode_string_lexeme, tokenize
 from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     ExprStmt, Expr, FunctionDecl, FunctionExpr, Identifier,
                     If, MethodCall, New, NullLit, NumberLit, ObjectLit,
@@ -78,14 +80,10 @@ def ensure_recursion_limit() -> None:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple]):
         ensure_recursion_limit()
-        if tokens:
-            last = tokens[-1]
-            eof = Token("eof", "", last.line, last.column + len(last.lexeme))
-        else:
-            eof = Token("eof", "", 1, 1)
-        self.tokens = [*tokens, eof]
+        _, lexeme, line, column = tokens[-1] if tokens else ("", "", 1, 1)
+        self.tokens = [*tokens, ("eof", "", line, column + len(lexeme))]
         self.pos = 0
         self.fn_depth = 0
         self.nesting = 0  # expression depth
@@ -93,51 +91,46 @@ class _Parser:
 
     # --- token plumbing ---
 
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str, token: Token):
-        raise ParseError(message, token.line, token.column,
-                         at_eof=token.kind == "eof")
+    def error(self, message: str, token: tuple):
+        kind, _, line, column = token
+        raise ParseError(message, line, column, at_eof=kind == "eof")
 
     def expected(self, what: str):
         tok = self.tokens[self.pos]
-        if tok.kind == "eof":
+        if tok[0] == "eof":
             self.error(f"expected {what} but reached end of input", tok)
-        self.error(f"expected {what} but found '{tok.lexeme}'", tok)
+        self.error(f"expected {what} but found '{tok[1]}'", tok)
 
     def match(self, lexeme: str) -> bool:
-        if self.tokens[self.pos].lexeme == lexeme:
+        if self.tokens[self.pos][1] == lexeme:
             self.pos += 1
             return True
         return False
 
-    def expect(self, lexeme: str) -> Token:
+    def expect(self, lexeme: str) -> tuple:
         tok = self.tokens[self.pos]
-        if tok.lexeme != lexeme:
+        if tok[1] != lexeme:
             self.expected(f"'{lexeme}'")
         self.pos += 1
         return tok
 
-    def expect_identifier(self, what: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "identifier":
+    def expect_identifier(self, what: str) -> str:
+        kind, lexeme, _, _ = self.tokens[self.pos]
+        if kind != "identifier":
             self.expected(what)
         self.pos += 1
-        return tok
+        return lexeme
 
     # --- statements ---
 
     def parse_program(self) -> Program:
         statements = []
-        while self.tokens[self.pos].kind != "eof":
+        while self.tokens[self.pos][0] != "eof":
             statements.append(self.parse_statement())
         return Program(statements, line=1)
 
     def parse_statement(self):
-        lexeme = self.tokens[self.pos].lexeme
+        lexeme = self.tokens[self.pos][1]
         if lexeme == "var":
             return self.parse_var()
         if lexeme == "function":
@@ -153,61 +146,61 @@ class _Parser:
         return self.parse_expression_statement()
 
     def parse_var(self) -> VarDecl:
-        tok = self.take()
+        tok = self.expect("var")
         name = self.expect_identifier("a variable name")
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
-        return VarDecl(name.lexeme, init, line=tok.line)
+        return VarDecl(name, init, line=tok[2])
 
     def parse_function_decl(self) -> FunctionDecl:
-        tok = self.take()
+        tok = self.expect("function")
         name = self.expect_identifier("a function name")
         params = self.parse_params()
-        return FunctionDecl(name.lexeme, params, self.parse_function_body(),
-                            line=tok.line)
+        return FunctionDecl(name, params, self.parse_function_body(),
+                            line=tok[2])
 
     def parse_params(self) -> list:
         return self.parse_list("(", ")", lambda: self.expect_identifier(
-            "a parameter name").lexeme)
+            "a parameter name"))
 
     def parse_block(self) -> Block:
         open_tok = self.expect("{")
         self.blocks = self.deeper(self.blocks, "block", open_tok)
         statements = []
         while not self.match("}"):
-            if self.tokens[self.pos].kind == "eof":
+            if self.tokens[self.pos][0] == "eof":
                 self.expected("'}'")
             statements.append(self.parse_statement())
         self.blocks -= 1
-        return Block(statements, line=open_tok.line)
+        return Block(statements, line=open_tok[2])
 
     def parse_if(self) -> If:
-        tok = self.take()
+        tok = self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         then = self.parse_block()
         otherwise = self.parse_block() if self.match("else") else None
-        return If(cond, then, otherwise, line=tok.line)
+        return If(cond, then, otherwise, line=tok[2])
 
     def parse_while(self) -> While:
-        tok = self.take()
+        tok = self.expect("while")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_block()
-        return While(cond, body, line=tok.line)
+        return While(cond, body, line=tok[2])
 
     def parse_return(self) -> Return:
-        tok = self.take()
+        tok = self.expect("return")
         if self.fn_depth == 0:
             self.error("'return' outside of a function", tok)
         value = None
         if not self.match(";"):
             value = self.parse_expr()
             self.expect(";")
-        return Return(value, line=tok.line)
+        return Return(value, line=tok[2])
 
     def parse_expression_statement(self):
         expr = self.parse_expr()
@@ -226,12 +219,14 @@ class _Parser:
 
     # --- shared rules ---
 
-    def deeper(self, depth: int, what: str, tok: Token) -> int:
-        """One more level of nesting; a ParseError at tok past
-        _MAX_NESTING. Callers count down again only on success: a
-        ParseError abandons its parser, so no count is ever unwound."""
+    def deeper(self, depth: int, what: str = "expression",
+               tok: tuple | None = None) -> int:
+        """One more level of nesting; past _MAX_NESTING, a ParseError at tok
+        (the current token by default). A ParseError abandons its parser,
+        so callers count down again only on success."""
         if depth >= _MAX_NESTING:
-            raise ParseError(f"{what} nesting too deep", tok.line, tok.column)
+            _, _, line, column = tok or self.tokens[self.pos]
+            raise ParseError(f"{what} nesting too deep", line, column)
         return depth + 1
 
     def parse_list(self, open_: str, close: str, parse_item) -> list:
@@ -249,8 +244,7 @@ class _Parser:
     # --- expressions ---
 
     def parse_expr(self) -> Expr:
-        self.nesting = self.deeper(self.nesting, "expression",
-                                   self.tokens[self.pos])
+        self.nesting = self.deeper(self.nesting)
         expr = self.parse_binary(1)
         if self.match("?"):
             then = self.parse_expr()
@@ -264,14 +258,17 @@ class _Parser:
         operators of level min_level or tighter. Each operator after the
         first is one more level of expression nesting, until the run
         ends."""
+        start = self.pos
         left = self.parse_unary()
-        level = _LEVELS.get(self.tokens[self.pos].lexeme, 0)
+        level = _LEVELS.get(self.tokens[self.pos][1], 0)
         if level < min_level:
             return left
         outer = self.nesting
+        if self.tokens[start][1] == "(":
+            self.nesting = self.deeper(outer + _spine(left) - 1)
         chain_op = None
         while True:
-            op = self.tokens[self.pos].lexeme
+            op = self.tokens[self.pos][1]
             if level == _EQUALITY:
                 # every equality operator this call consumes is in one chain
                 if chain_op is not None and op != chain_op:
@@ -284,22 +281,21 @@ class _Parser:
             self.pos += 1
             right = self.parse_binary(level + 1)
             left = Binary(op, left, right, line=left.line)
-            level = _LEVELS.get(self.tokens[self.pos].lexeme, 0)
+            level = _LEVELS.get(self.tokens[self.pos][1], 0)
             if level < min_level:
                 self.nesting = outer
                 return left
-            self.nesting = self.deeper(self.nesting, "expression",
-                                       self.tokens[self.pos])
+            self.nesting = self.deeper(self.nesting)
 
     def parse_unary(self) -> Expr:
         tok = self.tokens[self.pos]
-        op = tok.lexeme
+        op = tok[1]
         if op == "!" or op == "-":
+            self.nesting = self.deeper(self.nesting)
             self.pos += 1
-            self.nesting = self.deeper(self.nesting, "expression", tok)
             operand = self.parse_unary()
             self.nesting -= 1
-            return Unary(op, operand, line=tok.line)
+            return Unary(op, operand, line=tok[2])
         return self.parse_postfix(True)
 
     def parse_postfix(self, calls: bool) -> Expr:
@@ -309,20 +305,22 @@ class _Parser:
         or an argument list) is one more level of expression nesting,
         until the chain ends."""
         tok = self.tokens[self.pos]
-        if calls and tok.lexeme == "new":
+        if calls and tok[1] == "new":
             self.pos += 1
             callee = self.parse_postfix(False)
-            if self.tokens[self.pos].lexeme != "(":
+            if self.tokens[self.pos][1] != "(":
                 self.error("expected '(' after the constructed value",
                            self.tokens[self.pos])
             expr = New(callee, self.parse_list("(", ")", self.parse_expr),
-                       line=tok.line)
+                       line=tok[2])
         else:
             expr = self.parse_primary()
-        op = self.tokens[self.pos].lexeme
+        op = self.tokens[self.pos][1]
         if op != "." and op != "[" and (op != "(" or not calls):
             return expr
         outer = self.nesting
+        if tok[1] == "(":
+            self.nesting = self.deeper(outer + _spine(expr) - 1)
         while True:
             if op == "(":
                 expr = Call(expr, self.parse_list("(", ")", self.parse_expr),
@@ -330,63 +328,57 @@ class _Parser:
             else:
                 self.pos += 1
                 if op == ".":
-                    key = self.expect_identifier("a property name").lexeme
+                    key = self.expect_identifier("a property name")
                     computed = False
                 else:
                     key = self.parse_expr()
                     self.expect("]")
                     computed = True
-                if calls and self.tokens[self.pos].lexeme == "(":
+                if calls and self.tokens[self.pos][1] == "(":
                     expr = MethodCall(
                         expr, key, computed,
                         self.parse_list("(", ")", self.parse_expr),
                         line=expr.line)
                 else:
                     expr = PropertyGet(expr, key, computed, line=expr.line)
-            op = self.tokens[self.pos].lexeme
+            op = self.tokens[self.pos][1]
             if op != "." and op != "[" and (op != "(" or not calls):
                 self.nesting = outer
                 return expr
-            self.nesting = self.deeper(self.nesting, "expression",
-                                       self.tokens[self.pos])
+            self.nesting = self.deeper(self.nesting)
 
     def parse_primary(self) -> Expr:
-        tok = self.tokens[self.pos]
-        kind, lexeme = tok.kind, tok.lexeme
+        kind, lexeme, line, _ = self.tokens[self.pos]
+        self.pos += 1
         if kind == "number":
-            self.pos += 1
-            return NumberLit(float(lexeme), line=tok.line)
+            return NumberLit(float(lexeme), line=line)
         if kind == "string":
-            self.pos += 1
-            return StringLit(decode_string_lexeme(lexeme), line=tok.line)
+            return StringLit(decode_string_lexeme(lexeme), line=line)
         if kind == "identifier":
-            self.pos += 1
-            return Identifier(lexeme, line=tok.line)
+            return Identifier(lexeme, line=line)
         if lexeme == "true" or lexeme == "false":
-            self.pos += 1
-            return BoolLit(lexeme == "true", line=tok.line)
+            return BoolLit(lexeme == "true", line=line)
         if lexeme == "null":
-            self.pos += 1
-            return NullLit(line=tok.line)
+            return NullLit(line=line)
         if lexeme == "undefined":
-            self.pos += 1
-            return UndefinedLit(line=tok.line)
-        if lexeme == "function":
-            return self.parse_function_expr()
+            return UndefinedLit(line=line)
         if lexeme == "(":
-            self.pos += 1
             expr = self.parse_expr()
             self.expect(")")
             return expr
+        # the rest read their first token themselves
+        self.pos -= 1
+        if lexeme == "function":
+            return self.parse_function_expr()
         if lexeme == "{":
             entries = self.parse_list("{", "}", self.parse_object_entry)
-            return ObjectLit(entries, line=tok.line)
+            return ObjectLit(entries, line=line)
         self.expected("an expression")
 
     def parse_function_expr(self) -> FunctionExpr:
-        tok = self.take()
+        tok = self.expect("function")
         params = self.parse_params()
-        return FunctionExpr(params, self.parse_function_body(), line=tok.line)
+        return FunctionExpr(params, self.parse_function_body(), line=tok[2])
 
     def parse_function_body(self) -> Block:
         self.fn_depth += 1
@@ -395,13 +387,13 @@ class _Parser:
         return body
 
     def parse_object_entry(self):
-        tok = self.tokens[self.pos]
-        if tok.kind in ("identifier", "keyword"):
-            key = tok.lexeme
-        elif tok.kind == "string":
-            key = decode_string_lexeme(tok.lexeme)
-        elif tok.kind == "number":
-            key = format_number(float(tok.lexeme))
+        kind, lexeme, _, _ = self.tokens[self.pos]
+        if kind == "identifier" or kind == "keyword":
+            key = lexeme
+        elif kind == "string":
+            key = decode_string_lexeme(lexeme)
+        elif kind == "number":
+            key = format_number(float(lexeme))
         else:
             self.expected("a property key")
         self.pos += 1
@@ -409,7 +401,21 @@ class _Parser:
         return (key, self.parse_expr())
 
 
-def parse(tokens: list[Token]) -> Program:
+_LEFT = {Binary: attrgetter("left"), PropertyGet: attrgetter("obj"),
+         MethodCall: attrgetter("obj"), Call: attrgetter("callee")}
+
+
+def _spine(expr: Expr) -> int:
+    """How many binary, member and call nodes lie on expr's left spine,
+    following each one's left operand (_LEFT)."""
+    links = 0
+    while expr.__class__ in _LEFT:
+        expr = _LEFT[expr.__class__](expr)
+        links += 1
+    return links
+
+
+def parse(tokens: list[tuple]) -> Program:
     return _Parser(tokens).parse_program()
 
 
@@ -422,7 +428,7 @@ def parse_expression(source: str) -> Expr:
     parser = _Parser(tokenize(source))
     expr = parser.parse_expr()
     leftover = parser.tokens[parser.pos]
-    if leftover.kind != "eof":
-        parser.error(f"unexpected '{leftover.lexeme}' after the expression",
+    if leftover[0] != "eof":
+        parser.error(f"unexpected '{leftover[1]}' after the expression",
                      leftover)
     return expr

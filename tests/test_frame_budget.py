@@ -9,7 +9,7 @@ repeated look-through of a deep proxy chain is bounded in lines run
 (sys.settrace "line" events), so that losing its memo fails here. The
 parser's deepest inputs are bounded the same way, both in frames entered
 and in frames on the stack at once, which HOST_RECURSION_LIMIT must
-cover.
+cover, and so is the lexer, which enters no frame per token.
 """
 
 import gc
@@ -18,6 +18,7 @@ import sys
 from proxylang.interpreter import _EVAL, Interpreter, evaluate_program
 from proxylang.lexer import tokenize
 from proxylang.parser import parse, parse_expression, parse_source
+from proxylang.prelude import default_prelude_source
 
 
 def frames_entered(mode, setup, expression):
@@ -103,11 +104,11 @@ def test_look_through_is_memoised():
     assert lines <= 100, lines
 
 
-def parse_frames(source):
-    """How many Python frames parsing source's tokens entered, and how
-    many of them were on the stack at once at the deepest point. The
-    collector is off meanwhile, so no collection callback is counted."""
-    tokens = tokenize(source)
+def frames(function, argument):
+    """How many Python frames function(argument) entered, itself
+    included, and how many of them were on the stack at once at the
+    deepest point. The collector is off meanwhile, so no collection
+    callback is counted."""
     entered = depth = deepest = 0
 
     def profile(frame, event, arg):
@@ -123,12 +124,21 @@ def parse_frames(source):
     gc.disable()
     sys.setprofile(profile)
     try:
-        parse(tokens)
+        function(argument)
     finally:
         sys.setprofile(None)
         if collecting:
             gc.enable()
     return entered, deepest
+
+
+def test_tokenize_enters_no_frame_per_token():
+    # a token is a tuple, so lexing the prelude's 721 tokens enters
+    # tokenize alone; a token class enters its __init__ once a token (722)
+    source = default_prelude_source()
+    assert len(tokenize(source)) > 700
+    entered, _ = frames(tokenize, source)
+    assert entered <= 2, entered
 
 
 def test_deepest_parses():
@@ -139,6 +149,6 @@ def test_deepest_parses():
              ("if (a) {" * 400 + "}" * 400, 9604, 1207),
              ("x = " + "a ? b : " * 399 + "c;", 7209, 409)]
     for source, most_entered, most_deep in cases:
-        entered, deepest = parse_frames(source)
+        entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]
         assert deepest <= most_deep, source[:20]

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
                              ExprStmt, FunctionDecl, FunctionExpr,
                              Identifier, If, MethodCall, New, NumberLit,
                              ObjectLit, PropertyGet, PropertySet, Return,
-                             StringLit, VarDecl, While, pretty_print)
+                             StringLit, Unary, VarDecl, While,
+                             pretty_print)
 from proxylang.lexer import tokenize
 from proxylang.parser import parse, parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
@@ -341,6 +343,13 @@ DEEP_INPUTS = [
     pytest.param("x = new C\n" + "()\n" * 30000 + ";",
                  ("expression nesting too deep", 403, 1),
                  id="30000-long call chain"),
+    # a chain whose first operand is a parenthesised chain continues its
+    # left spine: 380 of them, each up to 389 terms, would be 76,000 deep
+    pytest.param("print(" + functools.reduce(
+        lambda src, g: "(" + src + " + 1" * (390 - g) + ")",
+        range(380, 0, -1), "1") + ");",
+        ("expression nesting too deep", 1, 470),
+        id="380 parenthesised chains, each the first operand of the next"),
 ]
 
 
@@ -432,6 +441,11 @@ SNIPPETS = [
     "x = new (f())(a, b);\n",
     "x = new (o.m(1))(a, b);\n",
     "x = new (new Proxy(a, b))(c, d);\n",
+    # a prefix operator binds looser than a suffix or 'new'
+    "x = (-o).p + (!f)(1) + new (-C)() + (-o)[k];\n",
+    # a run of prefix operators prints as one level, as it parsed
+    pytest.param("x = " + "-" * 399 + "y;\n", id="399 prefix -"),
+    pytest.param("x = " + "!" * 399 + "y;\n", id="399 prefix !"),
 ]
 
 
@@ -479,6 +493,7 @@ def _exprs(depth):
                                    "&&"])),
         st.builds(lambda o, k: PropertyGet(o, k, False), sub,
                   st.sampled_from(["x", "y"])),
+        st.builds(Unary, st.sampled_from(["-", "!"]), sub),
         st.builds(lambda c, t, o: Conditional(c, t, o), sub, sub, sub))
 
 
