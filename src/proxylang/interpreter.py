@@ -13,9 +13,16 @@ error boundary: the only place a host RecursionError or MemoryError is
 caught and mapped, to StackOverflow or ResourceError. Static errors
 (LexError, ParseError) raise from parse_source before anything runs.
 
-Evaluation calls one handler per node class, found in _EVAL or _EXEC by
-the node's class. An error takes the line of the innermost node that
-raises it, so only the handlers of nodes that can raise one tag it.
+Nodes run themselves: an expression by node.evaluate(interp, env), a
+statement by node.execute(interp, env). Each is a handler of (node,
+interp, env) written here, listed in _EVAL or _EXEC, and installed on its
+node class when this module loads, so a node costs one method call and
+nodes.py holds no evaluation. A Block or a Program has neither method;
+their statements run in a loop. _binary applies arithmetic and order to
+two numbers itself, and _while takes a bool condition as it is; every
+other operator, equality included, goes through _BINARY. An error takes
+the line of the innermost node that raises it, so only the handlers of
+nodes that can raise one tag it.
 
 Calls: Interpreter.call_value is the one entry for calling a value, from
 the evaluator, a trap, a builtin or the host (OrdinaryObject.call and
@@ -156,11 +163,12 @@ class Interpreter:
             bindings = dict(zip(params, args))
             # a missing argument is undefined; set after the zip, so that
             # a repeated parameter name still takes its last position
-            for param in params[len(args):]:
-                bindings[param] = UNDEFINED
+            if len(args) < len(params):
+                for param in params[len(args):]:
+                    bindings[param] = UNDEFINED
             env = Environment(record.env, bindings)
             for stmt in record.body.statements:
-                returned = _EXEC[stmt.__class__](self, stmt, env)
+                returned = stmt.execute(self, env)
                 if returned is not None:
                     return returned[0]
             return UNDEFINED
@@ -168,7 +176,7 @@ class Interpreter:
             self.depth -= 1
 
 
-# --- statement handlers: (interp, node, env) -> None | (return value,) ---
+# --- statement handlers: (node, interp, env) -> None | (return value,) ---
 
 def _at(err, node):
     """Give an error the node's line, unless an inner node gave it one."""
@@ -179,24 +187,21 @@ def _at(err, node):
 
 def _run(interp, statements, env):
     for stmt in statements:
-        returned = _EXEC[stmt.__class__](interp, stmt, env)
+        returned = stmt.execute(interp, env)
         if returned is not None:
             return returned
 
 
-def _expr_stmt(interp, node, env):
-    expr = node.expr
-    _EVAL[expr.__class__](interp, expr, env)
+def _expr_stmt(node, interp, env):
+    node.expr.evaluate(interp, env)
 
 
-def _var_decl(interp, node, env):
-    init = node.init
-    env.declare(node.name, _EVAL[init.__class__](interp, init, env))
+def _var_decl(node, interp, env):
+    env.declare(node.name, node.init.evaluate(interp, env))
 
 
-def _assign(interp, node, env):
-    value = node.value
-    value = _EVAL[value.__class__](interp, value, env)
+def _assign(node, interp, env):
+    value = node.value.evaluate(interp, env)
     name = node.name
     while env is not None:
         if name in env.bindings:
@@ -206,47 +211,47 @@ def _assign(interp, node, env):
     raise LangReferenceError(f"'{name}' is not defined", line=node.line)
 
 
-def _property_set(interp, node, env):
-    obj = node.obj
+def _property_set(node, interp, env):
     try:
-        obj = _EVAL[obj.__class__](interp, obj, env)
+        obj = node.obj.evaluate(interp, env)
         if not isinstance(obj, HeapObject):
             raise LangTypeError(f"cannot set a property on {kind_of(obj)}")
         key = node.key
         if node.computed:
-            key = to_property_key(_EVAL[key.__class__](interp, key, env))
-        value = node.value
-        obj.set(interp, key, _EVAL[value.__class__](interp, value, env))
+            key = to_property_key(key.evaluate(interp, env))
+        obj.set(interp, key, node.value.evaluate(interp, env))
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
-def _if(interp, node, env):
-    cond = node.cond
-    block = node.then if truthy(_EVAL[cond.__class__](interp, cond, env)) \
+def _if(node, interp, env):
+    block = node.then if truthy(node.cond.evaluate(interp, env)) \
         else node.otherwise
     if block is not None:
         return _run(interp, block.statements,
                     Environment(env) if block.scoped else env)
 
 
-def _while(interp, node, env):
+def _while(node, interp, env):
     cond = node.cond
     body = node.body
-    while truthy(_EVAL[cond.__class__](interp, cond, env)):
+    while True:
+        test = cond.evaluate(interp, env)
+        # a comparison gives a bool, which needs no truthy call
+        if test is not True and (test is False or not truthy(test)):
+            return None
         returned = _run(interp, body.statements,
                         Environment(env) if body.scoped else env)
         if returned is not None:
             return returned
 
 
-def _return(interp, node, env):
+def _return(node, interp, env):
     value = node.value
-    return (UNDEFINED,) if value is None \
-        else (_EVAL[value.__class__](interp, value, env),)
+    return (UNDEFINED,) if value is None else (value.evaluate(interp, env),)
 
 
-def _function_decl(interp, node, env):
+def _function_decl(node, interp, env):
     record = FunctionRecord(node.params, node.body, env, node.name)
     env.declare(node.name, interp.alloc_function(record))
 
@@ -256,13 +261,13 @@ _EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,
          Return: _return, FunctionDecl: _function_decl}
 
 
-# --- expression handlers: (interp, node, env) -> value ---
+# --- expression handlers: (node, interp, env) -> value ---
 
-def _literal(interp, node, env):
+def _literal(node, interp, env):
     return node.value
 
 
-def _identifier(interp, node, env):
+def _identifier(node, interp, env):
     name = node.name
     while env is not None:
         if name in env.bindings:
@@ -271,82 +276,81 @@ def _identifier(interp, node, env):
     raise LangReferenceError(f"'{name}' is not defined", line=node.line)
 
 
-def _binary(interp, node, env):
-    left = node.left
-    right = node.right
+def _binary(node, interp, env):
     op = node.op
     try:
-        left = _EVAL[left.__class__](interp, left, env)
+        left = node.left.evaluate(interp, env)
         if op == "&&" or op == "||":
             # && stops at a falsy left operand, || at a truthy one
             if truthy(left) == (op == "||"):
                 return left
-            return _EVAL[right.__class__](interp, right, env)
-        return _BINARY[op](interp, left,
-                           _EVAL[right.__class__](interp, right, env))
+            return node.right.evaluate(interp, env)
+        right = node.right.evaluate(interp, env)
+        if left.__class__ is float and right.__class__ is float:
+            # arithmetic and order on two numbers, without an operator
+            # frame; equality still goes through _BINARY
+            apply = _ARITHMETIC.get(op)
+            if apply is not None:
+                return apply(left, right)
+        return _BINARY[op](interp, left, right)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
-def _property_get(interp, node, env):
-    obj = node.obj
+def _property_get(node, interp, env):
     try:
-        obj = _EVAL[obj.__class__](interp, obj, env)
+        obj = node.obj.evaluate(interp, env)
         if not isinstance(obj, HeapObject):
             raise LangTypeError(f"cannot read a property of {kind_of(obj)}")
         key = node.key
         if node.computed:
-            key = to_property_key(_EVAL[key.__class__](interp, key, env))
+            key = to_property_key(key.evaluate(interp, env))
         return obj.get(interp, key)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
-def _call(interp, node, env):
-    callee = node.callee
+def _call(node, interp, env):
     try:
-        callee = _EVAL[callee.__class__](interp, callee, env)
+        callee = node.callee.evaluate(interp, env)
         # a loop, not a list comprehension, which on Python 3.11 runs in
         # a host frame of its own
         args = []
         for expr in node.args:
-            args.append(_EVAL[expr.__class__](interp, expr, env))
+            args.append(expr.evaluate(interp, env))
         return interp.call_value(callee, UNDEFINED, args)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
-def _method_call(interp, node, env):
-    obj = node.obj
+def _method_call(node, interp, env):
     try:
-        obj = _EVAL[obj.__class__](interp, obj, env)
+        obj = node.obj.evaluate(interp, env)
         if not isinstance(obj, HeapObject):
             raise LangTypeError(f"cannot call a method of {kind_of(obj)}")
         key = node.key
         if node.computed:
-            key = to_property_key(_EVAL[key.__class__](interp, key, env))
+            key = to_property_key(key.evaluate(interp, env))
         method = obj.get(interp, key)
         args = []
         for expr in node.args:
-            args.append(_EVAL[expr.__class__](interp, expr, env))
+            args.append(expr.evaluate(interp, env))
         return interp.call_value(method, obj, args)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
-def _object_lit(interp, node, env):
+def _object_lit(node, interp, env):
     return interp.heap.alloc(OrdinaryObject(
-        {key: _EVAL[value.__class__](interp, value, env)
-         for key, value in node.entries}))
+        {key: value.evaluate(interp, env) for key, value in node.entries}))
 
 
-def _function_expr(interp, node, env):
+def _function_expr(node, interp, env):
     return interp.alloc_function(FunctionRecord(node.params, node.body, env))
 
 
-def _unary(interp, node, env):
-    operand = node.operand
-    value = _EVAL[operand.__class__](interp, operand, env)
+def _unary(node, interp, env):
+    value = node.operand.evaluate(interp, env)
     if node.op == "!":
         return not truthy(value)
     if value.__class__ is not float:
@@ -356,35 +360,37 @@ def _unary(interp, node, env):
     return -value
 
 
-def _conditional(interp, node, env):
-    cond = node.cond
-    branch = node.then if truthy(_EVAL[cond.__class__](interp, cond, env)) \
+def _conditional(node, interp, env):
+    branch = node.then if truthy(node.cond.evaluate(interp, env)) \
         else node.otherwise
-    return _EVAL[branch.__class__](interp, branch, env)
+    return branch.evaluate(interp, env)
 
 
-def _new(interp, node, env):
-    callee = node.callee
+def _new(node, interp, env):
     try:
-        callee = _EVAL[callee.__class__](interp, callee, env)
+        callee = node.callee.evaluate(interp, env)
         if callee is not interp._proxy_builtin:
             raise LangTypeError("'new' can only construct Proxy")
         if len(node.args) != 2:
             raise LangTypeError("new Proxy takes a target and a handler")
-        target, handler = [_EVAL[arg.__class__](interp, arg, env)
-                           for arg in node.args]
+        target, handler = [arg.evaluate(interp, env) for arg in node.args]
         return proxy_create(interp, target, handler)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
 _EVAL = {NumberLit: _literal, StringLit: _literal, BoolLit: _literal,
-         NullLit: lambda interp, node, env: NULL,
-         UndefinedLit: lambda interp, node, env: UNDEFINED,
+         NullLit: lambda node, interp, env: NULL,
+         UndefinedLit: lambda node, interp, env: UNDEFINED,
          Identifier: _identifier, Binary: _binary,
          PropertyGet: _property_get, Call: _call, MethodCall: _method_call,
          ObjectLit: _object_lit, FunctionExpr: _function_expr,
          Unary: _unary, Conditional: _conditional, New: _new}
+
+# install each handler as its node class's evaluate or execute method
+for _table, _method in ((_EXEC, "execute"), (_EVAL, "evaluate")):
+    for _node_class, _handler in _table.items():
+        setattr(_node_class, _method, _handler)
 
 
 # --- binary operators: (interp, left value, right value) -> value ---
@@ -395,8 +401,6 @@ def _not_numbers(op, left, right):
 
 
 def _plus(interp, left, right):
-    if left.__class__ is float and right.__class__ is float:
-        return left + right
     if isinstance(left, str) or isinstance(right, str):
         if isinstance(left, HeapObject) or isinstance(right, HeapObject):
             raise LangTypeError("cannot concatenate an object with a string")
@@ -404,12 +408,14 @@ def _plus(interp, left, right):
     raise _not_numbers("+", left, right)
 
 
-def _operator(op, apply, kinds=(float,)):
-    """A binary operator on two operands of the same class in kinds."""
+def _operator(op):
+    """op on operands that are not two numbers: an order compares two
+    strings, and anything else is an error."""
+    compare = _ARITHMETIC[op] if op[0] in "<>" else None
+
     def operate(interp, left, right):
-        kind = left.__class__
-        if kind in kinds and right.__class__ is kind:
-            return apply(left, right)
+        if compare and left.__class__ is str and right.__class__ is str:
+            return compare(left, right)
         raise _not_numbers(op, left, right)
     return operate
 
@@ -423,6 +429,12 @@ def _divide(left: float, right: float) -> float:
     return left / right
 
 
+# the operators that _binary applies to two numbers itself, so that the
+# _BINARY entries below only see other operands
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _divide, "<": operator.lt, "<=": operator.le,
+               ">": operator.gt, ">=": operator.ge}
+
 # the equality functions are looked up when called, not bound here, so
 # that a host can wrap them in this module (as a tracer does)
 _BINARY = {
@@ -433,13 +445,13 @@ _BINARY = {
     ":==:": lambda interp, a, b: opaque_loose_equals(interp, a, b),
     ":===:": lambda interp, a, b: opaque_strict_equals(interp, a, b),
     "+": _plus,
-    "-": _operator("-", operator.sub),
-    "*": _operator("*", operator.mul),
-    "/": _operator("/", _divide),
-    "<": _operator("<", operator.lt, (float, str)),
-    "<=": _operator("<=", operator.le, (float, str)),
-    ">": _operator(">", operator.gt, (float, str)),
-    ">=": _operator(">=", operator.ge, (float, str)),
+    "-": _operator("-"),
+    "*": _operator("*"),
+    "/": _operator("/"),
+    "<": _operator("<"),
+    "<=": _operator("<="),
+    ">": _operator(">"),
+    ">=": _operator(">="),
 }
 
 
@@ -522,9 +534,8 @@ def evaluate_program(program: Program, interp: Interpreter) \
         for stmt in program.statements:
             value = None
             if stmt.__class__ is ExprStmt:
-                expr = stmt.expr
-                value = _EVAL[expr.__class__](interp, expr, env)
-            elif _EXEC[stmt.__class__](interp, stmt, env) is not None:
+                value = stmt.expr.evaluate(interp, env)
+            elif stmt.execute(interp, env) is not None:
                 break  # a host-built program's top-level return
     except PlxRuntimeError as err:
         error = err

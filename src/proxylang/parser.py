@@ -67,8 +67,12 @@ _MAX_NESTING = 400
 # 2,008 for _MAX_NESTING levels of parentheses, 5 parser frames a level;
 # 1,210 for as many nested 'if' blocks, 3 a level; 4,008 for as many
 # function expressions, each in the body of the last, 10 a level) and for
-# the evaluator's deepest call stack (5,128 measured for rec(1023), 5 host
-# frames a language call), with room to spare
+# the evaluator's deepest call stack (5,126 measured for rec(1023) from a
+# script's top level, 5 host frames a language call), with room to spare.
+# That is for a plain body: each language call also takes its body's
+# expression height in frames, so the call depth a program reaches depends
+# on its shape, not only on MAX_CALL_DEPTH. With 390 prefix '-' in
+# `return -...-r(n - 1);`, r(50) returns and r(51) exceeds this limit.
 HOST_RECURSION_LIMIT = 20_000
 
 

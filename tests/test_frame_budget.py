@@ -4,8 +4,9 @@ A language call and a trap-mode isTransparent vote each pass through a
 fixed chain of Python frames. These tests count the frames one call and
 one vote enter (sys.setprofile "call" events) and bound them by today's
 count, so that a refactor that puts frames back on the call path fails
-here instead of only showing up as a slower trap-mode benchmark. A
-repeated look-through of a deep proxy chain is bounded in lines run
+here instead of only showing up as a slower trap-mode benchmark; so are
+the frames one iteration of a numeric while loop enters. A repeated
+look-through of a deep proxy chain is bounded in lines run
 (sys.settrace "line" events), so that losing its memo fails here. The
 parser's deepest inputs are bounded the same way, both in frames entered
 and in frames on the stack at once, which HOST_RECURSION_LIMIT must
@@ -15,7 +16,7 @@ cover, and so is the lexer, which enters no frame per token.
 import gc
 import sys
 
-from proxylang.interpreter import _EVAL, Interpreter, evaluate_program
+from proxylang.interpreter import Interpreter, evaluate_program
 from proxylang.lexer import tokenize
 from proxylang.parser import parse, parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
@@ -35,7 +36,7 @@ def frames_entered(mode, setup, expression):
 
     sys.setprofile(profile)
     try:
-        value = _EVAL[node.__class__](interp, node, interp.globals)
+        value = node.evaluate(interp, interp.globals)
     finally:
         sys.setprofile(None)
     return value, names
@@ -65,14 +66,31 @@ def test_one_trap_mode_vote():
     assert len(names) <= 17, names
 
 
+def test_one_loop_iteration():
+    # 12 frames an iteration of the loop below: _binary and two
+    # _identifier for the condition, _run for the body, and _assign,
+    # _binary and two operand reads for each assignment; arithmetic and
+    # order on two numbers and a bool condition enter none of their own
+    def entered(n):
+        interp = Interpreter()
+        assert evaluate_program(
+            parse_source(f"var i = 0; var s = 0; var n = {n};"), interp).ok
+        program = parse_source("while (i < n) { s = s + i; i = i + 1; }")
+        count, _ = frames(lambda p: evaluate_program(p, interp), program)
+        assert interp.globals.lookup("i") == n
+        return count
+
+    per_iteration = (entered(110) - entered(10)) / 100
+    assert per_iteration <= 12, per_iteration
+
+
 def lines_run(mode, setup, expression):
     """How many Python lines a second evaluation of expression runs
     (sys.settrace "line" events), after setup and a first evaluation."""
     interp = Interpreter(mode=mode)
     assert evaluate_program(parse_source(setup), interp).ok
     node = parse_expression(expression)
-    evaluate = _EVAL[node.__class__]
-    first = evaluate(interp, node, interp.globals)
+    first = node.evaluate(interp, interp.globals)
     lines = 0
 
     def trace(frame, event, arg):
@@ -83,7 +101,7 @@ def lines_run(mode, setup, expression):
 
     sys.settrace(trace)
     try:
-        value = evaluate(interp, node, interp.globals)
+        value = node.evaluate(interp, interp.globals)
     finally:
         sys.settrace(None)
     assert value == first

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import resource
@@ -11,7 +12,8 @@ import proxylang.interpreter as interpreter
 from proxylang import nodes
 from proxylang.equality import EqualityMode
 from proxylang.errors import LexError, ParseError, PlxRuntimeError
-from proxylang.interpreter import Interpreter, evaluate_program, run_source
+from proxylang.interpreter import (ExecutionResult, Interpreter,
+                                   evaluate_program, run_source)
 from proxylang.nodes import pretty_print
 from proxylang.objects import UNDEFINED, NativeFunction
 from proxylang.parser import parse_source
@@ -467,6 +469,42 @@ def test_stack_depth_resets_after_overflow():
     assert follow_up.ok
 
 
+# trees the parser still accepts although they are taller than its
+# expression bound, because call arguments and prefix operators are not on
+# a chain's left spine; whatever the parser comes to decide about them,
+# running one gives a result or a ParseError, never a host exception
+TALL_TREES = [
+    pytest.param("function f(x) { return x; } print(" + functools.reduce(
+        lambda src, g: "f(" + src + " + 1" * (390 - g) + ")",
+        range(380, 0, -1), "1") + ");", id="380 nested calls"),
+    pytest.param("print(" + functools.reduce(
+        lambda src, g: "(-" + src + " + 1" * (395 - 2 * g) + ")",
+        range(190, 0, -1), "1") + ");", id="190 nested negations"),
+]
+
+
+@pytest.mark.parametrize("source", TALL_TREES)
+def test_tall_trees_never_leak_a_host_exception(source):
+    interp = Interpreter()
+    escaped = None
+    for entry in (run_source,
+                  lambda src: evaluate_program(parse_source(src), interp)):
+        try:
+            result = entry(source)
+        except ParseError:
+            continue
+        except Exception as exc:
+            escaped = type(exc).__name__
+            break
+        assert isinstance(result, ExecutionResult)
+        assert result.status in ("ok", "error")
+    # failing outside the handler keeps the 20,000-frame traceback out of
+    # the report
+    assert escaped is None, f"a host {escaped} escaped"
+    assert interp.depth == 0
+    assert evaluate_program(parse_source("print(1);"), interp).ok
+
+
 HANDLER_CHAIN_PROBE = '''
 import json
 from proxylang.interpreter import Interpreter, evaluate_program
@@ -776,8 +814,17 @@ def test_loop_count_model(n):
 
 
 def test_every_node_class_has_a_handler():
-    assert set(interpreter._EVAL) == set(typing.get_args(nodes.Expr))
-    assert set(interpreter._EXEC) == set(typing.get_args(nodes.Stmt))
+    # an expression evaluates itself, a statement executes itself, and a
+    # Block or Program is neither: its statements run in a loop
+    for node_class in typing.get_args(nodes.Expr):
+        assert callable(getattr(node_class, "evaluate", None)), node_class
+        assert not hasattr(node_class, "execute"), node_class
+    for node_class in typing.get_args(nodes.Stmt):
+        assert callable(getattr(node_class, "execute", None)), node_class
+        assert not hasattr(node_class, "evaluate"), node_class
+    for node_class in (nodes.Block, nodes.Program):
+        assert not hasattr(node_class, "evaluate"), node_class
+        assert not hasattr(node_class, "execute"), node_class
 
 
 def test_a_bare_block_is_not_a_statement():
@@ -789,7 +836,7 @@ def test_a_bare_block_is_not_a_statement():
         nodes.ExprStmt(nodes.Identifier("x"))])
     with pytest.raises(TypeError, match="not a statement node"):
         pretty_print(program)
-    with pytest.raises(KeyError):
+    with pytest.raises(AttributeError, match="execute"):
         evaluate_program(program, Interpreter())
 
 
