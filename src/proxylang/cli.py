@@ -197,7 +197,7 @@ def _cmd_repl(options) -> int:
                 # expression missing only its ';'
                 try:
                     expr = parse_expression(buffer)
-                    statements = [ExprStmt(expr, line=expr.line)]
+                    statements = [ExprStmt(expr, expr.line)]
                 except (LexError, ParseError):
                     if force:
                         print(err, file=sys.stderr)

@@ -150,7 +150,8 @@ class Interpreter:
     def invoke(self, record, this_value, args):
         """Run a FunctionRecord or NativeFunction as one call frame, the
         one host frame of every language call: the body runs here, not
-        in _run, which would be a second."""
+        in a helper, which would be a second. _if and _while run their
+        blocks inline too."""
         if self.depth >= MAX_CALL_DEPTH:
             raise StackOverflow(
                 f"call stack exceeded {MAX_CALL_DEPTH} frames")
@@ -183,13 +184,6 @@ def _at(err, node):
     if err.line is None:
         err.line = node.line
     return err
-
-
-def _run(interp, statements, env):
-    for stmt in statements:
-        returned = stmt.execute(interp, env)
-        if returned is not None:
-            return returned
 
 
 def _expr_stmt(node, interp, env):
@@ -228,8 +222,12 @@ def _if(node, interp, env):
     block = node.then if truthy(node.cond.evaluate(interp, env)) \
         else node.otherwise
     if block is not None:
-        return _run(interp, block.statements,
-                    Environment(env) if block.scoped else env)
+        if block.scoped:
+            env = Environment(env)
+        for stmt in block.statements:
+            returned = stmt.execute(interp, env)
+            if returned is not None:
+                return returned
 
 
 def _while(node, interp, env):
@@ -240,10 +238,11 @@ def _while(node, interp, env):
         # a comparison gives a bool, which needs no truthy call
         if test is not True and (test is False or not truthy(test)):
             return None
-        returned = _run(interp, body.statements,
-                        Environment(env) if body.scoped else env)
-        if returned is not None:
-            return returned
+        inner = Environment(env) if body.scoped else env
+        for stmt in body.statements:
+            returned = stmt.execute(interp, inner)
+            if returned is not None:
+                return returned
 
 
 def _return(node, interp, env):

@@ -60,6 +60,14 @@ _TOKEN = re.compile("[ \t\r\v\f]*(?:" + "|".join([
 _STRING_BODY = {q: re.compile(_string_body(q)) for q in "\"'"}
 
 
+# the group numbers tokenize dispatches on (m.lastindex, cheaper than
+# m.lastgroup and a group name), read off _TOKEN; the one group left is
+# the error
+_WORD, _PUNCTUATOR, _NUMBER, _NEWLINE, _COMMENT, _STRING = (
+    _TOKEN.groupindex[kind] for kind in (
+        "word", "punctuator", "number", "newline", "comment", "string"))
+
+
 def tokenize(source: str) -> list[tuple[str, str, int, int]]:
     """Split source into (kind, lexeme, line, column) tokens.
 
@@ -68,26 +76,33 @@ def tokenize(source: str) -> list[tuple[str, str, int, int]]:
     and characters outside the language raise LexError with a position.
     """
     tokens = []
+    append = tokens.append
     line, last_newline = 1, -1  # column = index - last_newline
     for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        lexeme = m[kind]
-        if kind == "word":
-            tokens.append(("keyword" if lexeme in KEYWORDS else "identifier",
-                           lexeme, line, m.start(kind) - last_newline))
-        elif kind == "punctuator" or kind == "number" or kind == "string":
-            tokens.append((kind, lexeme, line, m.start(kind) - last_newline))
-        elif kind == "newline":
+        group = m.lastindex
+        if group == _WORD:
+            lexeme = m[group]
+            append(("keyword" if lexeme in KEYWORDS else "identifier",
+                    lexeme, line, m.start(group) - last_newline))
+        elif group == _PUNCTUATOR:
+            append(("punctuator", m[group], line,
+                    m.start(group) - last_newline))
+        elif group == _NUMBER:
+            append(("number", m[group], line, m.start(group) - last_newline))
+        elif group == _NEWLINE:
             line += 1
             last_newline = m.end() - 1
-        elif kind == "comment":
+        elif group == _COMMENT:
+            lexeme = m[group]
             newlines = lexeme.count("\n")
             if newlines:
                 line += newlines
-                last_newline = m.start(kind) + lexeme.rfind("\n")
+                last_newline = m.start(group) + lexeme.rfind("\n")
+        elif group == _STRING:
+            append(("string", m[group], line, m.start(group) - last_newline))
         else:
-            pos = m.start(kind)
-            _raise_error(source, lexeme, pos, line, pos - last_newline)
+            pos = m.start(group)
+            _raise_error(source, m[group], pos, line, pos - last_newline)
     return tokens
 
 

@@ -1,11 +1,13 @@
 """AST node definitions and a re-parseable pretty printer.
 
-Every node carries a source line for runtime diagnostics; the line is
-excluded from equality so structural comparison (round-trip tests, REPL
-echoes) ignores layout. Nodes are slotted dataclasses and have no
-__dict__; Program also takes weak references. Block.scoped is computed
-from the statements when the block is built (so its statements are not
-edited afterwards) and, like the line, is left out of equality and repr.
+Every node carries a source line for runtime diagnostics. The line is each
+node's last field, given positionally or as line= (Identifier("x", 3) or
+Identifier("x", line=3)), and is excluded from equality so structural
+comparison (round-trip tests, REPL echoes) ignores layout. Nodes are
+slotted dataclasses and have no __dict__; Program also takes weak
+references. Block.scoped is computed from the statements when the block
+is built (so its statements are not edited afterwards) and, like the
+line, is left out of equality and repr.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from .lexer import ESCAPES, KEYWORDS, WORD
 
 
 def _pos():
-    return field(default=0, compare=False, kw_only=True)
+    return field(default=0, compare=False)
 
 
 # --- expressions ---
@@ -168,8 +170,11 @@ class Block:
     scoped: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.scoped = any(isinstance(s, (VarDecl, FunctionDecl))
-                          for s in self.statements)
+        self.scoped = False
+        for s in self.statements:
+            if isinstance(s, (VarDecl, FunctionDecl)):
+                self.scoped = True
+                return
 
 
 @dataclass(slots=True)

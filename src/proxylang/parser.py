@@ -11,17 +11,22 @@ appear only as bodies of if/while/function):
                 | 'return' expr? ';'
                 | expr ('=' expr)? ';'        assignment targets: IDENT, member
     expr       := binary ('?' expr ':' expr)?
-    binary     := unary (BINARY_OP unary)*    levels from _LEVELS
-    unary      := ('!'|'-') unary | postfix
-    postfix    := ('new' operand args | primary) suffix*
+    binary     := operand (BINARY_OP operand)*    levels from _LEVELS
+    operand    := ('!'|'-') operand
+                | ('new' new_callee args | primary) suffix*
     suffix     := '.' IDENT | '[' expr ']' | args
-    operand    := primary ('.' IDENT | '[' expr ']')*    a postfix without args
+    new_callee := primary ('.' IDENT | '[' expr ']')*    no args or prefix
     primary    := NUMBER | STRING | 'true' | 'false' | 'null' | 'undefined'
                 | IDENT | '(' expr ')' | object literal | 'function' expr
 
+One method, parse_operand, reads operand, new_callee (with calls off) and
+primary, so an identifier, number or string with nothing after it costs
+one frame, and each leaf node is built in one place.
+
 The binary operators and their binding levels, from '||' (loosest) to
 '*' and '/' (tightest), are the _LEVELS table, and one precedence-climbing
-loop parses them all, left-associatively. Equality operators do not mix
+loop parses them all, left-associatively; it recurses only for a run of
+tighter operators after a right operand. Equality operators do not mix
 within one chain: `a == b == c` is `(a == b) == c`, `a == b === c` is a
 parse error.
 
@@ -64,9 +69,9 @@ _EQUALITY = 3
 
 _MAX_NESTING = 400
 # host frames for the deepest parse (measured from a script's top level:
-# 2,008 for _MAX_NESTING levels of parentheses, 5 parser frames a level;
-# 1,210 for as many nested 'if' blocks, 3 a level; 4,008 for as many
-# function expressions, each in the body of the last, 10 a level) and for
+# 808 for _MAX_NESTING levels of parentheses, 2 parser frames a level;
+# 1,207 for as many nested 'if' blocks, 3 a level; 2,808 for as many
+# function expressions, each in the body of the last, 7 a level) and for
 # the evaluator's deepest call stack (5,126 measured for rec(1023) from a
 # script's top level, 5 host frames a language call), with room to spare.
 # That is for a plain body: each language call also takes its body's
@@ -131,7 +136,7 @@ class _Parser:
         statements = []
         while self.tokens[self.pos][0] != "eof":
             statements.append(self.parse_statement())
-        return Program(statements, line=1)
+        return Program(statements, 1)
 
     def parse_statement(self):
         lexeme = self.tokens[self.pos][1]
@@ -155,14 +160,13 @@ class _Parser:
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
-        return VarDecl(name, init, line=tok[2])
+        return VarDecl(name, init, tok[2])
 
     def parse_function_decl(self) -> FunctionDecl:
         tok = self.expect("function")
         name = self.expect_identifier("a function name")
         params = self.parse_params()
-        return FunctionDecl(name, params, self.parse_function_body(),
-                            line=tok[2])
+        return FunctionDecl(name, params, self.parse_function_body(), tok[2])
 
     def parse_params(self) -> list:
         return self.parse_list("(", ")", lambda: self.expect_identifier(
@@ -177,7 +181,7 @@ class _Parser:
                 self.expected("'}'")
             statements.append(self.parse_statement())
         self.blocks -= 1
-        return Block(statements, line=open_tok[2])
+        return Block(statements, open_tok[2])
 
     def parse_if(self) -> If:
         tok = self.expect("if")
@@ -186,7 +190,7 @@ class _Parser:
         self.expect(")")
         then = self.parse_block()
         otherwise = self.parse_block() if self.match("else") else None
-        return If(cond, then, otherwise, line=tok[2])
+        return If(cond, then, otherwise, tok[2])
 
     def parse_while(self) -> While:
         tok = self.expect("while")
@@ -194,7 +198,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_block()
-        return While(cond, body, line=tok[2])
+        return While(cond, body, tok[2])
 
     def parse_return(self) -> Return:
         tok = self.expect("return")
@@ -204,7 +208,7 @@ class _Parser:
         if not self.match(";"):
             value = self.parse_expr()
             self.expect(";")
-        return Return(value, line=tok[2])
+        return Return(value, tok[2])
 
     def parse_expression_statement(self):
         expr = self.parse_expr()
@@ -213,13 +217,13 @@ class _Parser:
             value = self.parse_expr()
             self.expect(";")
             if isinstance(expr, Identifier):
-                return Assign(expr.name, value, line=expr.line)
+                return Assign(expr.name, value, expr.line)
             if isinstance(expr, PropertyGet):
                 return PropertySet(expr.obj, expr.key, expr.computed, value,
-                                   line=expr.line)
+                                   expr.line)
             self.error("invalid assignment target", eq)
         self.expect(";")
-        return ExprStmt(expr, line=expr.line)
+        return ExprStmt(expr, expr.line)
 
     # --- shared rules ---
 
@@ -249,27 +253,31 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         self.nesting = self.deeper(self.nesting)
-        expr = self.parse_binary(1)
-        if self.match("?"):
+        start = self.pos
+        expr = self.parse_operand(True)
+        op = self.tokens[self.pos][1]
+        if op in _LEVELS:
+            expr = self.parse_binary(expr, start, 1)
+            op = self.tokens[self.pos][1]
+        if op == "?":
+            self.pos += 1
             then = self.parse_expr()
             self.expect(":")
-            expr = Conditional(expr, then, self.parse_expr(), line=expr.line)
+            expr = Conditional(expr, then, self.parse_expr(), expr.line)
         self.nesting -= 1
         return expr
 
-    def parse_binary(self, min_level: int) -> Expr:
+    def parse_binary(self, left: Expr, start: int, min_level: int) -> Expr:
         """Precedence climbing: the longest left-associative run of binary
-        operators of level min_level or tighter. Each operator after the
-        first is one more level of expression nesting, until the run
-        ends."""
-        start = self.pos
-        left = self.parse_unary()
-        level = _LEVELS.get(self.tokens[self.pos][1], 0)
-        if level < min_level:
-            return left
+        operators of level min_level or tighter after left, an operand
+        that began at token start and is followed by such an operator. A
+        right operand is read as an operand, and a run of tighter
+        operators after it recurses. Each operator after the first is one
+        more level of expression nesting, until the run ends."""
         outer = self.nesting
         if self.tokens[start][1] == "(":
             self.nesting = self.deeper(outer + _spine(left) - 1)
+        level = _LEVELS[self.tokens[self.pos][1]]
         chain_op = None
         while True:
             op = self.tokens[self.pos][1]
@@ -283,52 +291,77 @@ class _Parser:
                         self.tokens[self.pos])
                 chain_op = op
             self.pos += 1
-            right = self.parse_binary(level + 1)
-            left = Binary(op, left, right, line=left.line)
-            level = _LEVELS.get(self.tokens[self.pos][1], 0)
-            if level < min_level:
+            start = self.pos
+            right = self.parse_operand(True)
+            next_level = _LEVELS.get(self.tokens[self.pos][1], 0)
+            if next_level > level:
+                right = self.parse_binary(right, start, level + 1)
+                next_level = _LEVELS.get(self.tokens[self.pos][1], 0)
+            left = Binary(op, left, right, left.line)
+            if next_level < min_level:
                 self.nesting = outer
                 return left
+            level = next_level
             self.nesting = self.deeper(self.nesting)
 
-    def parse_unary(self) -> Expr:
+    def parse_operand(self, calls: bool) -> Expr:
+        """A prefix operator and its operand, or a primary and its
+        suffixes; with calls off, the operand of 'new': a primary and its
+        '.name' and '[expr]' suffixes, which leaves its '(' to the
+        construction. Each prefix operator is one level of expression
+        nesting, and, as in a run of binary operators, so is each suffix
+        after the first ('.name', '[expr]' or an argument list), until
+        the chain ends."""
         tok = self.tokens[self.pos]
-        op = tok[1]
-        if op == "!" or op == "-":
-            self.nesting = self.deeper(self.nesting)
-            self.pos += 1
-            operand = self.parse_unary()
+        kind, lexeme, line, _ = tok
+        self.pos += 1
+        if kind == "identifier":
+            expr = Identifier(lexeme, line)
+        elif kind == "number":
+            expr = NumberLit(float(lexeme), line)
+        elif kind == "string":
+            expr = StringLit(decode_string_lexeme(lexeme), line)
+        elif lexeme == "(":
+            expr = self.parse_expr()
+            self.expect(")")
+        elif calls and (lexeme == "!" or lexeme == "-"):
+            self.nesting = self.deeper(self.nesting, "expression", tok)
+            operand = self.parse_operand(True)
             self.nesting -= 1
-            return Unary(op, operand, line=tok[2])
-        return self.parse_postfix(True)
-
-    def parse_postfix(self, calls: bool) -> Expr:
-        """A primary and its suffixes; with calls off, the operand of
-        'new', which leaves its '(' to the construction. As in a run of
-        binary operators, each suffix after the first ('.name', '[expr]'
-        or an argument list) is one more level of expression nesting,
-        until the chain ends."""
-        tok = self.tokens[self.pos]
-        if calls and tok[1] == "new":
-            self.pos += 1
-            callee = self.parse_postfix(False)
+            return Unary(lexeme, operand, line)
+        elif calls and lexeme == "new":
+            callee = self.parse_operand(False)
             if self.tokens[self.pos][1] != "(":
                 self.error("expected '(' after the constructed value",
                            self.tokens[self.pos])
             expr = New(callee, self.parse_list("(", ")", self.parse_expr),
-                       line=tok[2])
+                       line)
+        elif lexeme == "true" or lexeme == "false":
+            expr = BoolLit(lexeme == "true", line)
+        elif lexeme == "null":
+            expr = NullLit(line)
+        elif lexeme == "undefined":
+            expr = UndefinedLit(line)
         else:
-            expr = self.parse_primary()
+            # the rest read their first token themselves
+            self.pos -= 1
+            if lexeme == "function":
+                expr = self.parse_function_expr()
+            elif lexeme == "{":
+                expr = ObjectLit(
+                    self.parse_list("{", "}", self.parse_object_entry), line)
+            else:
+                self.expected("an expression")
         op = self.tokens[self.pos][1]
         if op != "." and op != "[" and (op != "(" or not calls):
             return expr
         outer = self.nesting
-        if tok[1] == "(":
+        if lexeme == "(":
             self.nesting = self.deeper(outer + _spine(expr) - 1)
         while True:
             if op == "(":
                 expr = Call(expr, self.parse_list("(", ")", self.parse_expr),
-                            line=expr.line)
+                            expr.line)
             else:
                 self.pos += 1
                 if op == ".":
@@ -342,47 +375,19 @@ class _Parser:
                     expr = MethodCall(
                         expr, key, computed,
                         self.parse_list("(", ")", self.parse_expr),
-                        line=expr.line)
+                        expr.line)
                 else:
-                    expr = PropertyGet(expr, key, computed, line=expr.line)
+                    expr = PropertyGet(expr, key, computed, expr.line)
             op = self.tokens[self.pos][1]
             if op != "." and op != "[" and (op != "(" or not calls):
                 self.nesting = outer
                 return expr
             self.nesting = self.deeper(self.nesting)
 
-    def parse_primary(self) -> Expr:
-        kind, lexeme, line, _ = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "number":
-            return NumberLit(float(lexeme), line=line)
-        if kind == "string":
-            return StringLit(decode_string_lexeme(lexeme), line=line)
-        if kind == "identifier":
-            return Identifier(lexeme, line=line)
-        if lexeme == "true" or lexeme == "false":
-            return BoolLit(lexeme == "true", line=line)
-        if lexeme == "null":
-            return NullLit(line=line)
-        if lexeme == "undefined":
-            return UndefinedLit(line=line)
-        if lexeme == "(":
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
-        # the rest read their first token themselves
-        self.pos -= 1
-        if lexeme == "function":
-            return self.parse_function_expr()
-        if lexeme == "{":
-            entries = self.parse_list("{", "}", self.parse_object_entry)
-            return ObjectLit(entries, line=line)
-        self.expected("an expression")
-
     def parse_function_expr(self) -> FunctionExpr:
         tok = self.expect("function")
         params = self.parse_params()
-        return FunctionExpr(params, self.parse_function_body(), line=tok[2])
+        return FunctionExpr(params, self.parse_function_body(), tok[2])
 
     def parse_function_body(self) -> Block:
         self.fn_depth += 1

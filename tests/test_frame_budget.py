@@ -10,7 +10,8 @@ look-through of a deep proxy chain is bounded in lines run
 (sys.settrace "line" events), so that losing its memo fails here. The
 parser's deepest inputs are bounded the same way, both in frames entered
 and in frames on the stack at once, which HOST_RECURSION_LIMIT must
-cover, and so is the lexer, which enters no frame per token.
+cover; so is parsing the prelude, and so is the lexer, which enters no
+frame per token.
 """
 
 import gc
@@ -67,10 +68,11 @@ def test_one_trap_mode_vote():
 
 
 def test_one_loop_iteration():
-    # 12 frames an iteration of the loop below: _binary and two
-    # _identifier for the condition, _run for the body, and _assign,
-    # _binary and two operand reads for each assignment; arithmetic and
-    # order on two numbers and a bool condition enter none of their own
+    # 11 frames an iteration of the loop below: _binary and two
+    # _identifier for the condition, and _assign, _binary and two operand
+    # reads for each assignment; _while runs the body itself, and
+    # arithmetic and order on two numbers and a bool condition enter none
+    # of their own
     def entered(n):
         interp = Interpreter()
         assert evaluate_program(
@@ -81,7 +83,7 @@ def test_one_loop_iteration():
         return count
 
     per_iteration = (entered(110) - entered(10)) / 100
-    assert per_iteration <= 12, per_iteration
+    assert per_iteration <= 11, per_iteration
 
 
 def lines_run(mode, setup, expression):
@@ -159,13 +161,21 @@ def test_tokenize_enters_no_frame_per_token():
     assert entered <= 2, entered
 
 
+def test_parsing_the_prelude():
+    # 2,106 frames, each node's __init__ among them: an operand with no
+    # suffix enters one parser rule, and a right operand with no tighter
+    # operator after it enters no binary rule of its own
+    entered, _ = frames(parse, tokenize(default_prelude_source()))
+    assert entered <= 2106, entered
+
+
 def test_deepest_parses():
     # the deepest inputs the parser accepts: 400 levels of expression
-    # (five frames a parenthesis, one a '?:' arm) and 400 of blocks (three
+    # (two frames a parenthesis, one a '?:' arm) and 400 of blocks (three
     # frames an 'if')
-    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 3219, 2005),
-             ("if (a) {" * 400 + "}" * 400, 9604, 1207),
-             ("x = " + "a ? b : " * 399 + "c;", 7209, 409)]
+    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 2015, 805),
+             ("if (a) {" * 400 + "}" * 400, 7604, 1204),
+             ("x = " + "a ? b : " * 399 + "c;", 4808, 406)]
     for source, most_entered, most_deep in cases:
         entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]

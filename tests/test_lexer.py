@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxylang.errors import LexError
-from proxylang.lexer import PUNCTUATORS, decode_string_lexeme, tokenize
+from proxylang.lexer import (PUNCTUATORS, _TOKEN, decode_string_lexeme,
+                             tokenize)
 
 
 def lexemes(source):
@@ -85,6 +86,17 @@ def test_strings_and_escapes():
     assert decode_string_lexeme('"back\\\\slash"') == "back\\slash"
     tokens = tokenize("'single' \"double\"")
     assert [t[0] for t in tokens] == ["string", "string"]
+
+
+def test_token_groups_are_the_kinds_tokenize_dispatches_on():
+    # tokenize dispatches on m.lastindex, the number of the last group a
+    # match closes, in this order; the seven kinds must be all the groups
+    # there are, so that a capturing group added to an alternative fails
+    # here instead of mislabelling tokens
+    assert _TOKEN.groupindex == {
+        "word": 1, "punctuator": 2, "number": 3, "newline": 4,
+        "comment": 5, "string": 6, "error": 7}
+    assert _TOKEN.groups == 7
 
 
 def test_keywords_vs_identifiers():

@@ -535,6 +535,112 @@ def test_parsed_nodes_have_no_dict():
     assert seen == classes
 
 
+# every node class, each construct on lines of its own: a node takes the
+# line of its first token, and a binary operation, call, method call,
+# property read and '?:' take their left operand's, so each of those has
+# its operator on a later line
+EVERY_NODE_ON_ITS_OWN_LINES = """var o =
+  {
+    n: 1,
+    s:
+      "s"
+  };
+function f(x)
+{
+  return
+    -
+    x;
+}
+if (
+  true
+) {
+  o
+    .n = false;
+} else {
+  o
+    [
+    "n"
+    ] = null;
+}
+while (
+  undefined
+) {
+}
+x =
+  a
+  +
+  b
+  *
+  c
+  -
+  d;
+f
+  (
+  1
+  );
+o
+  .m(
+  2
+  );
+y = c
+  ? d
+  : e;
+z = new
+  C
+  (
+  3
+  );
+w = function
+  () {
+  };
+v = o
+  .n;
+"""
+
+
+def test_every_node_has_its_line():
+    # line is left out of equality, so only this test catches a line
+    # taken from the wrong token or passed into the wrong field
+    seen, todo = [], [parse_source(EVERY_NODE_ON_ITS_OWN_LINES)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(reversed(item))
+        elif dataclasses.is_dataclass(item):
+            seen.append((type(item).__name__, item.line))
+            todo.extend(reversed([getattr(item, f.name)
+                                  for f in dataclasses.fields(item)]))
+    assert seen == [
+        ("Program", 1),
+        ("VarDecl", 1), ("ObjectLit", 2), ("NumberLit", 3),
+        ("StringLit", 5),
+        ("FunctionDecl", 7), ("Block", 8), ("Return", 9), ("Unary", 10),
+        ("Identifier", 11),
+        ("If", 13), ("BoolLit", 14),
+        ("Block", 15), ("PropertySet", 16), ("Identifier", 16),
+        ("BoolLit", 17),
+        ("Block", 18), ("PropertySet", 19), ("Identifier", 19),
+        ("StringLit", 21), ("NullLit", 22),
+        ("While", 24), ("UndefinedLit", 25), ("Block", 26),
+        # (a + (b * c)) - d
+        ("Assign", 28), ("Binary", 29), ("Binary", 29), ("Identifier", 29),
+        ("Binary", 31), ("Identifier", 31), ("Identifier", 33),
+        ("Identifier", 35),
+        ("ExprStmt", 36), ("Call", 36), ("Identifier", 36),
+        ("NumberLit", 38),
+        ("ExprStmt", 40), ("MethodCall", 40), ("Identifier", 40),
+        ("NumberLit", 42),
+        ("Assign", 44), ("Conditional", 44), ("Identifier", 44),
+        ("Identifier", 45), ("Identifier", 46),
+        ("Assign", 47), ("New", 47), ("Identifier", 48), ("NumberLit", 50),
+        ("Assign", 52), ("FunctionExpr", 52), ("Block", 53),
+        ("Assign", 55), ("PropertyGet", 55), ("Identifier", 55)]
+    from proxylang import nodes
+    assert {name for name, _ in seen} == {
+        cls.__name__ for cls in vars(nodes).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+
+
 def test_block_scoped_when_a_direct_statement_declares():
     assert stmt("if (a) { var x = 1; }").then.scoped
     assert stmt("if (a) { function g() { } }").then.scoped
