@@ -24,21 +24,26 @@ other operator, equality included, goes through _BINARY. An error takes
 the line of the innermost node that raises it, so only the handlers of
 nodes that can raise one tag it.
 
-Calls: Interpreter.call_value is the one entry for calling a value, from
-the evaluator, a trap, a builtin or the host (OrdinaryObject.call and
+Calls: Interpreter.call_value is the entry for calling a value, from the
+evaluator, a trap, a builtin or the host (OrdinaryObject.call and
 ProxyObject.call lead back to it), and Interpreter.invoke is the one
-frame of a language call: it binds the parameters and runs the body
-itself. So `return f(n - 1) + 1` recurses through 5 host frames a
-level: _return, _binary, _call, call_value and invoke.
+frame of a language call: it binds the parameters in a loop and runs the
+body itself. So `return f(n - 1) + 1` recurses through 5 host frames a
+level: _return, _binary, _call, call_value and invoke. One caller skips
+call_value: a trap-mode vote whose isTransparent trap is an ordinary
+function object enters invoke directly (proxies.is_transparent), as it
+runs at every link of a chain for every equality decision.
 
 Scopes: a call runs its body in a fresh Environment holding the
 parameters; an if or while block gets one only if Block.scoped (a direct
 statement is a var or function declaration). This is exact: only
 _var_decl and _function_decl declare into the current scope, and hosts
 declare on globals, so an unscoped block's Environment would stay empty
-and every lookup, assignment and closure would pass through it. Name reads
-and assignments walk the chain in their handlers; Environment.lookup is
-the host's read.
+and every lookup, assignment and closure would pass through it. Every
+scope, globals included, is built one way, Environment() and then both
+slots, because an __init__ would cost each call and each scoped block a
+host frame. Name reads and assignments walk the chain in their handlers;
+Environment.lookup is the host's read.
 """
 
 import io
@@ -70,12 +75,11 @@ MAX_CALL_DEPTH = 1024
 
 
 class Environment:
+    """A scope: its own bindings, a dict kept as given, and the enclosing
+    scope, or None for globals. It has no __init__, which would cost every
+    call a host frame: each scope is built as `env = Environment()`, then
+    both slots are set."""
     __slots__ = ("bindings", "parent")
-
-    def __init__(self, parent=None, bindings=None):
-        # the dict given is kept, not copied
-        self.bindings: dict = {} if bindings is None else bindings
-        self.parent = parent
 
     def declare(self, name: str, value) -> None:
         self.bindings[name] = value
@@ -115,6 +119,8 @@ class Interpreter:
         self.override_stack: list = []  # (proxy, bool), LIFO
         self.depth = 0
         self.globals = Environment()
+        self.globals.bindings = {}
+        self.globals.parent = None
         self._proxy_builtin = _install_builtins(self)
 
     # --- output ---
@@ -149,9 +155,14 @@ class Interpreter:
 
     def invoke(self, record, this_value, args):
         """Run a FunctionRecord or NativeFunction as one call frame, the
-        one host frame of every language call: the body runs here, not
-        in a helper, which would be a second. _if and _while run their
-        blocks inline too."""
+        one host frame of every language call. A call that would pass
+        MAX_CALL_DEPTH raises StackOverflow before it is counted. A
+        function's parameters are bound in one pass in order, so a
+        missing argument is undefined, an extra one is ignored, and a
+        repeated name takes its last position; its scope is built without
+        an __init__ frame, and its body runs here, not in a helper, which
+        would be another frame. _if and _while run their blocks inline
+        too."""
         if self.depth >= MAX_CALL_DEPTH:
             raise StackOverflow(
                 f"call stack exceeded {MAX_CALL_DEPTH} frames")
@@ -160,14 +171,17 @@ class Interpreter:
             if record.__class__ is NativeFunction:
                 result = record.fn(self, this_value, args)
                 return UNDEFINED if result is None else result
-            params = record.params
-            bindings = dict(zip(params, args))
-            # a missing argument is undefined; set after the zip, so that
-            # a repeated parameter name still takes its last position
-            if len(args) < len(params):
-                for param in params[len(args):]:
-                    bindings[param] = UNDEFINED
-            env = Environment(record.env, bindings)
+            # one pass in order, so a repeated name takes its last
+            # position; a loop, as 3.11's zip() has no fast constructor
+            bindings = {}
+            count = len(args)
+            i = 0
+            for param in record.params:
+                bindings[param] = args[i] if i < count else UNDEFINED
+                i += 1
+            env = Environment()
+            env.bindings = bindings
+            env.parent = record.env
             for stmt in record.body.statements:
                 returned = stmt.execute(self, env)
                 if returned is not None:
@@ -223,7 +237,10 @@ def _if(node, interp, env):
         else node.otherwise
     if block is not None:
         if block.scoped:
-            env = Environment(env)
+            outer = env
+            env = Environment()
+            env.bindings = {}
+            env.parent = outer
         for stmt in block.statements:
             returned = stmt.execute(interp, env)
             if returned is not None:
@@ -232,14 +249,19 @@ def _if(node, interp, env):
 
 def _while(node, interp, env):
     cond = node.cond
-    body = node.body
+    scoped = node.body.scoped
+    statements = node.body.statements
+    inner = env
     while True:
         test = cond.evaluate(interp, env)
         # a comparison gives a bool, which needs no truthy call
         if test is not True and (test is False or not truthy(test)):
             return None
-        inner = Environment(env) if body.scoped else env
-        for stmt in body.statements:
+        if scoped:
+            inner = Environment()
+            inner.bindings = {}
+            inner.parent = env
+        for stmt in statements:
             returned = stmt.execute(interp, inner)
             if returned is not None:
                 return returned
@@ -457,7 +479,7 @@ _BINARY = {
 # --- builtins ---
 
 def _builtin_print(interp, this, args):
-    interp.write(" ".join(render_value(a) for a in args) + "\n")
+    interp.write(" ".join(map(render_value, args)) + "\n")
     return UNDEFINED
 
 

@@ -70,8 +70,8 @@ _EQUALITY = 3
 _MAX_NESTING = 400
 # host frames for the deepest parse (measured from a script's top level:
 # 808 for _MAX_NESTING levels of parentheses, 2 parser frames a level;
-# 1,207 for as many nested 'if' blocks, 3 a level; 2,808 for as many
-# function expressions, each in the body of the last, 7 a level) and for
+# 1,207 for as many nested 'if' blocks, 3 a level; 2,408 for as many
+# function expressions, each in the body of the last, 6 a level) and for
 # the evaluator's deepest call stack (5,126 measured for rec(1023) from a
 # script's top level, 5 host frames a language call), with room to spare.
 # That is for a plain body: each language call also takes its body's
@@ -139,37 +139,32 @@ class _Parser:
         return Program(statements, 1)
 
     def parse_statement(self):
-        lexeme = self.tokens[self.pos][1]
-        if lexeme == "var":
-            return self.parse_var()
-        if lexeme == "function":
-            # function expressions in statement position would be
-            # ambiguous, so a leading 'function' is a declaration
-            return self.parse_function_decl()
-        if lexeme == "if":
-            return self.parse_if()
-        if lexeme == "while":
-            return self.parse_while()
-        if lexeme == "return":
-            return self.parse_return()
-        return self.parse_expression_statement()
+        tok = self.tokens[self.pos]
+        rule = _KEYWORD_RULES.get(tok[1])
+        if rule is None:
+            return self.parse_expression_statement()
+        self.pos += 1
+        return rule(self, tok)
 
-    def parse_var(self) -> VarDecl:
-        tok = self.expect("var")
+    # --- keyword statements: parse_statement calls each past its keyword,
+    # with the keyword's token (_KEYWORD_RULES) ---
+
+    def parse_var(self, tok: tuple) -> VarDecl:
         name = self.expect_identifier("a variable name")
         self.expect("=")
         init = self.parse_expr()
         self.expect(";")
         return VarDecl(name, init, tok[2])
 
-    def parse_function_decl(self) -> FunctionDecl:
-        tok = self.expect("function")
+    def parse_function_decl(self, tok: tuple) -> FunctionDecl:
         name = self.expect_identifier("a function name")
         params = self.parse_params()
         return FunctionDecl(name, params, self.parse_function_body(), tok[2])
 
     def parse_params(self) -> list:
-        return self.parse_list("(", ")", lambda: self.expect_identifier(
+        # no caller has seen the '(', so it is checked here
+        self.expect("(")
+        return self.parse_list(")", lambda: self.expect_identifier(
             "a parameter name"))
 
     def parse_block(self) -> Block:
@@ -183,8 +178,7 @@ class _Parser:
         self.blocks -= 1
         return Block(statements, open_tok[2])
 
-    def parse_if(self) -> If:
-        tok = self.expect("if")
+    def parse_if(self, tok: tuple) -> If:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -192,16 +186,14 @@ class _Parser:
         otherwise = self.parse_block() if self.match("else") else None
         return If(cond, then, otherwise, tok[2])
 
-    def parse_while(self) -> While:
-        tok = self.expect("while")
+    def parse_while(self, tok: tuple) -> While:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_block()
         return While(cond, body, tok[2])
 
-    def parse_return(self) -> Return:
-        tok = self.expect("return")
+    def parse_return(self, tok: tuple) -> Return:
         if self.fn_depth == 0:
             self.error("'return' outside of a function", tok)
         value = None
@@ -237,10 +229,10 @@ class _Parser:
             raise ParseError(f"{what} nesting too deep", line, column)
         return depth + 1
 
-    def parse_list(self, open_: str, close: str, parse_item) -> list:
-        """open_ (item (',' item)*)? close: parameters, arguments and
-        object-literal entries."""
-        self.expect(open_)
+    def parse_list(self, close: str, parse_item) -> list:
+        """(item (',' item)*)? close, after the opening punctuator, which
+        every caller has read: parameters, arguments and object-literal
+        entries."""
         if self.match(close):
             return []
         items = [parse_item()]
@@ -334,24 +326,23 @@ class _Parser:
             if self.tokens[self.pos][1] != "(":
                 self.error("expected '(' after the constructed value",
                            self.tokens[self.pos])
-            expr = New(callee, self.parse_list("(", ")", self.parse_expr),
-                       line)
+            self.pos += 1
+            expr = New(callee, self.parse_list(")", self.parse_expr), line)
         elif lexeme == "true" or lexeme == "false":
             expr = BoolLit(lexeme == "true", line)
         elif lexeme == "null":
             expr = NullLit(line)
         elif lexeme == "undefined":
             expr = UndefinedLit(line)
+        elif lexeme == "function":
+            expr = FunctionExpr(self.parse_params(),
+                                self.parse_function_body(), line)
+        elif lexeme == "{":
+            expr = ObjectLit(self.parse_list("}", self.parse_object_entry),
+                             line)
         else:
-            # the rest read their first token themselves
             self.pos -= 1
-            if lexeme == "function":
-                expr = self.parse_function_expr()
-            elif lexeme == "{":
-                expr = ObjectLit(
-                    self.parse_list("{", "}", self.parse_object_entry), line)
-            else:
-                self.expected("an expression")
+            self.expected("an expression")
         op = self.tokens[self.pos][1]
         if op != "." and op != "[" and (op != "(" or not calls):
             return expr
@@ -359,11 +350,11 @@ class _Parser:
         if lexeme == "(":
             self.nesting = self.deeper(outer + _spine(expr) - 1)
         while True:
+            self.pos += 1
             if op == "(":
-                expr = Call(expr, self.parse_list("(", ")", self.parse_expr),
+                expr = Call(expr, self.parse_list(")", self.parse_expr),
                             expr.line)
             else:
-                self.pos += 1
                 if op == ".":
                     key = self.expect_identifier("a property name")
                     computed = False
@@ -372,10 +363,10 @@ class _Parser:
                     self.expect("]")
                     computed = True
                 if calls and self.tokens[self.pos][1] == "(":
+                    self.pos += 1
                     expr = MethodCall(
                         expr, key, computed,
-                        self.parse_list("(", ")", self.parse_expr),
-                        expr.line)
+                        self.parse_list(")", self.parse_expr), expr.line)
                 else:
                     expr = PropertyGet(expr, key, computed, expr.line)
             op = self.tokens[self.pos][1]
@@ -383,11 +374,6 @@ class _Parser:
                 self.nesting = outer
                 return expr
             self.nesting = self.deeper(self.nesting)
-
-    def parse_function_expr(self) -> FunctionExpr:
-        tok = self.expect("function")
-        params = self.parse_params()
-        return FunctionExpr(params, self.parse_function_body(), tok[2])
 
     def parse_function_body(self) -> Block:
         self.fn_depth += 1
@@ -409,6 +395,13 @@ class _Parser:
         self.expect(":")
         return (key, self.parse_expr())
 
+
+# the statements that begin with a keyword; a leading 'function' is a
+# declaration, as a function expression there would be ambiguous
+_KEYWORD_RULES = {"var": _Parser.parse_var,
+                  "function": _Parser.parse_function_decl,
+                  "if": _Parser.parse_if, "while": _Parser.parse_while,
+                  "return": _Parser.parse_return}
 
 _LEFT = {Binary: attrgetter("left"), PropertyGet: attrgetter("obj"),
          MethodCall: attrgetter("obj"), Call: attrgetter("callee")}

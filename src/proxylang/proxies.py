@@ -175,8 +175,11 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     """Decide whether equality may look through the proxy (rules 1-4).
 
     Trap mode runs this once per proxy per equality decision, so the
-    common case (no override, an ordinary trap answering a boolean) is
-    decided inline: no frame beyond the handler read and the call."""
+    common case (no override, an ordinary function object as the trap,
+    answering a boolean) is decided inline: the handler read and one
+    Interpreter.invoke of the trap's function, with no call_value frame
+    between. Any other trap (a callable proxy, say) goes through
+    call_value, and every answer is coerced with truthy."""
     override_stack = interp.override_stack
     if override_stack:
         for overridden, flag in reversed(override_stack):
@@ -186,17 +189,18 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
         return False
     override_stack.append((proxy, False))
     try:
-        trap = proxy.handler.get(interp, "isTransparent")
+        handler = proxy.handler
+        trap = handler.get(interp, "isTransparent")
         if trap.__class__ is OrdinaryObject:
-            callable_trap = trap.function is not None
+            function = trap.function
+            answer = False if function is None else interp.invoke(
+                function, handler, [proxy.target, proxy])
+        elif is_callable(trap):
+            answer = interp.call_value(trap, handler, [proxy.target, proxy])
         else:
-            callable_trap = is_callable(trap)
-        answer = False
-        if callable_trap:
-            answer = interp.call_value(trap, proxy.handler,
-                                       [proxy.target, proxy])
-            if answer.__class__ is not bool:
-                answer = truthy(answer)
+            answer = False
+        if answer.__class__ is not bool:
+            answer = truthy(answer)
     except PlxRuntimeError:
         return False
     finally:
@@ -211,7 +215,7 @@ def get_equality_object(interp, value):
     at revoked proxies. Proxy chains are acyclic because targets are
     fixed at construction, so the walk terminates.
     """
-    while isinstance(value, ProxyObject) and is_transparent(interp, value):
+    while value.__class__ is ProxyObject and is_transparent(interp, value):
         value = value.target
     return value
 

@@ -5,13 +5,13 @@ fixed chain of Python frames. These tests count the frames one call and
 one vote enter (sys.setprofile "call" events) and bound them by today's
 count, so that a refactor that puts frames back on the call path fails
 here instead of only showing up as a slower trap-mode benchmark; so are
-the frames one iteration of a numeric while loop enters. A repeated
-look-through of a deep proxy chain is bounded in lines run
-(sys.settrace "line" events), so that losing its memo fails here. The
-parser's deepest inputs are bounded the same way, both in frames entered
-and in frames on the stack at once, which HOST_RECURSION_LIMIT must
-cover; so is parsing the prelude, and so is the lexer, which enters no
-frame per token.
+the frames one iteration of a numeric while loop enters, with and without
+a scoped block. A repeated look-through of a deep proxy chain is bounded
+in lines run (sys.settrace "line" events), so that losing its memo fails
+here. The parser's deepest inputs are bounded the same way, both in
+frames entered and in frames on the stack at once, which
+HOST_RECURSION_LIMIT must cover; so is parsing the prelude, and so is the
+lexer, which enters no frame per token.
 """
 
 import gc
@@ -44,18 +44,22 @@ def frames_entered(mode, setup, expression):
 
 
 def test_one_language_call():
-    # _call, _identifier, _literal, call_value, invoke,
-    # Environment.__init__, _return, _identifier
+    # _call, _identifier, _literal, call_value, invoke, _return,
+    # _identifier: invoke binds the parameters and builds the scope
+    # without a frame of its own (no Environment.__init__)
     value, names = frames_entered(
         "opaque", "function f(x) { return x; }", "f(1)")
     assert value == 1.0
     assert names.count("invoke") == 1
-    assert len(names) <= 8, names
+    assert len(names) <= 7, names
 
 
 def test_one_trap_mode_vote():
-    # the call above's frames for the trap, plus the equality operator,
-    # resolution of both operands, is_transparent and the handler read
+    # _binary, two _identifier and the === operator's lambda,
+    # strict_equals, and for each operand resolve_for_mode and
+    # get_equality_object; for the proxy, is_transparent, the handler
+    # read (get), and invoke, _return and _literal for the trap, which
+    # is_transparent invokes directly, without call_value; raw_identical
     value, names = frames_entered(
         "trap",
         "var o = {}; var p = new Proxy(o, "
@@ -64,7 +68,23 @@ def test_one_trap_mode_vote():
     assert value is True
     assert names.count("is_transparent") == 1
     assert names.count("invoke") == 1
-    assert len(names) <= 17, names
+    assert "call_value" not in names
+    assert len(names) <= 15, names
+
+
+def frames_per_iteration(loop):
+    """How many Python frames one iteration of loop enters: a while loop
+    that counts the global i up to n, beside a global s."""
+    def entered(n):
+        interp = Interpreter()
+        assert evaluate_program(
+            parse_source(f"var i = 0; var s = 0; var n = {n};"), interp).ok
+        count, _ = frames(lambda p: evaluate_program(p, interp),
+                          parse_source(loop))
+        assert interp.globals.lookup("i") == n
+        return count
+
+    return (entered(110) - entered(10)) / 100
 
 
 def test_one_loop_iteration():
@@ -73,17 +93,19 @@ def test_one_loop_iteration():
     # reads for each assignment; _while runs the body itself, and
     # arithmetic and order on two numbers and a bool condition enter none
     # of their own
-    def entered(n):
-        interp = Interpreter()
-        assert evaluate_program(
-            parse_source(f"var i = 0; var s = 0; var n = {n};"), interp).ok
-        program = parse_source("while (i < n) { s = s + i; i = i + 1; }")
-        count, _ = frames(lambda p: evaluate_program(p, interp), program)
-        assert interp.globals.lookup("i") == n
-        return count
-
-    per_iteration = (entered(110) - entered(10)) / 100
+    per_iteration = frames_per_iteration(
+        "while (i < n) { s = s + i; i = i + 1; }")
     assert per_iteration <= 11, per_iteration
+
+
+def test_one_scoped_loop_iteration():
+    # a var in the body makes it a scoped block, so each iteration gets a
+    # fresh scope, built without a frame (no Environment.__init__): the
+    # 11 frames above, plus _var_decl and _identifier for the var, and
+    # _identifier for the t that s = s + t reads: 14
+    per_iteration = frames_per_iteration(
+        "while (i < n) { var t = i; s = s + t; i = i + 1; }")
+    assert per_iteration <= 14, per_iteration
 
 
 def lines_run(mode, setup, expression):
@@ -162,20 +184,21 @@ def test_tokenize_enters_no_frame_per_token():
 
 
 def test_parsing_the_prelude():
-    # 2,106 frames, each node's __init__ among them: an operand with no
-    # suffix enters one parser rule, and a right operand with no tighter
-    # operator after it enters no binary rule of its own
+    # 1,840 frames, each node's __init__ among them: an operand with no
+    # suffix enters one parser rule, a right operand with no tighter
+    # operator after it enters no binary rule of its own, and no rule
+    # expects again the keyword or punctuator its caller has read
     entered, _ = frames(parse, tokenize(default_prelude_source()))
-    assert entered <= 2106, entered
+    assert entered <= 1840, entered
 
 
 def test_deepest_parses():
     # the deepest inputs the parser accepts: 400 levels of expression
     # (two frames a parenthesis, one a '?:' arm) and 400 of blocks (three
     # frames an 'if')
-    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 2015, 805),
-             ("if (a) {" * 400 + "}" * 400, 7604, 1204),
-             ("x = " + "a ? b : " * 399 + "c;", 4808, 406)]
+    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 1614, 805),
+             ("if (a) {" * 400 + "}" * 400, 6804, 1204),
+             ("x = " + "a ? b : " * 399 + "c;", 4008, 406)]
     for source, most_entered, most_deep in cases:
         entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]

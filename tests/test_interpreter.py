@@ -163,6 +163,26 @@ def test_parameter_binding(mode):
     """, mode) == "3 12 5\n"
 
 
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from("abc"), max_size=5).flatmap(
+    lambda params: st.tuples(st.just(params), st.lists(
+        st.integers(min_value=0, max_value=99),
+        max_size=len(params) + 2))))
+def test_parameter_binding_model(params_and_args):
+    # names repeat, and arguments run from none to two past the parameters
+    params, args = params_and_args
+    names = sorted(set(params))
+    source = (f"function f({', '.join(params)}) "
+              f"{{ print({', '.join(names)}); }} "
+              f"f({', '.join(map(str, args))});")
+    # the model: zip, then undefined for each missing position in order,
+    # so a repeated name takes its last position
+    bindings = dict(zip(params, map(str, args)))
+    for param in params[len(args):]:
+        bindings[param] = "undefined"
+    assert out(source) == " ".join(bindings[name] for name in names) + "\n"
+
+
 def test_functions_are_objects():
     assert out("""
     function f() { return 1; }

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from proxylang.errors import LangTypeError, RevokedProxyError
-from proxylang.interpreter import Interpreter
+from proxylang.interpreter import (MAX_CALL_DEPTH, Interpreter,
+                                   evaluate_program)
 from proxylang.objects import NULL, UNDEFINED
+from proxylang.parser import parse_source
 from proxylang.proxies import (get_equality_object, is_transparent,
                                pack_args_object, proxy_create, revoke,
                                unpack_args_object, with_transparency)
@@ -445,6 +447,56 @@ def test_impure_transparency_trap_is_reconsulted(interp):
     proxy = proxy_create(interp, target, handler)
     assert get_equality_object(interp, proxy) == target
     assert get_equality_object(interp, proxy) == proxy
+
+
+# --- votes that overflow the call stack ---
+
+def run_output(interp, source):
+    result = evaluate_program(parse_source(source), interp)
+    assert result.ok, (result.error_kind, result.error_message)
+    return result.output
+
+
+def test_vote_that_recurses_to_stack_overflow_is_opaque(interp):
+    output = run_output(interp, """
+        function down(n) { return down(n + 1); }
+        var o = {};
+        var p = new Proxy(o, {isTransparent: function(t, q) {
+            return down(0); }});
+        print(p === o, p == o, o === p, p !== o, p != o);
+    """)
+    assert output == "false false false true true\n"
+    assert interp.depth == 0
+    assert interp.override_stack == []
+
+
+@pytest.mark.parametrize("depth, answer", [
+    (MAX_CALL_DEPTH - 2, "true true"),
+    # the trap is call MAX_CALL_DEPTH, and its call of yes() overflows
+    (MAX_CALL_DEPTH - 1, "false false"),
+    # the trap's own call overflows
+    (MAX_CALL_DEPTH, "false false")])
+def test_vote_at_the_call_depth_limit(interp, depth, answer):
+    # the votes are made in the body of the depth-th nested call and
+    # saved on r, as at the deepest no call is left to print them; at the
+    # top level the same votes look through
+    output = run_output(interp, f"""
+        function yes() {{ return true; }}
+        var o = {{}};
+        var p = new Proxy(o, {{isTransparent: function(t, q) {{
+            return yes(); }}}});
+        var r = {{}};
+        function at(n) {{
+            if (n > 1) {{ return at(n - 1); }}
+            r.strict = p === o;
+            r.loose = p == o;
+        }}
+        at({depth});
+        print(r.strict, r.loose, p === o, p == o);
+    """)
+    assert output == answer + " true true\n"
+    assert interp.depth == 0
+    assert interp.override_stack == []
 
 
 def test_args_object_round_trip(interp):
