@@ -23,6 +23,10 @@ additionally coerces: null equals undefined, booleans compare as 0/1,
 and a number meets a string by converting the string to a number.
 Objects never coerce: an object compared to a primitive with == is
 simply unequal.
+
+Only a proxy operand is ever resolved. Every mode resolves a non-proxy
+to itself, so ==, ===, their negations and the opaque operators compare
+a primitive or an ordinary object as it is, without a resolution step.
 """
 
 import math
@@ -80,15 +84,22 @@ def resolve_for_mode(interp, value, mode: EqualityMode):
 
 
 def strict_equals(interp, a, b, mode=None) -> bool:
+    # every mode resolves a non-proxy to itself, so only a proxy is
+    # resolved; a is still resolved before b, as trap-mode votes run code
     mode = interp.mode if mode is None else mode
-    return raw_identical(resolve_for_mode(interp, a, mode),
-                         resolve_for_mode(interp, b, mode))
+    if a.__class__ is ProxyObject:
+        a = resolve_for_mode(interp, a, mode)
+    if b.__class__ is ProxyObject:
+        b = resolve_for_mode(interp, b, mode)
+    return raw_identical(a, b)
 
 
 def loose_equals(interp, a, b, mode=None) -> bool:
     mode = interp.mode if mode is None else mode
-    a = resolve_for_mode(interp, a, mode)
-    b = resolve_for_mode(interp, b, mode)
+    if a.__class__ is ProxyObject:
+        a = resolve_for_mode(interp, a, mode)
+    if b.__class__ is ProxyObject:
+        b = resolve_for_mode(interp, b, mode)
     if isinstance(a, HeapObject) or isinstance(b, HeapObject):
         return raw_identical(a, b)  # objects never coerce
     return primitive_loose_equals(a, b)
@@ -117,12 +128,14 @@ def builtin_is_equal(interp, a, b) -> bool:
 # --- primitive coercion ---
 
 def primitive_loose_equals(a, b) -> bool:
+    if a.__class__ is b.__class__:
+        # same-type value equality: NaN != NaN, 0.0 == -0.0, and null and
+        # undefined are singletons
+        return a == b
     if isinstance(a, bool):
         return primitive_loose_equals(1.0 if a else 0.0, b)
     if isinstance(b, bool):
         return primitive_loose_equals(a, 1.0 if b else 0.0)
-    if type(a) is type(b):
-        return raw_identical(a, b)
     if (a is NULL and b is UNDEFINED) or (a is UNDEFINED and b is NULL):
         return True
     if isinstance(a, float) and isinstance(b, str):

@@ -19,8 +19,9 @@ interp, env) written here, listed in _EVAL or _EXEC, and installed on its
 node class when this module loads, so a node costs one method call and
 nodes.py holds no evaluation. A Block or a Program has neither method;
 their statements run in a loop. _binary applies arithmetic and order to
-two numbers itself, and _while takes a bool condition as it is; every
-other operator, equality included, goes through _BINARY. An error takes
+two numbers itself, and _if and _while take a bool condition as it is;
+every other operator, equality included, goes through _BINARY. A
+computed key that is already a string is used as it is. An error takes
 the line of the innermost node that raises it, so only the handlers of
 nodes that can raise one tag it.
 
@@ -226,15 +227,20 @@ def _property_set(node, interp, env):
             raise LangTypeError(f"cannot set a property on {kind_of(obj)}")
         key = node.key
         if node.computed:
-            key = to_property_key(key.evaluate(interp, env))
+            key = key.evaluate(interp, env)
+            if key.__class__ is not str:
+                key = to_property_key(key)
         obj.set(interp, key, node.value.evaluate(interp, env))
     except PlxRuntimeError as err:
         raise _at(err, node)
 
 
 def _if(node, interp, env):
-    block = node.then if truthy(node.cond.evaluate(interp, env)) \
-        else node.otherwise
+    test = node.cond.evaluate(interp, env)
+    # a comparison gives a bool, which needs no truthy call
+    if test.__class__ is not bool:
+        test = truthy(test)
+    block = node.then if test else node.otherwise
     if block is not None:
         if block.scoped:
             outer = env
@@ -325,7 +331,9 @@ def _property_get(node, interp, env):
             raise LangTypeError(f"cannot read a property of {kind_of(obj)}")
         key = node.key
         if node.computed:
-            key = to_property_key(key.evaluate(interp, env))
+            key = key.evaluate(interp, env)
+            if key.__class__ is not str:
+                key = to_property_key(key)
         return obj.get(interp, key)
     except PlxRuntimeError as err:
         raise _at(err, node)
@@ -351,7 +359,9 @@ def _method_call(node, interp, env):
             raise LangTypeError(f"cannot call a method of {kind_of(obj)}")
         key = node.key
         if node.computed:
-            key = to_property_key(key.evaluate(interp, env))
+            key = key.evaluate(interp, env)
+            if key.__class__ is not str:
+                key = to_property_key(key)
         method = obj.get(interp, key)
         args = []
         for expr in node.args:
@@ -362,8 +372,11 @@ def _method_call(node, interp, env):
 
 
 def _object_lit(node, interp, env):
-    return interp.heap.alloc(OrdinaryObject(
-        {key: value.evaluate(interp, env) for key, value in node.entries}))
+    # a loop, not a dict comprehension, which would be a host frame
+    properties = {}
+    for key, value in node.entries:
+        properties[key] = value.evaluate(interp, env)
+    return interp.heap.alloc(OrdinaryObject(properties))
 
 
 def _function_expr(node, interp, env):
@@ -394,8 +407,9 @@ def _new(node, interp, env):
             raise LangTypeError("'new' can only construct Proxy")
         if len(node.args) != 2:
             raise LangTypeError("new Proxy takes a target and a handler")
-        target, handler = [arg.evaluate(interp, env) for arg in node.args]
-        return proxy_create(interp, target, handler)
+        target, handler = node.args
+        return proxy_create(interp, target.evaluate(interp, env),
+                            handler.evaluate(interp, env))
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -484,7 +498,8 @@ def _builtin_print(interp, this, args):
 
 
 def _builtin_typeof(interp, this, args):
-    return kind_of(arg(args, 0))
+    # the argument is read inline, not through arg(), which is a frame
+    return kind_of(args[0] if args else UNDEFINED)
 
 
 def _builtin_contract_violation(interp, this, args):

@@ -9,6 +9,16 @@ revoked proxy answers every trapped operation with RevokedProxyError,
 but equality never raises: for resolution purposes a revoked proxy is
 simply its own endpoint.
 
+Traps are looked up afresh at every operation, link by link along a
+chain of proxies, and nothing is kept from one walk to the next. An
+unrevoked link whose handler is an ordinary object has its trap read
+straight from the handler's properties; a missing, undefined or null
+trap passes the link with no host frame, so a trap-less link costs one
+dictionary read. A present trap, a revoked link and a handler that is
+itself a proxy (whose lookup runs user code) go through
+ProxyObject._trap, which raises for a revoked link or a trap that is not
+callable, and which is where a tracer counts the traps found.
+
 A proxy's target is fixed at construction, and revoke() is the only
 writer of ``revoked``, which only ever goes from false to true. So the
 endpoint of an unconditional look-through walk (transparent and
@@ -116,11 +126,23 @@ class ProxyObject(HeapObject):
         """Give the first link of the chain whose handler has a trap for
         name, with that trap; or the ordinary object at the end, with None.
         Trap-less links are passed in a loop, so a forwarding chain of any
-        depth costs no host stack. Links are asked in order, so a revoked
-        or badly trapped link raises where the operation reaches it."""
+        depth costs no host stack. An unrevoked link with an ordinary
+        handler is read inline, and passed when its trap is missing,
+        undefined or null; _trap is entered only for a present trap, a
+        revoked link or a handler that is not ordinary, so it still
+        validates (and a tracer counts) every trap found. Links are asked
+        in order and nothing is kept between walks, so a revoked or badly
+        trapped link raises where the operation reaches it, and a handler
+        changed by an earlier link's trap is read as it now is."""
         link = self
         while True:
-            trap = link._trap(interp, name)
+            handler = link.handler
+            if handler.__class__ is not OrdinaryObject or link.revoked:
+                trap = link._trap(interp, name)
+            else:
+                trap = handler.properties.get(name, UNDEFINED)
+                trap = None if trap is UNDEFINED or trap is NULL \
+                    else link._trap(interp, name)
             if trap is not None:
                 return link, trap
             link = link.target
@@ -246,7 +268,11 @@ def with_transparency(interp, proxy, flag, thunk):
 
 def pack_args_object(interp, args) -> HeapObject:
     """Box a positional argument list as {"0": v0, ..., "length": n}."""
-    props = {str(i): v for i, v in enumerate(args)}
+    # a loop, not a dict comprehension, which on Python 3.11 runs in a host
+    # frame of its own; membranes and contracts pack every apply
+    props = {}
+    for i, value in enumerate(args):
+        props[str(i)] = value
     props["length"] = float(len(args))
     return interp.heap.alloc(OrdinaryObject(props))
 

@@ -9,9 +9,10 @@ distinct keys in every mode, as they are under :===:, so it can be keyed
 by wrappers (a membrane's wrapper -> inner index needs that). Both are
 one IdentityMap type, told apart by its ``raw`` flag. Only objects are
 valid keys, and an entry is stored under the resolved object itself,
-compared by identity. Entries are held strongly; the name follows the
-host-language convention for identity-keyed maps, not a collection
-contract.
+compared by identity. A raw map's object key is used as it is; only a
+key that must be resolved or rejected goes through _resolve_key.
+Entries are held strongly; the name follows the host-language
+convention for identity-keyed maps, not a collection contract.
 """
 
 from .errors import LangTypeError
@@ -38,20 +39,27 @@ def _resolve_key(interp, imap: IdentityMap, key) -> HeapObject:
 
 
 def idmap_set(interp, imap: IdentityMap, key, value) -> None:
-    imap.entries[_resolve_key(interp, imap, key)] = value
+    if not imap.raw or not isinstance(key, HeapObject):
+        key = _resolve_key(interp, imap, key)
+    imap.entries[key] = value
 
 
 def idmap_get(interp, imap: IdentityMap, key):
-    return imap.entries.get(_resolve_key(interp, imap, key), UNDEFINED)
+    if not imap.raw or not isinstance(key, HeapObject):
+        key = _resolve_key(interp, imap, key)
+    return imap.entries.get(key, UNDEFINED)
 
 
 def idmap_has(interp, imap: IdentityMap, key) -> bool:
-    return _resolve_key(interp, imap, key) in imap.entries
+    if not imap.raw or not isinstance(key, HeapObject):
+        key = _resolve_key(interp, imap, key)
+    return key in imap.entries
 
 
 def idmap_delete(interp, imap: IdentityMap, key) -> bool:
-    return imap.entries.pop(_resolve_key(interp, imap, key), _MISSING) \
-        is not _MISSING
+    if not imap.raw or not isinstance(key, HeapObject):
+        key = _resolve_key(interp, imap, key)
+    return imap.entries.pop(key, _MISSING) is not _MISSING
 
 
 _MISSING = object()
@@ -63,18 +71,19 @@ def create_weakmap(interp, raw: bool = False) -> OrdinaryObject:
     imap = IdentityMap(raw)
     obj = interp.heap.alloc(OrdinaryObject())
 
+    # the key is read inline, not through arg(), which would be a frame
     def wm_set(itp, this, args):
-        idmap_set(itp, imap, arg(args, 0), arg(args, 1))
+        idmap_set(itp, imap, args[0] if args else UNDEFINED, arg(args, 1))
         return obj
 
     def wm_get(itp, this, args):
-        return idmap_get(itp, imap, arg(args, 0))
+        return idmap_get(itp, imap, args[0] if args else UNDEFINED)
 
     def wm_has(itp, this, args):
-        return idmap_has(itp, imap, arg(args, 0))
+        return idmap_has(itp, imap, args[0] if args else UNDEFINED)
 
     def wm_delete(itp, this, args):
-        return idmap_delete(itp, imap, arg(args, 0))
+        return idmap_delete(itp, imap, args[0] if args else UNDEFINED)
 
     for name, fn in (("set", wm_set), ("get", wm_get),
                      ("has", wm_has), ("delete", wm_delete)):

@@ -12,10 +12,13 @@ from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 primitive_loose_equals, raw_identical,
                                 resolve_for_mode, strict_equals,
                                 string_to_number)
-from proxylang.interpreter import Interpreter, run_source
-from proxylang.objects import NULL, UNDEFINED, OrdinaryObject
+from proxylang.interpreter import Interpreter, evaluate_program, run_source
+from proxylang.objects import NULL, UNDEFINED, HeapObject, OrdinaryObject
+from proxylang.parser import parse_expression, parse_source
 from proxylang.proxies import (ProxyObject, get_equality_object,
                                proxy_create, revoke)
+
+from test_acceptance import load_table, to_value
 
 MODES = list(EqualityMode)
 
@@ -351,3 +354,80 @@ def test_strict_implies_loose_on_primitives():
     for a, b in itertools.product(sample, repeat=2):
         if raw_identical(a, b):
             assert primitive_loose_equals(a, b)
+
+
+# --- only a proxy operand is resolved: a differential check ---
+
+def reference_primitive_loose(a, b):
+    """== on two primitives, with no same-type shortcut."""
+    if isinstance(a, bool):
+        return reference_primitive_loose(1.0 if a else 0.0, b)
+    if isinstance(b, bool):
+        return reference_primitive_loose(a, 1.0 if b else 0.0)
+    if type(a) is type(b):
+        return raw_identical(a, b)
+    if {type(a), type(b)} == {type(NULL), type(UNDEFINED)}:
+        return True
+    if isinstance(a, float) and isinstance(b, str):
+        return a == string_to_number(b)
+    if isinstance(a, str) and isinstance(b, float):
+        return string_to_number(a) == b
+    return False
+
+
+def reference_equals(interp, op, a, b):
+    """op on a and b with both operands resolved first, whatever they
+    are."""
+    a = resolve_for_mode(interp, a, interp.mode)
+    b = resolve_for_mode(interp, b, interp.mode)
+    if op in ("===", "!=="):
+        equal = raw_identical(a, b)
+    elif isinstance(a, HeapObject) or isinstance(b, HeapObject):
+        equal = raw_identical(a, b)
+    else:
+        equal = reference_primitive_loose(a, b)
+    return equal if op in ("==", "===") else not equal
+
+
+EQUALITY_OPERANDS = """
+var o = {};
+var other = {};
+var f = function() { return 1; };
+function vote(answer) {
+  return {isTransparent: function(t, p) { return answer; }};
+}
+var yes = new Proxy(o, vote(true));
+var no = new Proxy(o, vote(false));
+var bare = new Proxy(o, {});
+var deep = new Proxy(yes, vote(true));
+var stuck = new Proxy(no, vote(true));
+var revoked = new Proxy(o, vote(true));
+Proxy.revoke(revoked);
+var past = new Proxy(revoked, vote(true));
+var wrapped = new Proxy(f, vote(true));
+"""
+OBJECT_NAMES = ("o", "other", "f", "yes", "no", "bare", "deep", "stuck",
+                "revoked", "past", "wrapped")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_equality_matches_a_resolve_first_reference(mode):
+    # every pair of the primitive table's values, objects, proxies and
+    # revoked proxies, through the language's four equality operators
+    values, pairs = load_table()
+    primitives = [to_value(value) for value in values]
+    for i, j, loose, strict in pairs:
+        a, b = primitives[i], primitives[j]
+        assert reference_primitive_loose(a, b) is loose
+        assert raw_identical(a, b) is strict
+    interp = Interpreter(mode=mode)
+    assert evaluate_program(parse_source(EQUALITY_OPERANDS), interp).ok
+    operands = primitives + [interp.globals.lookup(name)
+                             for name in OBJECT_NAMES]
+    for op in ("==", "!=", "===", "!=="):
+        node = parse_expression(f"a {op} b")
+        for a, b in itertools.product(operands, repeat=2):
+            interp.globals.bindings["a"] = a
+            interp.globals.bindings["b"] = b
+            assert node.evaluate(interp, interp.globals) \
+                is reference_equals(interp, op, a, b), (op, a, b)

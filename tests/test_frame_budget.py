@@ -6,9 +6,12 @@ one vote enter (sys.setprofile "call" events) and bound them by today's
 count, so that a refactor that puts frames back on the call path fails
 here instead of only showing up as a slower trap-mode benchmark; so are
 the frames one iteration of a numeric while loop enters, with and without
-a scoped block. A repeated look-through of a deep proxy chain is bounded
-in lines run (sys.settrace "line" events), so that losing its memo fails
-here. The parser's deepest inputs are bounded the same way, both in
+a scoped block. So are a read through a chain of trap-less proxies,
+which must not grow with the chain, one membrane read, primitive
+equality, an if on a bool, and the literals that must not enter a
+comprehension's frame. A repeated look-through of a deep proxy chain is
+bounded in lines run (sys.settrace "line" events), so that losing its
+memo fails here. The parser's deepest inputs are bounded the same way, both in
 frames entered and in frames on the stack at once, which
 HOST_RECURSION_LIMIT must cover; so is parsing the prelude, and so is the
 lexer, which enters no frame per token.
@@ -23,12 +26,9 @@ from proxylang.parser import parse, parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
 
 
-def frames_entered(mode, setup, expression):
-    """The value of expression and the names of the Python frames its
-    evaluation entered, after setup has run in a fresh interpreter."""
-    interp = Interpreter(mode=mode)
-    assert evaluate_program(parse_source(setup), interp).ok
-    node = parse_expression(expression)
+def names_entered(function, *args):
+    """The value of function(*args) and the names of the Python frames
+    it entered, its own first."""
     names = []
 
     def profile(frame, event, arg):
@@ -37,10 +37,19 @@ def frames_entered(mode, setup, expression):
 
     sys.setprofile(profile)
     try:
-        value = node.evaluate(interp, interp.globals)
+        value = function(*args)
     finally:
         sys.setprofile(None)
     return value, names
+
+
+def frames_entered(mode, setup, expression):
+    """The value of expression and the names of the Python frames its
+    evaluation entered, after setup has run in a fresh interpreter."""
+    interp = Interpreter(mode=mode)
+    assert evaluate_program(parse_source(setup), interp).ok
+    node = parse_expression(expression)
+    return names_entered(node.evaluate, interp, interp.globals)
 
 
 def test_one_language_call():
@@ -70,6 +79,78 @@ def test_one_trap_mode_vote():
     assert names.count("invoke") == 1
     assert "call_value" not in names
     assert len(names) <= 15, names
+
+
+def test_trap_less_links_enter_no_frames():
+    # _property_get, _identifier, ProxyObject.get, _forward and the
+    # target's get: an unrevoked link whose ordinary handler has no trap
+    # is read inline, so 100 links cost what 1 does (a _trap and a
+    # handler get a link would be 205)
+    counts = []
+    for depth in (1, 100):
+        value, names = frames_entered(
+            "opaque",
+            "var o = {x: 1}; var p = o; var i = 0;"
+            f"while (i < {depth}) {{ p = new Proxy(p, {{}}); i = i + 1; }}",
+            "p.x")
+        assert value == 1.0
+        assert "_trap" not in names
+        counts.append(len(names))
+    assert counts[0] == counts[1] <= 5, counts
+
+
+def test_one_membrane_read():
+    # w.a, with a's wrapper already made: the membrane's get trap runs
+    # wrap(t[key]), whose typeofValue, != and two RawWeakMap probes read
+    # their arguments inline, never resolve a raw map's object key or a
+    # string operand, and take the bool condition of each if as it is
+    interp = Interpreter()
+    assert evaluate_program(parse_source(
+        default_prelude_source()
+        + "var inner = {a: {v: 1}}; var m = membrane(inner);"
+        + "var w = m.wrapper; var first = w.a;"), interp).ok
+    value, names = names_entered(parse_expression("w.a").evaluate, interp,
+                                 interp.globals)
+    assert value is interp.globals.lookup("first")
+    for helper in ("arg", "truthy", "_resolve_key", "resolve_for_mode",
+                   "to_property_key", "raw_identical"):
+        assert helper not in names, helper
+    assert len(names) <= 58, names
+
+
+def test_primitive_equality():
+    # _binary, two _identifier, the operator's lambda, loose_equals and
+    # primitive_loose_equals: an operand that is not a proxy is never
+    # resolved, and two operands of one type compare with ==
+    for setup, expression in (('var a = "x"; var b = "y";', "a != b"),
+                              ("var a = 1; var b = 2;", "a == b")):
+        value, names = frames_entered("opaque", setup, expression)
+        assert value is (expression == "a != b")
+        assert "resolve_for_mode" not in names
+        assert len(names) <= 6, (expression, names)
+
+
+def test_if_takes_a_bool_condition_as_it_is():
+    interp = Interpreter()
+    assert evaluate_program(parse_source("var a = 1; var b = 0;"),
+                            interp).ok
+    _, names = names_entered(
+        evaluate_program,
+        parse_source("if (a < 2) { b = 1; } else { b = 2; }"), interp)
+    assert interp.globals.lookup("b") == 1.0
+    assert "_if" in names
+    assert "truthy" not in names
+
+
+def test_literals_enter_no_comprehension():
+    # _object_lit builds its dict in a loop and _new evaluates its two
+    # arguments directly: ({a: 1, b: 2}) enters 5 frames and
+    # new Proxy(o, {}) 9, with no <dictcomp> or <listcomp> among them
+    for setup, expression, most in (("", "({a: 1, b: 2})", 5),
+                                    ("var o = {};", "new Proxy(o, {})", 9)):
+        _, names = frames_entered("opaque", setup, expression)
+        assert "<dictcomp>" not in names and "<listcomp>" not in names
+        assert len(names) <= most, (expression, names)
 
 
 def frames_per_iteration(loop):

@@ -1,15 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxylang.errors import LangTypeError, RevokedProxyError
 from proxylang.interpreter import (MAX_CALL_DEPTH, Interpreter,
                                    evaluate_program)
 from proxylang.objects import NULL, UNDEFINED
 from proxylang.parser import parse_source
-from proxylang.proxies import (get_equality_object, is_transparent,
-                               pack_args_object, proxy_create, revoke,
-                               unpack_args_object, with_transparency)
+from proxylang.proxies import (ProxyObject, get_equality_object,
+                               is_transparent, pack_args_object,
+                               proxy_create, revoke, unpack_args_object,
+                               with_transparency)
 
 
 @pytest.fixture
@@ -199,6 +202,119 @@ def test_innermost_trap_answers_through_deep_chain(interp):
     chain = forwarding_chain(interp, inner)
     assert without_host_recursion(chain.has, interp, "anything") is True
     assert seen["args"] == [base, "anything", inner]
+
+
+# --- forwarding against a reference walk ---
+
+# the handler of a link, as language source; each kind sets the trap of
+# every operation below, so get, set and call all meet it
+HANDLERS = {
+    "empty": "{}",
+    "shared": "shared",  # one handler object for every such link
+    "undefined": "{get: undefined, set: undefined, apply: undefined}",
+    "null": "{get: null, set: null, apply: null}",
+    "five": "{get: 5, set: 5, apply: 5}",
+    "trap": "traps",
+    # a proxy handler: looking a trap up on it adds that trap to the
+    # shared handler, so a shared link further in (or on a later walk)
+    # has one
+    "meta": "meta",
+}
+
+CHAIN_SETUP = """var shared = {};
+var traps = {
+  get: function(t, k, r) { return "trapped " + k; },
+  set: function(t, k, v, r) { t[k] = v + 100; },
+  apply: function(t, self, args, r) {
+    return 10 * Reflect.apply(t, self, args); }
+};
+var added = {
+  get: function(t, k, r) { return "added " + k; },
+  set: function(t, k, v, r) { t[k] = v + 1000; },
+  apply: function(t, self, args, r) { return "added call"; }
+};
+var meta = new Proxy({}, {get: function(t, name, r) {
+  shared[name] = added[name]; return undefined; }});
+var o = function(x) { return x + 1; };
+o.x = 1;
+var p = o;"""
+
+# each operation runs twice, so a second walk sees what the first changed
+OPERATIONS = {
+    "get": "print(p.x);\nprint(p.x);",
+    "set": "p.x = 7;\nprint(o.x);\np.x = 8;\nprint(o.x);",
+    "call": "print(p(2));\nprint(p(3));",
+}
+
+
+def reference_forward(link, interp, name):
+    """The forwarding walk that asks _trap at every link."""
+    while True:
+        trap = link._trap(interp, name)
+        if trap is not None:
+            return link, trap
+        link = link.target
+        if link.__class__ is not ProxyObject:
+            return link, None
+
+
+def run_chain(kinds, revoked, operation, forward=None):
+    """Run operation through a fresh chain, kinds[0] the innermost link
+    and the revoked-th link revoked (None for none), with
+    ProxyObject._forward replaced by forward if given."""
+    lines = CHAIN_SETUP.splitlines()
+    for i, kind in enumerate(kinds):
+        lines.append(f"p = new Proxy(p, {HANDLERS[kind]}); var l{i} = p;")
+    if revoked is not None:
+        lines.append(f"Proxy.revoke(l{revoked});")
+    lines.append(OPERATIONS[operation])
+    program = parse_source("\n".join(lines))
+    saved = ProxyObject._forward
+    if forward is not None:
+        ProxyObject._forward = forward
+    try:
+        result = evaluate_program(program, Interpreter())
+    finally:
+        ProxyObject._forward = saved
+    return (result.status, result.error_kind, result.error_message,
+            result.error_line, result.output)
+
+
+@st.composite
+def chains(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(HANDLERS)),
+                          min_size=1, max_size=30))
+    revoked = draw(st.none() | st.integers(0, len(kinds) - 1))
+    return kinds, revoked
+
+
+@settings(max_examples=120, deadline=None)
+@given(chains())
+def test_forwarding_matches_a_walk_that_asks_every_link(chain):
+    kinds, revoked = chain
+    for operation in OPERATIONS:
+        assert run_chain(kinds, revoked, operation) \
+            == run_chain(kinds, revoked, operation, reference_forward)
+
+
+def test_forwarding_chains_cover_every_outcome():
+    # the reference itself: a value, a trap's answer, a trap added by a
+    # meta handler on the first walk, and each error kind, with the line
+    # of the first operation
+    first = len(CHAIN_SETUP.splitlines()) + 1
+    assert run_chain(["empty", "shared", "null"], None, "get")[4] \
+        == "1\n1\n"
+    assert run_chain(["trap", "undefined"], None, "call")[4] == "30\n40\n"
+    assert run_chain(["shared", "meta"], None, "set")[4] == "1007\n1008\n"
+    assert run_chain(["empty", "five"], None, "get")[1:4] \
+        == ("TypeError", "trap 'get' is not callable", first + 2)
+    revoked = ("RevokedProxyError", "'apply' on a revoked proxy")
+    assert run_chain(["empty", "trap", "empty"], 2, "call")[1:4] \
+        == revoked + (first + 4,)
+    # reached from inside the apply trap, the error has the trap's line
+    in_trap = CHAIN_SETUP[:CHAIN_SETUP.index("Reflect.apply")].count("\n")
+    assert run_chain(["empty", "trap", "empty"], 0, "call")[1:4] \
+        == revoked + (in_trap + 1,)
 
 
 def test_create_requires_objects(interp):

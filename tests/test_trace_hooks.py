@@ -3,10 +3,13 @@
 The tracer patches each of these in the namespace where the program
 looks it up (``owner.__dict__[name]``). A refactor that moves or renames
 one would break ``perfbench/run.py --trace 1`` without failing any other
-tier-1 test, so their places are pinned here.
+tier-1 test, so their places are pinned here, and so is how often the
+program enters the one it counts traps with.
 """
 
 import weakref
+
+import pytest
 
 import proxylang
 import proxylang.interpreter as interpreter
@@ -14,6 +17,8 @@ import proxylang.objects as objects
 import proxylang.parser as parser
 import proxylang.proxies as proxies
 import proxylang.weakmap as weakmap
+from proxylang.errors import RevokedProxyError
+from proxylang.objects import UNDEFINED
 
 OPERATIONS = ("get", "set", "has", "delete", "own_keys")
 EQUALITY = ("strict_equals", "loose_equals", "opaque_strict_equals",
@@ -61,3 +66,65 @@ def test_programs_take_weak_references():
     # the tracer keeps prelude programs by weak reference
     program = parser.parse_source("var x = 1;")
     assert weakref.ref(program)() is program
+
+
+def count_trap_entries(monkeypatch):
+    """Wrap ProxyObject._trap; give the (entered, found) counts."""
+    counts = {"entered": 0, "found": 0}
+    find_trap = proxies.ProxyObject._trap
+
+    def trap(proxy, interp, name):
+        counts["entered"] += 1
+        found = find_trap(proxy, interp, name)
+        if found is not None:
+            counts["found"] += 1
+        return found
+    monkeypatch.setattr(proxies.ProxyObject, "_trap", trap)
+    return counts
+
+
+def trap_chain(interp, depth, trap_at, revoked_at=None, meta_at=None):
+    """A chain of depth links over {x: 1}, link 0 outermost: a get trap at
+    trap_at, a revoked link at revoked_at and, at meta_at, a handler that
+    is a proxy whose own get trap answers undefined."""
+    answer = interp.alloc_native("get", lambda itp, this, args: "trapped")
+    nothing = interp.alloc_native("get", lambda itp, this, args: UNDEFINED)
+    link = interp.heap.alloc_object({"x": 1.0})
+    links = []
+    for i in reversed(range(depth)):
+        if i == meta_at:
+            handler = proxies.proxy_create(
+                interp, interp.heap.alloc_object(),
+                interp.heap.alloc_object({"get": nothing}))
+        else:
+            handler = interp.heap.alloc_object(
+                {"get": answer} if i == trap_at else {})
+        link = proxies.proxy_create(interp, link, handler)
+        links.append(link)
+    if revoked_at is not None:
+        proxies.revoke(interp, links[depth - 1 - revoked_at])
+    return link
+
+
+@pytest.mark.parametrize("trap_at", [0, 4, 9])
+@pytest.mark.parametrize("revoked_at,meta_at",
+                         [(None, None), (2, None), (7, None), (None, 2),
+                          (None, 7)])
+def test_trap_is_entered_once_per_trap_found(monkeypatch, trap_at,
+                                              revoked_at, meta_at):
+    # ProxyObject._trap is where --trace 1 counts proxies.traps.*: it is
+    # entered once per trap found, plus once per revoked or non-ordinary
+    # link the walk reaches, and never for a trap-less link
+    interp = interpreter.Interpreter()
+    counts = count_trap_entries(monkeypatch)
+    chain = trap_chain(interp, 10, trap_at, revoked_at, meta_at)
+    if revoked_at is not None and revoked_at < trap_at:
+        with pytest.raises(RevokedProxyError):
+            chain.get(interp, "x")
+        assert counts == {"entered": 1, "found": 0}
+        return
+    assert chain.get(interp, "x") == "trapped"
+    # a meta handler's lookup is a get on a proxy, whose own trap is found
+    meta_reached = meta_at is not None and meta_at < trap_at
+    found = 2 if meta_reached else 1
+    assert counts == {"entered": found + meta_reached, "found": found}
