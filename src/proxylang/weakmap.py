@@ -9,8 +9,10 @@ distinct keys in every mode, as they are under :===:, so it can be keyed
 by wrappers (a membrane's wrapper -> inner index needs that). Both are
 one IdentityMap type, told apart by its ``raw`` flag. Only objects are
 valid keys, and an entry is stored under the resolved object itself,
-compared by identity. A raw map's object key is used as it is; only a
-key that must be resolved or rejected goes through _resolve_key.
+compared by identity. An ordinary object stands for itself in every
+mode, and a raw map takes any object as it is, so only a proxy key of a
+WeakMap, which must be resolved, and a primitive key, which is rejected,
+go through _resolve_key.
 Entries are held strongly; the name follows the host-language
 convention for identity-keyed maps, not a collection contract.
 """
@@ -39,25 +41,29 @@ def _resolve_key(interp, imap: IdentityMap, key) -> HeapObject:
 
 
 def idmap_set(interp, imap: IdentityMap, key, value) -> None:
-    if not imap.raw or not isinstance(key, HeapObject):
+    if key.__class__ is not OrdinaryObject and (
+            not imap.raw or not isinstance(key, HeapObject)):
         key = _resolve_key(interp, imap, key)
     imap.entries[key] = value
 
 
 def idmap_get(interp, imap: IdentityMap, key):
-    if not imap.raw or not isinstance(key, HeapObject):
+    if key.__class__ is not OrdinaryObject and (
+            not imap.raw or not isinstance(key, HeapObject)):
         key = _resolve_key(interp, imap, key)
     return imap.entries.get(key, UNDEFINED)
 
 
 def idmap_has(interp, imap: IdentityMap, key) -> bool:
-    if not imap.raw or not isinstance(key, HeapObject):
+    if key.__class__ is not OrdinaryObject and (
+            not imap.raw or not isinstance(key, HeapObject)):
         key = _resolve_key(interp, imap, key)
     return key in imap.entries
 
 
 def idmap_delete(interp, imap: IdentityMap, key) -> bool:
-    if not imap.raw or not isinstance(key, HeapObject):
+    if key.__class__ is not OrdinaryObject and (
+            not imap.raw or not isinstance(key, HeapObject)):
         key = _resolve_key(interp, imap, key)
     return imap.entries.pop(key, _MISSING) is not _MISSING
 

@@ -7,14 +7,14 @@ count, so that a refactor that puts frames back on the call path fails
 here instead of only showing up as a slower trap-mode benchmark; so are
 the frames one iteration of a numeric while loop enters, with and without
 a scoped block. So are a read through a chain of trap-less proxies,
-which must not grow with the chain, one membrane read, primitive
-equality, an if on a bool, and the literals that must not enter a
-comprehension's frame. A repeated look-through of a deep proxy chain is
+which must not grow with the chain, one membrane read, a WeakMap probe,
+primitive equality, an if on a bool, and the literals that must not
+enter a comprehension's frame. A repeated look-through of a deep proxy chain is
 bounded in lines run (sys.settrace "line" events), so that losing its
 memo fails here. The parser's deepest inputs are bounded the same way, both in
 frames entered and in frames on the stack at once, which
 HOST_RECURSION_LIMIT must cover; so is parsing the prelude, and so is the
-lexer, which enters no frame per token.
+lexer, which enters no frame per token or per line.
 """
 
 import gc
@@ -128,6 +128,23 @@ def test_primitive_equality():
         assert value is (expression == "a != b")
         assert "resolve_for_mode" not in names
         assert len(names) <= 6, (expression, names)
+
+
+def test_weakmap_probe_of_an_ordinary_key():
+    # _method_call, two _identifier, the method read (get), call_value,
+    # invoke, wm_get and idmap_get: an ordinary key stands for itself in
+    # every mode, so it is not resolved, in trap mode no more than in
+    # opaque mode (10 and 11 frames when it was); a proxy key still is
+    for mode in ("opaque", "transparent", "operators", "trap"):
+        setup = ("var m = WeakMap(); var o = {}; m.set(o, 1); var p = "
+                 "new Proxy(o, {isTransparent: function(t, q) "
+                 "{ return true; }});")
+        value, names = frames_entered(mode, setup, "m.get(o)")
+        assert value == 1.0
+        assert "_resolve_key" not in names, mode
+        assert len(names) <= 8, (mode, names)
+        value, names = frames_entered(mode, setup, "m.get(p)")
+        assert "resolve_for_mode" in names, mode
 
 
 def test_if_takes_a_bool_condition_as_it_is():
@@ -256,30 +273,50 @@ def frames(function, argument):
 
 
 def test_tokenize_enters_no_frame_per_token():
-    # a token is a tuple, so lexing the prelude's 721 tokens enters
-    # tokenize alone; a token class enters its __init__ once a token (722)
+    # the scan fills lists of lexemes and lines, so lexing the prelude's
+    # 721 tokens enters tokenize and the Tokens it returns (a token class
+    # would enter its __init__ once a token, 722 times)
     source = default_prelude_source()
     assert len(tokenize(source)) > 700
     entered, _ = frames(tokenize, source)
     assert entered <= 2, entered
 
 
+def test_tokenize_enters_no_frame_per_line():
+    # one findall a line, and the check of a line that ends in a comment
+    # inline: 1,000 lines enter what 10 do; a comment that spans lines
+    # costs one frame more for the whole source, the pass that blanks it
+    def lines(n):
+        return ("var x = 1; // one\n" * n + "/* spans\n lines */ x;\n"
+                + "// two\n" * n)
+
+    counts = []
+    for n in (10, 1000):
+        assert len(tokenize(lines(n))) == 5 * n + 2
+        entered, _ = frames(tokenize, lines(n))
+        counts.append(entered)
+    assert counts[0] == counts[1] <= 3, counts
+
+
 def test_parsing_the_prelude():
-    # 1,840 frames, each node's __init__ among them: an operand with no
+    # 1,697 frames, each node's __init__ among them: an operand with no
     # suffix enters one parser rule, a right operand with no tighter
-    # operator after it enters no binary rule of its own, and no rule
-    # expects again the keyword or punctuator its caller has read
+    # operator after it enters no binary rule of its own, no rule expects
+    # again the keyword or punctuator its caller has read, and an
+    # expression checks its nesting without a deeper frame (1,840 with
+    # one); a token's kind is told from its lexeme without a call, and no
+    # column is looked up
     entered, _ = frames(parse, tokenize(default_prelude_source()))
-    assert entered <= 1840, entered
+    assert entered <= 1697, entered
 
 
 def test_deepest_parses():
     # the deepest inputs the parser accepts: 400 levels of expression
     # (two frames a parenthesis, one a '?:' arm) and 400 of blocks (three
-    # frames an 'if')
-    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 1614, 805),
-             ("if (a) {" * 400 + "}" * 400, 6804, 1204),
-             ("x = " + "a ? b : " * 399 + "c;", 4008, 406)]
+    # frames an 'if'); an expression's nesting check enters no frame
+    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 1213, 805),
+             ("if (a) {" * 400 + "}" * 400, 6404, 1204),
+             ("x = " + "a ? b : " * 399 + "c;", 3208, 406)]
     for source, most_entered, most_deep in cases:
         entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]

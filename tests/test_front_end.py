@@ -1,0 +1,149 @@
+"""The front end against its reference.
+
+tokenize and parse must agree with reference_front_end.py, the tokenizer
+and parser as they were before tokenize returned a Tokens sequence, on
+every input: the same (kind, lexeme, line, column) items or the same
+LexError (message, line, column); then the same AST, every node's line
+and Block.scoped included, or the same ParseError (message, line, column,
+at_eof), from parse and from parse_expression alike. The inputs are the
+corpus, coincidence and prelude programs, the benchmark's generated
+scripts of two seeds, the parser's deepest inputs and generated text
+heavy in the characters that comments, strings and lines are made of.
+"""
+
+import dataclasses
+import importlib.util
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_front_end as reference
+from proxylang.errors import LexError, ParseError
+from proxylang.lexer import PUNCTUATORS, tokenize
+from proxylang.parser import parse, parse_expression
+from proxylang.prelude import default_prelude_source
+
+from conftest import COINCIDENCE_DIR, CORPUS_DIR, TESTS_DIR
+from test_parser import DEEP_INPUTS
+
+
+def dump(node):
+    """node as nested tuples of its class name and every field, line and
+    Block.scoped included, which node equality leaves out."""
+    kind = type(node)
+    if kind is list or kind is tuple:
+        return [dump(item) for item in node]
+    if kind not in FIELDS:
+        FIELDS[kind] = dataclasses.is_dataclass(kind) and [
+            f.name for f in dataclasses.fields(kind)]
+    names = FIELDS[kind]
+    if not names:
+        return node
+    return (kind.__name__, *[dump(getattr(node, name)) for name in names])
+
+
+FIELDS = {}  # each class's field names, or False for a value
+
+
+def outcome(tokenize, parse, parse_expression, source):
+    """What a front end makes of source: its token items or LexError, and
+    what parse and parse_expression make of it."""
+    try:
+        tokens = tokenize(source)
+    except LexError as err:
+        return ("LexError", err.message, err.line, err.column)
+    results = [list(tokens)]
+    for entry, argument in ((parse, tokens), (parse_expression, source)):
+        try:
+            results.append(dump(entry(argument)))
+        except ParseError as err:
+            results.append(("ParseError", err.message, err.line, err.column,
+                            err.at_eof))
+    return results
+
+
+def assert_same(source):
+    assert outcome(tokenize, parse, parse_expression, source) == outcome(
+        reference.tokenize, reference.parse, reference.parse_expression,
+        source), repr(source[:200])
+
+
+def scripts_programs(seed):
+    """The programs the benchmark's scripts workload runs at seed."""
+    bench = TESTS_DIR.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_scripts", bench / "workloads" / "scripts.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(bench))  # for its harness import
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+
+    class Setup:
+        prelude = None
+
+    return [program[2]
+            for program in module.Scripts(None, Setup, seed).programs]
+
+
+def test_real_programs():
+    sources = [path.read_text() for path in sorted(
+        [*CORPUS_DIR.glob("*.plx"), *COINCIDENCE_DIR.glob("*.plx")])]
+    assert len(sources) > 30
+    for source in [*sources, default_prelude_source()]:
+        assert_same(source)
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_benchmark_scripts(seed):
+    programs = scripts_programs(seed)
+    assert len(programs) == 200
+    for source in programs:
+        assert_same(source)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(param.values[0], id=param.id) for param in DEEP_INPUTS])
+def test_deep_inputs(source):
+    assert_same(source)
+
+
+# comments that span lines, beside strings and comments that hold their
+# delimiters, and each of them left open
+@pytest.mark.parametrize("source", [
+    "a /* x\ny */ b", "a /* x\n\ny */ b /* z\n */ c;", "/* x\n",
+    "a;\n/* x\ny", '"/*"\nx */', "'/*' /* '\n*/' b", "// /*\nx */ y",
+    "x /* a */ y /* b\n c */ z", "/*/ */\n/*\n*/x", "/**/\n/*\n*/ @",
+    '"open /* x\n */', 'x = "\\q" /*\n*/', "a /* x\r\n */ b\r\n",
+    "/*\n*/ /*\n*/ \"s\" /*\n", "x\n/* a\nb */ y z\n w @",
+])
+def test_comments_and_strings(source):
+    assert_same(source)
+
+
+# single characters that open, close or break comments, strings and
+# lines, blanks and characters outside the language
+CHARACTERS = ["/", "*", '"', "'", "\\", "\n", "\r\n", "\r", " ", "\t",
+              "\v", "\f", "\x00", "\u00e9", "\u0663", "\u00a0", "@",
+              "a", "1", "."]
+LEXEMES = ["var", "x", "f", "function", "if", "else", "while", "return",
+           "new", "true", "null", "2.5", '"s"', "'t\\n'", "/*", "*/", "//",
+           *PUNCTUATORS]
+# what lies between lexemes: blanks, line breaks and comments
+SEPARATORS = [" ", " ", "\n", "\r\n", "\t", "/* c */", "// c\n", "/*\n*/"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(CHARACTERS), max_size=40).map("".join))
+def test_generated_characters(source):
+    assert_same(source)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from([*LEXEMES, *SEPARATORS]), max_size=40)
+       .map("".join))
+def test_generated_lexemes(source):
+    assert_same(source)

@@ -3,8 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxylang.errors import LexError
-from proxylang.lexer import (PUNCTUATORS, _TOKEN, decode_string_lexeme,
-                             tokenize)
+from proxylang.lexer import (PUNCTUATORS, _TOKEN, _TOKEN_AT, Tokens,
+                             decode_string_lexeme, tokenize)
+
+from conftest import run_in_child
 
 
 def lexemes(source):
@@ -88,15 +90,34 @@ def test_strings_and_escapes():
     assert [t[0] for t in tokens] == ["string", "string"]
 
 
-def test_token_groups_are_the_kinds_tokenize_dispatches_on():
-    # tokenize dispatches on m.lastindex, the number of the last group a
-    # match closes, in this order; the seven kinds must be all the groups
-    # there are, so that a capturing group added to an alternative fails
-    # here instead of mislabelling tokens
-    assert _TOKEN.groupindex == {
-        "word": 1, "punctuator": 2, "number": 3, "newline": 4,
-        "comment": 5, "string": 6, "error": 7}
-    assert _TOKEN.groups == 7
+def test_line_scanners_capture_the_lexeme_and_the_bad_character():
+    # tokenize's findall reads group 1 alone: one lexeme a token, and ""
+    # for the comment or bad character that ends a line; _TOKEN_AT, the
+    # same pattern, also captures that character, in group 2. A capturing
+    # group added to an alternative would shift them, so it fails here
+    # instead of mislabelling tokens
+    assert _TOKEN.groups == 1 and _TOKEN_AT.groups == 2
+    assert _TOKEN.findall("a /* b */ c // d") == ["a", "c", ""]
+    assert _TOKEN.findall("a @ b") == ["a", ""]
+    assert _TOKEN.findall("/* b */") == [""]
+    assert [m.groups() for m in _TOKEN_AT.finditer("a @ b")] \
+        == [("a", None), (None, "@")]
+
+
+def test_tokens_sequence():
+    # the parser reads the lexemes and lines lists; a host reads the
+    # (kind, lexeme, line, column) items, by index, slice or iteration
+    tokens = tokenize('var s = "x";\n/* a\nb */ s.n')
+    assert isinstance(tokens, Tokens) and not isinstance(tokens, list)
+    assert tokens.lexemes == ["var", "s", "=", '"x"', ";", "s", ".", "n"]
+    assert tokens.lines == [1, 1, 1, 1, 1, 3, 3, 3]
+    assert len(tokens) == 8
+    assert tokens[3] == ("string", '"x"', 1, 9)
+    assert tokens[-1] == ("identifier", "n", 3, 8)
+    assert tokens[5:7] == [("identifier", "s", 3, 6),
+                           ("punctuator", ".", 3, 7)]
+    assert [t[3] for t in tokens] == [1, 5, 7, 9, 12, 6, 7, 8]
+    assert ("keyword", "var", 1, 1) in tokens
 
 
 def test_keywords_vs_identifiers():
@@ -175,7 +196,38 @@ def test_blanks_before_an_error(source, message, line, column):
 
 
 def test_no_end_of_input_token():
-    assert tokenize("a  ") == [("identifier", "a", 1, 1)]
+    assert list(tokenize("a  ")) == [("identifier", "a", 1, 1)]
+    assert tokenize("a  ").lexemes == ["a"]
+
+
+# A blank run that ends the input, or a comment that never closes, is
+# scanned once: a lexer that tries such a run again from each of its
+# characters needs hours for these, and a linear one milliseconds
+LONG_INPUTS = """
+from proxylang.errors import LexError
+from proxylang.interpreter import run_source
+from proxylang.lexer import tokenize
+for source in ["x;" + " " * 1_000_000, "x;" + "\\t" * 1_000_000,
+               "x;\\n" + " \\t" * 500_000 + "\\ny;" + "\\t " * 500_000]:
+    print(len(tokenize(source)))
+print(run_source("print(1);" + " " * 1_000_000).output, end="")
+for source in ["/* " * 50_000, "/*\\n" * 50_000, "x /*" * 50_000,
+               "/**/\\n" * 50_000 + "/* " * 50_000]:
+    try:
+        tokenize(source)
+    except LexError as err:
+        print(err.message, err.line, err.column)
+"""
+
+
+def test_long_blank_runs_and_unclosed_comments_lex_in_linear_time():
+    proc = run_in_child(LONG_INPUTS, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == [
+        "2", "2", "4", "1",
+        "unterminated block comment 1 1", "unterminated block comment 1 1",
+        "unterminated block comment 1 3",
+        "unterminated block comment 50001 1"]
 
 
 # every punctuator, and the comments that the lone '/' must give way to

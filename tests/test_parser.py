@@ -264,14 +264,19 @@ def test_parse_expression_errors_exact(source, message, line, column,
 
 
 def test_parse_leaves_the_token_list_alone():
+    # parse reads the lexemes and lines lists of a Tokens and changes
+    # neither, nor its items; a Tokens cut short (the first three tokens)
+    # raises and is left alone too
     tokens = tokenize("var x = f(1, 2);")
-    before = list(tokens)
+    before = (list(tokens.lexemes), list(tokens.lines), list(tokens))
     parse(tokens)
-    assert tokens == before
-    short = tokens[:3]
+    assert (tokens.lexemes, tokens.lines, list(tokens)) == before
+    short = tokenize("var x =")
+    assert list(short) == before[2][:3]
     with pytest.raises(ParseError):
         parse(short)
-    assert short == before[:3]
+    assert (short.lexemes, short.lines, list(short)) \
+        == (before[0][:3], before[1][:3], before[2][:3])
 
 
 def test_error_position():
