@@ -78,9 +78,11 @@ def _line_scanner(bad: str) -> re.Pattern:
 
 # findall gives one lexeme per token, and "" for a match that is no
 # token: a comment that ends the line, or a bad character, which is then
-# the line's last match. _TOKEN_AT also captures the bad character, in
-# group 2, and finditer gives where each match starts.
+# the line's last match. _VALID_LINE matches a whole line only if it holds
+# no bad character. _TOKEN_AT also captures the bad character, in group 2,
+# and finditer gives where each match starts.
 _TOKEN = _line_scanner(f"[^{_BLANKS}]")
+_VALID_LINE = re.compile(f"(?:{_SKIP}(?:{_LEXEME}))*+{_SKIP}")
 _TOKEN_AT = _line_scanner(f"([^{_BLANKS}])")
 _STRING_BODY = {q: re.compile(_string_body(q)) for q in "\"'"}
 
@@ -121,13 +123,10 @@ def tokenize(source: str) -> "Tokens":
         found = findall(row)
         if found:
             if not found[-1]:
-                # a comment or a bad character ends the line; only its
-                # last match can be the bad character
-                if len(found) == 1:
-                    last = _TOKEN_AT.match(row)
-                else:
+                # a comment or a bad character ends the line, one scan
+                # tells which; only the last match can be the bad character
+                if _VALID_LINE.fullmatch(row) is None:
                     *_, last = _TOKEN_AT.finditer(row)
-                if last[2]:
                     _raise_error(source, last[2], line, last.start(2) + 1)
                 del found[-1]
             lexemes += found

@@ -6,8 +6,14 @@ Identifier("x", line=3)), and is excluded from equality so structural
 comparison (round-trip tests, REPL echoes) ignores layout. Nodes are
 slotted dataclasses and have no __dict__; Program also takes weak
 references. Block.scoped is computed from the statements when the block
-is built (so its statements are not edited afterwards) and, like the
-line, is left out of equality and repr.
+is built (declares; so its statements are not edited afterwards) and,
+like the line, is left out of equality and repr.
+
+The parser builds the nodes it makes most without their dataclass
+__init__, which would cost a frame each: object.__new__(cls), then one
+store per slot, line and Block.scoped included, so each is equal to what
+its constructor builds (tests/test_parser.py checks it). The constructors
+stay the public way to build a node.
 """
 
 from dataclasses import dataclass, field
@@ -170,11 +176,16 @@ class Block:
     scoped: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.scoped = False
-        for s in self.statements:
-            if isinstance(s, (VarDecl, FunctionDecl)):
-                self.scoped = True
-                return
+        self.scoped = declares(self.statements)
+
+
+def declares(statements: list) -> bool:
+    """Whether a block of these statements needs a scope of its own
+    (Block.scoped): one of them, not nested in another, declares."""
+    for s in statements:
+        if isinstance(s, (VarDecl, FunctionDecl)):
+            return True
+    return False
 
 
 @dataclass(slots=True)

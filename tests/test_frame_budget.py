@@ -13,8 +13,11 @@ enter a comprehension's frame. A repeated look-through of a deep proxy chain is
 bounded in lines run (sys.settrace "line" events), so that losing its
 memo fails here. The parser's deepest inputs are bounded the same way, both in
 frames entered and in frames on the stack at once, which
-HOST_RECURSION_LIMIT must cover; so is parsing the prelude, and so is the
-lexer, which enters no frame per token or per line.
+HOST_RECURSION_LIMIT must cover: one parser frame a level of parentheses
+or of '?:', three a nested 'if' (403 and 1,203 frames on the stack for
+400 levels, counted from parse_source). So are parsing the prelude and
+the benchmark's scripts, where the parser enters fewer frames than it
+reads tokens, and the lexer, which enters no frame per token or per line.
 """
 
 import gc
@@ -24,6 +27,8 @@ from proxylang.interpreter import Interpreter, evaluate_program
 from proxylang.lexer import tokenize
 from proxylang.parser import parse, parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
+
+from test_front_end import scripts_programs
 
 
 def names_entered(function, *args):
@@ -299,24 +304,36 @@ def test_tokenize_enters_no_frame_per_line():
 
 
 def test_parsing_the_prelude():
-    # 1,697 frames, each node's __init__ among them: an operand with no
-    # suffix enters one parser rule, a right operand with no tighter
-    # operator after it enters no binary rule of its own, no rule expects
-    # again the keyword or punctuator its caller has read, and an
-    # expression checks its nesting without a deeper frame (1,840 with
-    # one); a token's kind is told from its lexeme without a call, and no
-    # column is looked up
+    # 367 frames for 721 tokens: one an expression, with every operand,
+    # suffix and binary operator in it but its parenthesised parts,
+    # arguments, keys and '?:' arms; one a keyword statement and one a
+    # block, with declares, the helper that sets Block.scoped; expected
+    # lexemes are compared inline, and the nodes the parser makes most
+    # are built without their __init__ (1,697 frames when each operand,
+    # binary run, token check and node entered one)
     entered, _ = frames(parse, tokenize(default_prelude_source()))
-    assert entered <= 1697, entered
+    assert entered <= 367, entered
+
+
+def test_parsing_the_benchmark_scripts():
+    # the scripts workload's 200 programs at seed 7: 66,761 frames for
+    # 137,270 tokens, under one a token (317,815 when each operand,
+    # binary run, token check and node entered one)
+    programs = [tokenize(source) for source in scripts_programs(7)]
+    tokens = sum(len(program) for program in programs)
+    entered = sum(frames(parse, program)[0] for program in programs)
+    assert entered <= 66761, entered
+    assert entered < tokens, (entered, tokens)
 
 
 def test_deepest_parses():
     # the deepest inputs the parser accepts: 400 levels of expression
-    # (two frames a parenthesis, one a '?:' arm) and 400 of blocks (three
-    # frames an 'if'); an expression's nesting check enters no frame
-    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 1213, 805),
-             ("if (a) {" * 400 + "}" * 400, 6404, 1204),
-             ("x = " + "a ? b : " * 399 + "c;", 3208, 406)]
+    # (one frame a parenthesis or a '?:' arm) and 400 of blocks (three
+    # frames an 'if': the statement, its block and the block's
+    # statements, beside declares and the condition, which return first)
+    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 406, 402),
+             ("if (a) {" * 400 + "}" * 400, 2405, 1202),
+             ("x = " + "a ? b : " * 399 + "c;", 1204, 402)]
     for source, most_entered, most_deep in cases:
         entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]

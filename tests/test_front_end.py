@@ -7,8 +7,10 @@ LexError (message, line, column); then the same AST, every node's line
 and Block.scoped included, or the same ParseError (message, line, column,
 at_eof), from parse and from parse_expression alike. The inputs are the
 corpus, coincidence and prelude programs, the benchmark's generated
-scripts of two seeds, the parser's deepest inputs and generated text
-heavy in the characters that comments, strings and lines are made of.
+scripts of two seeds, the parser's deepest inputs, each way to nest an
+expression at the bound, the tallest trees the parser accepts, the
+prelude with a token cut or deleted, and generated text heavy in the
+characters that comments, strings and lines are made of.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from proxylang.prelude import default_prelude_source
 
 from conftest import COINCIDENCE_DIR, CORPUS_DIR, TESTS_DIR
 from test_parser import DEEP_INPUTS
+from test_interpreter import TALL_TREES
 
 
 def dump(node):
@@ -109,6 +112,90 @@ def test_benchmark_scripts(seed):
     pytest.param(param.values[0], id=param.id) for param in DEEP_INPUTS])
 def test_deep_inputs(source):
     assert_same(source)
+
+
+# each way to nest an expression, just under, at and just past the bound
+NESTINGS = {"parentheses": lambda n: "(" * n + "1" + ")" * n,
+            "minus signs": lambda n: "-" * n + "1",
+            "negations": lambda n: "!" * n + "1",
+            "call arguments": lambda n: "f(" * n + "1" + ")" * n,
+            "indexes": lambda n: "a" + "[0]" * n,
+            "sums": lambda n: "1" + " + 1" * n,
+            "conditionals": lambda n: "a ? b : " * n + "c"}
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(f"x = {nest(n)};", id=f"{n} {name}")
+    for name, nest in NESTINGS.items() for n in (398, 399, 400)])
+def test_nesting_at_the_bound(source):
+    assert_same(source)
+
+
+def test_prelude_with_a_token_cut_or_deleted():
+    # the prelude cut just before every third token, and with that token
+    # deleted: the errors of each rule, at a token and at the end of input
+    source = default_prelude_source()
+    starts = [0]  # where each line starts
+    for line in source.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    tokens = tokenize(source)
+    for _, lexeme, line, column in tokens[::3]:
+        at = starts[line - 1] + column - 1
+        assert_same(source[:at])
+        assert_same(source[:at] + source[at + len(lexeme):])
+
+
+def tall_expression(program):
+    """The expression a TALL_TREES program prints."""
+    return program[program.index("print(") + len("print("):-len(");")]
+
+
+def preorder(tree):
+    """What dump gives for tree, flattened: each node's class name, then
+    its fields, a list's or tuple's length, then its items; read with a
+    loop, for trees too tall for dump's recursion."""
+    items, todo = [], [tree]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is list or kind is tuple:
+            items.append(len(item))
+            todo.extend(reversed(item))
+        elif dataclasses.is_dataclass(kind):
+            items.append(kind.__name__)
+            todo.extend(reversed([getattr(item, field.name)
+                                  for field in dataclasses.fields(kind)]))
+        else:
+            items.append(item)
+    return items
+
+
+# the tallest trees the parser accepts, nested through call arguments and
+# prefix operators, as programs and as expressions alone
+@pytest.mark.parametrize("source", [
+    *(pytest.param(param.values[0], id=param.id) for param in TALL_TREES),
+    *(pytest.param(tall_expression(param.values[0]),
+                   id=f"{param.id}, the expression") for param in TALL_TREES),
+])
+def test_tall_trees(source):
+    # outcome, with preorder in place of dump, compared as a whole so that
+    # a failure does not print the trees
+    same = tall_outcome(tokenize, parse, parse_expression, source) \
+        == tall_outcome(reference.tokenize, reference.parse,
+                        reference.parse_expression, source)
+    assert same
+
+
+def tall_outcome(tokenize, parse, parse_expression, source):
+    tokens = tokenize(source)
+    results = [list(tokens)]
+    for entry, argument in ((parse, tokens), (parse_expression, source)):
+        try:
+            results.append(preorder(entry(argument)))
+        except ParseError as err:
+            results.append(("ParseError", err.message, err.line, err.column,
+                            err.at_eof))
+    return results
 
 
 # comments that span lines, beside strings and comments that hold their

@@ -657,3 +657,30 @@ def test_block_scoped_when_a_direct_statement_declares():
     assert Block([VarDecl("x", NumberLit(1.0))]).scoped
     assert Block([VarDecl("x", NumberLit(1.0))]) \
         == stmt("if (a) { var x = 1; }").then
+
+
+@pytest.mark.parametrize("source", [
+    *(pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+      for path in REAL_PROGRAMS),
+    pytest.param(default_prelude_source(), id="prelude.plx"),
+    pytest.param(EVERY_NODE_ON_ITS_OWN_LINES, id="every node"),
+])
+def test_parsed_nodes_match_their_constructors(source):
+    # the parser builds most nodes without their __init__, slot by slot:
+    # each must be the node its public constructor builds from its init
+    # fields, with the same line and Block.scoped, which equality leaves
+    # out
+    todo = [parse_source(source)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif dataclasses.is_dataclass(item):
+            fields = dataclasses.fields(item)
+            built = type(item)(**{f.name: getattr(item, f.name)
+                                  for f in fields if f.init})
+            assert built == item, item
+            assert built.line == item.line, item
+            if isinstance(item, Block):
+                assert built.scoped == item.scoped, item
+            todo.extend(getattr(item, f.name) for f in fields)
