@@ -28,24 +28,22 @@ the _OPERAND table keyed by lexeme, and its suffixes; and the binary
 operators between operands, which precedence climbing over an explicit
 stack of the operators still waiting on a right operand joins
 left-associatively (_LEVELS, from '||', loosest, to '*' and '/',
-tightest). Equality
-operators do not mix within one chain: `a == b == c` is
-`(a == b) == c`, `a == b === c` is a parse error. Every expected lexeme is
-compared inline, and the nodes the parser makes most are built without
+tightest). Equality operators do not mix within one chain: `a == b == c`
+is `(a == b) == c`, `a == b === c` is a parse error. Every expected lexeme
+is compared inline, and the nodes the parser makes most are built without
 their dataclass __init__ (see nodes.py).
 
-Every recursive rule is bounded, so no input can outrun the host stack.
-Expressions nest at most _MAX_NESTING (400) deep: each `expr`, including
-each arm of '?:', and each prefix '!' or '-' is one level, and so is each
-binary operator or postfix suffix of a chain after its first, because
-printing and evaluation recurse once per link of a chain that the parser
-reads in a loop; a chain also counts the left spine of a parenthesised
-first operand. The links of a binary chain are counted per run, as a
-recursive climb would count them: a run ends at an operator looser than
-its minimum level, and an operator tighter than the run's opens a run of
-its own, counted from the nesting where it opens. Blocks nest at most
-_MAX_NESTING deep too, counted on their own, so a block inside an
-expression does not lower the expression limit.
+Two bounds keep parsing within the host's recursion limit, and make every
+tree the parser accepts one that pretty_print prints, as text that parses
+back to it, and that evaluation walks, calls aside. An expression tree is
+at most _MAX_NESTING (400) tall, because printing and evaluation recurse
+once per level: a node is one level taller than its tallest child,
+parentheses add none, and a function expression is one taller than the
+tallest expression in its body. The parser builds each node once it has
+read the node's last token, and the first node too tall is a ParseError at
+the token after it. At most _MAX_OPEN expressions are open at once, which
+bounds the parser's own frames; one more is a ParseError where it would
+open. Blocks nest at most _MAX_NESTING deep, counted on their own.
 
 The parser reads the lexemes and lines lists of the Tokens that tokenize
 returns, copied with one more entry, the end of input: the lexeme "",
@@ -59,7 +57,6 @@ tokens).
 """
 
 import sys
-from operator import attrgetter
 
 from .errors import ParseError
 from .lexer import (KEYWORDS, PUNCTUATORS, Tokens, decode_string_lexeme,
@@ -94,17 +91,25 @@ _FOLLOW = {**_LEVELS, ".": _SUFFIX, "[": _SUFFIX, "(": _SUFFIX}
 
 _new = object.__new__  # a node without its __init__: every slot is stored
 
-_MAX_NESTING = 400
-# host frames for the deepest parse (measured from parse_source: 403 for
-# _MAX_NESTING levels of parentheses, 1 parser frame a level; 1,203 for as
-# many nested 'if' blocks, 3 a level; 1,600 for 399 function expressions,
-# each returned from the body of the last, 4 a level) and for the
-# evaluator's deepest call stack (5,126 measured for rec(1023) from a
-# script's top level, 5 host frames a language call), with room to spare.
-# That is for a plain body: each language call also takes its body's
-# expression height in frames, so the call depth a program reaches depends
-# on its shape, not only on MAX_CALL_DEPTH. With 390 prefix '-' in
-# `return -...-r(n - 1);`, r(50) returns and r(51) exceeds this limit.
+_MAX_NESTING = 400  # the tallest expression tree, and the deepest blocks
+# Open parse_expr calls are bounded only for the parser's own frames, and
+# loosely enough that pretty_print's text of every tree the height bound
+# accepts parses back: that text opens one expression for its statement,
+# then at most two a level of height, a '(' and a '?:' arm (a function
+# expression's '(' and a statement of its body).
+_MAX_OPEN = 2 * _MAX_NESTING + 1
+# host frames for the deepest parse (measured from parse: 2,402 for
+# _MAX_NESTING nested 'if' blocks around 399 object literals, each value
+# in parentheses; 3 frames a block, 2 an object literal and 1 a
+# parenthesis), for the deepest pretty_print of a tree the parser accepts
+# (2,402 for as many 'if' blocks around 399 nested calls, 3 frames a block
+# and 3 a call) and for the evaluator's deepest call stack (5,126
+# measured for rec(1023) from a script's top level, 5 host frames a
+# language call), with room to spare. That is for a plain body: each
+# language call also takes its body's expression height in frames, so the
+# call depth a program reaches depends on its shape, not only on
+# MAX_CALL_DEPTH. With 390 prefix '-' in `return -...-r(n - 1);`, r(50)
+# returns and r(51) exceeds this limit.
 HOST_RECURSION_LIMIT = 20_000
 
 
@@ -125,7 +130,9 @@ class _Parser:
                       tokens.lines[-1] if tokens.lines else 1]
         self.pos = 0
         self.fn_depth = 0
-        self.nesting = 0  # expression depth
+        self.opened = 0  # parse_expr calls open
+        self.height = 0  # of the expression parse_expr returned last
+        self.tallest = 0  # height in the function body being read
         self.blocks = 0  # block depth
 
     # --- errors ---
@@ -150,9 +157,9 @@ class _Parser:
         self.error(f"expected {what} but found '{self.lexemes[at]}'", at)
 
     def too_deep(self, what: str, at: int):
-        """Raise the ParseError of one level of nesting past _MAX_NESTING,
-        at the token at index at. A ParseError abandons its parser, so
-        callers count their nesting down again only on success."""
+        """Raise the ParseError of nesting past a bound, at the token at
+        index at. A ParseError abandons its parser, so callers count their
+        nesting down again only on success."""
         raise ParseError(f"{what} nesting too deep", self.lines[at],
                          self.column(at))
 
@@ -325,28 +332,30 @@ class _Parser:
     # --- expressions ---
 
     def parse_expr(self) -> Expr:
-        """An expression, from the current token. Each pass of the loop
-        reads an operand: its prefix operators, its primary and its
-        suffixes, a chain that 'new' splits in two (its callee's, without
-        calls, and its construction's); then the binary operator after
-        it, if any. stack holds a tuple for each open run of binary
-        operators but the current one: its left operand, the operator
-        that waits on a right operand and its level, the run's minimum
-        level, outer nesting and equality operator, and the tuple below
-        (None at the bottom)."""
+        """An expression, from the current token; self.height is left at
+        its height. Each pass of the loop reads an operand: its prefix
+        operators, its primary and its suffixes, a chain that 'new' splits
+        in two (its callee's, without calls, and its construction's); then
+        the binary operator after it, if any. height is expr's height. stack
+        holds a tuple for each open run of binary operators but the
+        current one: its left operand and that operand's height, the
+        operator that waits on a right operand and its level, the run's
+        minimum level and equality operator, and the tuple below (None at
+        the bottom)."""
         lexemes = self.lexemes
         lines = self.lines
         pos = self.pos
-        nesting = self.nesting
-        if nesting >= _MAX_NESTING:
+        opened = self.opened
+        if opened >= _MAX_OPEN:
             self.too_deep("expression", pos)
-        self.nesting = nesting + 1
+        self.opened = opened + 1
         stack = None
         level = 0  # of op, the operator that left waits on; 0 for none
         prefixes = 0
         calls = True  # off from a 'new' to its arguments
         while True:
             start = pos
+            height = 1
             while True:  # prefix operators and 'new', then a primary
                 lexeme = lexemes[pos]
                 if lexeme not in _OPERAND:
@@ -366,6 +375,7 @@ class _Parser:
                 if kind == "(":
                     self.pos = pos + 1
                     expr = self.parse_expr()
+                    height = self.height
                     pos = self.pos
                     if lexemes[pos] != ")":
                         self.expected("')'", pos)
@@ -375,18 +385,19 @@ class _Parser:
                     expr.line = lines[pos]
                     self.pos = pos + 1
                     expr.entries = self.parse_entries()
+                    height = self.height
                     pos = self.pos
                 elif kind == "function":
                     self.pos = pos + 1
                     params = self.parse_params()
                     self.fn_depth += 1
+                    tallest, self.tallest = self.tallest, 0
                     expr = FunctionExpr(params, self.parse_block(), lines[pos])
+                    height = self.tallest + 1
+                    self.tallest = tallest
                     self.fn_depth -= 1
                     pos = self.pos
                 elif kind == "prefix" and calls:
-                    if self.nesting >= _MAX_NESTING:
-                        self.too_deep("expression", pos)
-                    self.nesting += 1
                     prefixes += 1
                     pos += 1
                     continue
@@ -403,34 +414,20 @@ class _Parser:
                     pos += 1
                 else:
                     self.expected("an expression", pos)
+                if height > _MAX_NESTING:  # an object literal or a function
+                    self.too_deep("expression", pos)
                 break
             following = lexemes[pos]
             next_level = _FOLLOW.get(following, 0)
             if next_level == _SUFFIX or not calls:
-                # past the first suffix of a chain, each is one level of
-                # nesting, and so is the left spine of a parenthesised
-                # primary; the callee of 'new' ends at its arguments
-                prefixed = self.nesting
-                links = -1 if lexeme == "(" else 0
+                # the callee of 'new' ends at its arguments
                 while True:
                     if following == "(" and not calls:
-                        self.nesting = prefixed
                         calls = True
-                        links = 0
                         node = _new(New)
                         node.callee = expr
                         node.line = new_line
                     elif next_level == _SUFFIX:
-                        if links > 0:
-                            if self.nesting >= _MAX_NESTING:
-                                self.too_deep("expression", pos)
-                            self.nesting += 1
-                        elif links < 0:
-                            links = prefixed + _spine(expr) - 1
-                            if links >= _MAX_NESTING:
-                                self.too_deep("expression", pos)
-                            self.nesting = links + 1
-                        links = 1
                         if following == "(":
                             node = _new(Call)
                             node.callee = expr
@@ -443,6 +440,7 @@ class _Parser:
                             else:
                                 self.pos = pos + 1
                                 key = self.parse_expr()
+                                height = max(height, self.height)
                                 pos = self.pos
                                 if lexemes[pos] != "]":
                                     self.expected("']'", pos)
@@ -466,6 +464,7 @@ class _Parser:
                             while True:
                                 self.pos = pos
                                 args.append(self.parse_expr())
+                                height = max(height, self.height)
                                 pos = self.pos
                                 if lexemes[pos] != ",":
                                     break
@@ -474,28 +473,27 @@ class _Parser:
                                 self.expected("')'", pos)
                         pos += 1
                         node.args = args
+                    height += 1
+                    if height > _MAX_NESTING:
+                        self.too_deep("expression", pos)
                     following = lexemes[pos]
                     next_level = _FOLLOW.get(following, 0)
-                self.nesting = prefixed
-            while prefixes:  # innermost first
-                prefixes -= 1
-                expr = Unary(lexemes[start + prefixes], expr,
-                             lines[start + prefixes])
-                self.nesting -= 1
+            if prefixes:
+                height += prefixes
+                if height > _MAX_NESTING:
+                    self.too_deep("expression", pos)
+                while prefixes:  # innermost first
+                    prefixes -= 1
+                    expr = Unary(lexemes[start + prefixes], expr,
+                                 lines[start + prefixes])
             # a binary operator after the operand: one tighter than op
             # opens a run, whose left operand is expr; else expr is op's
             # right operand, and the runs it ends are reduced
             if next_level > level:
                 if level:
-                    stack = (left, op, level, min_level, outer, chain, stack)
+                    stack = (left, left_height, op, level, min_level, chain,
+                             stack)
                 min_level = level + 1
-                outer = self.nesting
-                if lexemes[start] == "(":
-                    links = outer + _spine(expr) - 1
-                    if links >= _MAX_NESTING:
-                        self.too_deep("expression", pos)
-                    self.nesting = links + 1
-                left = expr
                 chain = None
             elif level:
                 while True:
@@ -505,20 +503,21 @@ class _Parser:
                     node.right = expr
                     node.line = left.line
                     expr = node
-                    if next_level >= min_level:
+                    if left_height > height:
+                        height = left_height
+                    height += 1
+                    if height > _MAX_NESTING:
+                        self.too_deep("expression", pos)
+                    if next_level >= min_level or stack is None:
                         break
-                    self.nesting = outer
-                    if stack is None:
-                        break
-                    left, op, level, min_level, outer, chain, stack = stack
+                    left, left_height, op, level, min_level, chain, stack \
+                        = stack
                 if next_level < min_level:
                     break
-                left = expr
-                if self.nesting >= _MAX_NESTING:
-                    self.too_deep("expression", pos)
-                self.nesting += 1
             else:
                 break
+            left = expr
+            left_height = height
             level = next_level
             op = following
             if level == _EQUALITY:
@@ -533,20 +532,29 @@ class _Parser:
         if following == "?":
             self.pos = pos + 1
             then = self.parse_expr()
+            then_height = self.height
             pos = self.pos
             if lexemes[pos] != ":":
                 self.expected("':'", pos)
             self.pos = pos + 1
             expr = Conditional(expr, then, self.parse_expr(), expr.line)
+            height = max(height, then_height, self.height) + 1
+            if height > _MAX_NESTING:
+                self.too_deep("expression", self.pos)
         else:
             self.pos = pos
-        self.nesting = nesting
+        self.opened = opened
+        self.height = height
+        if height > self.tallest:
+            self.tallest = height
         return expr
 
     def parse_entries(self) -> list:
-        """An object literal's (key, value) entries, after its '{'."""
+        """An object literal's (key, value) entries, after its '{';
+        self.height is left at the literal's height."""
         lexemes = self.lexemes
         entries = []
+        tallest = 0
         if lexemes[self.pos] != "}":
             while True:
                 at = self.pos
@@ -562,12 +570,14 @@ class _Parser:
                     self.expected("':'", at + 1)
                 self.pos = at + 2
                 entries.append((key, self.parse_expr()))
+                tallest = max(tallest, self.height)
                 if lexemes[self.pos] != ",":
                     break
                 self.pos += 1
             if lexemes[self.pos] != "}":
                 self.expected("'}'", self.pos)
         self.pos += 1
+        self.height = tallest + 1
         return entries
 
 
@@ -577,19 +587,6 @@ _KEYWORD_RULES = {"var": _Parser.parse_var,
                   "function": _Parser.parse_function_decl,
                   "if": _Parser.parse_if, "while": _Parser.parse_while,
                   "return": _Parser.parse_return}
-
-_LEFT = {Binary: attrgetter("left"), PropertyGet: attrgetter("obj"),
-         MethodCall: attrgetter("obj"), Call: attrgetter("callee")}
-
-
-def _spine(expr: Expr) -> int:
-    """How many binary, member and call nodes lie on expr's left spine,
-    following each one's left operand (_LEFT)."""
-    links = 0
-    while expr.__class__ in _LEFT:
-        expr = _LEFT[expr.__class__](expr)
-        links += 1
-    return links
 
 
 def parse(tokens: Tokens) -> Program:

@@ -51,9 +51,9 @@ def test_run_parse_error(tmp_path, capsys):
     ("function f() {\n" * 5000 + "}\n" * 5000,
      "ParseError at line 401, column 14: block nesting too deep"),
     ("x = a\n" + "? b : c\n" * 25000 + ";",
-     "ParseError at line 401, column 3: expression nesting too deep"),
+     "ParseError at line 802, column 3: expression nesting too deep"),
     ("print(1\n" + "+ 1\n" * 30000 + ");",
-     "ParseError at line 401, column 1: expression nesting too deep"),
+     "ParseError at line 402, column 1: expression nesting too deep"),
     ("x = a\n" + ".a\n" * 30000 + ";",
      "ParseError at line 402, column 1: expression nesting too deep"),
 ], ids=["7000 nested ifs", "5000 nested functions",

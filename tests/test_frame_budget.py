@@ -13,9 +13,10 @@ enter a comprehension's frame. A repeated look-through of a deep proxy chain is
 bounded in lines run (sys.settrace "line" events), so that losing its
 memo fails here. The parser's deepest inputs are bounded the same way, both in
 frames entered and in frames on the stack at once, which
-HOST_RECURSION_LIMIT must cover: one parser frame a level of parentheses
-or of '?:', three a nested 'if' (403 and 1,203 frames on the stack for
-400 levels, counted from parse_source). So are parsing the prelude and
+HOST_RECURSION_LIMIT must cover: one parser frame a parenthesis or a '?:'
+arm, two an object-literal value and three a nested 'if' (2,402 frames on
+the stack for 400 'if' blocks around 399 object literals, each value in
+parentheses, counted from parse). So are parsing the prelude and
 the benchmark's scripts, where the parser enters fewer frames than it
 reads tokens, and the lexer, which enters no frame per token or per line.
 """
@@ -327,13 +328,20 @@ def test_parsing_the_benchmark_scripts():
 
 
 def test_deepest_parses():
-    # the deepest inputs the parser accepts: 400 levels of expression
-    # (one frame a parenthesis or a '?:' arm) and 400 of blocks (three
-    # frames an 'if': the statement, its block and the block's
-    # statements, beside declares and the condition, which return first)
-    cases = [("x = " + "(" * 399 + "1" + ")" * 399 + ";", 406, 402),
-             ("if (a) {" * 400 + "}" * 400, 2405, 1202),
-             ("x = " + "a ? b : " * 399 + "c;", 1204, 402)]
+    # the deepest inputs the parser accepts: 801 open expressions (one
+    # frame a parenthesis, a '?:' arm or a statement's expression), 400
+    # levels of blocks (three frames an 'if': the statement, its block and
+    # the block's statements, beside declares and the condition, which
+    # return first), and both at once, through object literals (two
+    # frames a value: the expression and the literal's entries)
+    def ifs(body):
+        return "if (a) {" * 400 + body + "}" * 400
+
+    cases = [("x = " + "(" * 800 + "1" + ")" * 800 + ";", 807, 803),
+             (ifs(""), 2405, 1202),
+             ("x = " + "a ? b : " * 399 + "c;", 1204, 402),
+             (ifs("x = " + "{a: (" * 399 + "((1))" + ")}" * 399 + ";"),
+              3606, 2402)]
     for source, most_entered, most_deep in cases:
         entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]

@@ -5,12 +5,17 @@ and parser as they were before tokenize returned a Tokens sequence, on
 every input: the same (kind, lexeme, line, column) items or the same
 LexError (message, line, column); then the same AST, every node's line
 and Block.scoped included, or the same ParseError (message, line, column,
-at_eof), from parse and from parse_expression alike. The inputs are the
-corpus, coincidence and prelude programs, the benchmark's generated
-scripts of two seeds, the parser's deepest inputs, each way to nest an
-expression at the bound, the tallest trees the parser accepts, the
-prelude with a token cut or deleted, and generated text heavy in the
-characters that comments, strings and lines are made of.
+at_eof), from parse and from parse_expression alike. The one rule that
+differs is the expression nesting bound: the reference counts the links
+of a chain open at once, the parser bounds each tree's height and its
+open expressions. Where either reports "expression nesting too deep",
+the parser must accept exactly the trees that fit its bounds, checked by
+tree_height, a loop. The inputs are the corpus, coincidence and prelude
+programs, the benchmark's generated scripts of two seeds, the parser's
+deepest inputs, each way to nest an expression at the bound, trees far
+taller than the bound, the prelude with a token cut or deleted, and
+generated text heavy in the characters that comments, strings and lines
+are made of.
 """
 
 import dataclasses
@@ -24,11 +29,11 @@ from hypothesis import strategies as st
 import reference_front_end as reference
 from proxylang.errors import LexError, ParseError
 from proxylang.lexer import PUNCTUATORS, tokenize
-from proxylang.parser import parse, parse_expression
+from proxylang.parser import _MAX_NESTING, parse, parse_expression
 from proxylang.prelude import default_prelude_source
 
 from conftest import COINCIDENCE_DIR, CORPUS_DIR, TESTS_DIR
-from test_parser import DEEP_INPUTS
+from test_parser import DEEP_INPUTS, tree_height
 from test_interpreter import TALL_TREES
 
 
@@ -51,8 +56,9 @@ FIELDS = {}  # each class's field names, or False for a value
 
 
 def outcome(tokenize, parse, parse_expression, source):
-    """What a front end makes of source: its token items or LexError, and
-    what parse and parse_expression make of it."""
+    """What a front end makes of source: its LexError, or its token items
+    and what parse and parse_expression make of them, a tree or a
+    ParseError."""
     try:
         tokens = tokenize(source)
     except LexError as err:
@@ -60,7 +66,7 @@ def outcome(tokenize, parse, parse_expression, source):
     results = [list(tokens)]
     for entry, argument in ((parse, tokens), (parse_expression, source)):
         try:
-            results.append(dump(entry(argument)))
+            results.append(entry(argument))
         except ParseError as err:
             results.append(("ParseError", err.message, err.line, err.column,
                             err.at_eof))
@@ -68,9 +74,43 @@ def outcome(tokenize, parse, parse_expression, source):
 
 
 def assert_same(source):
-    assert outcome(tokenize, parse, parse_expression, source) == outcome(
-        reference.tokenize, reference.parse, reference.parse_expression,
-        source), repr(source[:200])
+    ours = outcome(tokenize, parse, parse_expression, source)
+    theirs = outcome(reference.tokenize, reference.parse,
+                     reference.parse_expression, source)
+    if ours[0] == "LexError" or theirs[0] == "LexError":
+        assert ours == theirs, repr(source[:200])
+        return
+    assert ours[0] == theirs[0], repr(source[:200])
+    for mine, the_reference in zip(ours[1:], theirs[1:]):
+        if too_deep(mine) or too_deep(the_reference):
+            assert within_the_bounds(mine, the_reference), repr(source[:200])
+        else:
+            assert dump(mine) == dump(the_reference), repr(source[:200])
+
+
+TOO_DEEP = "expression nesting too deep"
+
+
+def too_deep(result):
+    return type(result) is tuple and result[1] == TOO_DEEP
+
+
+def within_the_bounds(ours, theirs):
+    """Whether the parser's result agrees with the reference's under the
+    parser's bounds, when either is an expression nesting error. A tree
+    the reference accepts has at most 400 expressions open at once, so
+    the parser must accept it if and only if it is at most _MAX_NESTING
+    tall; a tree the parser accepts must be; and a nesting error comes no
+    later than a different error from the other front end, which read the
+    same grammar that far."""
+    if type(theirs) is not tuple:
+        return too_deep(ours) and tree_height(theirs) > _MAX_NESTING
+    if type(ours) is not tuple:
+        return tree_height(ours) <= _MAX_NESTING
+    if too_deep(ours) != too_deep(theirs):
+        deep, other = (ours, theirs) if too_deep(ours) else (theirs, ours)
+        return deep[2:4] <= other[2:4]
+    return True
 
 
 def scripts_programs(seed):
@@ -108,8 +148,10 @@ def test_benchmark_scripts(seed):
         assert_same(source)
 
 
+# but the tall trees, which test_tall_trees compares
 @pytest.mark.parametrize("source", [
-    pytest.param(param.values[0], id=param.id) for param in DEEP_INPUTS])
+    pytest.param(param.values[0], id=param.id) for param in DEEP_INPUTS
+    if param.values[0] not in {tree.values[0] for tree in TALL_TREES}])
 def test_deep_inputs(source):
     assert_same(source)
 
@@ -150,52 +192,16 @@ def tall_expression(program):
     return program[program.index("print(") + len("print("):-len(");")]
 
 
-def preorder(tree):
-    """What dump gives for tree, flattened: each node's class name, then
-    its fields, a list's or tuple's length, then its items; read with a
-    loop, for trees too tall for dump's recursion."""
-    items, todo = [], [tree]
-    while todo:
-        item = todo.pop()
-        kind = type(item)
-        if kind is list or kind is tuple:
-            items.append(len(item))
-            todo.extend(reversed(item))
-        elif dataclasses.is_dataclass(kind):
-            items.append(kind.__name__)
-            todo.extend(reversed([getattr(item, field.name)
-                                  for field in dataclasses.fields(kind)]))
-        else:
-            items.append(item)
-    return items
-
-
-# the tallest trees the parser accepts, nested through call arguments and
-# prefix operators, as programs and as expressions alone
+# trees far taller than the bound, nested through call arguments, prefix
+# operators, object-literal values, '?:' arms, computed keys and function
+# bodies, as programs and as expressions alone
 @pytest.mark.parametrize("source", [
     *(pytest.param(param.values[0], id=param.id) for param in TALL_TREES),
     *(pytest.param(tall_expression(param.values[0]),
                    id=f"{param.id}, the expression") for param in TALL_TREES),
 ])
 def test_tall_trees(source):
-    # outcome, with preorder in place of dump, compared as a whole so that
-    # a failure does not print the trees
-    same = tall_outcome(tokenize, parse, parse_expression, source) \
-        == tall_outcome(reference.tokenize, reference.parse,
-                        reference.parse_expression, source)
-    assert same
-
-
-def tall_outcome(tokenize, parse, parse_expression, source):
-    tokens = tokenize(source)
-    results = [list(tokens)]
-    for entry, argument in ((parse, tokens), (parse_expression, source)):
-        try:
-            results.append(preorder(entry(argument)))
-        except ParseError as err:
-            results.append(("ParseError", err.message, err.line, err.column,
-                            err.at_eof))
-    return results
+    assert_same(source)
 
 
 # comments that span lines, beside strings and comments that hold their

@@ -489,17 +489,39 @@ def test_stack_depth_resets_after_overflow():
     assert follow_up.ok
 
 
-# trees the parser still accepts although they are taller than its
-# expression bound, because call arguments and prefix operators are not on
-# a chain's left spine; whatever the parser comes to decide about them,
-# running one gives a result or a ParseError, never a host exception
+def tall_tree(open_, close, levels, terms):
+    """levels trees, each nested in the next through open_ and close as
+    the first operand of a sum, which the g-th from the outside continues
+    with terms - g more terms."""
+    return functools.reduce(
+        lambda src, g: open_ + src + " + 1" * (terms - g) + close,
+        range(levels, 0, -1), "1")
+
+
+# trees far taller than the parser's expression bound, though each of
+# their chains is shorter than it: each chain's first operand is the next
+# tree, nested through call arguments, prefix operators, object-literal
+# values, '?:' arms, computed keys or immediately invoked function
+# expressions. Whatever the parser decides about them, running one gives a
+# result or a ParseError, never a host exception, and pretty_print prints
+# every one the parser accepts
 TALL_TREES = [
-    pytest.param("function f(x) { return x; } print(" + functools.reduce(
-        lambda src, g: "f(" + src + " + 1" * (390 - g) + ")",
-        range(380, 0, -1), "1") + ");", id="380 nested calls"),
+    pytest.param("function f(x) { return x; } print("
+                 + tall_tree("f(", ")", 380, 390) + ");",
+                 id="380 nested calls"),
     pytest.param("print(" + functools.reduce(
         lambda src, g: "(-" + src + " + 1" * (395 - 2 * g) + ")",
         range(190, 0, -1), "1") + ");", id="190 nested negations"),
+    pytest.param("print(" + tall_tree("{a: ", "}", 380, 390) + ");",
+                 id="380 nested object-literal values"),
+    pytest.param("var c = true; print(" + functools.reduce(
+        lambda src, g: "(c ? " + src + " + 1" * (395 - 2 * g) + " : 0)",
+        range(190, 0, -1), "1") + ");", id="190 nested conditional arms"),
+    pytest.param("var o = {}; print(" + tall_tree("o[", "]", 380, 390)
+                 + ");", id="380 nested computed keys"),
+    pytest.param("print(" + tall_tree("function () { return ", "; }()",
+                                      380, 390) + ");",
+                 id="380 nested immediately invoked functions"),
 ]
 
 
@@ -508,7 +530,8 @@ def test_tall_trees_never_leak_a_host_exception(source):
     interp = Interpreter()
     escaped = None
     for entry in (run_source,
-                  lambda src: evaluate_program(parse_source(src), interp)):
+                  lambda src: evaluate_program(parse_source(src), interp),
+                  lambda src: pretty_print(parse_source(src))):
         try:
             result = entry(source)
         except ParseError:
@@ -516,6 +539,8 @@ def test_tall_trees_never_leak_a_host_exception(source):
         except Exception as exc:
             escaped = type(exc).__name__
             break
+        if isinstance(result, str):  # what pretty_print printed
+            continue
         assert isinstance(result, ExecutionResult)
         assert result.status in ("ok", "error")
     # failing outside the handler keeps the 20,000-frame traceback out of

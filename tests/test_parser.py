@@ -1,23 +1,27 @@
 import dataclasses
 import functools
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxylang import nodes
 from proxylang.errors import ParseError
 from proxylang.interpreter import run_source
 from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
-                             ExprStmt, FunctionDecl, FunctionExpr,
+                             Expr, ExprStmt, FunctionDecl, FunctionExpr,
                              Identifier, If, MethodCall, New, NumberLit,
                              ObjectLit, PropertyGet, PropertySet, Return,
                              StringLit, Unary, VarDecl, While,
                              pretty_print)
 from proxylang.lexer import tokenize
-from proxylang.parser import parse, parse_expression, parse_source
+from proxylang.parser import (_MAX_NESTING, parse, parse_expression,
+                              parse_source)
 from proxylang.prelude import default_prelude_source
 
 from conftest import COINCIDENCE_DIR, CORPUS_DIR, run_in_child
+from test_interpreter import TALL_TREES
 
 
 def stmt(source):
@@ -227,15 +231,17 @@ def test_parse_errors(source, fragment):
     ("x = -", "expected an expression but reached end of input", 1, 6, True),
     ("print(1) 2;", "expected ';' but found '2'", 1, 10, False),
     ("1 = 2;", "invalid assignment target", 1, 3, False),
-    # nesting too deep is never at_eof, on a token or at end of input
-    pytest.param("x = " + "(" * 400 + "1", "expression nesting too deep",
-                 1, 405, False, id="400 parens then a token"),
-    pytest.param("x = " + "(" * 400, "expression nesting too deep",
-                 1, 405, False, id="400 parens at end of input"),
+    # nesting too deep is never at_eof, on a token or at end of input: the
+    # 802nd open expression, where it opens; a tree too tall, just past its
+    # first node taller than 400 levels
+    pytest.param("x = " + "(" * 801 + "1", "expression nesting too deep",
+                 1, 806, False, id="801 parens then a token"),
+    pytest.param("x = " + "(" * 801, "expression nesting too deep",
+                 1, 806, False, id="801 parens at end of input"),
     pytest.param("x = " + "-" * 400 + "1;", "expression nesting too deep",
-                 1, 404, False, id="400 minus signs"),
+                 1, 406, False, id="400 minus signs"),
     pytest.param("x = a\n" + "? b : c\n" * 400 + ";",
-                 "expression nesting too deep", 401, 3, False,
+                 "expression nesting too deep", 402, 1, False,
                  id="400-deep conditional chain"),
     pytest.param("while (a) {\n" * 401 + "}\n" * 401,
                  "block nesting too deep", 401, 11, False,
@@ -310,7 +316,7 @@ def test_deepest_nesting_parses_in_a_fresh_process():
     proc = run_in_child("""
 from proxylang.errors import ParseError
 from proxylang.interpreter import run_source
-print(run_source("print(" + "(" * 398 + "1" + ")" * 398 + ");").output)
+print(run_source("print(" + "(" * 799 + "1" + ")" * 799 + ");").output)
 try:
     run_source("x = " + "(" * 2000 + "1" + ")" * 2000 + ";")
 except ParseError as err:
@@ -320,8 +326,11 @@ except ParseError as err:
     assert proc.stdout == "1\n\nexpression nesting too deep\n"
 
 
-# inputs that would outrun the host stack if a recursive rule were
-# unbounded, and the diagnostic each gives: the first level past the limit
+# inputs that would outrun the host stack, or build a tree taller than
+# printing and evaluation can recurse through, if a rule were unbounded,
+# and the diagnostic each gives: the 401st nested block or 802nd open
+# expression where it opens, or the first node taller than 400 levels just
+# past its last token
 DEEP_INPUTS = [
     pytest.param("if (a) {\n" * 7000 + "}\n" * 7000,
                  ("block nesting too deep", 401, 8), id="7000 nested ifs"),
@@ -329,7 +338,7 @@ DEEP_INPUTS = [
                  ("block nesting too deep", 401, 14),
                  id="5000 nested functions"),
     pytest.param("x = a\n" + "? b : c\n" * 25000 + ";",
-                 ("expression nesting too deep", 401, 3),
+                 ("expression nesting too deep", 802, 3),
                  id="25000-deep conditional chain"),
     # flat chains are parsed in a loop, but each link is one more level of
     # the tree that printing and evaluation recurse through
@@ -337,24 +346,30 @@ DEEP_INPUTS = [
                  ("expression nesting too deep", 402, 1),
                  id="30000-term sum"),
     pytest.param("print(1\n" + "+ 1\n" * 30000 + ");",
-                 ("expression nesting too deep", 401, 1),
+                 ("expression nesting too deep", 402, 1),
                  id="30000-term sum as an argument"),
     pytest.param("x = a\n" + ".a\n" * 30000 + ";",
                  ("expression nesting too deep", 402, 1),
                  id="30000-long member read"),
     pytest.param("x = o\n" + "[0]\n" * 30000 + ";",
-                 ("expression nesting too deep", 401, 2),
+                 ("expression nesting too deep", 402, 1),
                  id="30000-long index read"),
     pytest.param("x = new C\n" + "()\n" * 30000 + ";",
-                 ("expression nesting too deep", 403, 1),
+                 ("expression nesting too deep", 402, 1),
                  id="30000-long call chain"),
     # a chain whose first operand is a parenthesised chain continues its
-    # left spine: 380 of them, each up to 389 terms, would be 76,000 deep
+    # left spine: 380 of them, each up to 389 terms, would be 76,000 tall
     pytest.param("print(" + functools.reduce(
         lambda src, g: "(" + src + " + 1" * (390 - g) + ")",
         range(380, 0, -1), "1") + ");",
-        ("expression nesting too deep", 1, 470),
+        ("expression nesting too deep", 1, 2009),
         id="380 parenthesised chains, each the first operand of the next"),
+    # and so does one nested in an argument, a prefix operator, an object
+    # literal, a '?:' arm, a computed key or a function's body
+    *(pytest.param(tree.values[0], ("expression nesting too deep", 1, column),
+                   id=tree.id)
+      for tree, column in zip(TALL_TREES,
+                              [2340, 1946, 3072, 2586, 2324, 9532])),
 ]
 
 
@@ -385,32 +400,142 @@ def test_deepest_block_nesting_parses_and_runs():
     functions = ("function f() {\n" * 400 + "return 2;\n"
                  + "}\nreturn f();\n" * 399 + "}\nprint(f());\n")
     assert run_source(functions).output == "2\n"
-    # blocks have their own count: 400 levels of expression and 400 of
-    # blocks inside it are not too deep
-    parse_source("x = " + "(" * 399 + "function () {"
-                 + "function g() {" * 399 + "}" * 400 + ")" * 399 + ";")
+    # blocks have their own count: an expression 400 levels tall and 400
+    # levels of blocks inside it are not too deep
+    parse_source("x = " + "-" * 399 + "function () {"
+                 + "function g() {" * 399 + "}" * 400 + ";")
 
 
 def test_longest_flat_chains_parse_print_and_run():
-    # each link of a chain after the first is one level: an argument of
-    # print is at level 2, so 399 operators or suffixes are the most
+    # each link of a chain is one level of the tree: print(…) is a call
+    # above its argument, so a sum in it takes 398 operators at most, and
+    # a read compared with === takes 397 suffixes
     def sums(n):
         return "print(" + "1 + " * n + "1);"
 
     def reads(n):
         return "var a = {}; a.a = a; print(" + "a." * n + "a === a);"
 
-    assert run_source(sums(399)).output == "400\n"
-    assert run_source(reads(399)).output == "true\n"
-    assert pretty_print(parse_source(sums(399))) \
-        == "print(" + "(" * 399 + "1" + " + 1)" * 399 + ");\n"
-    for source in (sums(400), reads(400)):
+    assert run_source(sums(398)).output == "399\n"
+    assert run_source(reads(397)).output == "true\n"
+    assert pretty_print(parse_source(sums(398))) \
+        == "print(" + "(" * 398 + "1" + " + 1)" * 398 + ");\n"
+    for source in (sums(399), reads(398)):
         with pytest.raises(ParseError) as exc:
             parse_source(source)
         assert exc.value.message == "expression nesting too deep"
-    # an expression whose every chain has one operator or one suffix is
-    # bounded exactly as before: a sum at the deepest level parses
-    parse_source("x = " + "(" * 399 + "f() + a.b" + ")" * 399 + ";")
+    # parentheses add no level: a sum inside the most of them parses
+    parse_source("x = " + "(" * 800 + "f() + a.b" + ")" * 800 + ";")
+
+
+def tree_height(tree):
+    """The height of the tallest expression in tree, a node or a list, as
+    the parser bounds it: the most expression nodes on a path down from
+    tree, read with a loop. So an expression node is one level taller
+    than its tallest child, a function expression one taller than the
+    tallest expression in its body, and an assignment to a property
+    counts its target as the property read it parses as."""
+    tallest, todo = 0, [(tree, 0)]
+    while todo:
+        item, height = todo.pop()
+        kind = type(item)
+        if kind in EXPRESSIONS:
+            height += 1
+            tallest = max(tallest, height)
+        if kind is PropertySet:
+            held = [(item.obj, height + 1), (item.key, height + 1),
+                    (item.value, height)]
+        elif kind is list or kind is tuple:
+            held = [(value, height) for value in item]
+        else:
+            held = [(getattr(item, name), height)
+                    for name in FIELD_NAMES[kind]]
+        todo += [pair for pair in held if type(pair[0]) in FIELD_NAMES]
+    return tallest
+
+
+EXPRESSIONS = set(typing.get_args(Expr))
+# each node class's field names; a value of a class not here, but for
+# list and tuple, holds no node
+FIELD_NAMES = {kind: [field.name for field in dataclasses.fields(kind)]
+               for kind in vars(nodes).values()
+               if isinstance(kind, type) and dataclasses.is_dataclass(kind)}
+FIELD_NAMES.update({list: None, tuple: None})
+
+
+# ways to nest an expression in one more, '@' standing for the inner one
+NESTS = {"parentheses": "(@)", "negations": "!@", "minus signs": "-@",
+         "call arguments": "f(@)", "computed keys": "o[@]",
+         "object-literal values": "{a: @}", "then arms": "c ? @ : 0",
+         "else arms": "c ? 0 : @", "conditions": "(@ ? 1 : 0)",
+         "new operands": "new (@)()", "new arguments": "new C(@)",
+         "function expressions": "function () { return @; }",
+         "immediately invoked functions": "function () { return @; }()",
+         "sums": "@ + 1", "member reads": "@.a"}
+CALLS = {"call arguments", "new operands", "new arguments",
+         "immediately invoked functions"}
+
+
+@st.composite
+def nestings(draw):
+    """An expression nested in runs of up to six ways of NESTS, about
+    _MAX_NESTING times in all, whether any of its runs calls, and how
+    many function bodies it nests."""
+    ways = draw(st.lists(st.sampled_from(sorted(NESTS)), min_size=1,
+                         max_size=6))
+    total = draw(st.integers(_MAX_NESTING - 20, _MAX_NESTING + 20))
+    cuts = sorted(draw(st.lists(st.integers(0, total),
+                                min_size=len(ways) - 1,
+                                max_size=len(ways) - 1)))
+    source, calls, bodies = "1", False, 0
+    for way, start, end in zip(ways, [0, *cuts], [*cuts, total]):
+        before, after = NESTS[way].split("@")
+        source = before * (end - start) + source + after * (end - start)
+        calls = calls or (way in CALLS and end > start)
+        if "{ return" in before:
+            bodies += end - start
+    return source, calls, bodies
+
+
+def attempt(function, *args):
+    """What function(*args) returns or the ParseError it raises, and the
+    name of any other exception it raises, so that the test fails outside
+    the handler, without a 20,000-frame traceback in its report."""
+    try:
+        return function(*args), None
+    except ParseError as err:
+        return err, None
+    except Exception as exc:
+        return None, type(exc).__name__
+
+
+@settings(max_examples=150, deadline=None)
+@given(nestings())
+def test_generated_nestings(nesting):
+    # every program the parser accepts is within the height bound, prints
+    # as source that parses back to it, and, if it makes no call, runs
+    # within the host's recursion limit; every other program is rejected
+    # as too deep (its blocks first, if it nests more function bodies than
+    # blocks may nest), and none raises a host exception
+    source, calls, bodies = nesting
+    program = f"var c = true; var o = {{}}; var v = 0;\nv = {source};\n"
+    tree, escaped = attempt(parse_source, program)
+    assert escaped is None, f"parse_source raised {escaped}"
+    if isinstance(tree, ParseError):
+        assert tree.message == ("block" if bodies > _MAX_NESTING else
+                                "expression") + " nesting too deep"
+        return
+    assert tree_height(tree) <= _MAX_NESTING
+    printed, escaped = attempt(pretty_print, tree)
+    assert escaped is None, f"pretty_print raised {escaped}"
+    again, escaped = attempt(parse_source, printed)
+    assert escaped is None, f"parsing the printed program raised {escaped}"
+    same = again == tree  # compared apart, so a failure prints no tree
+    assert same, "the printed program parses to another tree"
+    if not calls:
+        result, escaped = attempt(run_source, program)
+        assert escaped is None, f"run_source raised {escaped}"
+        assert result.error_message != "host recursion limit exceeded"
 
 
 def test_parse_expression_entry():
