@@ -2,8 +2,9 @@
 
 An Interpreter owns a global environment with the builtins, an equality
 mode, an output sink, the dynamic transparency override stack, and an
-allocation counter. Objects are their own references, and the host's
-collector frees them once unreachable.
+allocation counter. Objects are their own references, freed by reference
+counting once unreachable; run_source says what is left to the host's
+cyclic collector.
 
 One run path: every program (a script, the prelude, each REPL
 statement) runs through evaluate_program, which runs the top-level
@@ -574,7 +575,7 @@ def evaluate_program(program: Program, interp: Interpreter) \
             elif stmt.execute(interp, env) is not None:
                 break  # a host-built program's top-level return
     except PlxRuntimeError as err:
-        error = err
+        error = err.with_traceback(None)  # its traceback holds this frame
     except RecursionError:
         error = StackOverflow("host recursion limit exceeded")
     except MemoryError:
@@ -597,12 +598,20 @@ def run_source(source: str, *, mode=EqualityMode.OPAQUE,
                sink=None) -> ExecutionResult:
     """Parse and run a script. Static errors raise; runtime errors are
     captured in the result. The prelude, when given, runs first in the
-    same interpreter; it is parsed once per process and source text."""
+    same interpreter; it is parsed once per process and source text.
+    On return the interpreter's globals are cleared, unless result.value
+    is an object, which may need them. That breaks the cycle globals ->
+    function -> its FunctionRecord.env -> globals, so reference counting
+    frees the run's objects and function bodies. Only the cyclic collector
+    frees closures kept in their own call scope, each (Raw)WeakMap and its
+    methods (set returns the map), and a script's object cycles."""
     program = parse_source(source)
     interp = Interpreter(mode=mode, sink=sink)
+    result = None
     if prelude_source:
-        prelude_result = evaluate_program(_parse_prelude(prelude_source),
-                                          interp)
-        if not prelude_result.ok:
-            return prelude_result
-    return evaluate_program(program, interp)
+        result = evaluate_program(_parse_prelude(prelude_source), interp)
+    if result is None or result.ok:
+        result = evaluate_program(program, interp)
+    if not isinstance(result.value, HeapObject):
+        interp.globals.bindings.clear()
+    return result

@@ -2,11 +2,12 @@
 
 Values are floats (all numbers), bools, strings, the null and undefined
 singletons, and objects. An object is its own reference: raw identity is
-Python identity, and the host's collector frees an object once nothing
-reaches it. The heap only counts allocations. Property tables are
-string keyed and insertion ordered. Numbers used as property keys are
-converted to their printed decimal form, so obj[0] and obj["0"] address
-the same slot; every other non-string key is a type error.
+Python identity, and the host frees an object once nothing reaches it, by
+reference counting or, in a cycle, by its cyclic collector (see
+interpreter.run_source). The heap only counts allocations. Property
+tables are string keyed and insertion ordered. Numbers used as property
+keys are converted to their printed decimal form, so obj[0] and obj["0"]
+address the same slot; every other non-string key is a type error.
 """
 
 import math
