@@ -602,9 +602,9 @@ def run_source(source: str, *, mode=EqualityMode.OPAQUE,
     On return the interpreter's globals are cleared, unless result.value
     is an object, which may need them. That breaks the cycle globals ->
     function -> its FunctionRecord.env -> globals, so reference counting
-    frees the run's objects and function bodies. Only the cyclic collector
-    frees closures kept in their own call scope, each (Raw)WeakMap and its
-    methods (set returns the map), and a script's object cycles."""
+    frees the run's objects and function bodies, its maps included. Only
+    the cyclic collector frees closures kept in their own call scope and a
+    script's object cycles."""
     program = parse_source(source)
     interp = Interpreter(mode=mode, sink=sink)
     result = None

@@ -1,19 +1,17 @@
 """Tokenizer for .plx source text.
 
-tokenize returns a Tokens sequence. Its items are (kind, lexeme, line,
-column) tuples: kind is "identifier", "keyword", "number", "string" or
-"punctuator", and line and column are 1-based and point at the lexeme's
-first character. The parser reads only its lexemes and lines lists, which
-the scan fills a line at a time: each /* */ comment that spans lines is
-first blanked (_blank_spanning_comments), the text is split on "\n", and
-one findall of _TOKEN lexes each line, so there is no Python work per
-token. Kinds and columns are worked out by a second, exact pass over the
-same lines, and only when a host or an error message asks for them. Each
-pass is linear in the length of the source.
+tokenize returns a Tokens: its lexemes list, and its lines list, the
+1-based line of each lexeme, which the parser reads. The scan fills them
+a line at a time: each /* */ comment that spans lines is first blanked
+(_blank_spanning_comments), the text is split on "\n", and one findall of
+_TOKEN lexes each line, so there is no Python work per token. A token's
+column, the 1-based column of its first character, is worked out only
+when an error message or a host asks for it (Tokens.column), by scanning
+that token's line alone. The scan is linear in the length of the source.
 """
 
 import re
-from collections.abc import Sequence
+from bisect import bisect_left
 
 from .errors import LexError
 
@@ -94,20 +92,10 @@ _STRING_BODY = {q: re.compile(_string_body(q)) for q in "\"'"}
 _SPANNING_COMMENT = re.compile(
     rf"(?:[^\"'/]++|{_STRING}|//.*|/\*.*?\*/|/(?![/*]))*+(/\*(?s:.*?)\*/)?")
 
-# the kind of a lexeme that is no keyword, by its first character
-START_KIND = {
-    **dict.fromkeys(
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_$",
-        "identifier"),
-    **dict.fromkeys("0123456789", "number"),
-    '"': "string", "'": "string",
-    **dict.fromkeys((p[0] for p in PUNCTUATORS), "punctuator"),
-}
-
 
 def tokenize(source: str) -> "Tokens":
-    """Split source into tokens: a Tokens sequence of (kind, lexeme, line,
-    column) tuples, whose lexemes and lines lists the parser reads.
+    """Split source into tokens: a Tokens, whose lexemes and lines lists
+    the parser reads.
 
     Skips whitespace, '//' line comments, and '/* */' block comments.
     Unterminated strings or block comments, unsupported escape sequences,
@@ -170,44 +158,38 @@ def _raise_error(source: str, ch: str, line: int, column: int):
     raise LexError(f"unexpected character {ch!r}", line, column)
 
 
-class Tokens(Sequence):
+class Tokens:
     """The tokens of one source: the lexemes list and the lines list (the
-    line of each lexeme), which the parser reads; and, as a sequence, the
-    (kind, lexeme, line, column) tuples, which are built on first use by
-    an exact second pass over the scanned lines, and kept. Indexing,
-    slicing and iterating give tuples; a slice is a list of them."""
+    line of each lexeme), which the parser reads, and column(i), which
+    scans token i's line once an error message or a host asks for it."""
 
-    __slots__ = ("lexemes", "lines", "_rows", "_items")
+    __slots__ = ("lexemes", "lines", "_rows", "_columns")
 
     def __init__(self, lexemes: list[str], lines: list[int],
                  rows: list[str]):
         self.lexemes = lexemes
         self.lines = lines
         self._rows = rows  # the scanned text, line by line
-        self._items = None
+        self._columns = {}  # line -> the columns of its tokens, once asked
 
     def __len__(self) -> int:
         return len(self.lexemes)
 
-    def __getitem__(self, index):
-        return self._tuples()[index]
-
-    def __iter__(self):
-        return iter(self._tuples())
-
-    def _tuples(self) -> list[tuple[str, str, int, int]]:
-        """Every token as a (kind, lexeme, line, column) tuple."""
-        if self._items is None:
-            items = []
-            for line, row in enumerate(self._rows, 1):
-                for m in _TOKEN_AT.finditer(row.rstrip(_BLANKS)):
-                    lexeme = m[1]
-                    if lexeme:
-                        kind = ("keyword" if lexeme in KEYWORDS else
-                                START_KIND[lexeme[0]])
-                        items.append((kind, lexeme, line, m.start(1) + 1))
-            self._items = items
-        return self._items
+    def column(self, i: int) -> int:
+        """The 1-based column of token i; for i == len(self), the end of
+        input, just past the last token (1 for no tokens)."""
+        lines = self.lines
+        if i == len(lines):
+            return self.column(i - 1) + len(self.lexemes[i - 1]) if i else 1
+        line = lines[i]
+        columns = self._columns.get(line)
+        if columns is None:
+            row = self._rows[line - 1].rstrip(_BLANKS)
+            columns = self._columns[line] = [
+                m.start(1) + 1 for m in _TOKEN_AT.finditer(row) if m[1]]
+        # i's place on its line: how many tokens before i are on it, as
+        # lines is sorted
+        return columns[i - bisect_left(lines, line, 0, i)]
 
 
 def decode_string_lexeme(lexeme: str) -> str:

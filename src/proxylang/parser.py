@@ -51,9 +51,8 @@ which no token has, on the last token's line (1 for no tokens). So the
 current token is always `lexemes[pos]`, and `pos == end` at the end of
 input. Keywords, punctuators and the end of input are the keys of
 _OPERAND; any other lexeme is an identifier, a number or a string, told
-apart by its first character. A column is looked up only to report a
-ParseError: the end of input's is just past the last token (1 for no
-tokens).
+apart by its first character. A column is looked up, by Tokens.column,
+only to report a ParseError.
 """
 
 import sys
@@ -137,18 +136,9 @@ class _Parser:
 
     # --- errors ---
 
-    def column(self, at: int) -> int:
-        """The column of the token at index at: for the end of input, just
-        past the last token."""
-        if at < self.end:
-            return self.tokens[at][3]
-        if at:
-            return self.tokens[at - 1][3] + len(self.lexemes[at - 1])
-        return 1
-
     def error(self, message: str, at: int):
         """Raise a ParseError at the token at index at."""
-        raise ParseError(message, self.lines[at], self.column(at),
+        raise ParseError(message, self.lines[at], self.tokens.column(at),
                          at_eof=at == self.end)
 
     def expected(self, what: str, at: int):
@@ -161,7 +151,7 @@ class _Parser:
         index at. A ParseError abandons its parser, so callers count their
         nesting down again only on success."""
         raise ParseError(f"{what} nesting too deep", self.lines[at],
-                         self.column(at))
+                         self.tokens.column(at))
 
     # --- statements ---
 

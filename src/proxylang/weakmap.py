@@ -14,7 +14,10 @@ mode, and a raw map takes any object as it is, so only a proxy key of a
 WeakMap, which must be resolved, and a primitive key, which is rejected,
 go through _resolve_key.
 Entries are held strongly; the name follows the host-language
-convention for identity-keyed maps, not a collection contract.
+convention for identity-keyed maps, not a collection contract. A map's
+methods close over its IdentityMap, not over the map object, and set
+returns its receiver (``this``), so a map is no reference cycle and
+reference counting frees it once dropped.
 """
 
 from .errors import LangTypeError
@@ -80,7 +83,7 @@ def create_weakmap(interp, raw: bool = False) -> OrdinaryObject:
     # the key is read inline, not through arg(), which would be a frame
     def wm_set(itp, this, args):
         idmap_set(itp, imap, args[0] if args else UNDEFINED, arg(args, 1))
-        return obj
+        return this
 
     def wm_get(itp, this, args):
         return idmap_get(itp, imap, args[0] if args else UNDEFINED)

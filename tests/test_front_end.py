@@ -2,10 +2,13 @@
 
 tokenize and parse must agree with reference_front_end.py, the tokenizer
 and parser as they were before tokenize returned a Tokens sequence, on
-every input: the same (kind, lexeme, line, column) items or the same
-LexError (message, line, column); then the same AST, every node's line
-and Block.scoped included, or the same ParseError (message, line, column,
-at_eof), from parse and from parse_expression alike. The one rule that
+every input: the same LexError (message, line, column), or for each
+token the same (lexeme, line, column), read from the Tokens' lexemes and
+lines lists and its column method, as the reference's (kind, lexeme,
+line, column) item less its kind, which tokenize no longer gives; then
+the same AST, every node's line and Block.scoped included, or the same
+ParseError (message, line, column, at_eof), from parse and from
+parse_expression alike. The one rule that
 differs is the expression nesting bound: the reference counts the links
 of a chain open at once, the parser bounds each tree's height and its
 open expressions. Where either reports "expression nesting too deep",
@@ -35,6 +38,7 @@ from proxylang.prelude import default_prelude_source
 from conftest import COINCIDENCE_DIR, CORPUS_DIR, TESTS_DIR
 from test_parser import DEEP_INPUTS, tree_height
 from test_interpreter import TALL_TREES
+from test_lexer import positions
 
 
 def dump(node):
@@ -55,28 +59,34 @@ def dump(node):
 FIELDS = {}  # each class's field names, or False for a value
 
 
-def outcome(tokenize, parse, parse_expression, source):
-    """What a front end makes of source: its LexError, or its token items
-    and what parse and parse_expression make of them, a tree or a
-    ParseError."""
+def reference_positions(tokens):
+    """Each token's (lexeme, line, column), from the reference's items."""
+    return [item[1:] for item in tokens]
+
+
+def outcome(tokenize, positions, parse, parse_expression, source):
+    """What a front end makes of source: its LexError, or its tokens'
+    positions and what parse and parse_expression make of them, a tree or
+    a ParseError. The positions are read after parse, which thus looks up
+    its error's column in a Tokens that has worked out none yet."""
     try:
         tokens = tokenize(source)
     except LexError as err:
         return ("LexError", err.message, err.line, err.column)
-    results = [list(tokens)]
+    results = []
     for entry, argument in ((parse, tokens), (parse_expression, source)):
         try:
             results.append(entry(argument))
         except ParseError as err:
             results.append(("ParseError", err.message, err.line, err.column,
                             err.at_eof))
-    return results
+    return [positions(tokens), *results]
 
 
 def assert_same(source):
-    ours = outcome(tokenize, parse, parse_expression, source)
-    theirs = outcome(reference.tokenize, reference.parse,
-                     reference.parse_expression, source)
+    ours = outcome(tokenize, positions, parse, parse_expression, source)
+    theirs = outcome(reference.tokenize, reference_positions,
+                     reference.parse, reference.parse_expression, source)
     if ours[0] == "LexError" or theirs[0] == "LexError":
         assert ours == theirs, repr(source[:200])
         return
@@ -181,7 +191,7 @@ def test_prelude_with_a_token_cut_or_deleted():
     for line in source.split("\n"):
         starts.append(starts[-1] + len(line) + 1)
     tokens = tokenize(source)
-    for _, lexeme, line, column in tokens[::3]:
+    for lexeme, line, column in positions(tokens)[::3]:
         at = starts[line - 1] + column - 1
         assert_same(source[:at])
         assert_same(source[:at] + source[at + len(lexeme):])

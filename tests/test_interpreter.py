@@ -840,19 +840,31 @@ print(f());
 print(p === o);
 """
 
+# a WeakMap's and a RawWeakMap's methods do not close over the map
+MAP_PROBE = """
+var m = WeakMap();
+var r = RawWeakMap();
+var k = {};
+m.set(k, 1).set(k, 2);
+r.set(k, m);
+print(m.get(k), r.get(k) :===: m);
+"""
+
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("source, prelude, expected", [
     (LEAK_PROBE, None, ("ok", None)),
     ("var a = 1; print(a); b;", None, ("error", "ReferenceError")),
     ("print(1);", "var x = y;", ("error", "ReferenceError")),
-], ids=["script", "script-error", "prelude-error"])
+    (MAP_PROBE, None, ("ok", None)),
+], ids=["script", "script-error", "prelude-error", "maps"])
 def test_run_source_leaves_no_cyclic_garbage(source, prelude, expected, mode,
                                             prelude_source):
     # run_source releases its interpreter's globals, so reference counting
     # frees the run: the functions, the proxy, the prelude's closures and
     # a caught error's frames; without the release, a trap-mode LEAK_PROBE
-    # left about 60 objects to the collector
+    # left about 60 objects to the collector, and while a map's set
+    # returned the map it closed over, MAP_PROBE left 45
     gc.collect()
     gc.disable()
     try:

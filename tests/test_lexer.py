@@ -3,29 +3,30 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proxylang.errors import LexError
-from proxylang.lexer import (PUNCTUATORS, _TOKEN, _TOKEN_AT, Tokens,
-                             decode_string_lexeme, tokenize)
+from proxylang.lexer import (KEYWORDS, PUNCTUATORS, _TOKEN, _TOKEN_AT,
+                             Tokens, decode_string_lexeme, tokenize)
 
 from conftest import run_in_child
 
 
 def lexemes(source):
-    return [t[1] for t in tokenize(source)]
+    return tokenize(source).lexemes
 
 
-def kinds(source):
-    return [t[0] for t in tokenize(source)]
+def positions(tokens):
+    """Each token's (lexeme, line, column)."""
+    return [(lexeme, tokens.lines[i], tokens.column(i))
+            for i, lexeme in enumerate(tokens.lexemes)]
 
 
 def test_proxy_construction_line():
     tokens = tokenize("var p = new Proxy (target, handler);")
-    assert [t[1] for t in tokens] == [
+    assert tokens.lexemes == [
         "var", "p", "=", "new", "Proxy", "(", "target", ",", "handler",
         ")", ";"]
-    assert [t[0] for t in tokens] == [
-        "keyword", "identifier", "punctuator", "keyword", "identifier",
-        "punctuator", "identifier", "punctuator", "identifier",
-        "punctuator", "punctuator"]
+    assert tokens.lines == [1] * 11
+    assert [tokens.column(i) for i in range(11)] \
+        == [1, 5, 7, 9, 13, 19, 20, 26, 28, 35, 36]
 
 
 # Maximal munch around the colon operators: every split of the longer
@@ -51,15 +52,12 @@ def test_colon_operators_do_not_leak_colons():
     # ':===:' is one token, not ':' '===' ':'
     tokens = tokenize("p:===:q")
     assert len(tokens) == 3
-    assert tokens[1][1] == ":===:"
-    assert tokens[1][0] == "punctuator"
+    assert tokens.lexemes[1] == ":===:"
+    assert (tokens.column(1), tokens.column(2)) == (2, 7)
 
 
 def test_positions():
-    tokens = tokenize('var x = 1;\n  x = "two";')
-    positions = [(lexeme, line, column)
-                 for _, lexeme, line, column in tokens]
-    assert positions == [
+    assert positions(tokenize('var x = 1;\n  x = "two";')) == [
         ("var", 1, 1), ("x", 1, 5), ("=", 1, 7), ("1", 1, 9), (";", 1, 10),
         ("x", 2, 3), ("=", 2, 5), ('"two"', 2, 7), (";", 2, 12)]
 
@@ -68,13 +66,11 @@ def test_comments_skipped():
     assert lexemes("a // rest ignored\nb") == ["a", "b"]
     assert lexemes("a /* one\ntwo */ b") == ["a", "b"]
     assert lexemes("/* x */") == []
-    tokens = tokenize("/* a\nb */ c")
-    assert tokens[0][2] == 2 and tokens[0][3] == 6
+    assert positions(tokenize("/* a\nb */ c")) == [("c", 2, 6)]
 
 
 def test_numbers():
     assert lexemes("0 42 3.25 10.0") == ["0", "42", "3.25", "10.0"]
-    assert kinds("0 42 3.25 10.0") == ["number"] * 4
     # a trailing dot is member access, not part of the number
     assert lexemes("1.foo") == ["1", ".", "foo"]
     assert lexemes("1.5.foo") == ["1.5", ".", "foo"]
@@ -86,8 +82,7 @@ def test_strings_and_escapes():
     assert decode_string_lexeme('"tab\\there"') == "tab\there"
     assert decode_string_lexeme('"q\\"q"') == 'q"q'
     assert decode_string_lexeme('"back\\\\slash"') == "back\\slash"
-    tokens = tokenize("'single' \"double\"")
-    assert [t[0] for t in tokens] == ["string", "string"]
+    assert lexemes("'single' \"double\"") == ["'single'", '"double"']
 
 
 def test_line_scanners_capture_the_lexeme_and_the_bad_character():
@@ -105,26 +100,31 @@ def test_line_scanners_capture_the_lexeme_and_the_bad_character():
 
 
 def test_tokens_sequence():
-    # the parser reads the lexemes and lines lists; a host reads the
-    # (kind, lexeme, line, column) items, by index, slice or iteration
+    # the parser reads the lexemes and lines lists; column(i) gives a
+    # token's column, and column(len(tokens)) the end of input's, just
+    # past the last token. A Tokens has no items to index or iterate
     tokens = tokenize('var s = "x";\n/* a\nb */ s.n')
-    assert isinstance(tokens, Tokens) and not isinstance(tokens, list)
+    assert isinstance(tokens, Tokens)
     assert tokens.lexemes == ["var", "s", "=", '"x"', ";", "s", ".", "n"]
     assert tokens.lines == [1, 1, 1, 1, 1, 3, 3, 3]
     assert len(tokens) == 8
-    assert tokens[3] == ("string", '"x"', 1, 9)
-    assert tokens[-1] == ("identifier", "n", 3, 8)
-    assert tokens[5:7] == [("identifier", "s", 3, 6),
-                           ("punctuator", ".", 3, 7)]
-    assert [t[3] for t in tokens] == [1, 5, 7, 9, 12, 6, 7, 8]
-    assert ("keyword", "var", 1, 1) in tokens
+    assert [tokens.column(i) for i in range(9)] \
+        == [1, 5, 7, 9, 12, 6, 7, 8, 9]
+    assert tokens.column(3) == 9  # asked again, from the line's columns
+    with pytest.raises(TypeError):
+        tokens[0]
+    with pytest.raises(TypeError):
+        iter(tokens)
 
 
 def test_keywords_vs_identifiers():
-    assert kinds("var varx if iffy") == [
-        "keyword", "identifier", "keyword", "identifier"]
-    assert kinds("undefined undefinedx $ _a") == [
-        "keyword", "identifier", "identifier", "identifier"]
+    # a word is a keyword only whole: a keyword with more letters after
+    # it is one identifier
+    assert lexemes("var varx if iffy") == ["var", "varx", "if", "iffy"]
+    assert lexemes("undefined undefinedx $ _a") \
+        == ["undefined", "undefinedx", "$", "_a"]
+    assert [lexeme in KEYWORDS for lexeme in lexemes("var varx if iffy")] \
+        == [True, False, True, False]
 
 
 @pytest.mark.parametrize("source", [
@@ -178,8 +178,7 @@ def test_lex_errors_exact(source, message, line, column):
     ("a \v/* x\ny */ \fb", [("a", 1, 1), ("b", 2, 7)]),
 ])
 def test_blank_runs(source, expected):
-    assert [(lexeme, line, column)
-            for _, lexeme, line, column in tokenize(source)] == expected
+    assert positions(tokenize(source)) == expected
 
 
 @pytest.mark.parametrize("source,message,line,column", [
@@ -196,8 +195,8 @@ def test_blanks_before_an_error(source, message, line, column):
 
 
 def test_no_end_of_input_token():
-    assert list(tokenize("a  ")) == [("identifier", "a", 1, 1)]
-    assert tokenize("a  ").lexemes == ["a"]
+    assert positions(tokenize("a  ")) == [("a", 1, 1)]
+    assert tokenize("a  ").column(1) == 2
 
 
 # A blank run that ends the input, or a comment that never closes, is
@@ -245,7 +244,7 @@ def test_token_positions_point_at_lexemes(parts):
         assert "/*" in source
         assert err.message == "unterminated block comment"
         return
-    for _, lexeme, line, column in tokens:
+    for lexeme, line, column in positions(tokens):
         start = column - 1
         assert lines[line - 1][start:start + len(lexeme)] == lexeme
 
@@ -258,10 +257,9 @@ def test_fuzz_never_crashes(source):
     except LexError as err:
         assert err.line >= 1 and err.column >= 1
     else:
-        for kind, lexeme, _, _ in tokens:
-            assert lexeme
-            assert kind in ("identifier", "keyword", "number", "string",
-                            "punctuator")
+        assert len(tokens.lines) == len(tokens.lexemes)
+        for lexeme, _, column in positions(tokens):
+            assert lexeme and column >= 1
 
 
 SPACED_COMMENTS = ["// note\n", "/* a\nb */", "/**/"]

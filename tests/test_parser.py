@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxylang import nodes
+from proxylang import lexer, nodes
 from proxylang.errors import ParseError
 from proxylang.interpreter import run_source
 from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
@@ -271,18 +271,21 @@ def test_parse_expression_errors_exact(source, message, line, column,
 
 def test_parse_leaves_the_token_list_alone():
     # parse reads the lexemes and lines lists of a Tokens and changes
-    # neither, nor its items; a Tokens cut short (the first three tokens)
-    # raises and is left alone too
+    # neither, nor their columns; a Tokens cut short (the first three
+    # tokens) raises, at a column it looks up, and is left alone too
+    def state(tokens):
+        return (list(tokens.lexemes), list(tokens.lines),
+                [tokens.column(i) for i in range(len(tokens))])
+
     tokens = tokenize("var x = f(1, 2);")
-    before = (list(tokens.lexemes), list(tokens.lines), list(tokens))
+    before = state(tokens)
     parse(tokens)
-    assert (tokens.lexemes, tokens.lines, list(tokens)) == before
+    assert state(tokens) == before
     short = tokenize("var x =")
-    assert list(short) == before[2][:3]
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse(short)
-    assert (short.lexemes, short.lines, list(short)) \
-        == (before[0][:3], before[1][:3], before[2][:3])
+    assert (exc.value.line, exc.value.column) == (1, 8)
+    assert state(short) == tuple(part[:3] for part in before)
 
 
 def test_error_position():
@@ -298,6 +301,43 @@ def test_eof_flag():
     with pytest.raises(ParseError) as exc:
         parse_source("var = 1;")
     assert not exc.value.at_eof
+
+
+def test_a_late_parse_error_scans_one_line(monkeypatch):
+    # a ParseError's column is found by scanning its token's line alone,
+    # not every line before it, and that line's other columns, the end of
+    # input's too, are then read without scanning it again
+    class CountingScanner:
+        calls = 0
+
+        def finditer(self, row):
+            CountingScanner.calls += 1
+            return scanner.finditer(row)
+
+    scanner = lexer._TOKEN_AT
+    monkeypatch.setattr(lexer, "_TOKEN_AT", CountingScanner())
+    tokens = tokenize("var x = 1;\n" * 20000 + "x = ;")
+    with pytest.raises(ParseError) as exc:
+        parse(tokens)
+    assert (exc.value.line, exc.value.column) == (20001, 5)
+    assert CountingScanner.calls == 1
+    end = len(tokens)
+    assert [tokens.column(i) for i in range(end - 3, end + 1)] \
+        == [1, 3, 5, 6]
+    assert CountingScanner.calls == 1
+
+
+@pytest.mark.parametrize("source, column", [
+    ("", 1),
+    ("/* only\n a comment */", 1),
+    ("x = 1; /* a comment\n that spans lines */", 7),
+    ("var x = 1;\ny = f(2", 8),
+], ids=["empty", "a comment alone", "a comment that spans lines",
+        "several tokens on the last line"])
+def test_end_of_input_column(source, column):
+    # just past the last token, whatever follows it; 1 for no tokens
+    tokens = tokenize(source)
+    assert tokens.column(len(tokens)) == column
 
 
 def test_deep_nesting_rejected_structurally():
@@ -649,7 +689,7 @@ while (false) { }
 
 
 def test_parsed_nodes_have_no_dict():
-    from proxylang import nodes
+    from proxylang import lexer, nodes
     classes = {cls for cls in vars(nodes).values()
                if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
     seen, todo = set(), [parse_source(EVERY_NODE)]
@@ -765,7 +805,7 @@ def test_every_node_has_its_line():
         ("Assign", 47), ("New", 47), ("Identifier", 48), ("NumberLit", 50),
         ("Assign", 52), ("FunctionExpr", 52), ("Block", 53),
         ("Assign", 55), ("PropertyGet", 55), ("Identifier", 55)]
-    from proxylang import nodes
+    from proxylang import lexer, nodes
     assert {name for name, _ in seen} == {
         cls.__name__ for cls in vars(nodes).values()
         if isinstance(cls, type) and dataclasses.is_dataclass(cls)}

@@ -141,7 +141,7 @@ def test_weakmap_object_surface():
         method = wm.get(interp, name)
         return method.call(interp, wm, args)
 
-    assert call_method("set", [target, 42.0]) == wm  # returns the map
+    assert call_method("set", [target, 42.0]) == wm  # returns this
     assert call_method("get", [proxy]) == 42.0
     assert call_method("has", [proxy]) is True
     assert call_method("delete", [proxy]) is True
@@ -224,6 +224,21 @@ def test_weakmap_and_raw_map_side_by_side(mode):
     """, mode=mode)
     assert result.ok, (result.error_kind, result.error_message)
     assert result.output == f"{aliases} false true undefined\ntrue p t\n"
+
+
+@pytest.mark.parametrize("name", ["WeakMap", "RawWeakMap"])
+def test_set_returns_its_receiver(name):
+    # set returns this: the map when called on it, a trap-less proxy when
+    # called through one, undefined when called detached
+    result = run_source(f"""
+    var m = {name}();
+    var k = {{}};
+    var p = new Proxy(m, {{}});
+    var s = m.set;
+    print(m.set(k, 1) :===: m, p.set(k, 2) :===: p, s(k, 3), m.get(k));
+    """)
+    assert result.ok, (result.error_kind, result.error_message)
+    assert result.output == "true true undefined 3\n"
 
 
 def test_raw_map_primitive_key_is_a_language_error():
