@@ -6,8 +6,7 @@ from .errors import (ContractViolation, LangReferenceError, LangTypeError,
                      ResourceError, RevokedProxyError, StackOverflow)
 from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        loose_equals, opaque_loose_equals,
-                       opaque_strict_equals, raw_identical, resolve_for_mode,
-                       strict_equals)
+                       opaque_strict_equals, raw_identical, strict_equals)
 from .interpreter import (Environment, ExecutionResult, Interpreter,
                           evaluate_program, run_source)
 from .lexer import tokenize
@@ -16,7 +15,7 @@ from .objects import NULL, UNDEFINED, Heap, HeapObject, render_value
 from .parser import parse, parse_expression, parse_source
 from .prelude import default_prelude_source
 from .proxies import (ProxyObject, get_equality_object, is_transparent,
-                      proxy_create, revoke, with_transparency)
+                      look_through, proxy_create, revoke, with_transparency)
 
 __all__ = [
     "ContractViolation", "LangReferenceError", "LangTypeError", "LexError",
@@ -24,7 +23,7 @@ __all__ = [
     "RevokedProxyError", "StackOverflow",
     "EqualityMode", "builtin_is_equal", "builtin_is_identical",
     "loose_equals", "opaque_loose_equals", "opaque_strict_equals",
-    "raw_identical", "resolve_for_mode", "strict_equals",
+    "raw_identical", "strict_equals",
     "Environment", "ExecutionResult", "Interpreter", "evaluate_program",
     "run_source",
     "tokenize",
@@ -32,8 +31,8 @@ __all__ = [
     "NULL", "UNDEFINED", "Heap", "HeapObject", "render_value",
     "parse", "parse_expression", "parse_source",
     "default_prelude_source",
-    "ProxyObject", "get_equality_object", "is_transparent", "proxy_create",
-    "revoke", "with_transparency",
+    "ProxyObject", "get_equality_object", "is_transparent", "look_through",
+    "proxy_create", "revoke", "with_transparency",
 ]
 
 __version__ = "0.1.0"

@@ -6,16 +6,16 @@ Four modes decide how proxies compare:
   identity on objects, so a proxy never equals its target.
 * transparent: == and === resolve every proxy (revoked ones excepted)
   to the innermost non-proxy before comparing, unconditionally.
-* operators: == and === resolve like transparent mode, and the extra
-  operators :==: and :===: compare without resolving, so programs that
-  need reference identity can still ask for it.
+* operators: == and === resolve exactly as in transparent mode, with the
+  same resolver. :==: and :===: are raw in every mode, so this mode adds
+  no operator of its own; the name is kept for compatibility.
 * trap: each proxy votes via its isTransparent trap; == and === follow
   a proxy only while it answers true, stopping at the first opaque or
   revoked link.
 
-The opaque operators :==: and :===: are available in every mode and
-always compare raw references. Proxy.isEqual and Proxy.isIdentical
-always resolve fully, regardless of mode.
+Each Interpreter picks its mode's resolver once (interp.resolve), and no
+comparison takes a mode. :==: and :===: never resolve; Proxy.isEqual and
+Proxy.isIdentical always resolve with proxies.look_through.
 
 Primitive comparisons are unaffected by the mode. === on primitives is
 same-type value equality (NaN is unequal to itself, 0 equals -0); ==
@@ -24,18 +24,17 @@ and a number meets a string by converting the string to a number.
 Objects never coerce: an object compared to a primitive with == is
 simply unequal.
 
-Only a proxy operand is ever resolved. Every mode resolves a non-proxy
-to itself, so ==, ===, their negations and the opaque operators compare
-a primitive or an ordinary object as it is, without a resolution step.
+Only a proxy operand of == or === is ever resolved: every resolver
+gives a non-proxy back as it is, so a primitive or an ordinary object is
+compared without a resolution step.
 """
 
 import math
 import re
 from enum import Enum
 
-from . import proxies
 from .objects import NULL, UNDEFINED, HeapObject
-from .proxies import ProxyObject, get_equality_object
+from .proxies import ProxyObject, look_through
 
 
 class EqualityMode(Enum):
@@ -57,72 +56,49 @@ def raw_identical(a, b) -> bool:
     return a is b  # NULL and UNDEFINED are singletons
 
 
-def resolve_for_mode(interp, value, mode: EqualityMode):
-    """The object (or primitive) an equality operand stands for.
-
-    Transparent and operators modes resolve unconditionally, pausing only
-    at revoked proxies. Targets are fixed and only revoke() revokes, so
-    the end of that walk changes only when the revocation count does: a
-    proxy operand answers from its endpoint memo while the memo's count is
-    current, and walks (and refreshes the memo) otherwise. The count is
-    read through its module at every check. Trap mode asks the votes
-    afresh every time."""
-    if mode is EqualityMode.OPAQUE:
-        return value
-    if mode is EqualityMode.TRAP:
-        return get_equality_object(interp, value)
-    if value.__class__ is not ProxyObject or value.revoked:
-        return value
-    count, end = value.endpoint
-    if count == proxies.revocations:
-        return end
-    end = value.target
-    while end.__class__ is ProxyObject and not end.revoked:
-        end = end.target
-    value.endpoint = (proxies.revocations, end)
-    return end
-
-
-def strict_equals(interp, a, b, mode=None) -> bool:
-    # every mode resolves a non-proxy to itself, so only a proxy is
-    # resolved; a is still resolved before b, as trap-mode votes run code
-    mode = interp.mode if mode is None else mode
-    if a.__class__ is ProxyObject:
-        a = resolve_for_mode(interp, a, mode)
-    if b.__class__ is ProxyObject:
-        b = resolve_for_mode(interp, b, mode)
+def strict_equals(interp, a, b) -> bool:
+    # only a proxy is resolved, by the interpreter's resolver (None in
+    # opaque mode); a is still resolved before b, as trap-mode votes run code
+    resolve = interp.resolve
+    if a.__class__ is ProxyObject and resolve is not None:
+        a = resolve(interp, a)
+    if b.__class__ is ProxyObject and resolve is not None:
+        b = resolve(interp, b)
     return raw_identical(a, b)
 
 
-def loose_equals(interp, a, b, mode=None) -> bool:
-    mode = interp.mode if mode is None else mode
-    if a.__class__ is ProxyObject:
-        a = resolve_for_mode(interp, a, mode)
-    if b.__class__ is ProxyObject:
-        b = resolve_for_mode(interp, b, mode)
+def loose_equals(interp, a, b) -> bool:
+    resolve = interp.resolve
+    if a.__class__ is ProxyObject and resolve is not None:
+        a = resolve(interp, a)
+    if b.__class__ is ProxyObject and resolve is not None:
+        b = resolve(interp, b)
     if isinstance(a, HeapObject) or isinstance(b, HeapObject):
-        return raw_identical(a, b)  # objects never coerce
+        return a is b  # objects never coerce
     return primitive_loose_equals(a, b)
 
 
 def opaque_strict_equals(interp, a, b) -> bool:
     """The :===: operator: never resolves."""
-    return strict_equals(interp, a, b, EqualityMode.OPAQUE)
+    return raw_identical(a, b)
 
 
 def opaque_loose_equals(interp, a, b) -> bool:
     """The :==: operator: never resolves, still coerces primitives."""
-    return loose_equals(interp, a, b, EqualityMode.OPAQUE)
+    if isinstance(a, HeapObject) or isinstance(b, HeapObject):
+        return a is b  # objects never coerce
+    return primitive_loose_equals(a, b)
 
 
 def builtin_is_identical(interp, a, b) -> bool:
     """Proxy.isIdentical: === through every proxy, in any mode."""
-    return strict_equals(interp, a, b, EqualityMode.TRANSPARENT)
+    return raw_identical(look_through(interp, a), look_through(interp, b))
 
 
 def builtin_is_equal(interp, a, b) -> bool:
     """Proxy.isEqual: == through every proxy, in any mode."""
-    return loose_equals(interp, a, b, EqualityMode.TRANSPARENT)
+    return opaque_loose_equals(interp, look_through(interp, a),
+                               look_through(interp, b))
 
 
 # --- primitive coercion ---

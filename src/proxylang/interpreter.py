@@ -1,10 +1,10 @@
 """Tree-walking evaluator and the embedding API.
 
 An Interpreter owns a global environment with the builtins, an equality
-mode, an output sink, the dynamic transparency override stack, and an
-allocation counter. Objects are their own references, freed by reference
-counting once unreachable; run_source says what is left to the host's
-cyclic collector.
+mode and its resolver, an output sink, the dynamic transparency override
+stack, and an allocation counter. Objects are their own references, freed
+by reference counting once unreachable; run_source says what is left to
+the host's cyclic collector.
 
 One run path: every program (a script, the prelude, each REPL
 statement) runs through evaluate_program, which runs the top-level
@@ -66,14 +66,21 @@ from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, HeapObject,
                       NativeFunction, OrdinaryObject, arg, kind_of,
                       render_value, to_property_key, truthy)
 from .parser import ensure_recursion_limit, parse_source
-from .proxies import (is_callable, proxy_create, revoke,
-                      unpack_args_object, with_transparency)
+from .proxies import (get_equality_object, is_callable, look_through,
+                      proxy_create, revoke, unpack_args_object,
+                      with_transparency)
 from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        loose_equals, opaque_loose_equals,
                        opaque_strict_equals, strict_equals)
 from .weakmap import create_weakmap
 
 MAX_CALL_DEPTH = 1024
+
+# each mode's resolver of a proxy operand of == and === or WeakMap key
+_RESOLVERS = {EqualityMode.OPAQUE: None,
+              EqualityMode.TRANSPARENT: look_through,
+              EqualityMode.OPERATORS: look_through,
+              EqualityMode.TRAP: get_equality_object}
 
 
 class Environment:
@@ -116,6 +123,7 @@ class Interpreter:
         if isinstance(mode, str):
             mode = EqualityMode(mode)
         self.mode = mode
+        self.resolve = _RESOLVERS[mode]
         self.heap = Heap()
         self.sink = sink if sink is not None else io.StringIO()
         self.override_stack: list = []  # (proxy, bool), LIFO

@@ -26,10 +26,9 @@ operators modes, Proxy.isEqual, Proxy.isIdentical) can change only when
 some proxy is revoked. Each proxy memoises the endpoint of the last such
 walk started from it, stamped with the process-wide revocation count
 ``revocations``, and the memo stands while the count is unchanged (see
-equality.resolve_for_mode). Trap-mode resolution is never memoised: its
-votes are language code that runs at every decision. The count is a
-plain global, so interpreters that share objects must stay on one
-thread.
+look_through). Trap-mode resolution is never memoised: its votes are
+language code that runs at every decision. The count is a plain global,
+so interpreters that share objects must stay on one thread.
 
 Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
@@ -230,6 +229,22 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     return answer and not proxy.revoked
 
 
+def look_through(interp, value):
+    """The end of an unconditional walk from value, the first non-proxy
+    or revoked proxy, read from value's endpoint memo while its count is
+    current. interp is unused: every resolver is called alike."""
+    if value.__class__ is not ProxyObject or value.revoked:
+        return value
+    count, end = value.endpoint
+    if count == revocations:
+        return end
+    end = value.target
+    while end.__class__ is ProxyObject and not end.revoked:
+        end = end.target
+    value.endpoint = (revocations, end)
+    return end
+
+
 def get_equality_object(interp, value):
     """Follow transparent proxies to the value equality should compare.
 
@@ -245,9 +260,11 @@ def get_equality_object(interp, value):
 def with_transparency(interp, proxy, flag, thunk):
     """Run thunk with the proxy's transparency pinned to flag.
 
-    The override is visible to every equality decision in the dynamic
-    extent of the call, nests innermost-wins, and is removed when the
-    thunk finishes, whether it returns or raises.
+    Only is_transparent reads overrides, so only the trap-mode resolver
+    (get_equality_object) sees one: opaque mode resolves no proxy, and
+    look_through follows every unrevoked one. The override holds for the
+    dynamic extent of the call, nests innermost-wins, and is removed when
+    the thunk finishes, whether it returns or raises.
     """
     if not isinstance(proxy, ProxyObject):
         raise LangTypeError("transparency overrides require a proxy")
@@ -277,16 +294,27 @@ def pack_args_object(interp, args) -> HeapObject:
     return interp.heap.alloc(OrdinaryObject(props))
 
 
+# the longest list unpack_args_object builds. It reads one entry per index
+# below 'length', whatever the object holds, so a one-property
+# {length: 1e9} would ask for a billion. The arguments objects that the
+# prelude's apply traps hand to Reflect.apply copy a call's arguments,
+# written out in its source, so they are far shorter. 65,536 entries are
+# half a megabyte of references, read in tens of milliseconds.
+MAX_ARGS_LENGTH = 65536
+
+
 def unpack_args_object(interp, value) -> list:
     """Read {"0".."length"} back into a positional list."""
     if not isinstance(value, HeapObject):
         raise LangTypeError(
             f"an arguments object is required, not {kind_of(value)}")
     length = value.get(interp, "length")
-    if not isinstance(length, float) or length != length \
-            or length < 0 or length != int(length):
+    # the bound is checked before int(), which raises for an infinity
+    if not isinstance(length, float) or not 0 <= length <= MAX_ARGS_LENGTH \
+            or length != int(length):
         raise LangTypeError(
-            "'length' of an arguments object must be a non-negative integer")
+            "'length' of an arguments object must be an integer "
+            f"from 0 to {MAX_ARGS_LENGTH}")
     return [value.get(interp, format_number(float(i)))
             for i in range(int(length))]
 

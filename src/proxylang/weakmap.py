@@ -1,10 +1,10 @@
 """Identity-keyed maps: WeakMap, which respects the active equality
 mode, and RawWeakMap, the map counterpart of :===:.
 
-A WeakMap stores entries under the key's equality object, resolved
-fresh at every operation. In trap mode a transparent proxy and its
-target therefore address the same entry, while in opaque mode they are
-distinct keys. A RawWeakMap never resolves: a proxy and its target are
+A WeakMap stores entries under the key's equality object, resolved by
+interp.resolve at every operation. In trap mode a transparent proxy and
+its target therefore address the same entry, while in opaque mode they
+are distinct keys. A RawWeakMap never resolves: a proxy and its target are
 distinct keys in every mode, as they are under :===:, so it can be keyed
 by wrappers (a membrane's wrapper -> inner index needs that). Both are
 one IdentityMap type, told apart by its ``raw`` flag. Only objects are
@@ -22,7 +22,6 @@ reference counting frees it once dropped.
 
 from .errors import LangTypeError
 from .objects import UNDEFINED, HeapObject, OrdinaryObject, arg, kind_of
-from .equality import resolve_for_mode
 
 
 class IdentityMap:
@@ -38,9 +37,8 @@ def _resolve_key(interp, imap: IdentityMap, key) -> HeapObject:
         name = "RawWeakMap" if imap.raw else "WeakMap"
         raise LangTypeError(f"{name} keys must be objects, "
                             f"not {kind_of(key)}")
-    if imap.raw:
-        return key
-    return resolve_for_mode(interp, key, interp.mode)
+    resolve = interp.resolve
+    return key if imap.raw or resolve is None else resolve(interp, key)
 
 
 def idmap_set(interp, imap: IdentityMap, key, value) -> None:

@@ -222,14 +222,15 @@ def test_criterion_04_equivalence_relations():
     explicit_triple_budget = 50
     for heap_index in range(heaps):
         layout = generate_heap_layout(rng)
-        interp = fresh()
-        refs = materialize(interp, layout)
+        # one interpreter per mode, all sharing the heap the first builds
+        interps = [fresh(mode) for mode in EqualityMode]
+        refs = materialize(interps[0], layout)
         picked = rng.sample(refs, min(8, len(refs)))
         sample = picked + rng.sample(PRIMITIVE_POOL, 12 - len(picked))
         rng.shuffle(sample)
-        for mode in EqualityMode:
+        for mode, interp in zip(EqualityMode, interps):
             for op in (strict_equals, loose_equals):
-                matrix = [[op(interp, a, b, mode) for b in sample]
+                matrix = [[op(interp, a, b) for b in sample]
                           for a in sample]
                 assert partition_consistent(matrix), \
                     (heap_index, mode, op.__name__)

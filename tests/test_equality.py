@@ -10,13 +10,12 @@ from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 builtin_is_identical, loose_equals,
                                 opaque_loose_equals, opaque_strict_equals,
                                 primitive_loose_equals, raw_identical,
-                                resolve_for_mode, strict_equals,
-                                string_to_number)
+                                strict_equals, string_to_number)
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.objects import NULL, UNDEFINED, HeapObject, OrdinaryObject
 from proxylang.parser import parse_expression, parse_source
 from proxylang.proxies import (ProxyObject, get_equality_object,
-                               proxy_create, revoke)
+                               look_through, proxy_create, revoke)
 
 from test_acceptance import load_table, to_value
 
@@ -25,6 +24,13 @@ MODES = list(EqualityMode)
 
 def interp_for(mode):
     return Interpreter(mode=mode)
+
+
+def resolved(interp, value):
+    """value as == and === of interp's mode compare it, resolved by the
+    interpreter's resolver (opaque mode has none)."""
+    resolve = interp.resolve
+    return value if resolve is None else resolve(interp, value)
 
 
 def chain(interp, flags):
@@ -119,6 +125,13 @@ def test_builtins_resolve_fully_in_every_mode():
         assert builtin_is_equal(interp, nodes[2], nodes[0])
 
 
+def test_each_mode_chooses_its_resolver_once():
+    # opaque mode resolves nothing; operators mode resolves exactly as
+    # transparent mode does, with the memoised walk
+    assert [interp_for(mode).resolve for mode in MODES] \
+        == [None, look_through, look_through, get_equality_object]
+
+
 def test_revoked_proxy_is_an_equality_endpoint():
     for mode in MODES:
         interp = interp_for(mode)
@@ -140,8 +153,8 @@ def test_resolution_is_idempotent():
         for flags in itertools.product([True, False, None], repeat=3):
             nodes = chain(interp, list(flags))
             for node in nodes:
-                once = resolve_for_mode(interp, node, mode)
-                assert resolve_for_mode(interp, once, mode) == once
+                once = resolved(interp, node)
+                assert resolved(interp, once) == once
 
 
 def test_ref_never_equals_primitive():
@@ -195,13 +208,13 @@ def test_memoised_resolution_matches_a_fresh_walk(steps):
         for a in nodes:
             same = fresh_end(a) is fresh_end(b)
             for interp in interps:
+                assert look_through(interp, a) is fresh_end(a)
                 if interp.mode in UNCONDITIONAL:
-                    assert resolve_for_mode(interp, a, interp.mode) \
-                        is fresh_end(a)
+                    assert interp.resolve(interp, a) is fresh_end(a)
                     assert strict_equals(interp, a, b) == same
                     assert loose_equals(interp, b, a) == same
                 else:
-                    assert resolve_for_mode(interp, a, interp.mode) \
+                    assert resolved(interp, a) \
                         is (a if interp.mode is EqualityMode.OPAQUE
                             else get_equality_object(interp, a))
                 assert builtin_is_identical(interp, a, b) == same
@@ -212,11 +225,9 @@ def test_revocation_through_another_interpreter_stales_the_memo():
     first = interp_for(EqualityMode.TRANSPARENT)
     second = interp_for(EqualityMode.OPAQUE)
     nodes = chain(first, [None, None, None])
-    assert resolve_for_mode(first, nodes[3], EqualityMode.TRANSPARENT) \
-        is nodes[0]
+    assert first.resolve(first, nodes[3]) is nodes[0]
     revoke(second, nodes[2])
-    assert resolve_for_mode(first, nodes[3], EqualityMode.TRANSPARENT) \
-        is nodes[2]
+    assert first.resolve(first, nodes[3]) is nodes[2]
     # a second revocation is a no-op: the count, and so every memo, stands
     count = proxies.revocations
     revoke(second, nodes[2])
@@ -378,8 +389,8 @@ def reference_primitive_loose(a, b):
 def reference_equals(interp, op, a, b):
     """op on a and b with both operands resolved first, whatever they
     are."""
-    a = resolve_for_mode(interp, a, interp.mode)
-    b = resolve_for_mode(interp, b, interp.mode)
+    a = resolved(interp, a)
+    b = resolved(interp, b)
     if op in ("===", "!=="):
         equal = raw_identical(a, b)
     elif isinstance(a, HeapObject) or isinstance(b, HeapObject):

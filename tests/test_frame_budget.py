@@ -26,6 +26,7 @@ import sys
 
 from proxylang.interpreter import Interpreter, evaluate_program
 from proxylang.lexer import tokenize
+from proxylang.objects import UNDEFINED
 from proxylang.parser import parse, parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
 
@@ -71,10 +72,11 @@ def test_one_language_call():
 
 def test_one_trap_mode_vote():
     # _binary, two _identifier and the === operator's lambda,
-    # strict_equals, and for each operand resolve_for_mode and
-    # get_equality_object; for the proxy, is_transparent, the handler
-    # read (get), and invoke, _return and _literal for the trap, which
-    # is_transparent invokes directly, without call_value; raw_identical
+    # strict_equals, and get_equality_object, the trap-mode resolver, for
+    # the proxy operand only; is_transparent, the handler read (get), and
+    # invoke, _return and _literal for the trap, which is_transparent
+    # invokes directly, without call_value; raw_identical (13 frames when
+    # each operand went through a resolver that branched on the mode)
     value, names = frames_entered(
         "trap",
         "var o = {}; var p = new Proxy(o, "
@@ -84,7 +86,29 @@ def test_one_trap_mode_vote():
     assert names.count("is_transparent") == 1
     assert names.count("invoke") == 1
     assert "call_value" not in names
-    assert len(names) <= 15, names
+    assert len(names) <= 12, names
+
+
+RESOLVERS = ("look_through", "get_equality_object")
+
+
+def test_raw_operators_on_two_proxies():
+    # :===: is _binary, two _identifier, the operator's lambda,
+    # opaque_strict_equals and raw_identical; :==: compares two objects
+    # inline, so it enters one frame fewer. Neither enters a resolver, in
+    # any mode (9 frames each when they called strict_equals and
+    # loose_equals with the opaque mode)
+    for mode in ("opaque", "transparent", "operators", "trap"):
+        for expression, most in (("p :===: q", 6), ("p :==: q", 5)):
+            value, names = frames_entered(
+                mode,
+                "var o = {}; var p = new Proxy(o, {isTransparent: "
+                "function(t, q) { return true; }}); var q = new Proxy(o, {});",
+                expression)
+            assert value is False
+            for resolver in RESOLVERS:
+                assert resolver not in names, (mode, expression)
+            assert len(names) <= most, (mode, expression, names)
 
 
 def test_trap_less_links_enter_no_frames():
@@ -118,8 +142,8 @@ def test_one_membrane_read():
     value, names = names_entered(parse_expression("w.a").evaluate, interp,
                                  interp.globals)
     assert value is interp.globals.lookup("first")
-    for helper in ("arg", "truthy", "_resolve_key", "resolve_for_mode",
-                   "to_property_key", "raw_identical"):
+    for helper in ("arg", "truthy", "_resolve_key", "to_property_key",
+                   "raw_identical") + RESOLVERS:
         assert helper not in names, helper
     assert len(names) <= 58, names
 
@@ -132,7 +156,8 @@ def test_primitive_equality():
                               ("var a = 1; var b = 2;", "a == b")):
         value, names = frames_entered("opaque", setup, expression)
         assert value is (expression == "a != b")
-        assert "resolve_for_mode" not in names
+        for resolver in RESOLVERS:
+            assert resolver not in names, expression
         assert len(names) <= 6, (expression, names)
 
 
@@ -140,8 +165,15 @@ def test_weakmap_probe_of_an_ordinary_key():
     # _method_call, two _identifier, the method read (get), call_value,
     # invoke, wm_get and idmap_get: an ordinary key stands for itself in
     # every mode, so it is not resolved, in trap mode no more than in
-    # opaque mode (10 and 11 frames when it was); a proxy key still is
-    for mode in ("opaque", "transparent", "operators", "trap"):
+    # opaque mode (10 and 11 frames when it was); a proxy key still is,
+    # by the mode's resolver, and in opaque mode by none: 9 frames there
+    # with _resolve_key, and 15 in trap mode with the vote (10 and 16 when
+    # _resolve_key called a resolver that branched on the mode)
+    # each mode's resolver of a proxy key, and the frames its probe enters
+    proxy_probe = {"opaque": (None, 9), "transparent": ("look_through", 10),
+                   "operators": ("look_through", 10),
+                   "trap": ("get_equality_object", 15)}
+    for mode, (resolver, most) in proxy_probe.items():
         setup = ("var m = WeakMap(); var o = {}; m.set(o, 1); var p = "
                  "new Proxy(o, {isTransparent: function(t, q) "
                  "{ return true; }});")
@@ -150,7 +182,10 @@ def test_weakmap_probe_of_an_ordinary_key():
         assert "_resolve_key" not in names, mode
         assert len(names) <= 8, (mode, names)
         value, names = frames_entered(mode, setup, "m.get(p)")
-        assert "resolve_for_mode" in names, mode
+        assert value == (UNDEFINED if mode == "opaque" else 1.0)
+        assert [name for name in names if name in RESOLVERS] \
+            == ([] if resolver is None else [resolver]), mode
+        assert len(names) <= most, (mode, names)
 
 
 def test_if_takes_a_bool_condition_as_it_is():

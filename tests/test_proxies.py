@@ -9,10 +9,10 @@ from proxylang.interpreter import (MAX_CALL_DEPTH, Interpreter,
                                    evaluate_program)
 from proxylang.objects import NULL, UNDEFINED
 from proxylang.parser import parse_source
-from proxylang.proxies import (ProxyObject, get_equality_object,
-                               is_transparent, pack_args_object,
-                               proxy_create, revoke, unpack_args_object,
-                               with_transparency)
+from proxylang.proxies import (MAX_ARGS_LENGTH, ProxyObject,
+                               get_equality_object, is_transparent,
+                               pack_args_object, proxy_create, revoke,
+                               unpack_args_object, with_transparency)
 
 
 @pytest.fixture
@@ -487,6 +487,31 @@ def test_override_distinguishes_proxies(interp):
                              native(interp, probe)) == (True, False)
 
 
+OVERRIDES = """
+var o = {};
+var p = new Proxy(o, {isTransparent: function(t, q) { return false; }});
+Proxy.withTransparency(p, false, function() { print(p === o); });
+Proxy.withTransparency(p, true, function() { print(p === o); });
+"""
+
+
+@pytest.mark.parametrize("mode,printed", [
+    ("opaque", ["false", "false"]),
+    ("transparent", ["true", "true"]),
+    ("operators", ["true", "true"]),
+    ("trap", ["false", "true"]),
+])
+def test_overrides_act_only_in_trap_mode(mode, printed):
+    # only the trap resolver consults the override stack: opaque mode
+    # resolves nothing, and transparent and operators modes look through
+    # every unrevoked proxy whatever it is pinned to
+    interp = Interpreter(mode=mode)
+    result = evaluate_program(parse_source(OVERRIDES), interp)
+    assert result.ok
+    assert result.output.splitlines() == printed
+    assert interp.override_stack == []
+
+
 # --- equality object resolution ---
 
 def build_chain(interp, flags):
@@ -622,8 +647,27 @@ def test_args_object_round_trip(interp):
     assert packed.get(interp, "length") == 5.0
 
 
+APPLY = "function f() { return 1; } Reflect.apply(f, null, {length: %s});"
+
+
+def test_unpack_bounds_the_length(interp):
+    # at the bound every entry is read; past it, or at an infinity (where
+    # int() would raise a host OverflowError), nothing is, and a script
+    # gets a language TypeError
+    at_bound = interp.heap.alloc_object([("length", float(MAX_ARGS_LENGTH))])
+    assert unpack_args_object(interp, at_bound) \
+        == [UNDEFINED] * MAX_ARGS_LENGTH
+    result = evaluate_program(parse_source(APPLY % MAX_ARGS_LENGTH), interp)
+    assert result.ok and result.value == 1.0
+    for length in (MAX_ARGS_LENGTH + 1, "1 / 0"):
+        result = evaluate_program(parse_source(APPLY % length), interp)
+        assert result.error_kind == "TypeError", length
+        assert str(MAX_ARGS_LENGTH) in result.error_message
+
+
 def test_unpack_rejects_bad_length(interp):
-    for length in (-1.0, 1.5, "three", float("nan"), UNDEFINED):
+    for length in (-1.0, 1.5, "three", float("nan"), UNDEFINED,
+                   float(MAX_ARGS_LENGTH + 1), float("inf")):
         obj = interp.heap.alloc_object([("length", length)])
         with pytest.raises(LangTypeError):
             unpack_args_object(interp, obj)
