@@ -30,18 +30,24 @@ Calls: Interpreter.call_value is the entry for calling a value, from the
 evaluator, a trap, a builtin or the host (OrdinaryObject.call and
 ProxyObject.call lead back to it), and Interpreter.invoke is the one
 frame of a language call: it binds the parameters in a loop and runs the
-body itself. So `return f(n - 1) + 1` recurses through 5 host frames a
-level: _return, _binary, _call, call_value and invoke. One caller skips
-call_value: a trap-mode vote whose isTransparent trap is an ordinary
-function object enters invoke directly (proxies.is_transparent), as it
-runs at every link of a chain for every equality decision.
+body itself, a return among the body's direct statements included. So
+`return f(n - 1) + 1` recurses through 4 host frames a level: _binary,
+_call, call_value and invoke. One caller skips call_value: a trap-mode
+vote whose isTransparent trap is an ordinary function object enters
+invoke directly (proxies.is_transparent), as it runs at every link of a
+chain for every equality decision.
 
 Scopes: a call runs its body in a fresh Environment holding the
-parameters; an if or while block gets one only if Block.scoped (a direct
-statement is a var or function declaration). This is exact: only
-_var_decl and _function_decl declare into the current scope, and hosts
-declare on globals, so an unscoped block's Environment would stay empty
-and every lookup, assignment and closure would pass through it. Every
+parameters only if its FunctionRecord.scoped (a direct statement of the
+body declares, or a name in it reads or assigns a parameter; see
+nodes.py), and otherwise in the function's closure scope; an if or while
+block gets one only if Block.scoped (a direct statement is a var or
+function declaration). Skipping one changes no result: only _var_decl
+and _function_decl declare into the current scope, and hosts declare on
+globals, so a skipped Environment would hold nothing that a name of the
+body reaches, and every lookup, assignment and closure would pass
+through it. So `function(t, p) { return true; }`, the usual
+isTransparent trap, builds no scope when it votes. Every
 scope, globals included, is built one way, Environment() and then both
 slots, because an __init__ would cost each call and each scoped block a
 host frame. Name reads and assignments walk the chain in their handlers;
@@ -166,13 +172,15 @@ class Interpreter:
     def invoke(self, record, this_value, args):
         """Run a FunctionRecord or NativeFunction as one call frame, the
         one host frame of every language call. A call that would pass
-        MAX_CALL_DEPTH raises StackOverflow before it is counted. A
-        function's parameters are bound in one pass in order, so a
-        missing argument is undefined, an extra one is ignored, and a
-        repeated name takes its last position; its scope is built without
-        an __init__ frame, and its body runs here, not in a helper, which
-        would be another frame. _if and _while run their blocks inline
-        too."""
+        MAX_CALL_DEPTH raises StackOverflow before it is counted. If
+        record.scoped, the parameters are bound in one pass in order, so
+        a missing argument is undefined, an extra one is ignored, and a
+        repeated name takes its last position, in a scope built without
+        an __init__ frame; otherwise the body can observe no scope of its
+        own (see nodes.py) and runs in record.env. The body runs here, not
+        in a helper, which would be another frame, and a return among its
+        statements ends the call here, without _return; _if and _while run
+        their blocks inline too."""
         if self.depth >= MAX_CALL_DEPTH:
             raise StackOverflow(
                 f"call stack exceeded {MAX_CALL_DEPTH} frames")
@@ -181,18 +189,25 @@ class Interpreter:
             if record.__class__ is NativeFunction:
                 result = record.fn(self, this_value, args)
                 return UNDEFINED if result is None else result
-            # one pass in order, so a repeated name takes its last
-            # position; a loop, as 3.11's zip() has no fast constructor
-            bindings = {}
-            count = len(args)
-            i = 0
-            for param in record.params:
-                bindings[param] = args[i] if i < count else UNDEFINED
-                i += 1
-            env = Environment()
-            env.bindings = bindings
-            env.parent = record.env
+            if record.scoped:
+                # one pass in order, so a repeated name takes its last
+                # position; a loop, as 3.11's zip() has no fast constructor
+                bindings = {}
+                count = len(args)
+                i = 0
+                for param in record.params:
+                    bindings[param] = args[i] if i < count else UNDEFINED
+                    i += 1
+                env = Environment()
+                env.bindings = bindings
+                env.parent = record.env
+            else:
+                env = record.env
             for stmt in record.body.statements:
+                if stmt.__class__ is Return:
+                    value = stmt.value
+                    return UNDEFINED if value is None \
+                        else value.evaluate(self, env)
                 returned = stmt.execute(self, env)
                 if returned is not None:
                     return returned[0]
@@ -288,7 +303,8 @@ def _return(node, interp, env):
 
 
 def _function_decl(node, interp, env):
-    record = FunctionRecord(node.params, node.body, env, node.name)
+    record = FunctionRecord(node.params, node.body, env, node.name,
+                            node.scoped)
     env.declare(node.name, interp.alloc_function(record))
 
 
@@ -389,7 +405,8 @@ def _object_lit(node, interp, env):
 
 
 def _function_expr(node, interp, env):
-    return interp.alloc_function(FunctionRecord(node.params, node.body, env))
+    return interp.alloc_function(
+        FunctionRecord(node.params, node.body, env, None, node.scoped))
 
 
 def _unary(node, interp, env):

@@ -7,13 +7,22 @@ comparison (round-trip tests, REPL echoes) ignores layout. Nodes are
 slotted dataclasses and have no __dict__; Program also takes weak
 references. Block.scoped is computed from the statements when the block
 is built (declares; so its statements are not edited afterwards) and,
-like the line, is left out of equality and repr.
+like the line, is left out of equality and repr. So is the scoped flag of
+a FunctionDecl or FunctionExpr: whether a call of the function can observe
+a scope of its own, so that Interpreter.invoke binds its parameters in
+one. Without one, the body runs in the function's closure scope, which is
+exact when no direct statement of the body declares (a declaration in an
+if or while block goes to that block's own scope) and no name in the
+body reads or assigns a parameter, as the skipped scope would hold only
+parameters that no name reaches.
+The parser works the flag out as it reads the body (see parser.py); a
+node built by its constructor has True, and binds.
 
 The parser builds the nodes it makes most without their dataclass
 __init__, which would cost a frame each: object.__new__(cls), then one
-store per slot, line and Block.scoped included, so each is equal to what
-its constructor builds (tests/test_parser.py checks it). The constructors
-stay the public way to build a node.
+store per slot, line and the scoped flags included, so each is equal to
+what its constructor builds (tests/test_parser.py checks it). The
+constructors stay the public way to build a node.
 """
 
 from dataclasses import dataclass, field
@@ -76,6 +85,8 @@ class FunctionExpr:
     params: list
     body: "Block"
     line: int = _pos()
+    # a call binds the parameters in a scope of its own (see above)
+    scoped: bool = field(default=True, init=False, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -215,6 +226,8 @@ class FunctionDecl:
     params: list
     body: Block
     line: int = _pos()
+    # a call binds the parameters in a scope of its own (see above)
+    scoped: bool = field(default=True, init=False, compare=False, repr=False)
 
 
 Stmt = Union[VarDecl, Assign, PropertySet, ExprStmt, If, While, Return,

@@ -37,11 +37,15 @@ UNDEFINED = Undefined()
 
 @dataclass(slots=True)
 class FunctionRecord:
-    """A function defined in the language: parameters, body, closure."""
+    """A function defined in the language: parameters, body, closure.
+    scoped is the flag of the node it is made from (see nodes.py): a call
+    binds the parameters in a scope of its own. It defaults to True, so
+    a record a host builds binds."""
     params: list
     body: object  # Block
     env: object   # Environment
     name: Optional[str] = None
+    scoped: bool = True
 
 
 @dataclass(slots=True)

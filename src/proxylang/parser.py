@@ -53,9 +53,21 @@ input. Keywords, punctuators and the end of input are the keys of
 _OPERAND; any other lexeme is an identifier, a number or a string, told
 apart by its first character. A column is looked up, by Tokens.column,
 only to report a ParseError.
+
+Each FunctionDecl and FunctionExpr records in scoped whether a call can
+observe a scope of its own (see nodes.py): its body is Block.scoped (a
+direct statement declares), or an Identifier anywhere in it, nested
+functions included, is one of its parameters. An assignment's target is
+read as an Identifier first, so it counts too, and so does a parameter's
+name read in a nested function that binds the same name, which is
+conservative. The parser keeps the index of the token where each name was
+last read as an Identifier, and looks the parameters up there when the
+body ends, without a frame: a parameter was read in the body if its last
+read is at or after the body's '{'.
 """
 
 import sys
+from itertools import repeat
 
 from .errors import ParseError
 from .lexer import (KEYWORDS, PUNCTUATORS, Tokens, decode_string_lexeme,
@@ -88,6 +100,7 @@ _LITERAL_START = "0123456789\"'"
 _SUFFIX = 7
 _FOLLOW = {**_LEVELS, ".": _SUFFIX, "[": _SUFFIX, "(": _SUFFIX}
 
+_UNREAD = repeat(-1)  # the index of a name never read: before every token
 _new = object.__new__  # a node without its __init__: every slot is stored
 
 _MAX_NESTING = 400  # the tallest expression tree, and the deepest blocks
@@ -102,9 +115,10 @@ _MAX_OPEN = 2 * _MAX_NESTING + 1
 # in parentheses; 3 frames a block, 2 an object literal and 1 a
 # parenthesis), for the deepest pretty_print of a tree the parser accepts
 # (2,402 for as many 'if' blocks around 399 nested calls, 3 frames a block
-# and 3 a call) and for the evaluator's deepest call stack (5,126
-# measured for rec(1023) from a script's top level, 5 host frames a
-# language call), with room to spare. That is for a plain body: each
+# and 3 a call) and for the evaluator's deepest call stack (4,101
+# measured from run_source for rec(1023), whose body returns
+# rec(n - 1) + 1: 4 host frames a language call, as invoke runs the
+# return itself), with room to spare. That is for a plain body: each
 # language call also takes its body's expression height in frames, so the
 # call depth a program reaches depends on its shape, not only on
 # MAX_CALL_DEPTH. With 390 prefix '-' in `return -...-r(n - 1);`, r(50)
@@ -133,6 +147,7 @@ class _Parser:
         self.height = 0  # of the expression parse_expr returned last
         self.tallest = 0  # height in the function body being read
         self.blocks = 0  # block depth
+        self.reads = {}  # the token index of each name's last Identifier
 
     # --- errors ---
 
@@ -225,10 +240,13 @@ class _Parser:
         if name in _OPERAND or name[0] in _LITERAL_START:
             self.expected("a function name", at + 1)
         self.pos = at + 2
-        node.params = self.parse_params()
+        node.params = params = self.parse_params()
+        body_at = self.pos
         self.fn_depth += 1
-        node.body = self.parse_block()
+        node.body = body = self.parse_block()
         self.fn_depth -= 1
+        node.scoped = body.scoped or max(
+            map(self.reads.get, params, _UNREAD), default=-1) >= body_at
         node.line = self.lines[at]
         return node
 
@@ -352,6 +370,7 @@ class _Parser:
                     if lexeme[0] not in _LITERAL_START:
                         expr = _new(Identifier)
                         expr.name = lexeme
+                        self.reads[lexeme] = pos
                     elif lexeme[0] == '"' or lexeme[0] == "'":
                         expr = _new(StringLit)
                         expr.value = decode_string_lexeme(lexeme)
@@ -380,12 +399,16 @@ class _Parser:
                 elif kind == "function":
                     self.pos = pos + 1
                     params = self.parse_params()
+                    body_at = self.pos  # start keeps the operand's first token
                     self.fn_depth += 1
                     tallest, self.tallest = self.tallest, 0
                     expr = FunctionExpr(params, self.parse_block(), lines[pos])
                     height = self.tallest + 1
                     self.tallest = tallest
                     self.fn_depth -= 1
+                    expr.scoped = expr.body.scoped or max(
+                        map(self.reads.get, params, _UNREAD),
+                        default=-1) >= body_at
                     pos = self.pos
                 elif kind == "prefix" and calls:
                     prefixes += 1

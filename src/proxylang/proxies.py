@@ -196,11 +196,13 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     """Decide whether equality may look through the proxy (rules 1-4).
 
     Trap mode runs this once per proxy per equality decision, so the
-    common case (no override, an ordinary function object as the trap,
-    answering a boolean) is decided inline: the handler read and one
-    Interpreter.invoke of the trap's function, with no call_value frame
-    between. Any other trap (a callable proxy, say) goes through
-    call_value, and every answer is coerced with truthy."""
+    common case (no override, an ordinary handler, an ordinary function
+    object as the trap, answering a boolean) is decided inline: the trap
+    read straight from the handler's properties, as _forward reads one,
+    and one Interpreter.invoke of its function, with no call_value frame
+    between. A handler that is a proxy is asked by its get; any other
+    trap (a callable proxy, say) goes through call_value, and every
+    answer is coerced with truthy."""
     override_stack = interp.override_stack
     if override_stack:
         for overridden, flag in reversed(override_stack):
@@ -211,7 +213,10 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     override_stack.append((proxy, False))
     try:
         handler = proxy.handler
-        trap = handler.get(interp, "isTransparent")
+        if handler.__class__ is OrdinaryObject:
+            trap = handler.properties.get("isTransparent", UNDEFINED)
+        else:
+            trap = handler.get(interp, "isTransparent")
         if trap.__class__ is OrdinaryObject:
             function = trap.function
             answer = False if function is None else interp.invoke(

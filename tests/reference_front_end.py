@@ -2,8 +2,12 @@
 a tokenizer that builds each (kind, lexeme, line, column) tuple in one
 finditer pass over the whole source, and a parser that reads those tuples.
 The differential tests in test_front_end.py check the current front end
-against it, token for token, error for error and node for node."""
+against it, token for token, error for error and node for node. Its
+parser leaves each function node's scoped flag to mark_scopes, a walk of
+the finished tree, which is the exact rule the parser's own bookkeeping
+must agree with."""
 
+import dataclasses
 import re
 from operator import attrgetter
 
@@ -468,8 +472,57 @@ def _spine(expr: Expr) -> int:
     return links
 
 
+def mark_scopes(tree):
+    """Set the scoped flag of every function node in tree, by a walk of
+    the finished tree: a call can observe a scope of its own if a direct
+    statement of the body is a var or function declaration, or an
+    Identifier or Assign anywhere in the body, nested functions included,
+    names a parameter. A loop, not a recursion, as the reference accepts
+    trees taller than the host's recursion limit."""
+    nodes = []  # each node, and the index of the node it is in, or -1
+    todo = [(tree, -1)]
+    while todo:
+        item, parent = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend((each, parent) for each in item)
+        elif dataclasses.is_dataclass(item):
+            nodes.append((item, parent))
+            todo.extend((getattr(item, field.name), len(nodes) - 1)
+                        for field in dataclasses.fields(item))
+    # the names of the Identifiers and Assigns in each node; a node comes
+    # after the node it is in, so the loop meets it first
+    names = [set() for _ in nodes]
+    for i in reversed(range(len(nodes))):
+        node, parent = nodes[i]
+        if isinstance(node, (Identifier, Assign)):
+            names[i].add(node.name)
+        if isinstance(node, (FunctionDecl, FunctionExpr)):
+            declares = any(isinstance(statement, (VarDecl, FunctionDecl))
+                           for statement in node.body.statements)
+            node.scoped = declares or not names[i].isdisjoint(node.params)
+        if parent >= 0:
+            names[parent] |= names[i]
+    return tree
+
+
+def function_nodes(tree) -> list:
+    """Every FunctionDecl and FunctionExpr in tree."""
+    found = []
+    todo = [tree]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif dataclasses.is_dataclass(item):
+            if isinstance(item, (FunctionDecl, FunctionExpr)):
+                found.append(item)
+            todo.extend(getattr(item, f.name)
+                        for f in dataclasses.fields(item))
+    return found
+
+
 def parse(tokens: list[tuple]) -> Program:
-    return _Parser(tokens).parse_program()
+    return mark_scopes(_Parser(tokens).parse_program())
 
 
 def parse_source(source: str) -> Program:
@@ -484,4 +537,4 @@ def parse_expression(source: str) -> Expr:
     if leftover[0] != "eof":
         parser.error(f"unexpected '{leftover[1]}' after the expression",
                      leftover)
-    return expr
+    return mark_scopes(expr)

@@ -9,7 +9,8 @@ the frames one iteration of a numeric while loop enters, with and without
 a scoped block. So are a read through a chain of trap-less proxies,
 which must not grow with the chain, one membrane read, a WeakMap probe,
 primitive equality, an if on a bool, and the literals that must not
-enter a comprehension's frame. A repeated look-through of a deep proxy chain is
+enter a comprehension's frame. So are the scopes a call builds, counted
+through a patched Environment. A repeated look-through of a deep proxy chain is
 bounded in lines run (sys.settrace "line" events), so that losing its
 memo fails here. The parser's deepest inputs are bounded the same way, both in
 frames entered and in frames on the stack at once, which
@@ -24,6 +25,7 @@ reads tokens, and the lexer, which enters no frame per token or per line.
 import gc
 import sys
 
+from proxylang import interpreter
 from proxylang.interpreter import Interpreter, evaluate_program
 from proxylang.lexer import tokenize
 from proxylang.objects import UNDEFINED
@@ -35,18 +37,24 @@ from test_front_end import scripts_programs
 
 def names_entered(function, *args):
     """The value of function(*args) and the names of the Python frames
-    it entered, its own first."""
+    it entered, its own first. The collector is off meanwhile, as in
+    frames(), so no collection callback (hypothesis registers one) is
+    counted."""
     names = []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         value = function(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return value, names
 
 
@@ -60,23 +68,27 @@ def frames_entered(mode, setup, expression):
 
 
 def test_one_language_call():
-    # _call, _identifier, _literal, call_value, invoke, _return,
-    # _identifier: invoke binds the parameters and builds the scope
-    # without a frame of its own (no Environment.__init__)
+    # _call, _identifier, _literal, call_value, invoke and _identifier:
+    # invoke binds the parameters and builds the scope without a frame of
+    # its own (no Environment.__init__), and runs the body's return itself
+    # (7 frames with _return)
     value, names = frames_entered(
         "opaque", "function f(x) { return x; }", "f(1)")
     assert value == 1.0
     assert names.count("invoke") == 1
-    assert len(names) <= 7, names
+    assert "_return" not in names
+    assert len(names) <= 6, names
 
 
 def test_one_trap_mode_vote():
     # _binary, two _identifier and the === operator's lambda,
     # strict_equals, and get_equality_object, the trap-mode resolver, for
-    # the proxy operand only; is_transparent, the handler read (get), and
-    # invoke, _return and _literal for the trap, which is_transparent
-    # invokes directly, without call_value; raw_identical (13 frames when
-    # each operand went through a resolver that branched on the mode)
+    # the proxy operand only; is_transparent, which reads the ordinary
+    # handler's trap from its properties, and invoke and _literal for the
+    # trap, which is_transparent invokes directly, without call_value, and
+    # whose return invoke runs itself; raw_identical (12 frames with the
+    # handler's get and _return, 13 when each operand went through a
+    # resolver that branched on the mode)
     value, names = frames_entered(
         "trap",
         "var o = {}; var p = new Proxy(o, "
@@ -85,8 +97,43 @@ def test_one_trap_mode_vote():
     assert value is True
     assert names.count("is_transparent") == 1
     assert names.count("invoke") == 1
-    assert "call_value" not in names
-    assert len(names) <= 12, names
+    for skipped in ("call_value", "get", "_return"):
+        assert skipped not in names, skipped
+    assert len(names) <= 10, names
+
+
+def test_scopes_built_per_call(monkeypatch):
+    # a call binds its parameters in a scope of its own only if its body
+    # can observe one: a vote through function(t, p) { return true; } and
+    # the compute workload's counter closure build none, and
+    # function(x) { return x; } builds one
+    built = []
+
+    class Counted(interpreter.Environment):
+        __slots__ = ()
+
+        def __new__(cls):
+            built.append(cls)
+            return super().__new__(cls)
+
+    cases = [
+        ("trap", "var o = {}; var p = new Proxy(o, "
+         "{isTransparent: function(t, p) { return true; }});",
+         "p === o", True, 0),
+        ("opaque", "function counter(step) { var c = 0; "
+         "return function() { c = c + step; return c; }; } "
+         "var k = counter(3); k();", "k()", 6.0, 0),
+        ("opaque", "function f(x) { return x; }", "f(1)", 1.0, 1),
+    ]
+    for mode, setup, expression, expected, scopes in cases:
+        interp = Interpreter(mode=mode)
+        assert evaluate_program(parse_source(setup), interp).ok
+        node = parse_expression(expression)
+        monkeypatch.setattr(interpreter, "Environment", Counted)
+        built.clear()
+        assert node.evaluate(interp, interp.globals) == expected
+        monkeypatch.undo()
+        assert len(built) == scopes, (expression, built)
 
 
 RESOLVERS = ("look_through", "get_equality_object")

@@ -6,7 +6,8 @@ every input: the same LexError (message, line, column), or for each
 token the same (lexeme, line, column), read from the Tokens' lexemes and
 lines lists and its column method, as the reference's (kind, lexeme,
 line, column) item less its kind, which tokenize no longer gives; then
-the same AST, every node's line and Block.scoped included, or the same
+the same AST, every node's line and scoped flag included (a function
+node's as reference.mark_scopes works it out), or the same
 ParseError (message, line, column, at_eof), from parse and from
 parse_expression alike. The one rule that
 differs is the expression nesting bound: the reference counts the links
@@ -43,7 +44,7 @@ from test_lexer import positions
 
 def dump(node):
     """node as nested tuples of its class name and every field, line and
-    Block.scoped included, which node equality leaves out."""
+    scoped flags included, which node equality leaves out."""
     kind = type(node)
     if kind is list or kind is tuple:
         return [dump(item) for item in node]

@@ -169,6 +169,11 @@ def test_function_forms():
     var_init = stmt("var f = function (x) { return x; };")
     assert var_init == VarDecl(
         "f", FunctionExpr(["x"], Block([Return(Identifier("x"))])))
+    # prefix operators apply to a function expression as to any operand
+    assert expr("!function (x) { return x; }") == Unary(
+        "!", FunctionExpr(["x"], Block([Return(Identifier("x"))])))
+    assert expr("-!function () { return 1; }()") == Unary("-", Unary(
+        "!", Call(FunctionExpr([], Block([Return(NumberLit(1.0))])), [])))
 
 
 def test_if_while_and_ternary():
