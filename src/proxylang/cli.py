@@ -14,14 +14,15 @@ from .parser import parse_expression, parse_source
 from .prelude import default_prelude_source
 from .equality import EqualityMode
 
-_MODE_PRAGMA = re.compile(r"^//\s*mode:\s*(\w+)\s*$")
+_MODE_PRAGMA = re.compile(r"//\s*mode:\s*(.*?)\s*$")
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--equality-mode", dest="mode",
-                     choices=[m.value for m in EqualityMode],
-                     default="opaque",
-                     help="how == and === treat proxies (default: opaque)")
+    sub.add_argument("--equality-mode", dest="mode", type=EqualityMode,
+                     default=EqualityMode.OPAQUE,
+                     metavar="{%s}" % ",".join(m.value for m in EqualityMode),
+                     help="how == and === treat proxies (default: opaque; "
+                          "'operators' is accepted as transparent)")
     sub.add_argument("--prelude", type=Path, default=None,
                      help="load this file instead of the bundled prelude")
     sub.add_argument("--no-prelude", action="store_true",
@@ -55,15 +56,10 @@ def _print_runtime_error(result) -> None:
 
 
 def _mode_pragma(source: str):
-    first_line = source.split("\n", 1)[0]
-    match = _MODE_PRAGMA.match(first_line.strip())
-    if not match:
-        return None
-    name = match.group(1)
-    try:
-        return EqualityMode(name)
-    except ValueError:
-        return None
+    """The mode a first-line '// mode: NAME' pragma names, or None if the
+    first line is no pragma; a NAME that names no mode raises ValueError."""
+    match = _MODE_PRAGMA.match(source.split("\n", 1)[0].strip())
+    return EqualityMode(match.group(1)) if match else None
 
 
 # --- run ---
@@ -72,8 +68,7 @@ def _cmd_run(options) -> int:
     try:
         source = _read_text(options.script)
         prelude = _prelude_source(options)
-        result = run_source(source, mode=EqualityMode(options.mode),
-                            prelude_source=prelude)
+        result = run_source(source, mode=options.mode, prelude_source=prelude)
     except (_Unreadable, LexError, ParseError) as err:
         print(err, file=sys.stderr)
         return 2
@@ -101,11 +96,14 @@ def _corpus_problems(script: Path, prelude: str, mode: EqualityMode) \
             if error_file.exists() else None
     except _Unreadable as err:
         return [str(err)]
+    try:
+        mode = _mode_pragma(source) or mode
+    except ValueError as err:
+        return [f"bad mode pragma: {err}"]
 
     problems = []
     try:
-        result = run_source(source, mode=_mode_pragma(source) or mode,
-                            prelude_source=prelude)
+        result = run_source(source, mode=mode, prelude_source=prelude)
         output = _normalize(result.output)
         got_error = result.error_kind if not result.ok else None
         error_message = result.error_message
@@ -142,8 +140,7 @@ def _cmd_corpus(options) -> int:
     passed = failed = 0
     for script in entries:
         rel = script.relative_to(root).as_posix()
-        problems = _corpus_problems(script, prelude,
-                                    EqualityMode(options.mode))
+        problems = _corpus_problems(script, prelude, options.mode)
         if problems:
             failed += 1
             print(f"FAIL {rel}")
@@ -159,7 +156,7 @@ def _cmd_corpus(options) -> int:
 # --- repl ---
 
 def _cmd_repl(options) -> int:
-    interp = Interpreter(mode=EqualityMode(options.mode), sink=sys.stdout)
+    interp = Interpreter(mode=options.mode, sink=sys.stdout)
     try:
         prelude = parse_source(_prelude_source(options))
     except (_Unreadable, LexError, ParseError) as err:

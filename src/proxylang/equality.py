@@ -1,18 +1,16 @@
 """Equality semantics, configurable per interpreter.
 
-Four modes decide how proxies compare:
+Three modes decide how proxies compare:
 
 * opaque: a proxy is a distinct object; == and === use reference
   identity on objects, so a proxy never equals its target.
 * transparent: == and === resolve every proxy (revoked ones excepted)
   to the innermost non-proxy before comparing, unconditionally.
-* operators: == and === resolve exactly as in transparent mode, with the
-  same resolver. :==: and :===: are raw in every mode, so this mode adds
-  no operator of its own; the name is kept for compatibility.
 * trap: each proxy votes via its isTransparent trap; == and === follow
   a proxy only while it answers true, stopping at the first opaque or
   revoked link.
 
+EqualityMode("operators") is transparent: the name stays accepted.
 Each Interpreter picks its mode's resolver once (interp.resolve), and no
 comparison takes a mode. :==: and :===: never resolve; Proxy.isEqual and
 Proxy.isIdentical always resolve with proxies.look_through.
@@ -40,8 +38,11 @@ from .proxies import ProxyObject, look_through
 class EqualityMode(Enum):
     OPAQUE = "opaque"
     TRANSPARENT = "transparent"
-    OPERATORS = "operators"
     TRAP = "trap"
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls.TRANSPARENT if value == "operators" else None
 
 
 def raw_identical(a, b) -> bool:

@@ -85,7 +85,6 @@ MAX_CALL_DEPTH = 1024
 # each mode's resolver of a proxy operand of == and === or WeakMap key
 _RESOLVERS = {EqualityMode.OPAQUE: None,
               EqualityMode.TRANSPARENT: look_through,
-              EqualityMode.OPERATORS: look_through,
               EqualityMode.TRAP: get_equality_object}
 
 
@@ -126,10 +125,8 @@ class ExecutionResult:
 class Interpreter:
     def __init__(self, mode=EqualityMode.OPAQUE, sink=None):
         ensure_recursion_limit()
-        if isinstance(mode, str):
-            mode = EqualityMode(mode)
-        self.mode = mode
-        self.resolve = _RESOLVERS[mode]
+        self.mode = EqualityMode(mode)
+        self.resolve = _RESOLVERS[self.mode]
         self.heap = Heap()
         self.sink = sink if sink is not None else io.StringIO()
         self.override_stack: list = []  # (proxy, bool), LIFO

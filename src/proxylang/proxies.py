@@ -21,10 +21,10 @@ callable, and which is where a tracer counts the traps found.
 
 A proxy's target is fixed at construction, and revoke() is the only
 writer of ``revoked``, which only ever goes from false to true. So the
-endpoint of an unconditional look-through walk (transparent and
-operators modes, Proxy.isEqual, Proxy.isIdentical) can change only when
-some proxy is revoked. Each proxy memoises the endpoint of the last such
-walk started from it, stamped with the process-wide revocation count
+endpoint of an unconditional look-through walk (transparent mode,
+Proxy.isEqual, Proxy.isIdentical) can change only when some proxy is
+revoked. Each proxy memoises the endpoint of the last such walk started
+from it, stamped with the process-wide revocation count
 ``revocations``, and the memo stands while the count is unchanged (see
 look_through). Trap-mode resolution is never memoised: its votes are
 language code that runs at every decision. The count is a plain global,
@@ -267,9 +267,10 @@ def with_transparency(interp, proxy, flag, thunk):
 
     Only is_transparent reads overrides, so only the trap-mode resolver
     (get_equality_object) sees one: opaque mode resolves no proxy, and
-    look_through follows every unrevoked one. The override holds for the
-    dynamic extent of the call, nests innermost-wins, and is removed when
-    the thunk finishes, whether it returns or raises.
+    transparent mode's look_through follows every unrevoked one. The
+    override holds for the dynamic extent of the call, nests
+    innermost-wins, and is removed when the thunk finishes, whether it
+    returns or raises.
     """
     if not isinstance(proxy, ProxyObject):
         raise LangTypeError("transparency overrides require a proxy")

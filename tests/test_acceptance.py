@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from proxylang.cli import _mode_pragma
 from proxylang.equality import (
     EqualityMode,
     loose_equals,
@@ -37,8 +38,7 @@ def report(number, label):
 
 
 def run_ok(source, mode, prelude=PRELUDE):
-    result = run_source(source, mode=EqualityMode(mode),
-                        prelude_source=prelude)
+    result = run_source(source, mode=mode, prelude_source=prelude)
     assert result.ok, (result.error_kind, result.error_message)
     return result.output
 
@@ -145,7 +145,7 @@ def test_criterion_03_isproxy_snippet():
     for name, verdict in expectations.items():
         expected = corpus_expected(name)
         assert expected == verdict
-        assert run_ok(corpus_source(name), "operators") == expected
+        assert run_ok(corpus_source(name), "transparent") == expected
     report(3, "proxy-detection idiom distinguishes wrapped from plain")
 
 
@@ -238,7 +238,7 @@ def test_criterion_04_equivalence_relations():
                     assert triples_consistent(matrix), \
                         (heap_index, mode, op.__name__)
     report(4, f"equivalence laws hold over {heaps} random heaps x "
-              "4 modes x 2 operators")
+              f"{len(EqualityMode)} modes x 2 operators")
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +254,7 @@ ALL_TRUE_FACTORY = (
 
 
 def signature(source, mode):
-    result = run_source(source, mode=EqualityMode(mode),
-                        prelude_source=PRELUDE)
+    result = run_source(source, mode=mode, prelude_source=PRELUDE)
     return (result.output, result.error_kind, result.error_line)
 
 
@@ -339,7 +338,7 @@ var echoed = w0.f(w2);
 
 
 def test_criterion_07_membrane_and_revocation():
-    for mode in ("opaque", "operators"):
+    for mode in ("opaque", "transparent"):
         interp = fresh(mode)
         evaluate_program(parse_source(PRELUDE), interp)
         result = evaluate_program(parse_source(MEMBRANE_SETUP), interp)
@@ -380,7 +379,7 @@ def test_criterion_07_membrane_and_revocation():
     # the frozen language-level transcripts agree
     for name in ("membrane_cache", "membrane_isolation"):
         source = corpus_source(name)
-        mode = "operators" if "// mode: operators" in source else "opaque"
+        mode = _mode_pragma(source) or EqualityMode.OPAQUE
         assert run_ok(source, mode) == corpus_expected(name)
     revoked = run_source(corpus_source("membrane_revoked"),
                          mode=EqualityMode.OPAQUE, prelude_source=PRELUDE)

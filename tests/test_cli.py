@@ -215,6 +215,26 @@ def test_corpus_mode_pragma_overrides_flag(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("pragma", ["transparnt", "trap;", ""])
+def test_corpus_fails_a_pragma_that_names_no_mode(tmp_path, capsys, pragma):
+    # a misspelt mode is a problem of that script, not a silent fall back
+    # to the flag's mode, under which this script's transcript holds
+    write(tmp_path, "a.plx",
+          f"// mode: {pragma}\n"
+          "var o = {};\n"
+          "var p = new Proxy(o, {isTransparent: function(t, q) "
+          "{ return true; }});\n"
+          "print(p === o);\n")
+    write(tmp_path, "a.expected", "false\n")
+    write(tmp_path, "b.plx", "print(1);\n")
+    write(tmp_path, "b.expected", "1\n")
+    code, out, err = invoke(capsys, "corpus", str(tmp_path))
+    assert code == 1
+    assert out.splitlines() == ["FAIL a.plx", "PASS b.plx",
+                                "1 passed, 1 failed"]
+    assert f"a.plx: bad mode pragma: '{pragma}' is not a valid" in err
+
+
 def test_corpus_expected_error_files(tmp_path, capsys):
     write(tmp_path, "dies.plx", 'print("pre");\nmissing;\n')
     write(tmp_path, "dies.expected", "pre\n")
@@ -364,13 +384,15 @@ def test_repl_non_utf8_prelude(monkeypatch, tmp_path, capsys):
 
 
 def test_repl_mode_flag(monkeypatch, capsys):
-    code, out, err = drive_repl(
-        monkeypatch, capsys,
-        ["var t = {};", "new Proxy(t, {}) == t"],
-        "--equality-mode", "transparent")
-    lines = out.splitlines()
-    assert "transparent" in lines[0]
-    assert lines[1] == "true"
+    # "operators" names transparent mode, and the banner says so
+    for name in ("transparent", "operators"):
+        code, out, err = drive_repl(
+            monkeypatch, capsys,
+            ["var t = {};", "new Proxy(t, {}) == t"],
+            "--equality-mode", name)
+        lines = out.splitlines()
+        assert "equality mode: transparent;" in lines[0]
+        assert lines[1] == "true"
 
 
 REPL_HANDLER_CHAIN_PROBE = '''

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxylang import proxies
+from proxylang.cli import main
 from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 builtin_is_identical, loose_equals,
                                 opaque_loose_equals, opaque_strict_equals,
@@ -88,14 +89,31 @@ def test_transparent_mode_always_resolves():
         assert loose_equals(interp, a, b)
 
 
-def test_operators_mode_matches_transparent_for_plain_ops():
-    interp = interp_for(EqualityMode.OPERATORS)
+def test_operators_mode_matches_transparent_for_plain_ops(tmp_path, capsys):
+    # the name "operators" selects transparent mode: in the enum, the CLI
+    # flag and a corpus script's mode pragma
+    assert list(EqualityMode) == [EqualityMode.OPAQUE,
+                                  EqualityMode.TRANSPARENT, EqualityMode.TRAP]
+    assert EqualityMode("operators") is EqualityMode.TRANSPARENT
+    interp = interp_for("operators")
+    assert interp.mode is EqualityMode.TRANSPARENT
+    assert interp.resolve is look_through
     nodes = chain(interp, [None, None])
     assert strict_equals(interp, nodes[2], nodes[0])
     assert not opaque_strict_equals(interp, nodes[2], nodes[0])
     assert opaque_strict_equals(interp, nodes[2], nodes[2])
     assert not opaque_loose_equals(interp, nodes[2], nodes[0])
     assert opaque_loose_equals(interp, nodes[0], nodes[0])
+
+    script = tmp_path / "alias.plx"
+    script.write_text("// mode: operators\n"
+                      "var t = {};\nprint(new Proxy(t, {}) == t);\n")
+    (tmp_path / "alias.expected").write_text("true\n")
+    assert main(["run", str(script), "--equality-mode", "operators"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    # the pragma overrides the default opaque flag
+    assert main(["corpus", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "PASS alias.plx\n1 passed, 0 failed\n"
 
 
 def test_trap_mode_respects_votes():
@@ -126,10 +144,10 @@ def test_builtins_resolve_fully_in_every_mode():
 
 
 def test_each_mode_chooses_its_resolver_once():
-    # opaque mode resolves nothing; operators mode resolves exactly as
-    # transparent mode does, with the memoised walk
+    # opaque mode resolves nothing; transparent mode resolves with the
+    # memoised walk
     assert [interp_for(mode).resolve for mode in MODES] \
-        == [None, look_through, look_through, get_equality_object]
+        == [None, look_through, get_equality_object]
 
 
 def test_revoked_proxy_is_an_equality_endpoint():
@@ -169,7 +187,7 @@ def test_ref_never_equals_primitive():
 
 # --- the look-through memo ---
 
-UNCONDITIONAL = (EqualityMode.TRANSPARENT, EqualityMode.OPERATORS)
+UNCONDITIONAL = (EqualityMode.TRANSPARENT,)
 
 
 def fresh_end(value):
@@ -193,7 +211,7 @@ forest_steps = st.lists(
 @given(forest_steps)
 def test_memoised_resolution_matches_a_fresh_walk(steps):
     # the objects are shared by one interpreter per mode, and every
-    # comparison is checked against a fresh walk in all four
+    # comparison is checked against a fresh walk in every mode
     interps = [Interpreter(mode=mode) for mode in MODES]
     home = interps[0]
     nodes = [home.heap.alloc_object() for _ in range(3)]
@@ -236,7 +254,7 @@ def test_revocation_through_another_interpreter_stales_the_memo():
 
 
 def test_only_resolved_operands_carry_a_memo():
-    interp = interp_for(EqualityMode.OPERATORS)
+    interp = interp_for(EqualityMode.TRANSPARENT)
     nodes = chain(interp, [None, None, None])
     assert strict_equals(interp, nodes[3], nodes[0])
     assert [node.endpoint[1] for node in nodes[1:]] \

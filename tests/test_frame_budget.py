@@ -32,6 +32,7 @@ from proxylang.objects import UNDEFINED
 from proxylang.parser import parse, parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
 
+from conftest import MODES
 from test_front_end import scripts_programs
 
 
@@ -145,7 +146,7 @@ def test_raw_operators_on_two_proxies():
     # inline, so it enters one frame fewer. Neither enters a resolver, in
     # any mode (9 frames each when they called strict_equals and
     # loose_equals with the opaque mode)
-    for mode in ("opaque", "transparent", "operators", "trap"):
+    for mode in MODES:
         for expression, most in (("p :===: q", 6), ("p :==: q", 5)):
             value, names = frames_entered(
                 mode,
@@ -218,7 +219,6 @@ def test_weakmap_probe_of_an_ordinary_key():
     # _resolve_key called a resolver that branched on the mode)
     # each mode's resolver of a proxy key, and the frames its probe enters
     proxy_probe = {"opaque": (None, 9), "transparent": ("look_through", 10),
-                   "operators": ("look_through", 10),
                    "trap": ("get_equality_object", 15)}
     for mode, (resolver, most) in proxy_probe.items():
         setup = ("var m = WeakMap(); var o = {}; m.set(o, 1); var p = "

@@ -20,9 +20,7 @@ from proxylang.objects import UNDEFINED, NativeFunction
 from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 
-from conftest import run_in_child
-
-MODES = ["opaque", "transparent", "operators", "trap"]
+from conftest import MODE_NAMES, MODES, run_in_child
 
 
 def run(source, mode="opaque"):
@@ -141,7 +139,7 @@ def test_return_without_value():
     assert out("function f() { return; } print(f());") == "undefined\n"
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_parameter_binding(mode):
     # missing arguments are undefined, extra ones are ignored
     assert out("function f(a, b, c) { return c; } print(f(1), f(1, 2));",
@@ -325,7 +323,7 @@ CALL_LINES = {"call": 5, "method call": 5, "Reflect.apply": 4,
               "apply trap": 5, "call in an apply trap": 6}
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 @pytest.mark.parametrize("site", CALL_SITES)
 @pytest.mark.parametrize("callee", NOT_CALLABLE)
 def test_call_errors_agree_across_call_sites(callee, site, mode):
@@ -618,7 +616,7 @@ print(Reflect.apply(f, undefined, { 0: 1, 1: 2, length: 2 }));
 """
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_deep_forwarding_chain_reaches_target(mode):
     before = resource.getrlimit(resource.RLIMIT_STACK)
     assert out(DEEP_FORWARDING, mode) == "1\n2 2\n42\n3\n"
@@ -721,7 +719,7 @@ ERROR_LINES = [
 ]
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 @pytest.mark.parametrize("source, kind, line",
                          [case[1:] for case in ERROR_LINES],
                          ids=[case[0] for case in ERROR_LINES])
@@ -761,7 +759,7 @@ def test_interpreters_do_not_share_state():
 
 
 def test_mode_strings_accepted():
-    for name in ("opaque", "transparent", "operators", "trap"):
+    for name in MODE_NAMES:
         assert Interpreter(mode=name).mode == EqualityMode(name)
     with pytest.raises(ValueError):
         Interpreter(mode="bogus")
@@ -851,7 +849,7 @@ print(m.get(k), r.get(k) :===: m);
 """
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 @pytest.mark.parametrize("source, prelude, expected", [
     (LEAK_PROBE, None, ("ok", None)),
     ("var a = 1; print(a); b;", None, ("error", "ReferenceError")),

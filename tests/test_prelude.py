@@ -7,6 +7,8 @@ from proxylang.parser import parse_source
 from proxylang.prelude import default_prelude_source
 from proxylang.proxies import ProxyObject
 
+from conftest import MODE_NAMES, MODES
+
 
 def run(source, mode="opaque", prelude=None):
     if prelude is None:
@@ -29,7 +31,7 @@ def interp_after(source, mode="opaque"):
 
 
 def test_prelude_parses_and_runs_in_every_mode():
-    for mode in ("opaque", "transparent", "operators", "trap"):
+    for mode in MODES:
         result = run_source("print(1);", mode=mode,
                             prelude_source=default_prelude_source())
         assert result.ok
@@ -94,7 +96,7 @@ def test_membrane_wrapper_cache_is_stable():
     print(m.wrapper.a :===: m.wrapper.b);
     print(m.wrapper.a :===: m.wrapper.a);
     """
-    for mode in ("opaque", "transparent", "operators", "trap"):
+    for mode in MODES:
         assert out(source, mode) == "true\ntrue\n"
 
 
@@ -193,9 +195,6 @@ def test_membrane_primitives_cross_unwrapped():
     """) == "4 text 3\n"
 
 
-MODES = ("opaque", "transparent", "operators", "trap")
-
-
 def test_membrane_gives_a_proxy_and_its_target_distinct_wrappers():
     # a proxy inside the graph is its own inner object: it gets its own
     # wrapper, and unwrapping that wrapper gives the proxy back, not its
@@ -262,7 +261,7 @@ def test_membrane_bookkeeping_is_linear(monkeypatch):
         assert large["map"] <= 4 * small["map"] + 8, (mode, small, large)
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_membrane_crossing_allocates_only_the_wrapper(mode):
     # every wrapper shares the membrane's one handler, so a fresh object
     # crossing in and back out costs the object literal and its wrapper
@@ -440,8 +439,7 @@ def test_contract_method_is_transparent_in_trap_mode():
     """, mode="trap") == "true false\n"
 
 
-@pytest.mark.parametrize("mode", ["opaque", "transparent", "operators",
-                                  "trap"])
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_contract_method_guard_is_made_once_per_member(mode):
     interp = interp_after("""
     var o = contractMethod({ m: function(x) { return x + 1; } }, "m",
@@ -477,7 +475,7 @@ def test_contract_behavior_identical_across_modes():
     print("done");
     """
     expected = "25\nada\n30\ndone\n"
-    for mode in ("opaque", "transparent", "operators", "trap"):
+    for mode in MODES:
         assert out(source, mode) == expected
 
 

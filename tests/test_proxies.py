@@ -503,8 +503,8 @@ Proxy.withTransparency(p, true, function() { print(p === o); });
 ])
 def test_overrides_act_only_in_trap_mode(mode, printed):
     # only the trap resolver consults the override stack: opaque mode
-    # resolves nothing, and transparent and operators modes look through
-    # every unrevoked proxy whatever it is pinned to
+    # resolves nothing, and transparent mode (which "operators" names too)
+    # looks through every unrevoked proxy whatever it is pinned to
     interp = Interpreter(mode=mode)
     result = evaluate_program(parse_source(OVERRIDES), interp)
     assert result.ok

@@ -8,6 +8,8 @@ from proxylang.proxies import proxy_create, revoke
 from proxylang.weakmap import (IdentityMap, create_weakmap, idmap_delete,
                                idmap_get, idmap_has, idmap_set)
 
+from conftest import MODE_NAMES
+
 
 def transparent_proxy(interp, target):
     handler = interp.heap.alloc_object({
@@ -161,10 +163,7 @@ def test_separate_maps_are_independent():
 
 # --- RawWeakMap: keys by raw identity in every mode ---
 
-MODES = list(EqualityMode)
-
-
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_raw_map_keeps_proxy_and_target_distinct(mode):
     interp = Interpreter(mode=mode)
     imap = IdentityMap(raw=True)
@@ -181,7 +180,7 @@ def test_raw_map_keeps_proxy_and_target_distinct(mode):
     assert len(imap.entries) == 1
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_raw_map_accepts_revoked_proxy_key(mode):
     interp = Interpreter(mode=mode)
     imap = IdentityMap(raw=True)
@@ -207,11 +206,11 @@ def test_raw_map_object_keys_only():
             idmap_set(interp, imap, bad, 1.0)
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", MODE_NAMES)
 def test_weakmap_and_raw_map_side_by_side(mode):
     # the same probes through both builtins: WeakMap still resolves
     # through the mode, RawWeakMap never does
-    aliases = "true" if mode is not EqualityMode.OPAQUE else "false"
+    aliases = "true" if mode != "opaque" else "false"
     result = run_source("""
     var t = {};
     var p = new Proxy(t, { isTransparent: function(t, p) { return true; } });
