@@ -47,14 +47,12 @@ class EqualityMode(Enum):
 
 def raw_identical(a, b) -> bool:
     """Reference identity on objects, same-type value equality otherwise."""
-    if isinstance(a, (HeapObject, bool)) \
-            or isinstance(b, (HeapObject, bool)):
-        return a is b  # objects are their own references
-    if isinstance(a, float) and isinstance(b, float):
+    kind = a.__class__
+    if kind is b.__class__ and (kind is float or kind is str):
         return a == b  # NaN != NaN, 0.0 == -0.0
-    if isinstance(a, str) and isinstance(b, str):
-        return a == b
-    return a is b  # NULL and UNDEFINED are singletons
+    # objects are their own references; the bools, NULL and UNDEFINED
+    # are singletons
+    return a is b
 
 
 def strict_equals(interp, a, b) -> bool:

@@ -65,5 +65,11 @@ class StackOverflow(PlxRuntimeError):
     kind = "StackOverflow"
 
 
+# the deepest a language call stack goes: a call that would pass it raises
+# StackOverflow. It is here, not in interpreter.py, so that proxies.py can
+# read it without importing the interpreter
+MAX_CALL_DEPTH = 1024
+
+
 class ResourceError(PlxRuntimeError):
     kind = "ResourceError"

@@ -35,7 +35,10 @@ body itself, a return among the body's direct statements included. So
 _call, call_value and invoke. One caller skips call_value: a trap-mode
 vote whose isTransparent trap is an ordinary function object enters
 invoke directly (proxies.is_transparent), as it runs at every link of a
-chain for every equality decision.
+chain for every equality decision. A vote through a trap whose body is
+one `return true;` or `return false;` skips invoke too, below
+MAX_CALL_DEPTH: FunctionRecord.constant is the vote (see nodes.py), and
+it is not charged as a call.
 
 Scopes: a call runs its body in a fresh Environment holding the
 parameters only if its FunctionRecord.scoped (a direct statement of the
@@ -61,8 +64,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import (ContractViolation, LangReferenceError, LangTypeError,
-                     PlxRuntimeError, ResourceError, StackOverflow)
+from .errors import (MAX_CALL_DEPTH, ContractViolation, LangReferenceError,
+                     LangTypeError, PlxRuntimeError, ResourceError,
+                     StackOverflow)
 from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
                     FunctionDecl, FunctionExpr, Identifier, If, MethodCall,
                     New, NullLit, NumberLit, ObjectLit, Program, PropertyGet,
@@ -79,8 +83,6 @@ from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        loose_equals, opaque_loose_equals,
                        opaque_strict_equals, strict_equals)
 from .weakmap import create_weakmap
-
-MAX_CALL_DEPTH = 1024
 
 # each mode's resolver of a proxy operand of == and === or WeakMap key
 _RESOLVERS = {EqualityMode.OPAQUE: None,
@@ -301,7 +303,7 @@ def _return(node, interp, env):
 
 def _function_decl(node, interp, env):
     record = FunctionRecord(node.params, node.body, env, node.name,
-                            node.scoped)
+                            node.scoped, node.constant)
     env.declare(node.name, interp.alloc_function(record))
 
 
@@ -403,7 +405,8 @@ def _object_lit(node, interp, env):
 
 def _function_expr(node, interp, env):
     return interp.alloc_function(
-        FunctionRecord(node.params, node.body, env, None, node.scoped))
+        FunctionRecord(node.params, node.body, env, None, node.scoped,
+                       node.constant))
 
 
 def _unary(node, interp, env):

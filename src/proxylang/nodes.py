@@ -16,13 +16,20 @@ if or while block goes to that block's own scope) and no name in the
 body reads or assigns a parameter, as the skipped scope would hold only
 parameters that no name reaches.
 The parser works the flag out as it reads the body (see parser.py); a
-node built by its constructor has True, and binds.
+node built by its constructor has True, and binds. A function node's
+constant flag, also left out of equality and repr, is True or False when
+its body is exactly one `return true;` or `return false;`, and None
+otherwise. Below MAX_CALL_DEPTH a call of such a body observes nothing and
+returns the flag, so proxies.is_transparent answers an isTransparent vote
+through it with the flag and makes no language call: the vote is not
+charged as a call. The parser sets the flag when the body ends; a node
+built by its constructor has None, and every vote through it is a call.
 
 The parser builds the nodes it makes most without their dataclass
 __init__, which would cost a frame each: object.__new__(cls), then one
-store per slot, line and the scoped flags included, so each is equal to
-what its constructor builds (tests/test_parser.py checks it). The
-constructors stay the public way to build a node.
+store per slot, line and the scoped and constant flags included, so each
+is equal to what its constructor builds (tests/test_parser.py checks it).
+The constructors stay the public way to build a node.
 """
 
 from dataclasses import dataclass, field
@@ -87,6 +94,9 @@ class FunctionExpr:
     line: int = _pos()
     # a call binds the parameters in a scope of its own (see above)
     scoped: bool = field(default=True, init=False, compare=False, repr=False)
+    # the body is `return true;` or `return false;`: that bool; else None
+    constant: Optional[bool] = field(default=None, init=False,
+                                     compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -228,6 +238,9 @@ class FunctionDecl:
     line: int = _pos()
     # a call binds the parameters in a scope of its own (see above)
     scoped: bool = field(default=True, init=False, compare=False, repr=False)
+    # the body is `return true;` or `return false;`: that bool; else None
+    constant: Optional[bool] = field(default=None, init=False,
+                                     compare=False, repr=False)
 
 
 Stmt = Union[VarDecl, Assign, PropertySet, ExprStmt, If, While, Return,

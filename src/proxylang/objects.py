@@ -38,14 +38,17 @@ UNDEFINED = Undefined()
 @dataclass(slots=True)
 class FunctionRecord:
     """A function defined in the language: parameters, body, closure.
-    scoped is the flag of the node it is made from (see nodes.py): a call
-    binds the parameters in a scope of its own. It defaults to True, so
-    a record a host builds binds."""
+    scoped and constant are the flags of the node it is made from (see
+    nodes.py): a call binds the parameters in a scope of its own, and a
+    trap-mode vote through it is the constant, True or False, with no
+    call. They default to True and None, so a record a host builds binds
+    and always runs."""
     params: list
     body: object  # Block
     env: object   # Environment
     name: Optional[str] = None
     scoped: bool = True
+    constant: Optional[bool] = None
 
 
 @dataclass(slots=True)

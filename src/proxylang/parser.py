@@ -63,7 +63,9 @@ name read in a nested function that binds the same name, which is
 conservative. The parser keeps the index of the token where each name was
 last read as an Identifier, and looks the parameters up there when the
 body ends, without a frame: a parameter was read in the body if its last
-read is at or after the body's '{'.
+read is at or after the body's '{'. Then, also inline, it sets the node's
+constant flag (see nodes.py): the BoolLit's value when the body is one
+Return of a BoolLit, and None otherwise.
 """
 
 import sys
@@ -247,6 +249,10 @@ class _Parser:
         self.fn_depth -= 1
         node.scoped = body.scoped or max(
             map(self.reads.get, params, _UNREAD), default=-1) >= body_at
+        statements = body.statements
+        node.constant = statements[0].value.value \
+            if len(statements) == 1 and statements[0].__class__ is Return \
+            and statements[0].value.__class__ is BoolLit else None
         node.line = self.lines[at]
         return node
 
@@ -409,6 +415,11 @@ class _Parser:
                     expr.scoped = expr.body.scoped or max(
                         map(self.reads.get, params, _UNREAD),
                         default=-1) >= body_at
+                    statements = expr.body.statements
+                    expr.constant = statements[0].value.value \
+                        if len(statements) == 1 \
+                        and statements[0].__class__ is Return \
+                        and statements[0].value.__class__ is BoolLit else None
                     pos = self.pos
                 elif kind == "prefix" and calls:
                     prefixes += 1

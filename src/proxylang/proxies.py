@@ -27,8 +27,9 @@ revoked. Each proxy memoises the endpoint of the last such walk started
 from it, stamped with the process-wide revocation count
 ``revocations``, and the memo stands while the count is unchanged (see
 look_through). Trap-mode resolution is never memoised: its votes are
-language code that runs at every decision. The count is a plain global,
-so interpreters that share objects must stay on one thread.
+asked at every decision, and each runs its trap's language code unless
+the trap is a constant (rule 3). The count is a plain global, so
+interpreters that share objects must stay on one thread.
 
 Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
@@ -41,13 +42,19 @@ It is decided in this order:
    runs, the proxy is overridden opaque, so the trap can compare its own
    proxy without asking itself again. A language error from the lookup or
    the trap, or the proxy revoked by its own trap, is an opaque vote (a
-   host RecursionError or MemoryError is not caught);
+   host RecursionError or MemoryError is not caught). A trap whose body
+   is one `return true;` or `return false;` (its FunctionRecord.constant,
+   see nodes.py), read from an ordinary handler below MAX_CALL_DEPTH, is
+   not invoked: the vote is its constant, which the call would return
+   and nothing could observe, and it is not charged as a call. At the
+   depth limit it is invoked, overflows and votes opaque, as any trap;
 4. otherwise false.
 """
 
-from .errors import LangTypeError, PlxRuntimeError, RevokedProxyError
-from .objects import (NULL, UNDEFINED, HeapObject, OrdinaryObject,
-                      format_number, kind_of, truthy)
+from .errors import (MAX_CALL_DEPTH, LangTypeError, PlxRuntimeError,
+                     RevokedProxyError)
+from .objects import (NULL, UNDEFINED, FunctionRecord, HeapObject,
+                      OrdinaryObject, format_number, kind_of, truthy)
 
 
 # how many proxies revoke() has revoked in this process; an endpoint memo
@@ -196,13 +203,15 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     """Decide whether equality may look through the proxy (rules 1-4).
 
     Trap mode runs this once per proxy per equality decision, so the
-    common case (no override, an ordinary handler, an ordinary function
-    object as the trap, answering a boolean) is decided inline: the trap
-    read straight from the handler's properties, as _forward reads one,
-    and one Interpreter.invoke of its function, with no call_value frame
-    between. A handler that is a proxy is asked by its get; any other
-    trap (a callable proxy, say) goes through call_value, and every
-    answer is coerced with truthy."""
+    common cases are decided inline. An ordinary handler's trap is read
+    straight from its properties, as _forward reads one. If it is a
+    function object whose record has a constant, and the call depth is
+    below MAX_CALL_DEPTH, the constant is the vote: no override is
+    pushed, no argument list built and no Interpreter.invoke made.
+    Otherwise, under the override, an ordinary function object is run by
+    one invoke, with no call_value frame between; a handler that is a
+    proxy is asked by its get; any other trap (a callable proxy, say)
+    goes through call_value, and every answer is coerced with truthy."""
     override_stack = interp.override_stack
     if override_stack:
         for overridden, flag in reversed(override_stack):
@@ -210,12 +219,18 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
                 return flag
     if proxy.revoked:
         return False
+    handler = proxy.handler
+    if handler.__class__ is OrdinaryObject:
+        trap = handler.properties.get("isTransparent", UNDEFINED)
+        if trap.__class__ is OrdinaryObject:
+            function = trap.function
+            if function.__class__ is FunctionRecord \
+                    and function.constant is not None \
+                    and interp.depth < MAX_CALL_DEPTH:
+                return function.constant
     override_stack.append((proxy, False))
     try:
-        handler = proxy.handler
-        if handler.__class__ is OrdinaryObject:
-            trap = handler.properties.get("isTransparent", UNDEFINED)
-        else:
+        if handler.__class__ is not OrdinaryObject:
             trap = handler.get(interp, "isTransparent")
         if trap.__class__ is OrdinaryObject:
             function = trap.function

@@ -3,9 +3,9 @@ a tokenizer that builds each (kind, lexeme, line, column) tuple in one
 finditer pass over the whole source, and a parser that reads those tuples.
 The differential tests in test_front_end.py check the current front end
 against it, token for token, error for error and node for node. Its
-parser leaves each function node's scoped flag to mark_scopes, a walk of
-the finished tree, which is the exact rule the parser's own bookkeeping
-must agree with."""
+parser leaves each function node's scoped and constant flags to
+mark_scopes, a walk of the finished tree, which is the exact rule the
+parser's own bookkeeping must agree with."""
 
 import dataclasses
 import re
@@ -473,12 +473,14 @@ def _spine(expr: Expr) -> int:
 
 
 def mark_scopes(tree):
-    """Set the scoped flag of every function node in tree, by a walk of
-    the finished tree: a call can observe a scope of its own if a direct
-    statement of the body is a var or function declaration, or an
-    Identifier or Assign anywhere in the body, nested functions included,
-    names a parameter. A loop, not a recursion, as the reference accepts
-    trees taller than the host's recursion limit."""
+    """Set the scoped and constant flags of every function node in tree,
+    by a walk of the finished tree: a call can observe a scope of its own
+    if a direct statement of the body is a var or function declaration,
+    or an Identifier or Assign anywhere in the body, nested functions
+    included, names a parameter; and a body that is one Return of a
+    BoolLit has that literal's value as its constant (the constructor
+    leaves None). A loop, not a recursion, as the reference accepts trees
+    taller than the host's recursion limit."""
     nodes = []  # each node, and the index of the node it is in, or -1
     todo = [(tree, -1)]
     while todo:
@@ -497,9 +499,13 @@ def mark_scopes(tree):
         if isinstance(node, (Identifier, Assign)):
             names[i].add(node.name)
         if isinstance(node, (FunctionDecl, FunctionExpr)):
+            statements = node.body.statements
             declares = any(isinstance(statement, (VarDecl, FunctionDecl))
-                           for statement in node.body.statements)
+                           for statement in statements)
             node.scoped = declares or not names[i].isdisjoint(node.params)
+            if len(statements) == 1 and isinstance(statements[0], Return) \
+                    and isinstance(statements[0].value, BoolLit):
+                node.constant = statements[0].value.value
         if parent >= 0:
             names[parent] |= names[i]
     return tree

@@ -61,7 +61,10 @@ def test_raw_identical_primitives():
     assert not raw_identical(float("nan"), float("nan"))
     assert raw_identical(0.0, -0.0)
     assert raw_identical("a", "a")
+    # strings compare by value, not by which object holds the text
+    assert raw_identical("ab", "".join(["a", "b"]))
     assert raw_identical(True, True)
+    assert not raw_identical(True, False)
     assert not raw_identical(True, 1.0)
     assert not raw_identical(False, 0.0)
     assert raw_identical(NULL, NULL)

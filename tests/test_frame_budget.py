@@ -3,10 +3,11 @@
 A language call and a trap-mode isTransparent vote each pass through a
 fixed chain of Python frames. These tests count the frames one call and
 one vote enter (sys.setprofile "call" events) and bound them by today's
-count, so that a refactor that puts frames back on the call path fails
-here instead of only showing up as a slower trap-mode benchmark; so are
-the frames one iteration of a numeric while loop enters, with and without
-a scoped block. So are a read through a chain of trap-less proxies,
+count (a vote through a `return true;` trap, at one link or at fifty,
+must enter no invoke at all), so that a refactor that puts frames back on
+the call path fails here instead of only showing up as a slower
+trap-mode benchmark; so are the frames one iteration of a numeric while
+loop enters, with and without a scoped block. So are a read through a chain of trap-less proxies,
 which must not grow with the chain, one membrane read, a WeakMap probe,
 primitive equality, an if on a bool, and the literals that must not
 enter a comprehension's frame. So are the scopes a call builds, counted
@@ -85,22 +86,39 @@ def test_one_trap_mode_vote():
     # _binary, two _identifier and the === operator's lambda,
     # strict_equals, and get_equality_object, the trap-mode resolver, for
     # the proxy operand only; is_transparent, which reads the ordinary
-    # handler's trap from its properties, and invoke and _literal for the
-    # trap, which is_transparent invokes directly, without call_value, and
-    # whose return invoke runs itself; raw_identical (12 frames with the
-    # handler's get and _return, 13 when each operand went through a
-    # resolver that branched on the mode)
+    # handler's trap from its properties, and raw_identical. A trap whose
+    # body is `return true;` is answered by its record's constant, with no
+    # invoke and no _literal (10 frames when it was invoked). Any other
+    # trap is invoked directly, without call_value, and invoke runs its
+    # return itself: `return yes;` adds invoke and _identifier (12 frames
+    # with the handler's get and _return, 13 when each operand went
+    # through a resolver that branched on the mode)
+    setup = ("var yes = true; var o = {}; var p = new Proxy(o, "
+             "{isTransparent: function(t, p) { %s }});")
+    for body, calls, most in (("return true;", 0, 8),
+                              ("return yes;", 1, 10)):
+        value, names = frames_entered("trap", setup % body, "p === o")
+        assert value is True
+        assert names.count("is_transparent") == 1
+        assert names.count("invoke") == calls, body
+        for skipped in ("call_value", "get", "_return", "_literal"):
+            assert skipped not in names, (body, skipped)
+        assert len(names) <= most, (body, names)
+
+
+def test_votes_through_a_chain_of_constant_traps():
+    # p === o through 50 links whose traps are `return true;`: one
+    # is_transparent a link and no invoke, 57 frames (157 when each vote
+    # was invoked)
     value, names = frames_entered(
         "trap",
-        "var o = {}; var p = new Proxy(o, "
-        "{isTransparent: function(t, p) { return true; }});",
+        "var o = {}; var p = o; var i = 0; while (i < 50) { p = new Proxy("
+        "p, {isTransparent: function(t, q) { return true; }}); i = i + 1; }",
         "p === o")
     assert value is True
-    assert names.count("is_transparent") == 1
-    assert names.count("invoke") == 1
-    for skipped in ("call_value", "get", "_return"):
-        assert skipped not in names, skipped
-    assert len(names) <= 10, names
+    assert names.count("is_transparent") == 50
+    assert "invoke" not in names
+    assert len(names) <= 57, names
 
 
 def test_scopes_built_per_call(monkeypatch):

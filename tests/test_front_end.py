@@ -7,10 +7,9 @@ token the same (lexeme, line, column), read from the Tokens' lexemes and
 lines lists and its column method, as the reference's (kind, lexeme,
 line, column) item less its kind, which tokenize no longer gives; then
 the same AST, every node's line and scoped flag included (a function
-node's as reference.mark_scopes works it out), or the same
-ParseError (message, line, column, at_eof), from parse and from
-parse_expression alike. The one rule that
-differs is the expression nesting bound: the reference counts the links
+node's, and its constant flag, as reference.mark_scopes works them out),
+or the same ParseError (message, line, column, at_eof), from parse and
+from parse_expression alike. The one rule that differs is the expression nesting bound: the reference counts the links
 of a chain open at once, the parser bounds each tree's height and its
 open expressions. Where either reports "expression nesting too deep",
 the parser must accept exactly the trees that fit its bounds, checked by
@@ -43,8 +42,9 @@ from test_lexer import positions
 
 
 def dump(node):
-    """node as nested tuples of its class name and every field, line and
-    scoped flags included, which node equality leaves out."""
+    """node as nested tuples of its class name and every field, line,
+    scoped and constant flags included, which node equality leaves
+    out."""
     kind = type(node)
     if kind is list or kind is tuple:
         return [dump(item) for item in node]

@@ -620,24 +620,31 @@ def test_vote_that_recurses_to_stack_overflow_is_opaque(interp):
 def test_vote_at_the_call_depth_limit(interp, depth, answer):
     # the votes are made in the body of the depth-th nested call and
     # saved on r, as at the deepest no call is left to print them; at the
-    # top level the same votes look through
-    output = run_output(interp, f"""
-        function yes() {{ return true; }}
-        var o = {{}};
-        var p = new Proxy(o, {{isTransparent: function(t, q) {{
-            return yes(); }}}});
-        var r = {{}};
-        function at(n) {{
-            if (n > 1) {{ return at(n - 1); }}
-            r.strict = p === o;
-            r.loose = p == o;
-        }}
-        at({depth});
-        print(r.strict, r.loose, p === o, p == o);
-    """)
-    assert output == answer + " true true\n"
-    assert interp.depth == 0
-    assert interp.override_stack == []
+    # top level the same votes look through. A trap whose body is
+    # `return true;` is not called below the limit, so one call shallower
+    # than it, where yes() overflows, it looks through; at the limit it is
+    # called, overflows and is opaque like any other trap
+    constant = "false false" if depth == MAX_CALL_DEPTH else "true true"
+    for body, expected, voter in (
+            ("return yes();", answer, interp),
+            ("return true;", constant, Interpreter(mode="trap"))):
+        output = run_output(voter, f"""
+            function yes() {{ return true; }}
+            var o = {{}};
+            var p = new Proxy(o, {{isTransparent: function(t, q) {{
+                {body} }}}});
+            var r = {{}};
+            function at(n) {{
+                if (n > 1) {{ return at(n - 1); }}
+                r.strict = p === o;
+                r.loose = p == o;
+            }}
+            at({depth});
+            print(r.strict, r.loose, p === o, p == o);
+        """)
+        assert output == expected + " true true\n", body
+        assert voter.depth == 0
+        assert voter.override_stack == []
 
 
 def test_args_object_round_trip(interp):
