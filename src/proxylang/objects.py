@@ -34,6 +34,11 @@ class Undefined:
 NULL = Null()
 UNDEFINED = Undefined()
 
+# how many events in this process could have moved the end of a proxy
+# walk: a revocation (proxies.revoke) or a write or delete of a property
+# named isTransparent. A walk memo stamped with an older count may be stale
+walk_epoch = 0
+
 
 @dataclass(slots=True)
 class FunctionRecord:
@@ -77,13 +82,22 @@ class OrdinaryObject(HeapObject):
         return self.properties.get(key, UNDEFINED)
 
     def set(self, interp, key, value):
+        """Write a property. Writing or deleting isTransparent may change
+        a handler's vote, so it raises walk_epoch: a host that writes a
+        handler's properties dict directly stales no walk memo."""
+        global walk_epoch
+        if key == "isTransparent":
+            walk_epoch += 1
         self.properties[key] = value
 
     def has(self, interp, key):
         return key in self.properties
 
     def delete(self, interp, key):
+        global walk_epoch
         if key in self.properties:
+            if key == "isTransparent":
+                walk_epoch += 1
             del self.properties[key]
             return True
         return False

@@ -9,8 +9,9 @@ revoked proxy answers every trapped operation with RevokedProxyError,
 but equality never raises: for resolution purposes a revoked proxy is
 simply its own endpoint.
 
-Traps are looked up afresh at every operation, link by link along a
-chain of proxies, and nothing is kept from one walk to the next. An
+The traps of get, set, call and the other operations are looked up
+afresh at every operation, link by link along a chain of proxies, and
+nothing is kept from one walk to the next. An
 unrevoked link whose handler is an ordinary object has its trap read
 straight from the handler's properties; a missing, undefined or null
 trap passes the link with no host frame, so a trap-less link costs one
@@ -19,17 +20,18 @@ itself a proxy (whose lookup runs user code) go through
 ProxyObject._trap, which raises for a revoked link or a trap that is not
 callable, and which is where a tracer counts the traps found.
 
-A proxy's target is fixed at construction, and revoke() is the only
-writer of ``revoked``, which only ever goes from false to true. So the
-endpoint of an unconditional look-through walk (transparent mode,
+A proxy's target and handler are fixed at construction, and revoke() is
+the only writer of ``revoked``, which only ever goes from false to true.
+So the endpoint of an unconditional look-through walk (transparent mode,
 Proxy.isEqual, Proxy.isIdentical) can change only when some proxy is
-revoked. Each proxy memoises the endpoint of the last such walk started
-from it, stamped with the process-wide revocation count
-``revocations``, and the memo stands while the count is unchanged (see
-look_through). Trap-mode resolution is never memoised: its votes are
-asked at every decision, and each runs its trap's language code unless
-the trap is a constant (rule 3). The count is a plain global, so
-interpreters that share objects must stay on one thread.
+revoked. A trap-mode walk whose every vote was static (rule 3) can
+change only then too, or when a handler's isTransparent is written or
+deleted. Each proxy memoises the end of the last walk of each kind
+started from it, stamped with objects.walk_epoch, the process-wide count
+of those events, and a memo stands while the count is unchanged (see
+look_through and get_equality_object). A vote that is not static is
+asked at every decision. The count is a plain global, so interpreters
+that share objects must stay on one thread.
 
 Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
@@ -47,19 +49,20 @@ It is decided in this order:
    see nodes.py), read from an ordinary handler below MAX_CALL_DEPTH, is
    not invoked: the vote is its constant, which the call would return
    and nothing could observe, and it is not charged as a call. At the
-   depth limit it is invoked, overflows and votes opaque, as any trap;
+   depth limit it is invoked, overflows and votes opaque, as any trap.
+   Such a vote is static, as is the vote of a revoked link and of an
+   ordinary handler whose isTransparent is missing, undefined or null:
+   it runs no code, and only revoke() or a write or delete of the
+   handler's isTransparent can change it;
 4. otherwise false.
 """
 
+from . import objects
 from .errors import (MAX_CALL_DEPTH, LangTypeError, PlxRuntimeError,
                      RevokedProxyError)
 from .objects import (NULL, UNDEFINED, FunctionRecord, HeapObject,
                       OrdinaryObject, format_number, kind_of, truthy)
 
-
-# how many proxies revoke() has revoked in this process; an endpoint memo
-# stamped with an older count may be stale
-revocations = 0
 
 # the memo of a proxy no walk has started from: no count matches it
 _NO_ENDPOINT = (-1, None)
@@ -67,16 +70,17 @@ _NO_ENDPOINT = (-1, None)
 
 class ProxyObject(HeapObject):
     """A target and a handler, both fixed at construction. ``revoked`` is
-    written only by revoke(). ``endpoint`` is (revocations, end): the end
+    written only by revoke(). ``endpoint`` is (walk_epoch, end): the end
     of the last unconditional look-through walk started from this proxy,
-    and the revocation count it was taken at."""
-    __slots__ = ("target", "handler", "revoked", "endpoint")
+    and the count it was taken at. ``voted`` is the same for the last
+    trap-mode walk through static votes only."""
+    __slots__ = ("target", "handler", "revoked", "endpoint", "voted")
 
     def __init__(self, target: HeapObject, handler: HeapObject):
         self.target = target
         self.handler = handler
         self.revoked = False
-        self.endpoint = _NO_ENDPOINT
+        self.endpoint = self.voted = _NO_ENDPOINT
 
     # --- internal operations ---
 
@@ -187,8 +191,7 @@ def proxy_create(interp, target, handler) -> ProxyObject:
 
 def revoke(interp, value) -> None:
     """Permanently disable a proxy's traps. Revoking twice is a no-op.
-    A revocation that takes effect stales every endpoint memo."""
-    global revocations
+    A revocation that takes effect stales every walk memo."""
     if not isinstance(value, ProxyObject):
         if isinstance(value, HeapObject):
             raise LangTypeError(
@@ -196,18 +199,19 @@ def revoke(interp, value) -> None:
         raise LangTypeError(f"cannot revoke a {kind_of(value)}")
     if not value.revoked:
         value.revoked = True
-        revocations += 1
+        objects.walk_epoch += 1
 
 
 def is_transparent(interp, proxy: ProxyObject) -> bool:
     """Decide whether equality may look through the proxy (rules 1-4).
 
-    Trap mode runs this once per proxy per equality decision, so the
-    common cases are decided inline. An ordinary handler's trap is read
-    straight from its properties, as _forward reads one. If it is a
-    function object whose record has a constant, and the call depth is
-    below MAX_CALL_DEPTH, the constant is the vote: no override is
-    pushed, no argument list built and no Interpreter.invoke made.
+    Trap mode runs this once per link of every walk that is not answered
+    from a memo (get_equality_object), so the common cases are decided
+    inline. An ordinary handler's trap is read straight from its
+    properties, as _forward reads one. If it is a function object whose
+    record has a constant, and the call depth is below MAX_CALL_DEPTH,
+    the constant is the vote: no override is pushed, no argument list
+    built and no Interpreter.invoke made.
     Otherwise, under the override, an ordinary function object is run by
     one invoke, with no call_value frame between; a handler that is a
     proxy is asked by its get; any other trap (a callable proxy, say)
@@ -256,12 +260,12 @@ def look_through(interp, value):
     if value.__class__ is not ProxyObject or value.revoked:
         return value
     count, end = value.endpoint
-    if count == revocations:
+    if count == objects.walk_epoch:
         return end
     end = value.target
     while end.__class__ is ProxyObject and not end.revoked:
         end = end.target
-    value.endpoint = (revocations, end)
+    value.endpoint = (objects.walk_epoch, end)
     return end
 
 
@@ -271,9 +275,36 @@ def get_equality_object(interp, value):
     Stops at the first non-proxy, at any proxy that answers opaque, and
     at revoked proxies. Proxy chains are acyclic because targets are
     fixed at construction, so the walk terminates.
+
+    With no override on the stack and the call depth below
+    MAX_CALL_DEPTH, the end is read from value's ``voted`` memo while
+    its count is current. Otherwise every link is asked through
+    is_transparent, and the end is memoised if each vote was static
+    (rule 3). Static votes run no code, so the count cannot move while
+    they are asked, and the same walk would ask them again.
     """
-    while value.__class__ is ProxyObject and is_transparent(interp, value):
+    if value.__class__ is not ProxyObject:
+        return value
+    start = value
+    static = not interp.override_stack and interp.depth < MAX_CALL_DEPTH
+    if static:
+        count, end = value.voted
+        if count == objects.walk_epoch:
+            return end
+    while value.__class__ is ProxyObject:
+        if static and not value.revoked:
+            handler = value.handler
+            trap = handler.properties.get("isTransparent", UNDEFINED) \
+                if handler.__class__ is OrdinaryObject else None
+            static = trap is UNDEFINED or trap is NULL \
+                or trap.__class__ is OrdinaryObject \
+                and trap.function.__class__ is FunctionRecord \
+                and trap.function.constant is not None
+        if not is_transparent(interp, value):
+            break
         value = value.target
+    if static:
+        start.voted = (objects.walk_epoch, value)
     return value
 
 

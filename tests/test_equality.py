@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxylang import proxies
+from proxylang import objects
 from proxylang.cli import main
 from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 builtin_is_identical, loose_equals,
@@ -250,9 +250,9 @@ def test_revocation_through_another_interpreter_stales_the_memo():
     revoke(second, nodes[2])
     assert first.resolve(first, nodes[3]) is nodes[2]
     # a second revocation is a no-op: the count, and so every memo, stands
-    count = proxies.revocations
+    count = objects.walk_epoch
     revoke(second, nodes[2])
-    assert proxies.revocations == count
+    assert objects.walk_epoch == count
     assert nodes[3].endpoint == (count, nodes[2])
 
 

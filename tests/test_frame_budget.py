@@ -4,9 +4,9 @@ A language call and a trap-mode isTransparent vote each pass through a
 fixed chain of Python frames. These tests count the frames one call and
 one vote enter (sys.setprofile "call" events) and bound them by today's
 count (a vote through a `return true;` trap, at one link or at fifty,
-must enter no invoke at all), so that a refactor that puts frames back on
-the call path fails here instead of only showing up as a slower
-trap-mode benchmark; so are the frames one iteration of a numeric while
+must enter no invoke at all, and a repeat through fifty must ask no link),
+so that a refactor that puts frames back on the call path fails here
+instead of only showing up as a slower trap-mode benchmark; so are the frames one iteration of a numeric while
 loop enters, with and without a scoped block. So are a read through a chain of trap-less proxies,
 which must not grow with the chain, one membrane read, a WeakMap probe,
 primitive equality, an if on a bool, and the literals that must not
@@ -119,6 +119,41 @@ def test_votes_through_a_chain_of_constant_traps():
     assert names.count("is_transparent") == 50
     assert "invoke" not in names
     assert len(names) <= 57, names
+
+
+CHAIN = ("var yes = true; var o = {}; var p = o; var i = 0; while (i < 50) {"
+         " p = new Proxy(p, {isTransparent: i == %d ? function(t, q) {"
+         " return yes; } : function(t, q) { return true; }}); i = i + 1; }")
+
+
+def repeated_votes(setup, repeats):
+    """The value and frames of each p === o in trap mode after the
+    first."""
+    interp = Interpreter(mode="trap")
+    assert evaluate_program(parse_source(setup), interp).ok
+    node = parse_expression("p === o")
+    assert node.evaluate(interp, interp.globals) is True
+    return [names_entered(node.evaluate, interp, interp.globals)
+            for _ in range(repeats)]
+
+
+def test_repeated_vote_through_constant_traps_is_memoised():
+    # the first walk through 50 `return true;` links memoised its end on
+    # p, so the second asks no link: _binary, two _identifier, the
+    # lambda, strict_equals, get_equality_object and raw_identical
+    (value, names), = repeated_votes(CHAIN % -1, 1)
+    assert value is True
+    assert "is_transparent" not in names
+    assert len(names) <= 7, names
+
+
+def test_one_vote_that_runs_code_is_asked_on_every_repeat():
+    # link 25's trap reads a global, so no walk through it is memoised
+    # and each repeat asks all 50 links and invokes that one trap
+    for value, names in repeated_votes(CHAIN % 25, 3):
+        assert value is True
+        assert names.count("is_transparent") == 50
+        assert names.count("invoke") == 1
 
 
 def test_scopes_built_per_call(monkeypatch):

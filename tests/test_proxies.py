@@ -623,7 +623,8 @@ def test_vote_at_the_call_depth_limit(interp, depth, answer):
     # top level the same votes look through. A trap whose body is
     # `return true;` is not called below the limit, so one call shallower
     # than it, where yes() overflows, it looks through; at the limit it is
-    # called, overflows and is opaque like any other trap
+    # called, overflows and is opaque like any other trap, even though
+    # the first comparison, at the top level, memoised its walk
     constant = "false false" if depth == MAX_CALL_DEPTH else "true true"
     for body, expected, voter in (
             ("return yes();", answer, interp),
@@ -639,12 +640,42 @@ def test_vote_at_the_call_depth_limit(interp, depth, answer):
                 r.strict = p === o;
                 r.loose = p == o;
             }}
+            var first = p === o;
             at({depth});
-            print(r.strict, r.loose, p === o, p == o);
+            print(first, r.strict, r.loose, p === o, p == o);
         """)
-        assert output == expected + " true true\n", body
+        assert output == "true " + expected + " true true\n", body
         assert voter.depth == 0
         assert voter.override_stack == []
+
+
+def test_memoised_walk_yields_to_an_override(interp):
+    # the first p === o memoises its walk through two `return true;`
+    # links; under an override the memo is not read, and afterwards it is
+    output = run_output(interp, """
+        var o = {};
+        var h = {isTransparent: function(t, q) { return true; }};
+        var p = new Proxy(new Proxy(o, h), h);
+        print(p === o);
+        print(Proxy.withTransparency(p, false, function() { return p === o; }));
+        print(p === o);
+    """)
+    assert output == "true\nfalse\ntrue\n"
+
+
+def test_host_delete_of_the_trap_stales_a_memoised_walk(interp):
+    output = run_output(interp, """
+        var o = {};
+        var h = {isTransparent: function(t, q) { return true; }};
+        var p = new Proxy(o, h);
+        print(p === o);
+    """)
+    assert output == "true\n"
+    proxy, target = interp.globals.lookup("p"), interp.globals.lookup("o")
+    assert proxy.voted[1] is target
+    handler = interp.globals.lookup("h")
+    assert handler.delete(interp, "isTransparent") is True
+    assert run_output(interp, "print(p === o);") == "true\nfalse\n"
 
 
 def test_args_object_round_trip(interp):
