@@ -130,14 +130,16 @@ _INFINITY = re.compile(r"[+-]?Infinity")
 
 
 def string_to_number(text: str) -> float:
-    """Numeric value of a string: '' is 0, garbage is NaN."""
+    """Numeric value of a string: '' is 0, garbage is NaN. The three
+    patterns match disjoint texts, so the decimal one, the common case,
+    is tried first."""
     body = text.strip(_WS)
     if body == "":
         return 0.0
+    if _DECIMAL.fullmatch(body):
+        return float(body)
     if _HEX.fullmatch(body):
         return float(int(body, 16))
     if _INFINITY.fullmatch(body):
         return -math.inf if body.startswith("-") else math.inf
-    if _DECIMAL.fullmatch(body):
-        return float(body)
     return math.nan

@@ -19,12 +19,15 @@ statement by node.execute(interp, env). Each is a handler of (node,
 interp, env) written here, listed in _EVAL or _EXEC, and installed on its
 node class when this module loads, so a node costs one method call and
 nodes.py holds no evaluation. A Block or a Program has neither method;
-their statements run in a loop. _binary applies arithmetic and order to
-two numbers itself, and _if and _while take a bool condition as it is;
-every other operator, equality included, goes through _BINARY. A
-computed key that is already a string is used as it is. An error takes
-the line of the innermost node that raises it, so only the handlers of
-nodes that can raise one tag it.
+their statements run in a loop. Each Binary is built with its operator on
+two numbers and with the value of a number literal on its right (see
+nodes.py), so _binary answers two numbers itself, for every operator but
+&& and ||, equality included, and reads such a literal from the node
+without a frame; every other pair of operands goes through _BINARY, whose
+equality entries look up the functions of equality.py when called. _if
+and _while take a bool condition as it is. A computed key that is already
+a string is used as it is. An error takes the line of the innermost node
+that raises it, so only the handlers of nodes that can raise one tag it.
 
 Calls: Interpreter.call_value is the entry for calling a value, from the
 evaluator, a trap, a builtin or the host (OrdinaryObject.call and
@@ -58,8 +61,6 @@ Environment.lookup is the host's read.
 """
 
 import io
-import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -72,9 +73,9 @@ from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
                     New, NullLit, NumberLit, ObjectLit, Program, PropertyGet,
                     PropertySet, Return, StringLit, UndefinedLit, Unary,
                     VarDecl, While)
-from .objects import (NULL, UNDEFINED, FunctionRecord, Heap, HeapObject,
-                      NativeFunction, OrdinaryObject, arg, kind_of,
-                      render_value, to_property_key, truthy)
+from .objects import (NULL, NUMBER_OPERATORS, UNDEFINED, FunctionRecord,
+                      Heap, HeapObject, NativeFunction, OrdinaryObject, arg,
+                      kind_of, render_value, to_property_key, truthy)
 from .parser import ensure_recursion_limit, parse_source
 from .proxies import (get_equality_object, is_callable, look_through,
                       proxy_create, revoke, unpack_args_object,
@@ -328,22 +329,21 @@ def _identifier(node, interp, env):
 
 
 def _binary(node, interp, env):
-    op = node.op
+    on_numbers = node.on_numbers
     try:
         left = node.left.evaluate(interp, env)
-        if op == "&&" or op == "||":
+        if on_numbers is None:
             # && stops at a falsy left operand, || at a truthy one
-            if truthy(left) == (op == "||"):
+            if truthy(left) == (node.op == "||"):
                 return left
             return node.right.evaluate(interp, env)
-        right = node.right.evaluate(interp, env)
+        # a number literal on the right is read from the node, unevaluated
+        right = node.literal
+        if right is None:
+            right = node.right.evaluate(interp, env)
         if left.__class__ is float and right.__class__ is float:
-            # arithmetic and order on two numbers, without an operator
-            # frame; equality still goes through _BINARY
-            apply = _ARITHMETIC.get(op)
-            if apply is not None:
-                return apply(left, right)
-        return _BINARY[op](interp, left, right)
+            return on_numbers(left, right)
+        return _BINARY[node.op](interp, left, right)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -472,7 +472,7 @@ def _plus(interp, left, right):
 def _operator(op):
     """op on operands that are not two numbers: an order compares two
     strings, and anything else is an error."""
-    compare = _ARITHMETIC[op] if op[0] in "<>" else None
+    compare = NUMBER_OPERATORS[op] if op[0] in "<>" else None
 
     def operate(interp, left, right):
         if compare and left.__class__ is str and right.__class__ is str:
@@ -481,23 +481,9 @@ def _operator(op):
     return operate
 
 
-def _divide(left: float, right: float) -> float:
-    if right == 0.0:
-        if left != left or left == 0.0:
-            return math.nan
-        sign = math.copysign(1.0, left) * math.copysign(1.0, right)
-        return math.inf * sign
-    return left / right
-
-
-# the operators that _binary applies to two numbers itself, so that the
-# _BINARY entries below only see other operands
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": _divide, "<": operator.lt, "<=": operator.le,
-               ">": operator.gt, ">=": operator.ge}
-
-# the equality functions are looked up when called, not bound here, so
-# that a host can wrap them in this module (as a tracer does)
+# each operator on operands that are not two numbers, which _binary
+# answers itself; the equality functions are looked up when called, not
+# bound here, so that a host can wrap them in this module (as a tracer does)
 _BINARY = {
     "==": lambda interp, a, b: loose_equals(interp, a, b),
     "!=": lambda interp, a, b: not loose_equals(interp, a, b),

@@ -6,8 +6,9 @@ Identifier("x", line=3)), and is excluded from equality so structural
 comparison (round-trip tests, REPL echoes) ignores layout. Nodes are
 slotted dataclasses and have no __dict__; Program also takes weak
 references. Block.scoped is computed from the statements when the block
-is built (declares; so its statements are not edited afterwards) and,
-like the line, is left out of equality and repr. So is the scoped flag of
+is built (a direct statement is one of DECLARATIONS; so its statements
+are not edited afterwards) and, like the line, is left out of equality
+and repr. So is the scoped flag of
 a FunctionDecl or FunctionExpr: whether a call of the function can observe
 a scope of its own, so that Interpreter.invoke binds its parameters in
 one. Without one, the body runs in the function's closure scope, which is
@@ -25,18 +26,27 @@ through it with the flag and makes no language call: the vote is not
 charged as a call. The parser sets the flag when the body ends; a node
 built by its constructor has None, and every vote through it is a call.
 
+A Binary resolves its operator once, when it is built: on_numbers is
+the operator on two numbers, from objects.NUMBER_OPERATORS (None for &&
+and ||), and literal is the right operand's value when that is a
+NumberLit, else None. Both are left out of equality and repr. The parser
+sets them inline; a Binary built by its constructor gets them in
+__post_init__, so its op and right are not edited afterwards.
+
 The parser builds the nodes it makes most without their dataclass
 __init__, which would cost a frame each: object.__new__(cls), then one
-store per slot, line and the scoped and constant flags included, so each
-is equal to what its constructor builds (tests/test_parser.py checks it).
-The constructors stay the public way to build a node.
+store per slot, line, the scoped and constant flags and a Binary's
+on_numbers and literal included, so each is equal to what its
+constructor builds (tests/test_parser.py checks it). The constructors
+stay the public way to build a node.
 """
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .lexer import ESCAPES, KEYWORDS, WORD
+from .objects import NUMBER_OPERATORS
 
 
 def _pos():
@@ -136,6 +146,16 @@ class Binary:
     left: "Expr"
     right: "Expr"
     line: int = _pos()
+    # op on two numbers, from objects.NUMBER_OPERATORS; None for && and ||
+    on_numbers: Optional[Callable] = field(init=False, compare=False,
+                                           repr=False)
+    # the right operand's value if it is a NumberLit, else None
+    literal: Optional[float] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.on_numbers = NUMBER_OPERATORS[self.op]
+        right = self.right
+        self.literal = right.value if right.__class__ is NumberLit else None
 
 
 @dataclass(slots=True)
@@ -197,16 +217,7 @@ class Block:
     scoped: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.scoped = declares(self.statements)
-
-
-def declares(statements: list) -> bool:
-    """Whether a block of these statements needs a scope of its own
-    (Block.scoped): one of them, not nested in another, declares."""
-    for s in statements:
-        if isinstance(s, (VarDecl, FunctionDecl)):
-            return True
-    return False
+        self.scoped = not DECLARATIONS.isdisjoint(map(type, self.statements))
 
 
 @dataclass(slots=True)
@@ -242,6 +253,10 @@ class FunctionDecl:
     constant: Optional[bool] = field(default=None, init=False,
                                      compare=False, repr=False)
 
+
+# the statements that declare into the current scope: a block holding one
+# of them, not nested in another, is Block.scoped
+DECLARATIONS = frozenset({VarDecl, FunctionDecl})
 
 Stmt = Union[VarDecl, Assign, PropertySet, ExprStmt, If, While, Return,
              FunctionDecl]

@@ -1,4 +1,5 @@
-"""Value domain, ordinary objects and the allocation counter.
+"""Value domain, ordinary objects, the allocation counter and the binary
+operators on two numbers.
 
 Values are floats (all numbers), bools, strings, the null and undefined
 singletons, and objects. An object is its own reference: raw identity is
@@ -11,6 +12,7 @@ address the same slot; every other non-string key is a type error.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -185,6 +187,29 @@ def render_value(value) -> str:
     if isinstance(value, HeapObject):
         return "[object]"
     raise TypeError(f"not a language value: {value!r}")
+
+
+def divide(left: float, right: float) -> float:
+    """left / right on two numbers, IEEE style: a nonzero number over a
+    zero is an infinity of the quotient's sign, and 0 / 0 is NaN."""
+    if right == 0.0:
+        if left != left or left == 0.0:
+            return math.nan
+        sign = math.copysign(1.0, left) * math.copysign(1.0, right)
+        return math.inf * sign
+    return left / right
+
+
+# each binary operator on two numbers: the six equality operators are ==
+# or != on them in every mode, so NaN is unequal to itself and 0 equals
+# -0; && and || have None, as they pick an operand instead
+NUMBER_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "/": divide, "<": operator.lt, "<=": operator.le,
+                    ">": operator.gt, ">=": operator.ge,
+                    "==": operator.eq, "===": operator.eq,
+                    ":==:": operator.eq, ":===:": operator.eq,
+                    "!=": operator.ne, "!==": operator.ne,
+                    "&&": None, "||": None}
 
 
 def to_property_key(value) -> str:

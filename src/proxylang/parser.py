@@ -31,7 +31,9 @@ left-associatively (_LEVELS, from '||', loosest, to '*' and '/',
 tightest). Equality operators do not mix within one chain: `a == b == c`
 is `(a == b) == c`, `a == b === c` is a parse error. Every expected lexeme
 is compared inline, and the nodes the parser makes most are built without
-their dataclass __init__ (see nodes.py).
+their dataclass __init__ (see nodes.py); a Binary is given its operator on
+two numbers and its right operand's number literal as it is built, with
+one subscript and one class test.
 
 Two bounds keep parsing within the host's recursion limit, and make every
 tree the parser accepts one that pretty_print prints, as text that parses
@@ -78,8 +80,8 @@ from .nodes import (Assign, Binary, Block, BoolLit, Call, Conditional,
                     ExprStmt, Expr, FunctionDecl, FunctionExpr, Identifier,
                     If, MethodCall, New, NullLit, NumberLit, ObjectLit,
                     Program, PropertyGet, PropertySet, Return, StringLit,
-                    UndefinedLit, Unary, VarDecl, While, declares)
-from .objects import format_number
+                    UndefinedLit, Unary, VarDecl, While, DECLARATIONS)
+from .objects import NUMBER_OPERATORS, format_number
 
 # binding level of each binary operator: a higher level binds tighter
 _LEVELS = {"||": 1, "&&": 2,
@@ -295,7 +297,7 @@ class _Parser:
         block = _new(Block)
         block.statements = statements
         block.line = self.lines[at]
-        block.scoped = declares(statements)
+        block.scoped = not DECLARATIONS.isdisjoint(map(type, statements))
         return block
 
     def parse_if(self, at: int) -> If:
@@ -526,6 +528,9 @@ class _Parser:
                     node.left = left
                     node.right = expr
                     node.line = left.line
+                    node.on_numbers = NUMBER_OPERATORS[op]
+                    node.literal = expr.value \
+                        if expr.__class__ is NumberLit else None
                     expr = node
                     if left_height > height:
                         height = left_height

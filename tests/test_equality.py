@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxylang import objects
+from proxylang import equality, objects
 from proxylang.cli import main
 from proxylang.equality import (EqualityMode, builtin_is_equal,
                                 builtin_is_identical, loose_equals,
@@ -378,6 +378,14 @@ def test_loose_reflexive_without_nan(a):
 def test_string_to_number_total(text):
     result = string_to_number(text)
     assert isinstance(result, float)
+
+
+@given(st.text(alphabet="0123456789aAbBeEfFxX+-.Infity", max_size=10))
+def test_number_patterns_are_disjoint(text):
+    # string_to_number tries the decimal pattern first, which is its
+    # answer only because no text matches two of the patterns
+    patterns = (equality._DECIMAL, equality._HEX, equality._INFINITY)
+    assert sum(p.fullmatch(text) is not None for p in patterns) <= 1
 
 
 def test_strict_implies_loose_on_primitives():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import operator
 import typing
 
 import pytest
@@ -16,6 +17,7 @@ from proxylang.nodes import (Assign, Binary, Block, Call, Conditional,
                              StringLit, Unary, VarDecl, While,
                              pretty_print)
 from proxylang.lexer import tokenize
+from proxylang.objects import divide
 from proxylang.parser import (_MAX_NESTING, parse, parse_expression,
                               parse_source)
 from proxylang.prelude import default_prelude_source
@@ -829,6 +831,28 @@ def test_block_scoped_when_a_direct_statement_declares():
         == stmt("if (a) { var x = 1; }").then
 
 
+def test_binary_resolves_its_operator_on_numbers():
+    # the operator on two numbers and a number literal on the right are
+    # set when the node is built, by the parser and the constructor alike
+    node = expr("i + 1")
+    assert node.on_numbers is operator.add and node.literal == 1.0
+    assert expr("1 - i").literal is None
+    assert expr("a / 0").on_numbers is divide and expr("a / 0").literal == 0
+    for op in ("==", "===", ":==:", ":===:"):
+        assert expr(f"a {op} b").on_numbers is operator.eq, op
+    for op in ("!=", "!=="):
+        assert expr(f"a {op} b").on_numbers is operator.ne, op
+    for op in ("&&", "||"):
+        node = expr(f"a {op} 2")
+        assert node.on_numbers is None and node.literal == 2.0, op
+    assert expr('a + "1"').literal is None
+    built = Binary("<", Identifier("i"), NumberLit(300.0))
+    assert built.on_numbers is operator.lt and built.literal == 300.0
+    assert built == expr("i < 300")
+    with pytest.raises(KeyError):
+        Binary("%", Identifier("i"), NumberLit(2.0))
+
+
 @pytest.mark.parametrize("source", [
     *(pytest.param(path.read_text(encoding="utf-8"), id=path.name)
       for path in REAL_PROGRAMS),
@@ -838,8 +862,8 @@ def test_block_scoped_when_a_direct_statement_declares():
 def test_parsed_nodes_match_their_constructors(source):
     # the parser builds most nodes without their __init__, slot by slot:
     # each must be the node its public constructor builds from its init
-    # fields, with the same line and Block.scoped, which equality leaves
-    # out
+    # fields, with the same line, Block.scoped and Binary.on_numbers and
+    # literal, which equality leaves out
     todo = [parse_source(source)]
     while todo:
         item = todo.pop()
@@ -853,4 +877,7 @@ def test_parsed_nodes_match_their_constructors(source):
             assert built.line == item.line, item
             if isinstance(item, Block):
                 assert built.scoped == item.scoped, item
+            if isinstance(item, Binary):
+                assert built.on_numbers is item.on_numbers, item
+                assert built.literal == item.literal, item
             todo.extend(getattr(item, f.name) for f in fields)
