@@ -37,8 +37,8 @@ NULL = Null()
 UNDEFINED = Undefined()
 
 # how many events in this process could have moved the end of a proxy
-# walk: a revocation (proxies.revoke) or a write or delete of a property
-# named isTransparent. A walk memo stamped with an older count may be stale
+# walk: a revocation (proxies.revoke) or a write or delete of a handler's
+# isTransparent. A walk memo stamped with an older count may be stale
 walk_epoch = 0
 
 
@@ -73,22 +73,25 @@ class HeapObject:
 
 
 class OrdinaryObject(HeapObject):
-    __slots__ = ("properties", "function")
+    __slots__ = ("properties", "function", "handles")
+    # it is no proxy, but ProxyObject._forward reads a link target's handler
+    handler = None
 
     def __init__(self, properties=None, function=None):
         # the dict given is kept, not copied
         self.properties: dict = {} if properties is None else properties
         self.function = function  # FunctionRecord | NativeFunction | None
+        self.handles = False  # set for good by a proxy it is handler of
 
     def get(self, interp, key):
         return self.properties.get(key, UNDEFINED)
 
     def set(self, interp, key, value):
-        """Write a property. Writing or deleting isTransparent may change
-        a handler's vote, so it raises walk_epoch: a host that writes a
-        handler's properties dict directly stales no walk memo."""
+        """Write a property. Writing or deleting isTransparent on a handler
+        (``handles``) may change its vote, so it raises walk_epoch: a host
+        that writes its properties dict directly stales no walk memo."""
         global walk_epoch
-        if key == "isTransparent":
+        if key == "isTransparent" and self.handles:
             walk_epoch += 1
         self.properties[key] = value
 
@@ -98,7 +101,7 @@ class OrdinaryObject(HeapObject):
     def delete(self, interp, key):
         global walk_epoch
         if key in self.properties:
-            if key == "isTransparent":
+            if key == "isTransparent" and self.handles:
                 walk_epoch += 1
             del self.properties[key]
             return True

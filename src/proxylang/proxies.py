@@ -14,7 +14,8 @@ afresh at every operation, link by link along a chain of proxies, and
 nothing is kept from one walk to the next. An
 unrevoked link whose handler is an ordinary object has its trap read
 straight from the handler's properties; a missing, undefined or null
-trap passes the link with no host frame, so a trap-less link costs one
+trap passes the link with no host frame, and with it the unrevoked links
+directly below with the same handler, so a run of such links costs one
 dictionary read. A present trap, a revoked link and a handler that is
 itself a proxy (whose lookup runs user code) go through
 ProxyObject._trap, which raises for a revoked link or a trap that is not
@@ -29,9 +30,10 @@ change only then too, or when a handler's isTransparent is written or
 deleted. Each proxy memoises the end of the last walk of each kind
 started from it, stamped with objects.walk_epoch, the process-wide count
 of those events, and a memo stands while the count is unchanged (see
-look_through and get_equality_object). A vote that is not static is
-asked at every decision. The count is a plain global, so interpreters
-that share objects must stay on one thread.
+look_through and get_equality_object); only on an object marked as a
+handler (OrdinaryObject.handles) does an isTransparent write raise it.
+A vote that is not static is asked at every decision. The count is a
+plain global, so interpreters that share objects must stay on one thread.
 
 Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
@@ -73,7 +75,7 @@ class ProxyObject(HeapObject):
     written only by revoke(). ``endpoint`` is (walk_epoch, end): the end
     of the last unconditional look-through walk started from this proxy,
     and the count it was taken at. ``voted`` is the same for the last
-    trap-mode walk through static votes only."""
+    trap-mode walk through static votes only. It marks its handler."""
     __slots__ = ("target", "handler", "revoked", "endpoint", "voted")
 
     def __init__(self, target: HeapObject, handler: HeapObject):
@@ -81,6 +83,8 @@ class ProxyObject(HeapObject):
         self.handler = handler
         self.revoked = False
         self.endpoint = self.voted = _NO_ENDPOINT
+        if handler.__class__ is OrdinaryObject:
+            handler.handles = True
 
     # --- internal operations ---
 
@@ -138,26 +142,32 @@ class ProxyObject(HeapObject):
         Trap-less links are passed in a loop, so a forwarding chain of any
         depth costs no host stack. An unrevoked link with an ordinary
         handler is read inline, and passed when its trap is missing,
-        undefined or null; _trap is entered only for a present trap, a
+        undefined or null, with every unrevoked link directly below it
+        that has the same handler: no code runs between them, so the inner
+        loop reads no dict. _trap is entered only for a present trap, a
         revoked link or a handler that is not ordinary, so it still
-        validates (and a tracer counts) every trap found. Links are asked
-        in order and nothing is kept between walks, so a revoked or badly
-        trapped link raises where the operation reaches it, and a handler
-        changed by an earlier link's trap is read as it now is."""
+        validates (and a tracer counts) every trap found; no run crosses
+        it, as a proxy handler's lookup runs code, which may give a passed
+        handler a trap. Links are asked in order and nothing is kept
+        between walks, so a revoked or badly trapped link raises where the
+        operation reaches it, and a handler changed by an earlier link's
+        trap is read as it now is."""
         link = self
-        while True:
+        while link.__class__ is ProxyObject:
             handler = link.handler
             if handler.__class__ is not OrdinaryObject or link.revoked:
                 trap = link._trap(interp, name)
+                if trap is not None:
+                    return link, trap
+                link = link.target
             else:
                 trap = handler.properties.get(name, UNDEFINED)
-                trap = None if trap is UNDEFINED or trap is NULL \
-                    else link._trap(interp, name)
-            if trap is not None:
-                return link, trap
-            link = link.target
-            if link.__class__ is not ProxyObject:
-                return link, None
+                if trap is not UNDEFINED and trap is not NULL:
+                    return link, link._trap(interp, name)
+                link = link.target
+                while link.handler is handler and not link.revoked:
+                    link = link.target
+        return link, None
 
     def _trap(self, interp, name: str):
         if self.revoked:

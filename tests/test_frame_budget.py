@@ -14,12 +14,13 @@ operand, which must enter no frame, and the literals that must not
 enter a comprehension's frame. So are the scopes a call builds, counted
 through a patched Environment. A repeated look-through of a deep proxy chain is
 bounded in lines run (sys.settrace "line" events), so that losing its
-memo fails here. The parser's deepest inputs are bounded the same way, both in
-frames entered and in frames on the stack at once, which
-HOST_RECURSION_LIMIT must cover: one parser frame a parenthesis or a '?:'
-arm, two an object-literal value and three a nested 'if' (2,402 frames on
-the stack for 400 'if' blocks around 399 object literals, each value in
-parentheses, counted from parse). So are parsing the prelude and
+memo fails here, and so is a read through trap-less links, with one
+handler for all and with one a link. The parser's deepest inputs are
+bounded too, both in frames entered and in frames on the stack at once,
+which HOST_RECURSION_LIMIT must cover: one parser frame a parenthesis or
+a '?:' arm, two an object-literal value and three a nested 'if' (2,402
+frames on the stack for 400 'if' blocks around 399 object literals, each
+value in parentheses, counted from parse). So are parsing the prelude and
 the benchmark's scripts, where the parser enters fewer frames than it
 reads tokens, and the lexer, which enters no frame per token or per line.
 """
@@ -216,8 +217,10 @@ def test_raw_operators_on_two_proxies():
 def test_trap_less_links_enter_no_frames():
     # _property_get, _identifier, ProxyObject.get, _forward and the
     # target's get: an unrevoked link whose ordinary handler has no trap
-    # is read inline, so 100 links cost what 1 does (a _trap and a
-    # handler get a link would be 205)
+    # is read inline, one dictionary read a link here, where each link
+    # has a handler of its own, and none for a link below it with the
+    # same handler; so 100 links cost what 1 does (a _trap and a handler
+    # get a link would be 205)
     counts = []
     for depth in (1, 100):
         value, names = frames_entered(
@@ -386,6 +389,24 @@ def lines_run(mode, setup, expression):
         sys.settrace(None)
     assert value == first
     return value, lines
+
+
+def test_lines_per_trap_less_link():
+    # p.x through 1,001 links against 1. A link whose ordinary handler has
+    # no get trap runs 7 lines of _forward, one dictionary read among
+    # them; each link below it with the same handler, unrevoked, runs 2,
+    # the inner loop's condition and its step, and reads nothing (8 lines
+    # a link, shared handler or not, when every handler was read)
+    def per_link(handler):
+        counts = [lines_run(
+            "opaque",
+            "var o = {x: 1}; var h = {}; var p = o; var i = 0;"
+            f"while (i < {depth}) {{ p = new Proxy(p, {handler}); "
+            "i = i + 1; }", "p.x")[1] for depth in (1, 1001)]
+        return (counts[1] - counts[0]) / 1000
+
+    assert per_link("h") <= 2
+    assert per_link("{}") <= 7
 
 
 def test_look_through_is_memoised():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxylang import objects
 from proxylang.errors import LangTypeError, RevokedProxyError
 from proxylang.interpreter import (MAX_CALL_DEPTH, Interpreter,
                                    evaluate_program)
@@ -676,6 +677,32 @@ def test_host_delete_of_the_trap_stales_a_memoised_walk(interp):
     handler = interp.globals.lookup("h")
     assert handler.delete(interp, "isTransparent") is True
     assert run_output(interp, "print(p === o);") == "true\nfalse\n"
+
+
+def test_only_a_handler_s_is_transparent_write_stales_memos(interp):
+    # a write or delete of isTransparent raises walk_epoch on an object
+    # that some proxy was built with as its handler, by a script or by a
+    # host, and on no other object, so a memo stays current
+    output = run_output(interp, """
+        var o = {};
+        var p = new Proxy(o, {isTransparent: function(t, q) { return true; }});
+        print(p === o);
+        var d = {};
+        d.isTransparent = 1;
+    """)
+    assert output == "true\n"
+    proxy = interp.globals.lookup("p")
+    assert proxy.voted[0] == objects.walk_epoch
+    handler = interp.heap.alloc_object()
+    ProxyObject(interp.heap.alloc_object(), handler)
+    for obj, moves in ((interp.globals.lookup("d"), 0), (handler, 1)):
+        count = objects.walk_epoch
+        obj.set(interp, "isTransparent", NULL)
+        obj.set(interp, "x", NULL)
+        assert objects.walk_epoch == count + moves
+        assert obj.delete(interp, "isTransparent") is True
+        assert obj.delete(interp, "x") is True
+        assert objects.walk_epoch == count + 2 * moves
 
 
 def test_args_object_round_trip(interp):
