@@ -15,12 +15,14 @@ Each Interpreter picks its mode's resolver once (interp.resolve), and no
 comparison takes a mode. :==: and :===: never resolve; Proxy.isEqual and
 Proxy.isIdentical always resolve with proxies.look_through.
 
-Primitive comparisons are unaffected by the mode. === on primitives is
-same-type value equality (NaN is unequal to itself, 0 equals -0); ==
-additionally coerces: null equals undefined, booleans compare as 0/1,
-and a number meets a string by converting the string to a number.
-Objects never coerce: an object compared to a primitive with == is
-simply unequal.
+Primitive comparisons are unaffected by the mode. Raw identity, ===
+after resolution, is a.__class__ is b.__class__ and a == b, evaluated in
+each comparison's own frame: a bool is no number, NaN is unequal to
+itself, 0 equals -0, and objects, null and undefined compare by identity
+(object.__eq__). == answers two operands of one class alike and else
+coerces: null equals undefined, booleans compare as 0/1, and a number
+meets a string by converting the string to a number. Objects never
+coerce: an object compared to a primitive with == is simply unequal.
 
 Only a proxy operand of == or === is ever resolved: every resolver
 gives a non-proxy back as it is, so a primitive or an ordinary object is
@@ -46,13 +48,9 @@ class EqualityMode(Enum):
 
 
 def raw_identical(a, b) -> bool:
-    """Reference identity on objects, same-type value equality otherwise."""
-    kind = a.__class__
-    if kind is b.__class__ and (kind is float or kind is str):
-        return a == b  # NaN != NaN, 0.0 == -0.0
-    # objects are their own references; the bools, NULL and UNDEFINED
-    # are singletons
-    return a is b
+    """Raw identity, the expression each comparison inlines: identity on
+    objects, same-class == otherwise (NaN != NaN, 0.0 == -0.0)."""
+    return a.__class__ is b.__class__ and a == b
 
 
 def strict_equals(interp, a, b) -> bool:
@@ -63,7 +61,7 @@ def strict_equals(interp, a, b) -> bool:
         a = resolve(interp, a)
     if b.__class__ is ProxyObject and resolve is not None:
         b = resolve(interp, b)
-    return raw_identical(a, b)
+    return a.__class__ is b.__class__ and a == b
 
 
 def loose_equals(interp, a, b) -> bool:
@@ -72,26 +70,31 @@ def loose_equals(interp, a, b) -> bool:
         a = resolve(interp, a)
     if b.__class__ is ProxyObject and resolve is not None:
         b = resolve(interp, b)
+    if a.__class__ is b.__class__:
+        return a == b  # raw identity, before any coercion rule
     if isinstance(a, HeapObject) or isinstance(b, HeapObject):
-        return a is b  # objects never coerce
+        return False  # objects never coerce
     return primitive_loose_equals(a, b)
 
 
 def opaque_strict_equals(interp, a, b) -> bool:
     """The :===: operator: never resolves."""
-    return raw_identical(a, b)
+    return a.__class__ is b.__class__ and a == b
 
 
 def opaque_loose_equals(interp, a, b) -> bool:
     """The :==: operator: never resolves, still coerces primitives."""
+    if a.__class__ is b.__class__:
+        return a == b  # raw identity, before any coercion rule
     if isinstance(a, HeapObject) or isinstance(b, HeapObject):
-        return a is b  # objects never coerce
+        return False  # objects never coerce
     return primitive_loose_equals(a, b)
 
 
 def builtin_is_identical(interp, a, b) -> bool:
     """Proxy.isIdentical: === through every proxy, in any mode."""
-    return raw_identical(look_through(interp, a), look_through(interp, b))
+    a, b = look_through(interp, a), look_through(interp, b)
+    return a.__class__ is b.__class__ and a == b
 
 
 def builtin_is_equal(interp, a, b) -> bool:

@@ -41,7 +41,7 @@ invoke directly (proxies.is_transparent), as it runs at every link of a
 chain for every equality decision. A vote through a trap whose body is
 one `return true;` or `return false;` skips invoke too, below
 MAX_CALL_DEPTH: FunctionRecord.constant is the vote (see nodes.py), and
-it is not charged as a call.
+it is not charged as a call. A builtin enters no helper frame under invoke.
 
 Scopes: a call runs its body in a fresh Environment holding the
 parameters only if its FunctionRecord.scoped (a direct statement of the
@@ -53,11 +53,10 @@ and _function_decl declare into the current scope, and hosts declare on
 globals, so a skipped Environment would hold nothing that a name of the
 body reaches, and every lookup, assignment and closure would pass
 through it. So `function(t, p) { return true; }`, the usual
-isTransparent trap, builds no scope when it votes. Every
-scope, globals included, is built one way, Environment() and then both
-slots, because an __init__ would cost each call and each scoped block a
-host frame. Name reads and assignments walk the chain in their handlers;
-Environment.lookup is the host's read.
+isTransparent trap, builds no scope when it votes. Every scope is built
+without an __init__ (see Environment). Name reads and assignments walk the
+chain in their handlers, and declarations write its bindings;
+Environment.lookup and declare are the host's.
 """
 
 import io
@@ -74,7 +73,7 @@ from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
                     PropertySet, Return, StringLit, UndefinedLit, Unary,
                     VarDecl, While)
 from .objects import (NULL, NUMBER_OPERATORS, UNDEFINED, FunctionRecord,
-                      Heap, HeapObject, NativeFunction, OrdinaryObject, arg,
+                      Heap, HeapObject, NativeFunction, OrdinaryObject,
                       kind_of, render_value, to_property_key, truthy)
 from .parser import ensure_recursion_limit, parse_source
 from .proxies import (get_equality_object, is_callable, look_through,
@@ -140,9 +139,6 @@ class Interpreter:
         self._proxy_builtin = _install_builtins(self)
 
     # --- output ---
-
-    def write(self, text: str) -> None:
-        self.sink.write(text)
 
     def output_text(self) -> str:
         getvalue = getattr(self.sink, "getvalue", None)
@@ -230,7 +226,7 @@ def _expr_stmt(node, interp, env):
 
 
 def _var_decl(node, interp, env):
-    env.declare(node.name, node.init.evaluate(interp, env))
+    env.bindings[node.name] = node.init.evaluate(interp, env)
 
 
 def _assign(node, interp, env):
@@ -305,7 +301,7 @@ def _return(node, interp, env):
 def _function_decl(node, interp, env):
     record = FunctionRecord(node.params, node.body, env, node.name,
                             node.scoped, node.constant)
-    env.declare(node.name, interp.alloc_function(record))
+    env.bindings[node.name] = interp.alloc_function(record)
 
 
 _EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,
@@ -462,6 +458,8 @@ def _not_numbers(op, left, right):
 
 
 def _plus(interp, left, right):
+    if left.__class__ is str and right.__class__ is str:
+        return left + right
     if isinstance(left, str) or isinstance(right, str):
         if isinstance(left, HeapObject) or isinstance(right, HeapObject):
             raise LangTypeError("cannot concatenate an object with a string")
@@ -505,25 +503,32 @@ _BINARY = {
 # --- builtins ---
 
 def _builtin_print(interp, this, args):
-    interp.write(" ".join(map(render_value, args)) + "\n")
+    # a loop, not map(render_value, args), which enters a frame a value
+    texts = []
+    for value in args:
+        if value.__class__ is bool:
+            value = "true" if value else "false"
+        elif value.__class__ is not str:
+            value = render_value(value)
+        texts.append(value)
+    interp.sink.write(" ".join(texts) + "\n")
     return UNDEFINED
 
 
 def _builtin_typeof(interp, this, args):
-    # the argument is read inline, not through arg(), which is a frame
     return kind_of(args[0] if args else UNDEFINED)
 
 
 def _builtin_contract_violation(interp, this, args):
-    message = arg(args, 0)
+    message = args[0] if args else UNDEFINED
     text = message if isinstance(message, str) else render_value(message)
     raise ContractViolation(text)
 
 
 def _builtin_reflect_apply(interp, this, args):
-    fn = arg(args, 0)
-    this_value = arg(args, 1)
-    args_obj = arg(args, 2)
+    fn = args[0] if args else UNDEFINED
+    this_value = args[1] if len(args) > 1 else UNDEFINED
+    args_obj = args[2] if len(args) > 2 else UNDEFINED
     if not is_callable(fn):
         raise LangTypeError("Reflect.apply needs a callable")
     return interp.call_value(
@@ -536,7 +541,8 @@ def _install_builtins(interp: Interpreter) -> OrdinaryObject:
     A global is a native, or an object of native members. The table is
     read per interpreter, and its entries look their targets up in this
     module when called, so that a host can wrap them here (as a tracer
-    does)."""
+    does). A native reads its i-th argument inline: args[i], or undefined
+    when fewer were passed."""
     table = {
         "print": _builtin_print,
         "typeofValue": _builtin_typeof,
@@ -546,13 +552,18 @@ def _install_builtins(interp: Interpreter) -> OrdinaryObject:
             lambda interp, this, args: create_weakmap(interp, raw=True),
         "Reflect": {"apply": _builtin_reflect_apply},
         "Proxy": {
-            "revoke": lambda interp, this, args: revoke(interp, arg(args, 0)),
+            "revoke": lambda interp, this, args: revoke(
+                interp, args[0] if args else UNDEFINED),
             "isEqual": lambda interp, this, args: builtin_is_equal(
-                interp, arg(args, 0), arg(args, 1)),
+                interp, args[0] if args else UNDEFINED,
+                args[1] if len(args) > 1 else UNDEFINED),
             "isIdentical": lambda interp, this, args: builtin_is_identical(
-                interp, arg(args, 0), arg(args, 1)),
+                interp, args[0] if args else UNDEFINED,
+                args[1] if len(args) > 1 else UNDEFINED),
             "withTransparency": lambda interp, this, args: with_transparency(
-                interp, arg(args, 0), arg(args, 1), arg(args, 2)),
+                interp, args[0] if args else UNDEFINED,
+                args[1] if len(args) > 1 else UNDEFINED,
+                args[2] if len(args) > 2 else UNDEFINED),
         },
     }
     for name, entry in table.items():

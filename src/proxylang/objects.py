@@ -135,20 +135,15 @@ class Heap:
 
 # --- value helpers ---
 
+_KINDS = {float: "number", str: "string", bool: "boolean", Null: "null",
+          Undefined: "undefined", OrdinaryObject: "object"}
+
+
 def kind_of(value) -> str:
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, float):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    if value is NULL:
-        return "null"
-    if value is UNDEFINED:
-        return "undefined"
-    if isinstance(value, HeapObject):
-        return "object"
-    raise TypeError(f"not a language value: {value!r}")
+    kind = _KINDS.get(value.__class__)
+    if kind is None and not isinstance(value, HeapObject):
+        raise TypeError(f"not a language value: {value!r}")
+    return kind or "object"
 
 
 def truthy(value) -> bool:
@@ -164,25 +159,29 @@ def truthy(value) -> bool:
 
 
 def format_number(value: float) -> str:
+    """A number's decimal text: an integral one below 1e21 in magnitude,
+    the common case tested first, as an integer (NaN fails the bound)."""
+    if -1e21 < value < 1e21:
+        whole = int(value)
+        return str(whole) if whole == value else repr(value)
     if value != value:
         return "NaN"
     if value == math.inf:
         return "Infinity"
     if value == -math.inf:
         return "-Infinity"
-    if value == int(value) and abs(value) < 1e21:
-        return str(int(value))
     return repr(value)
 
 
 def render_value(value) -> str:
-    """Printed form: numbers in decimal, objects as an opaque tag."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_number(value)
+    """Printed form: numbers in decimal, objects as an opaque tag. A
+    string, a number and a bool, the common values, are tested first."""
     if isinstance(value, str):
         return value
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if value is NULL:
         return "null"
     if value is UNDEFINED:
@@ -216,14 +215,10 @@ NUMBER_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def to_property_key(value) -> str:
-    if isinstance(value, str):
-        return value
+    # a float first: the evaluator passes a string key without a call
     if isinstance(value, float):
         return format_number(value)
+    if isinstance(value, str):
+        return value
     raise LangTypeError(
         f"property keys must be strings or numbers, not {kind_of(value)}")
-
-
-def arg(args, i):
-    """A native's i-th argument, undefined when fewer were passed."""
-    return args[i] if i < len(args) else UNDEFINED

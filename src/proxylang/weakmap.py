@@ -21,7 +21,7 @@ reference counting frees it once dropped.
 """
 
 from .errors import LangTypeError
-from .objects import UNDEFINED, HeapObject, OrdinaryObject, arg, kind_of
+from .objects import UNDEFINED, HeapObject, OrdinaryObject, kind_of
 
 
 class IdentityMap:
@@ -78,9 +78,10 @@ def create_weakmap(interp, raw: bool = False) -> OrdinaryObject:
     imap = IdentityMap(raw)
     obj = interp.heap.alloc(OrdinaryObject())
 
-    # the key is read inline, not through arg(), which would be a frame
+    # the arguments are read inline, not through a helper frame
     def wm_set(itp, this, args):
-        idmap_set(itp, imap, args[0] if args else UNDEFINED, arg(args, 1))
+        idmap_set(itp, imap, args[0] if args else UNDEFINED,
+                  args[1] if len(args) > 1 else UNDEFINED)
         return this
 
     def wm_get(itp, this, args):

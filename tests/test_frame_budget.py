@@ -10,8 +10,10 @@ instead of only showing up as a slower trap-mode benchmark; so are the frames on
 loop enters, with and without a scoped block. So are a read through a chain of trap-less proxies,
 which must not grow with the chain, one membrane read, a WeakMap probe,
 primitive equality, an if on a bool, a number literal as a right
-operand, which must enter no frame, and the literals that must not
-enter a comprehension's frame. So are the scopes a call builds, counted
+operand, which must enter no frame, the equality workload's statement,
+print and Proxy.isIdentical, which must enter no helper (render_value,
+raw_identical, arg or write), and the literals that must not enter a
+comprehension's frame. So are the scopes a call builds, counted
 through a patched Environment. A repeated look-through of a deep proxy chain is
 bounded in lines run (sys.settrace "line" events), so that losing its
 memo fails here, and so is a read through trap-less links, with one
@@ -88,17 +90,18 @@ def test_one_trap_mode_vote():
     # _binary, two _identifier and the === operator's lambda,
     # strict_equals, and get_equality_object, the trap-mode resolver, for
     # the proxy operand only; is_transparent, which reads the ordinary
-    # handler's trap from its properties, and raw_identical. A trap whose
+    # handler's trap from its properties; strict_equals compares the
+    # results itself (one frame more with raw_identical). A trap whose
     # body is `return true;` is answered by its record's constant, with no
     # invoke and no _literal (10 frames when it was invoked). Any other
     # trap is invoked directly, without call_value, and invoke runs its
     # return itself: `return yes;` adds invoke and _identifier (12 frames
-    # with the handler's get and _return, 13 when each operand went
-    # through a resolver that branched on the mode)
+    # with the handler's get, _return and raw_identical, 13 when each
+    # operand went through a resolver that branched on the mode)
     setup = ("var yes = true; var o = {}; var p = new Proxy(o, "
              "{isTransparent: function(t, p) { %s }});")
-    for body, calls, most in (("return true;", 0, 8),
-                              ("return yes;", 1, 10)):
+    for body, calls, most in (("return true;", 0, 7),
+                              ("return yes;", 1, 9)):
         value, names = frames_entered("trap", setup % body, "p === o")
         assert value is True
         assert names.count("is_transparent") == 1
@@ -142,11 +145,11 @@ def repeated_votes(setup, repeats):
 def test_repeated_vote_through_constant_traps_is_memoised():
     # the first walk through 50 `return true;` links memoised its end on
     # p, so the second asks no link: _binary, two _identifier, the
-    # lambda, strict_equals, get_equality_object and raw_identical
+    # lambda, strict_equals and get_equality_object
     (value, names), = repeated_votes(CHAIN % -1, 1)
     assert value is True
     assert "is_transparent" not in names
-    assert len(names) <= 7, names
+    assert len(names) <= 6, names
 
 
 def test_one_vote_that_runs_code_is_asked_on_every_repeat():
@@ -196,13 +199,13 @@ RESOLVERS = ("look_through", "get_equality_object")
 
 
 def test_raw_operators_on_two_proxies():
-    # :===: is _binary, two _identifier, the operator's lambda,
-    # opaque_strict_equals and raw_identical; :==: compares two objects
-    # inline, so it enters one frame fewer. Neither enters a resolver, in
-    # any mode (9 frames each when they called strict_equals and
-    # loose_equals with the opaque mode)
+    # _binary, two _identifier, the operator's lambda and
+    # opaque_strict_equals or opaque_loose_equals, which compare two
+    # objects inline (:===: entered raw_identical too). Neither enters a
+    # resolver, in any mode (9 frames each when they called strict_equals
+    # and loose_equals with the opaque mode)
     for mode in MODES:
-        for expression, most in (("p :===: q", 6), ("p :==: q", 5)):
+        for expression, most in (("p :===: q", 5), ("p :==: q", 5)):
             value, names = frames_entered(
                 mode,
                 "var o = {}; var p = new Proxy(o, {isTransparent: "
@@ -212,6 +215,56 @@ def test_raw_operators_on_two_proxies():
             for resolver in RESOLVERS:
                 assert resolver not in names, (mode, expression)
             assert len(names) <= most, (mode, expression, names)
+
+
+PAIR_SETUP = ("var o = {}; var p = new Proxy(o, {isTransparent: "
+              "function(t, q) { return true; }}); var q = new Proxy(o, "
+              "{isTransparent: function(t, q) { return true; }});")
+PAIR = "print(p == q, p === q, p !== q, p :===: q, Proxy.isIdentical(p, q))"
+HELPERS = ("render_value", "raw_identical", "arg", "write")
+
+
+def test_one_equality_workload_statement():
+    # the equality workload's statement on one pair, after a p === q has
+    # memoised both trap-mode walks: 12 _identifier, four _binary and
+    # their lambdas, strict_equals twice, loose_equals,
+    # opaque_strict_equals, two look_through, builtin_is_identical, and
+    # print's and isIdentical's calls (_call, _method_call, get, two
+    # call_value, two invoke, the Proxy lambda and _builtin_print): 36
+    # frames, and 6 get_equality_object more in trap mode. print renders a
+    # bool or a string itself and writes the sink, and the comparisons
+    # compare raw identity inline (48 and 54 frames with five
+    # render_value, four raw_identical, two arg and a write)
+    for mode, most in (("opaque", 36), ("trap", 42)):
+        interp = Interpreter(mode=mode)
+        assert evaluate_program(parse_source(PAIR_SETUP), interp).ok
+        assert parse_expression("p === q").evaluate(
+            interp, interp.globals) is (mode == "trap")
+        _, names = names_entered(parse_expression(PAIR).evaluate, interp,
+                                 interp.globals)
+        expected = "true true false false true\n" if mode == "trap" \
+            else "false false true false true\n"
+        assert interp.output_text() == expected, mode
+        for helper in HELPERS:
+            assert helper not in names, (mode, helper)
+        assert len(names) <= most, (mode, names)
+
+
+def test_builtins_enter_no_helper():
+    # print(true, false, "s"): _call, _identifier, three _literal,
+    # call_value, invoke and _builtin_print (12 frames with three
+    # render_value and a write); Proxy.isIdentical(p, q): _method_call,
+    # three _identifier, get, call_value, invoke, the lambda,
+    # builtin_is_identical and two look_through (14 frames with two arg
+    # and a raw_identical)
+    for setup, expression, most in (("", 'print(true, false, "s")', 8),
+                                    (PAIR_SETUP, "Proxy.isIdentical(p, q)",
+                                     11)):
+        value, names = frames_entered("opaque", setup, expression)
+        assert value is (UNDEFINED if setup == "" else True)
+        for helper in HELPERS:
+            assert helper not in names, (expression, helper)
+        assert len(names) <= most, (expression, names)
 
 
 def test_trap_less_links_enter_no_frames():
@@ -238,7 +291,9 @@ def test_one_membrane_read():
     # w.a, with a's wrapper already made: the membrane's get trap runs
     # wrap(t[key]), whose typeofValue, != and two RawWeakMap probes read
     # their arguments inline, never resolve a raw map's object key or a
-    # string operand, and take the bool condition of each if as it is
+    # string operand, and take the bool condition of each if as it is;
+    # != on two strings compares them in loose_equals (57 frames with
+    # primitive_loose_equals)
     interp = Interpreter()
     assert evaluate_program(parse_source(
         default_prelude_source()
@@ -250,17 +305,18 @@ def test_one_membrane_read():
     for helper in ("arg", "truthy", "_resolve_key", "to_property_key",
                    "raw_identical") + RESOLVERS:
         assert helper not in names, helper
-    assert len(names) <= 58, names
+    assert len(names) <= 56, names
 
 
 def test_primitive_equality():
-    # two strings: _binary, two _identifier, the operator's lambda,
-    # loose_equals and primitive_loose_equals; an operand that is not a
-    # proxy is never resolved, and two operands of one type compare with
-    # ==. Two numbers: _binary and two _identifier, as _binary compares
-    # them itself (6 frames when they went through the lambda too)
+    # two strings: _binary, two _identifier, the operator's lambda and
+    # loose_equals, which compares two operands of one class with == (6
+    # frames with primitive_loose_equals); an operand that is not a proxy
+    # is never resolved. Two numbers: _binary and two _identifier, as
+    # _binary compares them itself (6 frames when they went through the
+    # lambda too)
     for setup, expression, most in (
-            ('var a = "x"; var b = "y";', "a != b", 6),
+            ('var a = "x"; var b = "y";', "a != b", 5),
             ("var a = 1; var b = 2;", "a == b", 3)):
         value, names = frames_entered("opaque", setup, expression)
         assert value is (expression == "a != b")

@@ -4,7 +4,10 @@ The tracer patches each of these in the namespace where the program
 looks it up (``owner.__dict__[name]``). A refactor that moves or renames
 one would break ``perfbench/run.py --trace 1`` without failing any other
 tier-1 test, so their places are pinned here, and so is how often the
-program enters the one it counts traps with.
+program enters the one it counts traps with. A change that compares or
+calls without entering a wrapped entry point would leave the tracer's
+counts short, so how often the equality functions, ``Interpreter.invoke``
+and ``OrdinaryObject.get`` are entered by a fixed program is pinned too.
 """
 
 import weakref
@@ -128,3 +131,54 @@ def test_trap_is_entered_once_per_trap_found(monkeypatch, trap_at,
     meta_reached = meta_at is not None and meta_at < trap_at
     found = 2 if meta_reached else 1
     assert counts == {"entered": found + meta_reached, "found": found}
+
+
+PAIR_SETUP = ("var yes = true; var o = {}; var p = new Proxy(o, "
+              "{isTransparent: function(t, q) { return true; }}); "
+              "var q = new Proxy(o, {isTransparent: function(t, q) "
+              "{ return yes; }});")
+PAIR = ("print(p == q, p === q, p !== q, p :===: q, Proxy.isIdentical(p, q));"
+        " Proxy.isEqual(p, q);")
+WRAPPED = ("strict_equals", "loose_equals", "opaque_strict_equals",
+           "builtin_is_identical", "builtin_is_equal")
+
+
+def count_entries(monkeypatch):
+    """Wrap each entry point of WRAPPED, Interpreter.invoke and
+    OrdinaryObject.get with a counter, as a host tracer does; give the
+    counts by name."""
+    counts = dict.fromkeys(WRAPPED + ("invoke", "get"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in WRAPPED:
+        monkeypatch.setattr(interpreter, name,
+                            counted(name, getattr(interpreter, name)))
+    monkeypatch.setattr(interpreter.Interpreter, "invoke",
+                        counted("invoke", interpreter.Interpreter.invoke))
+    monkeypatch.setattr(objects.OrdinaryObject, "get",
+                        counted("get", objects.OrdinaryObject.get))
+    return counts
+
+
+@pytest.mark.parametrize("mode,invokes", [("opaque", 3), ("transparent", 3),
+                                          ("trap", 6)])
+def test_wrappers_see_every_comparison_and_call(monkeypatch, mode, invokes):
+    # the equality workload's statement and a Proxy.isEqual: each
+    # comparison enters its equality function once, each native call
+    # enters invoke, and each Proxy.* read enters get; in trap mode q's
+    # trap runs code, so each of the three resolving comparisons invokes
+    # it once more (a vote through `return true;` is never invoked)
+    interp = interpreter.Interpreter(mode=mode)
+    assert interpreter.evaluate_program(parser.parse_source(PAIR_SETUP),
+                                        interp).ok
+    counts = count_entries(monkeypatch)
+    result = interpreter.evaluate_program(parser.parse_source(PAIR), interp)
+    assert result.ok
+    assert counts == {"strict_equals": 2, "loose_equals": 1,
+                      "opaque_strict_equals": 1, "builtin_is_identical": 1,
+                      "builtin_is_equal": 1, "invoke": invokes, "get": 2}
