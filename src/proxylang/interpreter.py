@@ -40,11 +40,11 @@ vote whose isTransparent trap is an ordinary function object enters
 invoke directly (proxies.is_transparent), as it runs at every link of a
 chain for every equality decision. A vote through a trap whose body is
 one `return true;` or `return false;` skips invoke too, below
-MAX_CALL_DEPTH: FunctionRecord.constant is the vote (see nodes.py), and
-it is not charged as a call. A builtin enters no helper frame under invoke.
+MAX_CALL_DEPTH: its node's constant is the vote (see nodes.py), and it
+is not charged as a call. A builtin enters no helper frame under invoke.
 
 Scopes: a call runs its body in a fresh Environment holding the
-parameters only if its FunctionRecord.scoped (a direct statement of the
+parameters only if its node is scoped (a direct statement of the
 body declares, or a name in it reads or assigns a parameter; see
 nodes.py), and otherwise in the function's closure scope; an if or while
 block gets one only if Block.scoped (a direct statement is a var or
@@ -169,8 +169,8 @@ class Interpreter:
         """Run a FunctionRecord or NativeFunction as one call frame, the
         one host frame of every language call. A call that would pass
         MAX_CALL_DEPTH raises StackOverflow before it is counted. If
-        record.scoped, the parameters are bound in one pass in order, so
-        a missing argument is undefined, an extra one is ignored, and a
+        record.node.scoped, the parameters are bound in one pass in order,
+        so a missing argument is undefined, an extra one is ignored, and a
         repeated name takes its last position, in a scope built without
         an __init__ frame; otherwise the body can observe no scope of its
         own (see nodes.py) and runs in record.env. The body runs here, not
@@ -185,13 +185,14 @@ class Interpreter:
             if record.__class__ is NativeFunction:
                 result = record.fn(self, this_value, args)
                 return UNDEFINED if result is None else result
-            if record.scoped:
+            node = record.node
+            if node.scoped:
                 # one pass in order, so a repeated name takes its last
                 # position; a loop, as 3.11's zip() has no fast constructor
                 bindings = {}
                 count = len(args)
                 i = 0
-                for param in record.params:
+                for param in node.params:
                     bindings[param] = args[i] if i < count else UNDEFINED
                     i += 1
                 env = Environment()
@@ -199,7 +200,7 @@ class Interpreter:
                 env.parent = record.env
             else:
                 env = record.env
-            for stmt in record.body.statements:
+            for stmt in node.body.statements:
                 if stmt.__class__ is Return:
                     value = stmt.value
                     return UNDEFINED if value is None \
@@ -299,9 +300,7 @@ def _return(node, interp, env):
 
 
 def _function_decl(node, interp, env):
-    record = FunctionRecord(node.params, node.body, env, node.name,
-                            node.scoped, node.constant)
-    env.bindings[node.name] = interp.alloc_function(record)
+    env.bindings[node.name] = interp.alloc_function(FunctionRecord(node, env))
 
 
 _EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,
@@ -400,9 +399,7 @@ def _object_lit(node, interp, env):
 
 
 def _function_expr(node, interp, env):
-    return interp.alloc_function(
-        FunctionRecord(node.params, node.body, env, None, node.scoped,
-                       node.constant))
+    return interp.alloc_function(FunctionRecord(node, env))
 
 
 def _unary(node, interp, env):

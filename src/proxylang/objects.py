@@ -14,7 +14,7 @@ address the same slot; every other non-string key is a type error.
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .errors import LangTypeError
 
@@ -44,18 +44,12 @@ walk_epoch = 0
 
 @dataclass(slots=True)
 class FunctionRecord:
-    """A function defined in the language: parameters, body, closure.
-    scoped and constant are the flags of the node it is made from (see
-    nodes.py): a call binds the parameters in a scope of its own, and a
-    trap-mode vote through it is the constant, True or False, with no
-    call. They default to True and None, so a record a host builds binds
-    and always runs."""
-    params: list
-    body: object  # Block
+    """A function defined in the language: the FunctionDecl or FunctionExpr
+    node it is made from, whose params, body, scoped and constant flags a
+    call reads (see nodes.py), and its closure scope. A node a host builds
+    has scoped True and constant None, so its record binds and runs."""
+    node: object  # FunctionDecl | FunctionExpr
     env: object   # Environment
-    name: Optional[str] = None
-    scoped: bool = True
-    constant: Optional[bool] = None
 
 
 @dataclass(slots=True)
@@ -159,18 +153,41 @@ def truthy(value) -> bool:
 
 
 def format_number(value: float) -> str:
-    """A number's decimal text: an integral one below 1e21 in magnitude,
-    the common case tested first, as an integer (NaN fails the bound)."""
-    if -1e21 < value < 1e21:
+    """A number's text, as ECMAScript's Number::toString gives it. Below
+    2**53 in magnitude, the common case tested first (NaN fails the
+    bound), an integral one is its integer, and another from 1e-4 up is
+    its repr, which the spec agrees with. Any other finite one places
+    repr's shortest digits by the spec's cases: written out to 21 digits
+    before the point or 6 zeros after it, with an unpadded exponent beyond."""
+    if -2.0 ** 53 < value < 2.0 ** 53:
         whole = int(value)
-        return str(whole) if whole == value else repr(value)
-    if value != value:
+        if whole == value:
+            return str(whole)
+        if not -1e-4 < value < 1e-4:
+            return repr(value)
+    elif value != value:
         return "NaN"
-    if value == math.inf:
+    elif value == math.inf:
         return "Infinity"
-    if value == -math.inf:
+    elif value == -math.inf:
         return "-Infinity"
-    return repr(value)
+    if value < 0:
+        return "-" + format_number(-value)
+    mantissa, _, exponent = repr(value).partition("e")
+    integral, _, fraction = mantissa.partition(".")
+    digits = (integral + fraction).lstrip("0")
+    # the value is 0.digits times 10 to the point
+    point = int(exponent or 0) + len(digits) - len(fraction)
+    digits = digits.rstrip("0")
+    # only an integer from 2**53 up or a number under 1e-4 is left, so the
+    # point never falls between two digits
+    if len(digits) <= point <= 21:
+        return digits + "0" * (point - len(digits))
+    if -6 < point <= 0:
+        return "0." + "0" * -point + digits
+    if len(digits) > 1:
+        digits = digits[0] + "." + digits[1:]
+    return f"{digits}e{point - 1:+d}"
 
 
 def render_value(value) -> str:

@@ -1,17 +1,17 @@
 """Proxy objects: trap dispatch, revocation, and transparency resolution.
 
-A proxy pairs a target object with a handler object. Every internal
-operation on the proxy first consults the handler for a trap function of
-the same name; if the handler has one it is invoked with the target, the
-operation's arguments, and the proxy itself, and its result stands in
-for the operation. Absent traps forward to the target unchanged. A
-revoked proxy answers every trapped operation with RevokedProxyError,
-but equality never raises: for resolution purposes a revoked proxy is
-simply its own endpoint.
+A proxy pairs a target object with a handler object. The operations a
+program reaches, get, set and call, first consult the handler for a trap
+(get, set or apply); if the handler has one it is invoked with the
+target, the operation's arguments, and the proxy itself, and its result
+stands in for the operation. Absent traps forward to the target
+unchanged. The host's has, delete and own_keys read no handler: they act
+on the ordinary object at the end of the chain. A revoked proxy answers
+every operation with RevokedProxyError, but equality never raises: for
+resolution purposes a revoked proxy is simply its own endpoint.
 
-The traps of get, set, call and the other operations are looked up
-afresh at every operation, link by link along a chain of proxies, and
-nothing is kept from one walk to the next. An
+Traps are looked up afresh at every operation, link by link along a
+chain of proxies, and nothing is kept from one walk to the next. An
 unrevoked link whose handler is an ordinary object has its trap read
 straight from the handler's properties; a missing, undefined or null
 trap passes the link with no host frame, and with it the unrevoked links
@@ -47,15 +47,15 @@ It is decided in this order:
    proxy without asking itself again. A language error from the lookup or
    the trap, or the proxy revoked by its own trap, is an opaque vote (a
    host RecursionError or MemoryError is not caught). A trap whose body
-   is one `return true;` or `return false;` (its FunctionRecord.constant,
-   see nodes.py), read from an ordinary handler below MAX_CALL_DEPTH, is
-   not invoked: the vote is its constant, which the call would return
-   and nothing could observe, and it is not charged as a call. At the
-   depth limit it is invoked, overflows and votes opaque, as any trap.
-   Such a vote is static, as is the vote of a revoked link and of an
-   ordinary handler whose isTransparent is missing, undefined or null:
-   it runs no code, and only revoke() or a write or delete of the
-   handler's isTransparent can change it;
+   is one `return true;` or `return false;` (the constant of its
+   FunctionRecord's node, see nodes.py), read from an ordinary handler
+   below MAX_CALL_DEPTH, is not invoked: the vote is its constant, which
+   the call would return and nothing could observe, and it is not
+   charged as a call. At the depth limit it is invoked, overflows and
+   votes opaque, as any trap. Such a vote is static, as is the vote of
+   a revoked link and of an ordinary handler whose isTransparent is
+   missing, undefined or null: it runs no code, and only revoke() or a
+   write or delete of the handler's isTransparent can change it;
 4. otherwise false.
 """
 
@@ -105,26 +105,13 @@ class ProxyObject(HeapObject):
                           [link.target, key, value, link])
 
     def has(self, interp, key):
-        link, trap = self._forward(interp, "has")
-        if trap is None:
-            return link.has(interp, key)
-        return truthy(interp.call_value(trap, link.handler,
-                                        [link.target, key, link]))
+        return self._end("has").has(interp, key)
 
     def delete(self, interp, key):
-        link, trap = self._forward(interp, "deleteProperty")
-        if trap is None:
-            return link.delete(interp, key)
-        return truthy(interp.call_value(trap, link.handler,
-                                        [link.target, key, link]))
+        return self._end("deleteProperty").delete(interp, key)
 
     def own_keys(self, interp):
-        link, trap = self._forward(interp, "ownKeys")
-        if trap is None:
-            return link.own_keys(interp)
-        result = interp.call_value(trap, link.handler,
-                                   [link.target, link])
-        return unpack_key_object(interp, result)
+        return self._end("ownKeys").own_keys(interp)
 
     def call(self, interp, this_value, args):
         link, trap = self._forward(interp, "apply")
@@ -179,6 +166,17 @@ class ProxyObject(HeapObject):
             raise LangTypeError(f"trap '{name}' is not callable")
         return trap
 
+    def _end(self, name: str):
+        """The ordinary object at the end of the chain, for a host
+        operation (has, delete, own_keys) that no trap answers: no handler
+        is read, and a revoked link raises as _trap would for name."""
+        link = self
+        while link.__class__ is ProxyObject:
+            if link.revoked:
+                raise RevokedProxyError(f"'{name}' on a revoked proxy")
+            link = link.target
+        return link
+
 
 def is_callable(value) -> bool:
     """Whether value can be called: a function object, or a proxy whose
@@ -219,7 +217,7 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     from a memo (get_equality_object), so the common cases are decided
     inline. An ordinary handler's trap is read straight from its
     properties, as _forward reads one. If it is a function object whose
-    record has a constant, and the call depth is below MAX_CALL_DEPTH,
+    record's node has a constant, and the call depth is below MAX_CALL_DEPTH,
     the constant is the vote: no override is pushed, no argument list
     built and no Interpreter.invoke made.
     Otherwise, under the override, an ordinary function object is run by
@@ -239,9 +237,9 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
         if trap.__class__ is OrdinaryObject:
             function = trap.function
             if function.__class__ is FunctionRecord \
-                    and function.constant is not None \
+                    and function.node.constant is not None \
                     and interp.depth < MAX_CALL_DEPTH:
-                return function.constant
+                return function.node.constant
     override_stack.append((proxy, False))
     try:
         if handler.__class__ is not OrdinaryObject:
@@ -309,7 +307,7 @@ def get_equality_object(interp, value):
             static = trap is UNDEFINED or trap is NULL \
                 or trap.__class__ is OrdinaryObject \
                 and trap.function.__class__ is FunctionRecord \
-                and trap.function.constant is not None
+                and trap.function.node.constant is not None
         if not is_transparent(interp, value):
             break
         value = value.target
@@ -343,7 +341,7 @@ def with_transparency(interp, proxy, flag, thunk):
         interp.override_stack.pop()
 
 
-# --- argument packing for apply and ownKeys traps ---
+# --- argument packing for apply traps ---
 
 def pack_args_object(interp, args) -> HeapObject:
     """Box a positional argument list as {"0": v0, ..., "length": n}."""
@@ -379,13 +377,3 @@ def unpack_args_object(interp, value) -> list:
             f"from 0 to {MAX_ARGS_LENGTH}")
     return [value.get(interp, format_number(float(i)))
             for i in range(int(length))]
-
-
-def unpack_key_object(interp, value) -> list:
-    """Like unpack_args_object, but every element must be a string."""
-    keys = unpack_args_object(interp, value)
-    for key in keys:
-        if not isinstance(key, str):
-            raise LangTypeError(
-                f"property keys must be strings, not {kind_of(key)}")
-    return keys

@@ -4,9 +4,12 @@ to_property_key, render_value, kind_of, truthy, raw_identical and
 primitive_loose_equals, each a chain of isinstance and singleton tests.
 test_values.py checks the current helpers, every equality operator and
 print against them. string_to_number, which did not change, is the
-program's own."""
+program's own. format_number alone has a new rule since: ECMAScript's
+Number::toString, written here from the spec's steps, with the digits
+and exponent read from a Decimal."""
 
 import math
+from decimal import Decimal
 
 from proxylang.equality import string_to_number
 from proxylang.errors import LangTypeError
@@ -42,15 +45,30 @@ def truthy(value) -> bool:
 
 
 def format_number(value: float) -> str:
+    """Number::toString: the value is s * 10 ** (n - k), s the k shortest
+    digits that read back as it (repr's), placed by the spec's cases."""
     if value != value:
         return "NaN"
     if value == math.inf:
         return "Infinity"
     if value == -math.inf:
         return "-Infinity"
-    if value == int(value) and abs(value) < 1e21:
-        return str(int(value))
-    return repr(value)
+    if value == 0:
+        return "0"
+    if value < 0:
+        return "-" + format_number(-value)
+    _, digits, exponent = Decimal(repr(value)).normalize().as_tuple()
+    s = "".join(map(str, digits))
+    k = len(s)
+    n = exponent + k
+    if k <= n <= 21:
+        return s + "0" * (n - k)
+    if 0 < n <= 21:
+        return s[:n] + "." + s[n:]
+    if -6 < n <= 0:
+        return "0." + "0" * -n + s
+    e = f"e{'+' if n - 1 >= 0 else '-'}{abs(n - 1)}"
+    return s + e if k == 1 else s[0] + "." + s[1:] + e
 
 
 def render_value(value) -> str:

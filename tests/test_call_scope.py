@@ -82,10 +82,28 @@ def test_host_built_functions_bind():
     assert parsed == FunctionExpr(["t"], Block([Return(
         parse_expression("1"))]))
     interp = Interpreter()
-    record = FunctionRecord(["t"], body, interp.globals)
-    assert record.scoped is True
+    record = FunctionRecord(FunctionExpr(["t"], body), interp.globals)
+    assert record.node.scoped is True
     assert interp.invoke(record, None, [5.0]) == 5.0
     assert "t" not in interp.globals.bindings
+
+
+def test_closures_share_their_node():
+    # a closure is its node and its scope: nothing is copied off the node
+    assert FunctionRecord.__slots__ == ("node", "env")
+    interp = Interpreter()
+    result = evaluate_program(parse_source(
+        "function make(n) { return function() { return n; }; }\n"
+        "var a = make(1);\nvar b = make(2);"), interp)
+    assert result.ok
+    a, b = (interp.globals.bindings[name].function for name in "ab")
+    assert a.node is b.node
+    assert isinstance(a.node, FunctionExpr)
+    assert a.env is not b.env
+    assert interp.call_value(interp.globals.bindings["b"], None, []) == 2.0
+    make = interp.globals.bindings["make"].function
+    assert isinstance(make.node, FunctionDecl)
+    assert make.env is interp.globals
 
 
 # --- generated functions, with and without the parser's flags ---

@@ -72,9 +72,9 @@ def test_host_built_functions_are_called():
     assert "constant" not in repr(parsed)
     # a record a host builds has no constant, so a vote through it runs
     interp = Interpreter(mode="trap")
-    record = FunctionRecord([], Block([Return(BoolLit(True))]),
+    record = FunctionRecord(FunctionExpr([], Block([Return(BoolLit(True))])),
                             interp.globals)
-    assert record.constant is None
+    assert record.node.constant is None
     calls = []
     invoke = interp.invoke
     interp.invoke = lambda *args: calls.append(args) or invoke(*args)
@@ -83,7 +83,7 @@ def test_host_built_functions_are_called():
                          interp.heap.alloc_object({"isTransparent": trap}))
     assert is_transparent(interp, proxy) is True
     assert len(calls) == 1
-    record.constant = False
+    record.node.constant = False
     assert is_transparent(interp, proxy) is False
     assert len(calls) == 1
 

@@ -260,6 +260,12 @@ def test_computed_keys_format_numbers():
     o[1.5] = "mid";
     print(o["0"], o["1.5"]);
     """) == "zero mid\n"
+    # a key is the number's ECMAScript text, a literal's key included
+    assert out("""
+    var o = {0.00001: "small", 0.0000001: "tiny"};
+    o[0.000001] = "six";
+    print(o["0.00001"], o[0.00001], o["1e-7"], o["0.000001"], o["1e-06"]);
+    """) == "small small tiny six undefined\n"
     assert err("var o = {}; o[true] = 1;").error_kind == "TypeError"
 
 

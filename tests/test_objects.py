@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 
 import pytest
 from hypothesis import given
@@ -130,6 +131,17 @@ def test_number_and_string_keys_alias(interp):
     (float("-inf"), "-Infinity"),
     (1e21, "1e+21"),
     (123456789.0, "123456789"),
+    # ECMAScript's Number::toString, not Python's repr
+    (1e-7, "1e-7"),
+    (1.5e-7, "1.5e-7"),
+    (1e-6, "0.000001"),
+    (1e-5, "0.00001"),
+    (2.0 ** 60, "1152921504606847000"),
+    (math.nextafter(1e21, 0.0), "999999999999999900000"),
+    (5e-324, "5e-324"),
+    (0.000123, "0.000123"),
+    (-1.5e-7, "-1.5e-7"),
+    (2.0 ** 53, "9007199254740992"),
 ])
 def test_format_number(value, text):
     assert format_number(value) == text

@@ -71,32 +71,71 @@ def test_set_trap_result_is_ignored(interp):
     assert target.get(interp, "n") == 20.0
 
 
-def test_has_and_delete_traps_coerce_to_boolean(interp):
-    proxy, _, _ = make_proxy(interp, handler_props={
-        "has": native(interp, lambda itp, this, args: 1.0),
-        "deleteProperty": native(interp, lambda itp, this, args: ""),
-    })
-    assert proxy.has(interp, "anything") is True
-    assert proxy.delete(interp, "anything") is False
+# --- host operations: has, delete and own_keys read no handler ---
+
+def host_chain(interp, log):
+    """A chain over {x: 1, y: 2}: the innermost link has a proxy handler
+    whose get trap logs the name it is asked for, the next a handler that
+    holds has, deleteProperty, ownKeys and get traps which log their own
+    name, and the outermost an empty handler."""
+    def logger(name):
+        return native(interp, lambda itp, this, args: log.append(name))
+
+    base = interp.heap.alloc_object({"x": 1.0, "y": 2.0})
+    meta = interp.heap.alloc_object({"get": logger("meta get")})
+    inner = proxy_create(interp, base, proxy_create(
+        interp, interp.heap.alloc_object(), meta))
+    traps = interp.heap.alloc_object(
+        {name: logger(name)
+         for name in ("has", "deleteProperty", "ownKeys", "get")})
+    middle = proxy_create(interp, inner, traps)
+    outer = proxy_create(interp, middle, interp.heap.alloc_object())
+    return base, (inner, middle, outer)
 
 
-def test_own_keys_trap_unpacks_key_object(interp):
-    def trap(itp, this, args):
-        return pack_args_object(itp, ["a", "b"])
+def test_host_operations_answer_as_the_end_object(interp):
+    log = []
+    base, links = host_chain(interp, log)
+    for link in links:
+        assert link.has(interp, "x") is True
+        assert link.has(interp, "z") is False
+        assert link.own_keys(interp) == ["x", "y"]
+    assert links[2].delete(interp, "y") is True
+    assert links[0].delete(interp, "y") is False
+    assert base.own_keys(interp) == ["x"]
+    assert links[1].own_keys(interp) == ["x"]
+    assert log == []
 
-    proxy, _, _ = make_proxy(
-        interp, handler_props={"ownKeys": native(interp, trap)})
-    assert proxy.own_keys(interp) == ["a", "b"]
+
+def test_host_operations_consult_no_handler(interp):
+    # the same handlers answer a get, so they are live; host operations
+    # never ask them, not even the proxy handler's get trap for a name
+    log = []
+    _, (inner, _, outer) = host_chain(interp, log)
+    outer.has(interp, "x")
+    outer.delete(interp, "x")
+    outer.own_keys(interp)
+    inner.has(interp, "x")
+    assert log == []
+    outer.get(interp, "x")
+    assert log == ["get"]
+    inner.get(interp, "x")
+    assert log == ["get", "meta get"]
 
 
-def test_own_keys_trap_rejects_non_strings(interp):
-    def trap(itp, this, args):
-        return pack_args_object(itp, ["a", 1.0])
-
-    proxy, _, _ = make_proxy(
-        interp, handler_props={"ownKeys": native(interp, trap)})
-    with pytest.raises(LangTypeError):
-        proxy.own_keys(interp)
+def test_host_operations_on_a_revoked_link_raise(interp):
+    # every link's handler has traps, and the revoked link is the innermost
+    log = []
+    _, (inner, _, outer) = host_chain(interp, log)
+    revoke(interp, inner)
+    operations = {"has": lambda: outer.has(interp, "x"),
+                  "deleteProperty": lambda: outer.delete(interp, "x"),
+                  "ownKeys": lambda: outer.own_keys(interp)}
+    for name, operation in operations.items():
+        with pytest.raises(RevokedProxyError) as caught:
+            operation()
+        assert caught.value.message == f"'{name}' on a revoked proxy"
+    assert log == []
 
 
 def test_apply_trap_receives_packed_args(interp):
@@ -199,9 +238,9 @@ def test_innermost_trap_answers_through_deep_chain(interp):
 
     base = interp.heap.alloc_object()
     inner, _, _ = make_proxy(interp, target=base,
-                             handler_props={"has": native(interp, trap)})
+                             handler_props={"get": native(interp, trap)})
     chain = forwarding_chain(interp, inner)
-    assert without_host_recursion(chain.has, interp, "anything") is True
+    assert without_host_recursion(chain.get, interp, "anything") == "yes"
     assert seen["args"] == [base, "anything", inner]
 
 
