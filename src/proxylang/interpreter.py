@@ -168,15 +168,15 @@ class Interpreter:
     def invoke(self, record, this_value, args):
         """Run a FunctionRecord or NativeFunction as one call frame, the
         one host frame of every language call. A call that would pass
-        MAX_CALL_DEPTH raises StackOverflow before it is counted. If
-        record.node.scoped, the parameters are bound in one pass in order,
-        so a missing argument is undefined, an extra one is ignored, and a
-        repeated name takes its last position, in a scope built without
-        an __init__ frame; otherwise the body can observe no scope of its
-        own (see nodes.py) and runs in record.env. The body runs here, not
-        in a helper, which would be another frame, and a return among its
-        statements ends the call here, without _return; _if and _while run
-        their blocks inline too."""
+        MAX_CALL_DEPTH raises StackOverflow before it is counted. If the
+        FunctionExpr record.node is scoped, the parameters are bound in one
+        pass in order, so a missing argument is undefined, an extra one is
+        ignored, and a repeated name takes its last position, in a scope
+        built without an __init__ frame; otherwise the body can observe no
+        scope of its own (see nodes.py) and runs in record.env. The body
+        runs here, not in a helper, which would be another frame, and a
+        return among its statements ends the call here, without _return;
+        _if and _while run their blocks inline too."""
         if self.depth >= MAX_CALL_DEPTH:
             raise StackOverflow(
                 f"call stack exceeded {MAX_CALL_DEPTH} frames")
@@ -300,7 +300,8 @@ def _return(node, interp, env):
 
 
 def _function_decl(node, interp, env):
-    env.bindings[node.name] = interp.alloc_function(FunctionRecord(node, env))
+    env.bindings[node.name] = interp.alloc_function(
+        FunctionRecord(node.function, env))
 
 
 _EXEC = {ExprStmt: _expr_stmt, VarDecl: _var_decl, Assign: _assign,

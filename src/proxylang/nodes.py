@@ -8,23 +8,23 @@ slotted dataclasses and have no __dict__; Program also takes weak
 references. Block.scoped is computed from the statements when the block
 is built (a direct statement is one of DECLARATIONS; so its statements
 are not edited afterwards) and, like the line, is left out of equality
-and repr. So is the scoped flag of
-a FunctionDecl or FunctionExpr: whether a call of the function can observe
-a scope of its own, so that Interpreter.invoke binds its parameters in
-one. Without one, the body runs in the function's closure scope, which is
-exact when no direct statement of the body declares (a declaration in an
-if or while block goes to that block's own scope) and no name in the
-body reads or assigns a parameter, as the skipped scope would hold only
-parameters that no name reaches.
-The parser works the flag out as it reads the body (see parser.py); a
-node built by its constructor has True, and binds. A function node's
-constant flag, also left out of equality and repr, is True or False when
-its body is exactly one `return true;` or `return false;`, and None
-otherwise. Below MAX_CALL_DEPTH a call of such a body observes nothing and
-returns the flag, so proxies.is_transparent answers an isTransparent vote
-through it with the flag and makes no language call: the vote is not
-charged as a call. The parser sets the flag when the body ends; a node
-built by its constructor has None, and every vote through it is a call.
+and repr. So is the scoped flag of a FunctionExpr, a FunctionDecl's
+included (a declaration is its name and the FunctionExpr its closures are
+made from): whether a call can observe a scope of its own, so that
+Interpreter.invoke binds its parameters in one. Without one, the body runs
+in the closure scope, which is exact when no direct statement of the body
+declares (a declaration in an if or while block goes to that block's own
+scope) and no name in the body reads or assigns a parameter, as the
+skipped scope would hold nothing a name reaches. The parser works the flag
+out as it reads the body (see parser.py); a node built by its constructor
+has True, and binds. The constant flag, also left out of equality and
+repr, is True or False when the body is exactly one `return true;` or
+`return false;`, and None otherwise. Below MAX_CALL_DEPTH a call of such a
+body observes nothing and returns the flag, so proxies.is_transparent
+answers an isTransparent vote through it with the flag and makes no
+language call, which is not charged as a call. The parser sets the flag
+when the body ends; a node built by its constructor has None, and every
+vote through it is a call.
 
 A Binary resolves its operator once, when it is built: on_numbers is
 the operator on two numbers, from objects.NUMBER_OPERATORS (None for &&
@@ -244,14 +244,9 @@ class Return:
 @dataclass(slots=True)
 class FunctionDecl:
     name: str
-    params: list
-    body: Block
+    # what a closure of the declaration is made from
+    function: FunctionExpr
     line: int = _pos()
-    # a call binds the parameters in a scope of its own (see above)
-    scoped: bool = field(default=True, init=False, compare=False, repr=False)
-    # the body is `return true;` or `return false;`: that bool; else None
-    constant: Optional[bool] = field(default=None, init=False,
-                                     compare=False, repr=False)
 
 
 # the statements that declare into the current scope: a block holding one
@@ -394,8 +389,9 @@ def _stmt(s, indent: int) -> str:
             return f"{pad}return;\n"
         return f"{pad}return {_expr(s.value)};\n"
     if isinstance(s, FunctionDecl):
-        header = f"{pad}function {s.name}({', '.join(s.params)}) "
-        return header + _block_inline(s.body, indent) + "\n"
+        function = s.function
+        header = f"{pad}function {s.name}({', '.join(function.params)}) "
+        return header + _block_inline(function.body, indent) + "\n"
     raise TypeError(f"not a statement node: {s!r}")
 
 

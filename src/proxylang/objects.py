@@ -44,11 +44,11 @@ walk_epoch = 0
 
 @dataclass(slots=True)
 class FunctionRecord:
-    """A function defined in the language: the FunctionDecl or FunctionExpr
-    node it is made from, whose params, body, scoped and constant flags a
-    call reads (see nodes.py), and its closure scope. A node a host builds
-    has scoped True and constant None, so its record binds and runs."""
-    node: object  # FunctionDecl | FunctionExpr
+    """A function defined in the language: the FunctionExpr it is made
+    from (a declaration's too), whose params, body, scoped and constant
+    flags a call reads (see nodes.py), and its closure scope. A node a
+    host builds has scoped True and constant None, so its record binds."""
+    node: object  # FunctionExpr
     env: object   # Environment
 
 

@@ -56,18 +56,19 @@ _OPERAND; any other lexeme is an identifier, a number or a string, told
 apart by its first character. A column is looked up, by Tokens.column,
 only to report a ParseError.
 
-Each FunctionDecl and FunctionExpr records in scoped whether a call can
-observe a scope of its own (see nodes.py): its body is Block.scoped (a
+parse_function reads declarations and function expressions alike, and the
+FunctionExpr (a FunctionDecl holds one) records in scoped whether a call
+can observe a scope of its own (see nodes.py): its body is Block.scoped (a
 direct statement declares), or an Identifier anywhere in it, nested
 functions included, is one of its parameters. An assignment's target is
 read as an Identifier first, so it counts too, and so does a parameter's
 name read in a nested function that binds the same name, which is
 conservative. The parser keeps the index of the token where each name was
 last read as an Identifier, and looks the parameters up there when the
-body ends, without a frame: a parameter was read in the body if its last
-read is at or after the body's '{'. Then, also inline, it sets the node's
-constant flag (see nodes.py): the BoolLit's value when the body is one
-Return of a BoolLit, and None otherwise.
+body ends: a parameter was read in the body if its last read is at or
+after the body's '{'. Then it sets the node's constant flag (see
+nodes.py): the BoolLit's value when the body is one Return of a BoolLit,
+and None otherwise.
 """
 
 import sys
@@ -115,18 +116,19 @@ _MAX_NESTING = 400  # the tallest expression tree, and the deepest blocks
 # expression's '(' and a statement of its body).
 _MAX_OPEN = 2 * _MAX_NESTING + 1
 # host frames for the deepest parse (measured from parse: 2,402 for
-# _MAX_NESTING nested 'if' blocks around 399 object literals, each value
-# in parentheses; 3 frames a block, 2 an object literal and 1 a
-# parenthesis), for the deepest pretty_print of a tree the parser accepts
-# (2,402 for as many 'if' blocks around 399 nested calls, 3 frames a block
-# and 3 a call) and for the evaluator's deepest call stack (4,101
-# measured from run_source for rec(1023), whose body returns
-# rec(n - 1) + 1: 4 host frames a language call, as invoke runs the
-# return itself), with room to spare. That is for a plain body: each
-# language call also takes its body's expression height in frames, so the
-# call depth a program reaches depends on its shape, not only on
-# MAX_CALL_DEPTH. With 390 prefix '-' in `return -...-r(n - 1);`, r(50)
-# returns and r(51) exceeds this limit.
+# _MAX_NESTING nested 'if' blocks around 399 object literals, each value in
+# parentheses; 3 frames a block, 2 an object literal and 1 a parenthesis;
+# 2,397 for 399 nested `(function() { return ...; })`, 6 frames a function,
+# parse_function's included), for the deepest pretty_print of a tree the
+# parser accepts (2,402 for as many 'if' blocks around 399 nested calls, 3
+# frames a block and 3 a call) and for the evaluator's deepest call stack
+# (4,101 measured from run_source for rec(1023), whose body returns
+# rec(n - 1) + 1: 4 host frames a language call, as invoke runs the return
+# itself), with room to spare. That is for a plain body: each language call
+# also takes its body's expression height in frames, so the call depth a
+# program reaches depends on its shape, not only on MAX_CALL_DEPTH. With
+# 390 prefix '-' in `return -...-r(n - 1);`, r(50) returns and r(51)
+# exceeds this limit.
 HOST_RECURSION_LIMIT = 20_000
 
 
@@ -238,25 +240,41 @@ class _Parser:
         node.line = self.lines[at]
         return node
 
-    def parse_function_decl(self, at: int) -> FunctionDecl:
-        node = _new(FunctionDecl)
-        node.name = name = self.lexemes[at + 1]
-        if name in _OPERAND or name[0] in _LITERAL_START:
-            self.expected("a function name", at + 1)
-        self.pos = at + 2
+    def parse_function(self, at: int, declaration=True):
+        """The FunctionDecl after the 'function' at index at, or with
+        declaration False a FunctionExpr, leaving self.height its height."""
+        self.pos = at + 1
+        if declaration:
+            name = self.lexemes[at + 1]
+            if name in _OPERAND or name[0] in _LITERAL_START:
+                self.expected("a function name", at + 1)
+            self.pos = at + 2
+        node = _new(FunctionExpr)
         node.params = params = self.parse_params()
         body_at = self.pos
         self.fn_depth += 1
+        tallest, self.tallest = self.tallest, 0
         node.body = body = self.parse_block()
         self.fn_depth -= 1
+        node.line = line = self.lines[at]
         node.scoped = body.scoped or max(
             map(self.reads.get, params, _UNREAD), default=-1) >= body_at
         statements = body.statements
         node.constant = statements[0].value.value \
             if len(statements) == 1 and statements[0].__class__ is Return \
             and statements[0].value.__class__ is BoolLit else None
-        node.line = self.lines[at]
-        return node
+        if not declaration:
+            self.height = self.tallest + 1
+            self.tallest = tallest
+            return node
+        # a declaration's body counts toward an enclosing function's height
+        if tallest > self.tallest:
+            self.tallest = tallest
+        decl = _new(FunctionDecl)
+        decl.name = name
+        decl.function = node
+        decl.line = line
+        return decl
 
     def parse_params(self) -> list:
         """'(' (IDENT (',' IDENT)*)? ')', from the current token."""
@@ -405,23 +423,8 @@ class _Parser:
                     height = self.height
                     pos = self.pos
                 elif kind == "function":
-                    self.pos = pos + 1
-                    params = self.parse_params()
-                    body_at = self.pos  # start keeps the operand's first token
-                    self.fn_depth += 1
-                    tallest, self.tallest = self.tallest, 0
-                    expr = FunctionExpr(params, self.parse_block(), lines[pos])
-                    height = self.tallest + 1
-                    self.tallest = tallest
-                    self.fn_depth -= 1
-                    expr.scoped = expr.body.scoped or max(
-                        map(self.reads.get, params, _UNREAD),
-                        default=-1) >= body_at
-                    statements = expr.body.statements
-                    expr.constant = statements[0].value.value \
-                        if len(statements) == 1 \
-                        and statements[0].__class__ is Return \
-                        and statements[0].value.__class__ is BoolLit else None
+                    expr = self.parse_function(pos, False)
+                    height = self.height
                     pos = self.pos
                 elif kind == "prefix" and calls:
                     prefixes += 1
@@ -613,7 +616,7 @@ class _Parser:
 # the statements that begin with a keyword; a leading 'function' is a
 # declaration, as a function expression there would be ambiguous
 _KEYWORD_RULES = {"var": _Parser.parse_var,
-                  "function": _Parser.parse_function_decl,
+                  "function": _Parser.parse_function,
                   "if": _Parser.parse_if, "while": _Parser.parse_while,
                   "return": _Parser.parse_return}
 

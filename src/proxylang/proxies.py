@@ -11,29 +11,29 @@ every operation with RevokedProxyError, but equality never raises: for
 resolution purposes a revoked proxy is simply its own endpoint.
 
 Traps are looked up afresh at every operation, link by link along a
-chain of proxies, and nothing is kept from one walk to the next. An
-unrevoked link whose handler is an ordinary object has its trap read
-straight from the handler's properties; a missing, undefined or null
-trap passes the link with no host frame, and with it the unrevoked links
-directly below with the same handler, so a run of such links costs one
-dictionary read. A present trap, a revoked link and a handler that is
-itself a proxy (whose lookup runs user code) go through
-ProxyObject._trap, which raises for a revoked link or a trap that is not
-callable, and which is where a tracer counts the traps found.
+chain of proxies, and nothing is kept from one walk to the next. A link
+whose handler is an ordinary object has its trap read straight from the
+handler's properties; a missing, undefined or null trap passes the link
+with no host frame, and with it the links directly below with the same
+handler, so a run of such links costs one dictionary read. A present
+trap, a revoked link and a handler that is itself a proxy (whose lookup
+runs user code) go through ProxyObject._trap, which raises for a revoked
+link or a trap that is not callable, and which is where a tracer counts
+the traps found.
 
-A proxy's target and handler are fixed at construction, and revoke() is
-the only writer of ``revoked``, which only ever goes from false to true.
-So the endpoint of an unconditional look-through walk (transparent mode,
-Proxy.isEqual, Proxy.isIdentical) can change only when some proxy is
-revoked. A trap-mode walk whose every vote was static (rule 3) can
-change only then too, or when a handler's isTransparent is written or
-deleted. Each proxy memoises the end of the last walk of each kind
-started from it, stamped with objects.walk_epoch, the process-wide count
-of those events, and a memo stands while the count is unchanged (see
+A proxy's target is fixed at construction, and so is its handler until
+revoke() drops it for good: as in ECMAScript, a proxy is revoked exactly
+when its handler is None. So the endpoint of an unconditional look-through
+walk (transparent mode, Proxy.isEqual, Proxy.isIdentical) can change only
+when some proxy is revoked. A trap-mode walk whose every vote was static
+(rule 3) can change only then too, or when a handler's isTransparent is
+written or deleted. Each proxy memoises the end of the last walk of each
+kind started from it, stamped with objects.walk_epoch, the process-wide
+count of those events, and a memo stands while the count is unchanged (see
 look_through and get_equality_object); only on an object marked as a
-handler (OrdinaryObject.handles) does an isTransparent write raise it.
-A vote that is not static is asked at every decision. The count is a
-plain global, so interpreters that share objects must stay on one thread.
+handler (OrdinaryObject.handles) does an isTransparent write raise it. A
+vote that is not static is asked at every decision. The count is a plain
+global, so interpreters that share objects must stay on one thread.
 
 Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
@@ -71,17 +71,16 @@ _NO_ENDPOINT = (-1, None)
 
 
 class ProxyObject(HeapObject):
-    """A target and a handler, both fixed at construction. ``revoked`` is
-    written only by revoke(). ``endpoint`` is (walk_epoch, end): the end
-    of the last unconditional look-through walk started from this proxy,
-    and the count it was taken at. ``voted`` is the same for the last
-    trap-mode walk through static votes only. It marks its handler."""
-    __slots__ = ("target", "handler", "revoked", "endpoint", "voted")
+    """A target and a handler, fixed at construction but for revoke(),
+    which sets the handler to None for good. ``endpoint`` is (walk_epoch,
+    end): the end of the last unconditional look-through walk started from
+    this proxy, and the count it was taken at. ``voted`` is the same for
+    the last trap-mode walk through static votes only. It marks its handler."""
+    __slots__ = ("target", "handler", "endpoint", "voted")
 
     def __init__(self, target: HeapObject, handler: HeapObject):
         self.target = target
         self.handler = handler
-        self.revoked = False
         self.endpoint = self.voted = _NO_ENDPOINT
         if handler.__class__ is OrdinaryObject:
             handler.handles = True
@@ -89,20 +88,18 @@ class ProxyObject(HeapObject):
     # --- internal operations ---
 
     def get(self, interp, key):
-        link, trap = self._forward(interp, "get")
+        link, handler, trap = self._forward(interp, "get")
         if trap is None:
             return link.get(interp, key)
-        return interp.call_value(trap, link.handler,
-                                 [link.target, key, link])
+        return interp.call_value(trap, handler, [link.target, key, link])
 
     def set(self, interp, key, value):
-        link, trap = self._forward(interp, "set")
+        link, handler, trap = self._forward(interp, "set")
         if trap is None:
             link.set(interp, key, value)
             return
         # the trap's return value carries no meaning
-        interp.call_value(trap, link.handler,
-                          [link.target, key, value, link])
+        interp.call_value(trap, handler, [link.target, key, value, link])
 
     def has(self, interp, key):
         return self._end("has").has(interp, key)
@@ -114,52 +111,54 @@ class ProxyObject(HeapObject):
         return self._end("ownKeys").own_keys(interp)
 
     def call(self, interp, this_value, args):
-        link, trap = self._forward(interp, "apply")
+        link, handler, trap = self._forward(interp, "apply")
         if trap is None:
             return interp.call_value(link, this_value, args)
         args_obj = pack_args_object(interp, args)
         return interp.call_value(
-            trap, link.handler, [link.target, this_value, args_obj, link])
+            trap, handler, [link.target, this_value, args_obj, link])
 
     # --- trap lookup ---
 
     def _forward(self, interp, name: str):
         """Give the first link of the chain whose handler has a trap for
-        name, with that trap; or the ordinary object at the end, with None.
-        Trap-less links are passed in a loop, so a forwarding chain of any
-        depth costs no host stack. An unrevoked link with an ordinary
-        handler is read inline, and passed when its trap is missing,
-        undefined or null, with every unrevoked link directly below it
-        that has the same handler: no code runs between them, so the inner
-        loop reads no dict. _trap is entered only for a present trap, a
-        revoked link or a handler that is not ordinary, so it still
-        validates (and a tracer counts) every trap found; no run crosses
-        it, as a proxy handler's lookup runs code, which may give a passed
-        handler a trap. Links are asked in order and nothing is kept
-        between walks, so a revoked or badly trapped link raises where the
-        operation reaches it, and a handler changed by an earlier link's
-        trap is read as it now is."""
+        name, with that handler, read before the trap as ECMAScript reads
+        it (the lookup may revoke the link), and the trap; or the ordinary
+        object at the end, with None for both. Trap-less links are passed
+        in a loop, so a forwarding chain of any depth costs no host stack.
+        A link with an ordinary handler is read inline, and passed when its
+        trap is missing, undefined or null, with every link directly below
+        it that has the same handler (a revoked link has None): no code
+        runs between them, so the inner loop reads no dict. _trap is
+        entered only for a present trap, a revoked link or a handler that
+        is not ordinary, so it still validates (and a tracer counts) every
+        trap found; no run crosses it, as a proxy handler's lookup runs
+        code, which may give a passed handler a trap. Links are asked in
+        order and nothing is kept between walks, so a revoked or badly
+        trapped link raises where the operation reaches it, and a handler
+        changed by an earlier link's trap is read as it now is."""
         link = self
         while link.__class__ is ProxyObject:
             handler = link.handler
-            if handler.__class__ is not OrdinaryObject or link.revoked:
+            if handler.__class__ is not OrdinaryObject:
                 trap = link._trap(interp, name)
                 if trap is not None:
-                    return link, trap
+                    return link, handler, trap
                 link = link.target
             else:
                 trap = handler.properties.get(name, UNDEFINED)
                 if trap is not UNDEFINED and trap is not NULL:
-                    return link, link._trap(interp, name)
+                    return link, handler, link._trap(interp, name)
                 link = link.target
-                while link.handler is handler and not link.revoked:
+                while link.handler is handler:
                     link = link.target
-        return link, None
+        return link, None, None
 
     def _trap(self, interp, name: str):
-        if self.revoked:
+        handler = self.handler
+        if handler is None:
             raise RevokedProxyError(f"'{name}' on a revoked proxy")
-        trap = self.handler.get(interp, name)
+        trap = handler.get(interp, name)
         if trap is UNDEFINED or trap is NULL:
             return None
         if not is_callable(trap):
@@ -172,7 +171,7 @@ class ProxyObject(HeapObject):
         is read, and a revoked link raises as _trap would for name."""
         link = self
         while link.__class__ is ProxyObject:
-            if link.revoked:
+            if link.handler is None:
                 raise RevokedProxyError(f"'{name}' on a revoked proxy")
             link = link.target
         return link
@@ -198,15 +197,15 @@ def proxy_create(interp, target, handler) -> ProxyObject:
 
 
 def revoke(interp, value) -> None:
-    """Permanently disable a proxy's traps. Revoking twice is a no-op.
-    A revocation that takes effect stales every walk memo."""
+    """Drop a proxy's handler for good, as ECMAScript revokes a proxy; a
+    second revoke is a no-op. The first stales every walk memo."""
     if not isinstance(value, ProxyObject):
         if isinstance(value, HeapObject):
             raise LangTypeError(
                 "cannot revoke an object that is not a proxy")
         raise LangTypeError(f"cannot revoke a {kind_of(value)}")
-    if not value.revoked:
-        value.revoked = True
+    if value.handler is not None:
+        value.handler = None
         objects.walk_epoch += 1
 
 
@@ -215,23 +214,23 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
 
     Trap mode runs this once per link of every walk that is not answered
     from a memo (get_equality_object), so the common cases are decided
-    inline. An ordinary handler's trap is read straight from its
-    properties, as _forward reads one. If it is a function object whose
-    record's node has a constant, and the call depth is below MAX_CALL_DEPTH,
-    the constant is the vote: no override is pushed, no argument list
-    built and no Interpreter.invoke made.
-    Otherwise, under the override, an ordinary function object is run by
-    one invoke, with no call_value frame between; a handler that is a
-    proxy is asked by its get; any other trap (a callable proxy, say)
-    goes through call_value, and every answer is coerced with truthy."""
+    inline: a revoked proxy's handler is None, and an ordinary handler's
+    trap is read straight from its properties, as _forward reads one. If it
+    is a function object whose record's node has a constant, and the call
+    depth is below MAX_CALL_DEPTH, the constant is the vote: no override is
+    pushed, no argument list built and no Interpreter.invoke made.
+    Otherwise, under the override, an ordinary function object is run by one
+    invoke, with no call_value frame between; a handler that is a proxy is
+    asked by its get; any other trap (a callable proxy, say) goes through
+    call_value, and every answer is coerced with truthy."""
     override_stack = interp.override_stack
     if override_stack:
         for overridden, flag in reversed(override_stack):
             if overridden is proxy:
                 return flag
-    if proxy.revoked:
-        return False
     handler = proxy.handler
+    if handler is None:
+        return False
     if handler.__class__ is OrdinaryObject:
         trap = handler.properties.get("isTransparent", UNDEFINED)
         if trap.__class__ is OrdinaryObject:
@@ -258,20 +257,20 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
         return False
     finally:
         override_stack.pop()
-    return answer and not proxy.revoked
+    return answer and proxy.handler is not None
 
 
 def look_through(interp, value):
     """The end of an unconditional walk from value, the first non-proxy
     or revoked proxy, read from value's endpoint memo while its count is
     current. interp is unused: every resolver is called alike."""
-    if value.__class__ is not ProxyObject or value.revoked:
+    if value.__class__ is not ProxyObject or value.handler is None:
         return value
     count, end = value.endpoint
     if count == objects.walk_epoch:
         return end
     end = value.target
-    while end.__class__ is ProxyObject and not end.revoked:
+    while end.__class__ is ProxyObject and end.handler is not None:
         end = end.target
     value.endpoint = (objects.walk_epoch, end)
     return end
@@ -300,8 +299,8 @@ def get_equality_object(interp, value):
         if count == objects.walk_epoch:
             return end
     while value.__class__ is ProxyObject:
-        if static and not value.revoked:
-            handler = value.handler
+        handler = value.handler
+        if static and handler is not None:
             trap = handler.properties.get("isTransparent", UNDEFINED) \
                 if handler.__class__ is OrdinaryObject else None
             static = trap is UNDEFINED or trap is NULL \

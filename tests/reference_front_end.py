@@ -3,9 +3,10 @@ a tokenizer that builds each (kind, lexeme, line, column) tuple in one
 finditer pass over the whole source, and a parser that reads those tuples.
 The differential tests in test_front_end.py check the current front end
 against it, token for token, error for error and node for node. Its
-parser leaves each function node's scoped and constant flags to
-mark_scopes, a walk of the finished tree, which is the exact rule the
-parser's own bookkeeping must agree with."""
+parser builds a FunctionDecl as its name and a FunctionExpr, and leaves
+each FunctionExpr's scoped and constant flags to mark_scopes, a walk of
+the finished tree, which is the exact rule the parser's own bookkeeping
+must agree with."""
 
 import dataclasses
 import re
@@ -214,7 +215,8 @@ class _Parser:
     def parse_function_decl(self, tok: tuple) -> FunctionDecl:
         name = self.expect_identifier("a function name")
         params = self.parse_params()
-        return FunctionDecl(name, params, self.parse_function_body(), tok[2])
+        return FunctionDecl(name, FunctionExpr(
+            params, self.parse_function_body(), tok[2]), tok[2])
 
     def parse_params(self) -> list:
         # no caller has seen the '(', so it is checked here
@@ -473,7 +475,7 @@ def _spine(expr: Expr) -> int:
 
 
 def mark_scopes(tree):
-    """Set the scoped and constant flags of every function node in tree,
+    """Set the scoped and constant flags of every FunctionExpr in tree,
     by a walk of the finished tree: a call can observe a scope of its own
     if a direct statement of the body is a var or function declaration,
     or an Identifier or Assign anywhere in the body, nested functions
@@ -498,7 +500,7 @@ def mark_scopes(tree):
         node, parent = nodes[i]
         if isinstance(node, (Identifier, Assign)):
             names[i].add(node.name)
-        if isinstance(node, (FunctionDecl, FunctionExpr)):
+        if isinstance(node, FunctionExpr):
             statements = node.body.statements
             declares = any(isinstance(statement, (VarDecl, FunctionDecl))
                            for statement in statements)
@@ -512,7 +514,7 @@ def mark_scopes(tree):
 
 
 def function_nodes(tree) -> list:
-    """Every FunctionDecl and FunctionExpr in tree."""
+    """Every FunctionExpr in tree, each declaration's included."""
     found = []
     todo = [tree]
     while todo:
@@ -520,7 +522,7 @@ def function_nodes(tree) -> list:
         if isinstance(item, (list, tuple)):
             todo.extend(item)
         elif dataclasses.is_dataclass(item):
-            if isinstance(item, (FunctionDecl, FunctionExpr)):
+            if isinstance(item, FunctionExpr):
                 found.append(item)
             todo.extend(getattr(item, f.name)
                         for f in dataclasses.fields(item))

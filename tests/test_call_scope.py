@@ -1,24 +1,29 @@
 """A language call builds a scope only where its body can observe one.
 
-The parser sets each FunctionDecl's and FunctionExpr's scoped flag, and
-Interpreter.invoke binds the parameters in a scope of their own only when
-it is set. test_front_end.py checks the flag of every function the
-corpus, coincidence, prelude and benchmark scripts programs hold against
-reference_front_end.mark_scopes, a walk of the finished tree. These tests
-check hand-picked bodies and host-built functions, and run generated
-functions twice, once with the parser's flags and once with every
-function forced to bind, requiring the same output, value and error.
+The parser sets each FunctionExpr's scoped flag, a declaration's
+included, and Interpreter.invoke binds the parameters in a scope of their
+own only when it is set. test_front_end.py checks the flag of every
+function the corpus, coincidence, prelude and benchmark scripts programs
+hold against reference_front_end.mark_scopes, a walk of the finished
+tree. These tests check hand-picked bodies, each written as a declaration
+and as an expression, host-built functions and the closures that the
+prelude and the corpus make, and run generated functions twice, once with
+the parser's flags and once with every function forced to bind, requiring
+the same output, value and error.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_front_end as reference
-from proxylang.interpreter import Interpreter, evaluate_program
+from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.nodes import (Block, FunctionDecl, FunctionExpr, Identifier,
                              Return)
 from proxylang.objects import FunctionRecord, render_value
 from proxylang.parser import parse_expression, parse_source
+from proxylang.prelude import default_prelude_source
+
+from conftest import CORPUS_DIR, MODES
 
 
 def flag(source):
@@ -66,7 +71,7 @@ def test_declarations_mark_the_enclosing_function():
         "function f() { var g = function() { var x = 1; return x; }; "
         "return g; } function h() { return function() { function k() {} "
         "}; }").statements
-    f, h = outer
+    f, h = (decl.function for decl in outer)
     assert f.scoped is True and f.body.statements[0].init.scoped is True
     assert h.scoped is False
     assert h.body.statements[0].value.scoped is True
@@ -74,7 +79,8 @@ def test_declarations_mark_the_enclosing_function():
 
 def test_host_built_functions_bind():
     body = Block([Return(Identifier("t"))])
-    assert FunctionDecl("f", ["t"], body).scoped is True
+    assert FunctionDecl("f", FunctionExpr(["t"], body)).function.scoped \
+        is True
     assert FunctionExpr(["t"], body).scoped is True
     # the flag is left out of equality, like Block.scoped
     parsed = parse_expression("function(t) { return 1; }")
@@ -92,9 +98,10 @@ def test_closures_share_their_node():
     # a closure is its node and its scope: nothing is copied off the node
     assert FunctionRecord.__slots__ == ("node", "env")
     interp = Interpreter()
-    result = evaluate_program(parse_source(
+    program = parse_source(
         "function make(n) { return function() { return n; }; }\n"
-        "var a = make(1);\nvar b = make(2);"), interp)
+        "var a = make(1);\nvar b = make(2);")
+    result = evaluate_program(program, interp)
     assert result.ok
     a, b = (interp.globals.bindings[name].function for name in "ab")
     assert a.node is b.node
@@ -102,8 +109,48 @@ def test_closures_share_their_node():
     assert a.env is not b.env
     assert interp.call_value(interp.globals.bindings["b"], None, []) == 2.0
     make = interp.globals.bindings["make"].function
-    assert isinstance(make.node, FunctionDecl)
+    # a declaration's closure is made from the FunctionExpr it holds
+    assert make.node is program.statements[0].function
     assert make.env is interp.globals
+
+
+# each body, as a declaration and as the same function written as an
+# expression
+BODIES = [
+    "{ return t; }",
+    "{ return function() { return t; }; }",
+    "{ var x = 1; return x; }",
+    "{ function g() { } return 0; }",
+    "{ return true; }",
+    "{ return false; }",
+    "{ return !false; }",
+]
+
+
+def test_a_declaration_and_an_expression_agree():
+    for body in BODIES:
+        declared, = parse_source(f"function f(t, p) {body}").statements
+        written = parse_expression(f"function(t, p) {body}")
+        assert declared.function == written, body
+        assert (declared.function.scoped, declared.function.constant) \
+            == (written.scoped, written.constant), body
+
+
+def test_every_closure_is_made_from_a_function_expr(monkeypatch):
+    # every closure the prelude and the corpus make, in every mode
+    made = []
+    alloc_function = Interpreter.alloc_function
+
+    def alloc(interp, record):
+        made.append(record.node.__class__)
+        return alloc_function(interp, record)
+
+    monkeypatch.setattr(Interpreter, "alloc_function", alloc)
+    for path in sorted(CORPUS_DIR.glob("*.plx")):
+        for mode in MODES:
+            run_source(path.read_text(encoding="utf-8"), mode=mode,
+                       prelude_source=default_prelude_source())
+    assert made and set(made) == {FunctionExpr}
 
 
 # --- generated functions, with and without the parser's flags ---

@@ -1,7 +1,7 @@
 """A trap-mode vote through a constant trap is answered without a call.
 
-The parser sets each FunctionDecl's and FunctionExpr's constant flag to
-True or False when its body is exactly one `return true;` or
+The parser sets each FunctionExpr's constant flag, a declaration's
+included, to True or False when its body is exactly one `return true;` or
 `return false;`, and proxies.is_transparent answers a vote through such a
 trap with the flag, below MAX_CALL_DEPTH, instead of invoking it.
 test_front_end.py checks the flag of every function the corpus,
@@ -53,7 +53,7 @@ def test_which_bodies_are_constant():
     for source in others:
         assert parse_expression(source).constant is None, source
     declared, = parse_source("function no(t, p) { return false; }").statements
-    assert declared.constant is False
+    assert declared.function.constant is False
     # a nested function's body is its own
     outer = parse_expression("function() { return function() "
                              "{ return true; }; }")
@@ -63,7 +63,8 @@ def test_which_bodies_are_constant():
 
 def test_host_built_functions_are_called():
     body = Block([Return(BoolLit(True))])
-    assert FunctionDecl("f", [], body).constant is None
+    assert FunctionDecl("f", FunctionExpr([], body)).function.constant \
+        is None
     assert FunctionExpr([], body).constant is None
     # the flag is left out of equality and repr, like scoped
     parsed = parse_expression("function() { return true; }")

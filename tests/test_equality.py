@@ -195,7 +195,7 @@ UNCONDITIONAL = (EqualityMode.TRANSPARENT,)
 
 def fresh_end(value):
     """The end of an unconditional look-through walk, taken afresh."""
-    while isinstance(value, ProxyObject) and not value.revoked:
+    while isinstance(value, ProxyObject) and value.handler is not None:
         value = value.target
     return value
 

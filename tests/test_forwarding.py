@@ -5,9 +5,9 @@ in an inner loop that reads no dict. reference_forward below is the loop
 it had before, which read the handler of every unrevoked link. Both walk
 fresh, equal chains of up to 12 links, whose handlers come from a small
 shared pool and some of which are revoked, and must give the same link
-and trap, or the same error, after the same calls of a proxy handler's
-get trap, in the same order. test_proxies.py runs forwarding end to end,
-against a walk that enters _trap at every link.
+and handler and trap, or the same error, after the same calls of a proxy
+handler's get trap, in the same order. test_proxies.py runs forwarding
+end to end, against a walk that enters _trap at every link.
 """
 
 from hypothesis import given, settings
@@ -24,17 +24,17 @@ def reference_forward(self, interp, name: str):
     link = self
     while True:
         handler = link.handler
-        if handler.__class__ is not OrdinaryObject or link.revoked:
+        if handler is None or handler.__class__ is not OrdinaryObject:
             trap = link._trap(interp, name)
         else:
             trap = handler.properties.get(name, UNDEFINED)
             trap = None if trap is UNDEFINED or trap is NULL \
                 else link._trap(interp, name)
         if trap is not None:
-            return link, trap
+            return link, handler, trap
         link = link.target
         if link.__class__ is not ProxyObject:
-            return link, None
+            return link, None, None
 
 
 # every chain is built in this interpreter; a walk leaves nothing in it
@@ -97,12 +97,15 @@ class Chain:
 
     def forward(self, forward, name):
         """forward's answer from the outermost link: the index of the link
-        and the label of the trap, or the error; and the meta log."""
+        and the label of the trap, or the error; and the meta log. The
+        handler given is the link's own (None at the end), as no lookup
+        here revokes a link."""
         try:
-            link, trap = forward(self.links[0], self.interp, name)
+            link, handler, trap = forward(self.links[0], self.interp, name)
         except PlxRuntimeError as error:
             answer = (error.kind, error.message)
         else:
+            assert handler is link.handler
             answer = ("end" if link is self.end else self.links.index(link),
                       None if trap is None else self.labels[id(trap)])
         return answer, self.log

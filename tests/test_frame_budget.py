@@ -20,9 +20,10 @@ memo fails here, and so is a read through trap-less links, with one
 handler for all and with one a link. The parser's deepest inputs are
 bounded too, both in frames entered and in frames on the stack at once,
 which HOST_RECURSION_LIMIT must cover: one parser frame a parenthesis or
-a '?:' arm, two an object-literal value and three a nested 'if' (2,402
-frames on the stack for 400 'if' blocks around 399 object literals, each
-value in parentheses, counted from parse). So are parsing the prelude and
+a '?:' arm, two an object-literal value, three a nested 'if' and six a
+nested function expression (2,402 frames on the stack for 400 'if' blocks
+around 399 object literals, each value in parentheses, and 2,397 for 399
+nested functions, counted from parse). So are parsing the prelude and
 the benchmark's scripts, where the parser enters fewer frames than it
 reads tokens, and the lexer, which enters no frame per token or per line.
 """
@@ -30,7 +31,10 @@ reads tokens, and the lexer, which enters no frame per token or per line.
 import gc
 import sys
 
+import pytest
+
 from proxylang import interpreter
+from proxylang.errors import ParseError
 from proxylang.interpreter import Interpreter, evaluate_program
 from proxylang.lexer import tokenize
 from proxylang.objects import UNDEFINED
@@ -563,16 +567,26 @@ def test_deepest_parses():
     # levels of blocks (three frames an 'if': the statement, its block and
     # the block's statements, beside the condition, which returns first),
     # and both at once, through object literals (two frames a value: the
-    # expression and the literal's entries)
+    # expression and the literal's entries) and through 399 nested
+    # function expressions, the outermost as tall as the bound allows (six
+    # frames a function: the parenthesis, the operand, parse_function,
+    # which stays on the stack while its body is read, the block, its
+    # statements and the return)
     def ifs(body):
         return "if (a) {" * 400 + body + "}" * 400
+
+    def functions(n):
+        return "x = " + "(function() { return " * n + "1" + "; })" * n + ";"
 
     cases = [("x = " + "(" * 800 + "1" + ")" * 800 + ";", 807, 803),
              (ifs(""), 2005, 1202),
              ("x = " + "a ? b : " * 399 + "c;", 1204, 402),
              (ifs("x = " + "{a: (" * 399 + "((1))" + ")}" * 399 + ";"),
-              3206, 2402)]
+              3206, 2402),
+             (functions(399), 2800, 2397)]
     for source, most_entered, most_deep in cases:
         entered, deepest = frames(parse, tokenize(source))
         assert entered <= most_entered, source[:20]
         assert deepest <= most_deep, source[:20]
+    with pytest.raises(ParseError, match="expression nesting too deep"):
+        parse(tokenize(functions(400)))

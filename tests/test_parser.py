@@ -163,8 +163,12 @@ def test_object_literal_statement_position():
 
 def test_function_forms():
     decl = stmt("function f(a, b) { return a; }")
-    assert decl == FunctionDecl("f", ["a", "b"],
-                                Block([Return(Identifier("a"))]))
+    assert decl == FunctionDecl("f", FunctionExpr(
+        ["a", "b"], Block([Return(Identifier("a"))])))
+    # a declaration is its name and the function its closures are made of
+    assert [field.name for field in dataclasses.fields(FunctionDecl)] \
+        == ["name", "function", "line"]
+    assert decl.function.line == decl.line
     # a leading 'function' is a declaration; expression form needs parens
     anon = expr("(function (x) { return x; })")
     assert anon == FunctionExpr(["x"], Block([Return(Identifier("x"))]))
@@ -791,7 +795,8 @@ def test_every_node_has_its_line():
         ("Program", 1),
         ("VarDecl", 1), ("ObjectLit", 2), ("NumberLit", 3),
         ("StringLit", 5),
-        ("FunctionDecl", 7), ("Block", 8), ("Return", 9), ("Unary", 10),
+        ("FunctionDecl", 7), ("FunctionExpr", 7), ("Block", 8),
+        ("Return", 9), ("Unary", 10),
         ("Identifier", 11),
         ("If", 13), ("BoolLit", 14),
         ("Block", 15), ("PropertySet", 16), ("Identifier", 16),

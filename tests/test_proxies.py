@@ -290,12 +290,13 @@ OPERATIONS = {
 def reference_forward(link, interp, name):
     """The forwarding walk that asks _trap at every link."""
     while True:
+        handler = link.handler
         trap = link._trap(interp, name)
         if trap is not None:
-            return link, trap
+            return link, handler, trap
         link = link.target
         if link.__class__ is not ProxyObject:
-            return link, None
+            return link, None, None
 
 
 def run_chain(kinds, revoked, operation, forward=None):
@@ -384,6 +385,52 @@ def test_revoked_operations_error(interp):
         proxy.own_keys(interp)
     with pytest.raises(RevokedProxyError):
         proxy.call(interp, UNDEFINED, [])
+
+
+def test_revoking_drops_the_handler(interp):
+    # a proxy is revoked exactly when its handler is None: nothing else
+    # records it, and each operation still raises its own message
+    assert ProxyObject.__slots__ == ("target", "handler", "endpoint",
+                                     "voted")
+    fn = native(interp, lambda itp, this, args: "ok")
+    trap = native(interp, lambda itp, this, args: "trapped")
+    traps = dict.fromkeys(
+        ("get", "set", "apply", "has", "deleteProperty", "ownKeys"), trap)
+    proxy, target, _ = make_proxy(interp, target=fn, handler_props=traps)
+    revoke(interp, proxy)
+    assert proxy.handler is None and proxy.target is target
+    operations = {"get": lambda: proxy.get(interp, "x"),
+                  "set": lambda: proxy.set(interp, "x", 1.0),
+                  "apply": lambda: proxy.call(interp, UNDEFINED, []),
+                  "has": lambda: proxy.has(interp, "x"),
+                  "deleteProperty": lambda: proxy.delete(interp, "x"),
+                  "ownKeys": lambda: proxy.own_keys(interp)}
+    for name, operation in operations.items():
+        with pytest.raises(RevokedProxyError) as caught:
+            operation()
+        assert caught.value.message == f"'{name}' on a revoked proxy"
+
+
+REVOKED_IN_LOOKUP = """var p = null;
+var trap = new Proxy(function() { return 0; }, {
+  apply: function(t, self, args, q) { print(self === h); return 5; } });
+var h = new Proxy({}, {get: function(t, name, r) {
+  Proxy.revoke(p); return trap; }});
+function fresh() { p = new Proxy(function() { return 1; }, h); return p; }
+print(fresh().x);
+fresh().x = 2;
+print(fresh()(3));
+p.x;"""
+
+
+def test_a_trap_is_called_with_the_handler_its_lookup_revoked():
+    # the handler is read before its trap is looked up, as in ECMAScript:
+    # a proxy handler whose get revokes the proxy still has the trap it
+    # gives called with itself as this, which the trap's apply trap sees
+    result = evaluate_program(parse_source(REVOKED_IN_LOOKUP), Interpreter())
+    assert result.output == "true\n5\ntrue\ntrue\n5\n"
+    assert (result.error_kind, result.error_message) \
+        == ("RevokedProxyError", "'get' on a revoked proxy")
 
 
 def test_revoke_is_idempotent_and_proxy_only(interp):
