@@ -204,6 +204,36 @@ def test_if_else_and_while():
     """) == "4 5\n"
 
 
+# if and while decide a condition that is not a bool by its truthiness,
+# as ECMAScript's ToBoolean does
+FALSY = ("0", "0 / 0", '""', "null", "undefined")
+TRUTHY = ("1", '"x"', "{}", "new Proxy({}, {})")
+
+
+@pytest.mark.parametrize("value", FALSY + TRUTHY)
+def test_if_and_while_decide_a_non_bool_condition(value):
+    expected = "then\n1\n" if value in TRUTHY else "else\n0\n"
+    assert out(f"""
+    var c = {value};
+    if (c) {{ print("then"); }} else {{ print("else"); }}
+    var n = 0;
+    while (c) {{ n = n + 1; c = false; }}
+    print(n);
+    """) == expected
+
+
+@pytest.mark.parametrize("loop, value", [
+    # a return that is a direct statement of the body
+    ("while (i < 3) { i = i + 1; return i; }", 1),
+    # one inside an if in the body
+    ("while (i < 3) { i = i + 1; if (i == 2) { return i; } }", 2),
+    # one in a body with a declaration of its own, which gets a scope
+    ("while (i < 3) { var j = i; i = i + 1; return j; }", 0)])
+def test_a_return_in_a_while_body_ends_the_call(loop, value):
+    assert out(f"function f() {{ var i = 0; {loop} return 99; }}"
+               " print(f());") == f"{value}\n"
+
+
 def test_logical_operators_short_circuit_and_pass_values():
     assert out('print(1 && "x", 0 && "x", null || "d", "a" || "b");') \
         == "x 0 d a\n"

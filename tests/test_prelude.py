@@ -1,5 +1,7 @@
 import pytest
 
+import proxylang.interpreter as interpreter
+import proxylang.weakmap as weakmap
 from proxylang.errors import RevokedProxyError
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.objects import HeapObject
@@ -213,25 +215,28 @@ def test_membrane_gives_a_proxy_and_its_target_distinct_wrappers():
         assert out(source, mode) == "false\ntrue\n", mode
 
 
+MAP_OPS = ("idmap_set", "idmap_get", "idmap_has", "idmap_delete")
+
+
+def _count_calls(monkeypatch, module, names, counts, key=None):
+    """Count the calls of each function of ``module`` named in ``names``
+    in ``counts``, under ``key`` or else under the function's name."""
+    for name in names:
+        def counted(*args, _original=getattr(module, name),
+                    _key=key or name):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+
 def _sweep_counts(monkeypatch, mode, n):
     """Raw comparisons and map operations of a membrane sweep that
     reads, writes back and re-reads each of ``n`` objects."""
-    import proxylang.interpreter as interpreter
-    import proxylang.weakmap as weakmap
-
     counts = {"raw": 0, "map": 0}
-
-    def counting(name, original):
-        def counted(*args):
-            counts[name] += 1
-            return original(*args)
-        return counted
-
-    for op in ("opaque_strict_equals", "opaque_loose_equals"):
-        monkeypatch.setattr(interpreter, op,
-                            counting("raw", getattr(interpreter, op)))
-    for op in ("idmap_set", "idmap_get", "idmap_has", "idmap_delete"):
-        monkeypatch.setattr(weakmap, op, counting("map", getattr(weakmap, op)))
+    _count_calls(monkeypatch, interpreter,
+                 ("opaque_strict_equals", "opaque_loose_equals"), counts,
+                 "raw")
+    _count_calls(monkeypatch, weakmap, MAP_OPS, counts, "map")
     assert out(f"""
     var all = {{ length: {n} }};
     var i = 0;
@@ -259,6 +264,47 @@ def test_membrane_bookkeeping_is_linear(monkeypatch):
         assert small["raw"] == large["raw"] == 0, mode
         assert small["map"] > 0, mode
         assert large["map"] <= 4 * small["map"] + 8, (mode, small, large)
+
+
+# one crossing of a membrane whose wrapper w has already handed out the
+# wrapper of a, and the map calls it makes, by operation
+CROSSINGS = (
+    ("var r = w.a;", {"idmap_get": 1}),                    # already wrapped
+    ("var r = w.b;", {"idmap_get": 1, "idmap_set": 3}),    # fresh
+    ("var r = w.n;", {}),                                  # a primitive
+    ("w.c = w.a;", {"idmap_get": 2}))                      # written back
+
+
+@pytest.mark.parametrize("mode", MODE_NAMES)
+def test_each_crossing_makes_one_map_probe(monkeypatch, mode):
+    # wrapperOf maps a wrapper to itself, so one get answers whether a
+    # value is a wrapper or is already wrapped; unwrap makes one get too
+    counts = {}
+    _count_calls(monkeypatch, weakmap, MAP_OPS, counts)
+    for statement, expected in CROSSINGS:
+        interp = interp_after("""
+        var inner = { a: {}, b: {}, n: 1 };
+        var m = membrane(inner);
+        var w = m.wrapper;
+        var first = w.a;
+        """, mode)
+        counts.clear()
+        assert evaluate_program(parse_source(statement), interp).ok
+        assert counts == expected, (statement, counts)
+
+
+@pytest.mark.parametrize("mode", MODE_NAMES)
+def test_membrane_wrapper_stored_inside_the_graph_comes_back_as_itself(mode):
+    # a raw holder puts a wrapper into the inner graph; reading it back
+    # through the membrane finds the wrapper's entry for itself in
+    # wrapperOf, so it is not wrapped a second time
+    assert out("""
+    var inner = { a: { v: 1 } };
+    var m = membrane(inner);
+    var wa = m.wrapper.a;
+    inner.leak = wa;
+    print(m.wrapper.leak :===: wa, m.wrapper.leak.v);
+    """, mode) == "true 1\n"
 
 
 @pytest.mark.parametrize("mode", MODE_NAMES)
