@@ -23,11 +23,14 @@ their statements run in a loop. Each Binary is built with its operator on
 two numbers and with the value of a number literal on its right (see
 nodes.py), so _binary answers two numbers itself, for every operator but
 && and ||, equality included, and reads such a literal from the node
-without a frame; every other pair of operands goes through _BINARY, whose
-equality entries look up the functions of equality.py when called. _if
-and _while take a bool condition as it is. A computed key that is already
-a string is used as it is. An error takes the line of the innermost node
-that raises it, so only the handlers of nodes that can raise one tag it.
+without a frame. It answers two strings with the same operator, as the
+equality functions and an order would, for every operator but -, * and
+/, which need numbers; every other pair of operands goes through _BINARY,
+whose equality entries look up the functions of equality.py when called.
+_if, _while and _conditional take a bool condition as it is. A computed
+key that is already a string is used as it is. An error takes the line of
+the innermost node that raises it, so only the handlers of nodes that can
+raise one tag it.
 
 Calls: Interpreter.call_value is the entry for calling a value, from the
 evaluator, a trap, a builtin or the host (OrdinaryObject.call and
@@ -72,9 +75,9 @@ from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
                     New, NullLit, NumberLit, ObjectLit, Program, PropertyGet,
                     PropertySet, Return, StringLit, UndefinedLit, Unary,
                     VarDecl, While)
-from .objects import (NULL, NUMBER_OPERATORS, UNDEFINED, FunctionRecord,
-                      Heap, HeapObject, NativeFunction, OrdinaryObject,
-                      kind_of, render_value, to_property_key, truthy)
+from .objects import (_KINDS, NULL, UNDEFINED, FunctionRecord, Heap,
+                      HeapObject, NativeFunction, OrdinaryObject, kind_of,
+                      render_value, to_property_key, truthy)
 from .parser import ensure_recursion_limit, parse_source
 from .proxies import (get_equality_object, is_callable, look_through,
                       proxy_create, revoke, unpack_args_object,
@@ -339,6 +342,9 @@ def _binary(node, interp, env):
             right = node.right.evaluate(interp, env)
         if left.__class__ is float and right.__class__ is float:
             return on_numbers(left, right)
+        if left.__class__ is str and right.__class__ is str \
+                and node.op not in "-*/":
+            return on_numbers(left, right)
         return _BINARY[node.op](interp, left, right)
     except PlxRuntimeError as err:
         raise _at(err, node)
@@ -415,9 +421,10 @@ def _unary(node, interp, env):
 
 
 def _conditional(node, interp, env):
-    branch = node.then if truthy(node.cond.evaluate(interp, env)) \
-        else node.otherwise
-    return branch.evaluate(interp, env)
+    test = node.cond.evaluate(interp, env)
+    if test.__class__ is not bool:
+        test = truthy(test)
+    return (node.then if test else node.otherwise).evaluate(interp, env)
 
 
 def _new(node, interp, env):
@@ -456,8 +463,6 @@ def _not_numbers(op, left, right):
 
 
 def _plus(interp, left, right):
-    if left.__class__ is str and right.__class__ is str:
-        return left + right
     if isinstance(left, str) or isinstance(right, str):
         if isinstance(left, HeapObject) or isinstance(right, HeapObject):
             raise LangTypeError("cannot concatenate an object with a string")
@@ -466,20 +471,16 @@ def _plus(interp, left, right):
 
 
 def _operator(op):
-    """op on operands that are not two numbers: an order compares two
-    strings, and anything else is an error."""
-    compare = NUMBER_OPERATORS[op] if op[0] in "<>" else None
-
+    """op, an arithmetic or order operator, on operands that _binary does
+    not answer itself: an error."""
     def operate(interp, left, right):
-        if compare and left.__class__ is str and right.__class__ is str:
-            return compare(left, right)
         raise _not_numbers(op, left, right)
     return operate
 
 
-# each operator on operands that are not two numbers, which _binary
-# answers itself; the equality functions are looked up when called, not
-# bound here, so that a host can wrap them in this module (as a tracer does)
+# each operator on the operands that _binary does not answer itself; the
+# equality functions are looked up when called, not bound here, so that a
+# host can wrap them in this module (as a tracer does)
 _BINARY = {
     "==": lambda interp, a, b: loose_equals(interp, a, b),
     "!=": lambda interp, a, b: not loose_equals(interp, a, b),
@@ -514,7 +515,9 @@ def _builtin_print(interp, this, args):
 
 
 def _builtin_typeof(interp, this, args):
-    return kind_of(args[0] if args else UNDEFINED)
+    value = args[0] if args else UNDEFINED
+    # the table inline: only a proxy, which it has no entry for, enters kind_of
+    return _KINDS.get(value.__class__) or kind_of(value)
 
 
 def _builtin_contract_violation(interp, this, args):

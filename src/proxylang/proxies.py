@@ -155,13 +155,21 @@ class ProxyObject(HeapObject):
         return link, None, None
 
     def _trap(self, interp, name: str):
+        """The handler's trap for name, None if it has none. An ordinary
+        handler's is read from its properties, which is what its get gives,
+        and an ordinary object with a function is callable without a call
+        of is_callable; a proxy handler or a proxy trap is asked in full."""
         handler = self.handler
         if handler is None:
             raise RevokedProxyError(f"'{name}' on a revoked proxy")
-        trap = handler.get(interp, name)
+        if handler.__class__ is OrdinaryObject:
+            trap = handler.properties.get(name, UNDEFINED)
+        else:
+            trap = handler.get(interp, name)
         if trap is UNDEFINED or trap is NULL:
             return None
-        if not is_callable(trap):
+        if (trap.__class__ is not OrdinaryObject or trap.function is None) \
+                and not is_callable(trap):
             raise LangTypeError(f"trap '{name}' is not callable")
         return trap
 

@@ -7,12 +7,15 @@ its target therefore address the same entry, while in opaque mode they
 are distinct keys. A RawWeakMap never resolves: a proxy and its target are
 distinct keys in every mode, as they are under :===:, so it can be keyed
 by wrappers (a membrane's wrapper -> inner index needs that). Both are
-one IdentityMap type, told apart by its ``raw`` flag. Only objects are
-valid keys, and an entry is stored under the resolved object itself,
-compared by identity. An ordinary object stands for itself in every
-mode, and a raw map takes any object as it is, so only a proxy key of a
-WeakMap, which must be resolved, and a primitive key, which is rejected,
-go through _resolve_key.
+one IdentityMap type, told apart by its ``raw`` flag. Only an object can
+be a key, and an entry is stored under the resolved object itself,
+compared by identity. As in ECMAScript, set rejects a primitive key with
+a TypeError, while get, has and delete answer undefined, false and false
+for one, in both maps and every mode: no entry is stored under a
+primitive, so it misses without being resolved. An ordinary object
+stands for itself in every mode, and a raw map takes any object as it
+is, so only a proxy key of a WeakMap, which must be resolved, and a
+primitive key of set, which is rejected, go through _resolve_key.
 Entries are held strongly; the name follows the host-language
 convention for identity-keyed maps, not a collection contract. A map's
 methods close over its IdentityMap, not over the map object, and set
@@ -22,6 +25,7 @@ reference counting frees it once dropped.
 
 from .errors import LangTypeError
 from .objects import UNDEFINED, HeapObject, OrdinaryObject, kind_of
+from .proxies import ProxyObject
 
 
 class IdentityMap:
@@ -49,22 +53,19 @@ def idmap_set(interp, imap: IdentityMap, key, value) -> None:
 
 
 def idmap_get(interp, imap: IdentityMap, key):
-    if key.__class__ is not OrdinaryObject and (
-            not imap.raw or not isinstance(key, HeapObject)):
+    if key.__class__ is ProxyObject and not imap.raw:
         key = _resolve_key(interp, imap, key)
     return imap.entries.get(key, UNDEFINED)
 
 
 def idmap_has(interp, imap: IdentityMap, key) -> bool:
-    if key.__class__ is not OrdinaryObject and (
-            not imap.raw or not isinstance(key, HeapObject)):
+    if key.__class__ is ProxyObject and not imap.raw:
         key = _resolve_key(interp, imap, key)
     return key in imap.entries
 
 
 def idmap_delete(interp, imap: IdentityMap, key) -> bool:
-    if key.__class__ is not OrdinaryObject and (
-            not imap.raw or not isinstance(key, HeapObject)):
+    if key.__class__ is ProxyObject and not imap.raw:
         key = _resolve_key(interp, imap, key)
     return imap.entries.pop(key, _MISSING) is not _MISSING
 

@@ -9,8 +9,8 @@ so that a refactor that puts frames back on the call path fails here
 instead of only showing up as a slower trap-mode benchmark; so are the frames one iteration of a numeric while
 loop enters, with and without a scoped block. So are a read through a chain of trap-less proxies,
 which must not grow with the chain, one membrane read, a WeakMap probe,
-primitive equality, an if on a bool, a number literal as a right
-operand, which must enter no frame, the equality workload's statement,
+primitive equality, two strings, an if or a '?:' on a bool, a number
+literal as a right operand, which must enter no frame, the equality workload's statement,
 print and Proxy.isIdentical, which must enter no helper (render_value,
 raw_identical, arg or write), and the literals that must not enter a
 comprehension's frame. So are the scopes a call builds, counted
@@ -292,43 +292,64 @@ def test_trap_less_links_enter_no_frames():
 
 
 def test_one_membrane_read():
-    # w.a, with a's wrapper already made: the membrane's get trap runs
-    # wrap(t[key]), whose typeofValue, != and one RawWeakMap probe read
-    # their arguments inline, never resolve a raw map's object key or a
-    # string operand; != on two strings compares them in loose_equals (56
-    # frames when wrap asked innerOf.has, wrapperOf.has and wrapperOf.get)
+    # the membrane's get trap runs wrap(t[key]), whose one RawWeakMap probe
+    # comes first and reads its argument inline, never resolving a raw
+    # map's key. w.a, with a's wrapper already made, is answered by the
+    # probe, a hit: no typeofValue, and if (w) tests an object, so truthy
+    # is entered once (43 frames when typeofValue(value) != "object" came
+    # first, 56 when wrap asked innerOf.has, wrapperOf.has and
+    # wrapperOf.get). w.n, a number, misses and pays the type test, whose
+    # typeofValue reads the kind table inline and whose != compares two
+    # strings in _binary (31 frames when the test came first and skipped
+    # the probe). Either way _trap reads the get trap from the ordinary
+    # handler's properties and asks no is_callable
     interp = Interpreter()
     assert evaluate_program(parse_source(
         default_prelude_source()
-        + "var inner = {a: {v: 1}}; var m = membrane(inner);"
+        + "var inner = {a: {v: 1}, n: 1}; var m = membrane(inner);"
         + "var w = m.wrapper; var first = w.a;"), interp).ok
-    value, names = names_entered(parse_expression("w.a").evaluate, interp,
-                                 interp.globals)
-    assert value is interp.globals.lookup("first")
-    for helper in ("arg", "_resolve_key", "to_property_key",
-                   "raw_identical") + RESOLVERS:
-        assert helper not in names, helper
-    # if (w) tests the wrapper the probe found, an object, so it enters
-    # truthy once; the two typeofValue conditions are bools and skip it
-    assert names.count("truthy") == 1, names
-    assert len(names) <= 43, names
+    for expression, expected, typeofs, most in (
+            ("w.a", interp.globals.lookup("first"), 0, 29),
+            ("w.n", 1.0, 1, 38)):
+        value, names = names_entered(parse_expression(expression).evaluate,
+                                     interp, interp.globals)
+        assert value is expected or value == expected, expression
+        for helper in ("arg", "_resolve_key", "to_property_key",
+                       "raw_identical", "kind_of", "loose_equals",
+                       "is_callable") + RESOLVERS:
+            assert helper not in names, (expression, helper)
+        assert names.count("_builtin_typeof") == typeofs, names
+        assert names.count("idmap_get") == 1, names
+        assert names.count("truthy") == 1, names
+        assert len(names) <= most, (expression, names)
 
 
 def test_primitive_equality():
-    # two strings: _binary, two _identifier, the operator's lambda and
-    # loose_equals, which compares two operands of one class with == (6
-    # frames with primitive_loose_equals); an operand that is not a proxy
-    # is never resolved. Two numbers: _binary and two _identifier, as
-    # _binary compares them itself (6 frames when they went through the
-    # lambda too)
+    # two strings or two numbers: _binary and two _identifier, as _binary
+    # compares them itself (5 frames for two strings when they went through
+    # the operator's lambda and loose_equals, 6 with primitive_loose_equals;
+    # 6 for two numbers through the lambda); an operand that is not a proxy
+    # is never resolved
     for setup, expression, most in (
-            ('var a = "x"; var b = "y";', "a != b", 5),
+            ('var a = "x"; var b = "y";', "a != b", 3),
             ("var a = 1; var b = 2;", "a == b", 3)):
         value, names = frames_entered("opaque", setup, expression)
         assert value is (expression == "a != b")
         for resolver in RESOLVERS:
             assert resolver not in names, expression
         assert len(names) <= most, (expression, names)
+
+
+def test_two_strings_enter_no_operator_entry():
+    # _binary answers two strings with the node's operator, as it answers
+    # two numbers: no entry of _BINARY (an equality lambda, _plus or an
+    # order's operate) and no loose_equals is entered, in any mode
+    for mode in MODES:
+        for expression, expected in (('"a" + "b"', "ab"), ('"a" < "b"', True),
+                                     ('"x" != "y"', True)):
+            value, names = frames_entered(mode, "", expression)
+            assert value == expected, (mode, expression)
+            assert names == ["_binary", "_literal", "_literal"], names
 
 
 def test_weakmap_probe_of_an_ordinary_key():
@@ -367,6 +388,12 @@ def test_if_takes_a_bool_condition_as_it_is():
     assert interp.globals.lookup("b") == 1.0
     assert "_if" in names
     assert "truthy" not in names
+
+
+def test_conditional_takes_a_bool_condition_as_it_is():
+    value, names = frames_entered("opaque", "var c = true;", "c ? 1 : 2")
+    assert value == 1.0
+    assert names == ["_conditional", "_identifier", "_literal"], names
 
 
 def test_literals_enter_no_comprehension():
@@ -514,11 +541,13 @@ def frames(function, argument):
 
 
 def test_tokenize_enters_no_frame_per_token():
-    # the scan fills lists of lexemes and lines, so lexing the prelude's
-    # 705 tokens enters tokenize and the Tokens it returns (a token class
-    # would enter its __init__ once a token, 706 times)
-    source = default_prelude_source()
-    assert len(tokenize(source)) > 700
+    # the scan fills lists of lexemes and lines, so lexing 33 tokens a
+    # line, of every kind (keywords, names, numbers, strings, operators,
+    # punctuation, a comment), 726 in all, enters tokenize and the Tokens
+    # it returns (a token class would enter its __init__ once a token)
+    source = ('if (a.b[0] != "x" && c <= 1.5) { f(a, {k: -2}, p :===: q); }'
+              " // why\n") * 22
+    assert len(tokenize(source)) == 33 * 22
     entered, _ = frames(tokenize, source)
     assert entered <= 2, entered
 
@@ -540,17 +569,17 @@ def test_tokenize_enters_no_frame_per_line():
 
 
 def test_parsing_the_prelude():
-    # 327 frames for 705 tokens (335 for the earlier 721-token prelude, on
-    # which the other counts in parentheses were taken): one an expression,
-    # with every operand, suffix and binary operator in it but its
-    # parenthesised parts, arguments, keys and '?:' arms; one a keyword
+    # 312 frames for 682 tokens (327 for 705, 335 for the earlier 721-token
+    # prelude, on which the other counts in parentheses were taken): one an
+    # expression, with every operand, suffix and binary operator in it but
+    # its parenthesised parts, arguments, keys and '?:' arms; one a keyword
     # statement and one a block, which sets Block.scoped inline (367 frames
     # with a helper for it); expected lexemes are compared inline, and the
     # nodes the parser makes most are built without their __init__ (1,697
     # frames when each operand, binary run, token check and node entered
     # one)
     entered, _ = frames(parse, tokenize(default_prelude_source()))
-    assert entered <= 327, entered
+    assert entered <= 312, entered
 
 
 def test_parsing_the_benchmark_scripts():

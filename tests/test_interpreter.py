@@ -222,6 +222,25 @@ def test_if_and_while_decide_a_non_bool_condition(value):
     """) == expected
 
 
+@pytest.mark.parametrize("value", FALSY + TRUTHY)
+def test_conditional_decides_a_non_bool_condition(value):
+    expected = "1\n" if value in TRUTHY else "2\n"
+    assert out(f"var c = {value}; print(c ? 1 : 2);") == expected
+
+
+@pytest.mark.parametrize("mode", MODE_NAMES)
+@pytest.mark.parametrize("op", ["-", "*", "/"])
+def test_two_strings_need_numbers_for_arithmetic(op, mode):
+    # _binary answers two strings itself for every other operator; these
+    # three still raise, with the operator's message and line
+    result = err(f'var a = "a";\nvar b = "b";\nvar c = a {op} b;', mode)
+    assert (result.error_kind, result.error_message, result.error_line) \
+        == ("TypeError", f"'{op}' needs numbers, not string", 3)
+    result = err(f'var c = 1;\n"a" {op} "b";', mode)
+    assert (result.error_kind, result.error_message, result.error_line) \
+        == ("TypeError", f"'{op}' needs numbers, not string", 2)
+
+
 @pytest.mark.parametrize("loop, value", [
     # a return that is a direct statement of the body
     ("while (i < 3) { i = i + 1; return i; }", 1),

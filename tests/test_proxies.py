@@ -188,6 +188,32 @@ def test_present_non_callable_trap_is_an_error(interp):
         proxy.get(interp, "x")
 
 
+# a trap of an ordinary handler, and whether it is callable: an object
+# with no function is not, nor is a proxy over one, and a proxy over a
+# function is, though _trap no longer asks is_callable of an ordinary one
+TRAPS = {"5": False, '"f"': False, "true": False, "{}": False,
+         "new Proxy({}, {})": False, "function(t, k, p) { return 7; }": True,
+         "new Proxy(function(t, k, p) { return 7; }, {})": True}
+
+
+@pytest.mark.parametrize("mode", ["opaque", "transparent", "trap"])
+@pytest.mark.parametrize("trap", TRAPS)
+def test_a_get_trap_runs_only_if_callable(trap, mode):
+    # through the handler itself, and through a proxy over it, whose
+    # lookup is a full get
+    for handler in ("h", "new Proxy(h, {})"):
+        interp = Interpreter(mode=mode)
+        result = evaluate_program(parse_source(
+            f"var h = {{get: {trap}}};\nvar p = new Proxy({{}}, {handler});"
+            "\nprint(p.x);"), interp)
+        if TRAPS[trap]:
+            assert result.ok and result.output == "7\n", result.error_message
+        else:
+            assert (result.error_kind, result.error_message,
+                    result.error_line) \
+                == ("TypeError", "trap 'get' is not callable", 3)
+
+
 def test_null_trap_counts_as_absent(interp):
     proxy, target, _ = make_proxy(interp, handler_props={"get": NULL})
     target.set(interp, "x", 1.0)

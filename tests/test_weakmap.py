@@ -19,13 +19,16 @@ def transparent_proxy(interp, target):
 
 
 def test_object_keys_only():
+    # only set rejects a primitive key; a lookup misses, as in ECMAScript
     interp = Interpreter()
     imap = IdentityMap()
     for bad in (1.0, "k", True, NULL, UNDEFINED):
-        with pytest.raises(LangTypeError):
+        with pytest.raises(LangTypeError, match="WeakMap keys"):
             idmap_set(interp, imap, bad, 1.0)
-        with pytest.raises(LangTypeError):
-            idmap_get(interp, imap, bad)
+        assert idmap_get(interp, imap, bad) is UNDEFINED
+        assert idmap_has(interp, imap, bad) is False
+        assert idmap_delete(interp, imap, bad) is False
+    assert imap.entries == {}
 
 
 def test_basic_store():
@@ -199,11 +202,34 @@ def test_raw_map_object_keys_only():
     interp = Interpreter(mode=EqualityMode.TRAP)
     imap = IdentityMap(raw=True)
     for bad in (1.0, "k", True, NULL, UNDEFINED):
-        for op in (idmap_get, idmap_has, idmap_delete):
-            with pytest.raises(LangTypeError, match="RawWeakMap keys"):
-                op(interp, imap, bad)
+        assert idmap_get(interp, imap, bad) is UNDEFINED
+        assert idmap_has(interp, imap, bad) is False
+        assert idmap_delete(interp, imap, bad) is False
         with pytest.raises(LangTypeError, match="RawWeakMap keys"):
             idmap_set(interp, imap, bad, 1.0)
+    assert imap.entries == {}
+
+
+# a primitive key and its kind: a lookup with one answers as ECMAScript's
+# WeakMap.prototype.get, has and delete do, and only set throws
+PRIMITIVE_KEYS = {"1": "number", '"k"': "string", "true": "boolean",
+                  "null": "null", "undefined": "undefined"}
+
+
+@pytest.mark.parametrize("mode", MODE_NAMES)
+@pytest.mark.parametrize("name", ["WeakMap", "RawWeakMap"])
+@pytest.mark.parametrize("key", PRIMITIVE_KEYS)
+def test_a_primitive_key_misses_and_only_set_throws(key, name, mode):
+    result = run_source(f"""
+    var m = {name}();
+    m.set({{}}, 1);
+    print(m.get({key}), m.has({key}), m.delete({key}));
+    m.set({key}, 2);
+    """, mode=mode)
+    assert result.output == "undefined false false\n"
+    assert (result.error_kind, result.error_message, result.error_line) == (
+        "TypeError", f"{name} keys must be objects, not {PRIMITIVE_KEYS[key]}",
+        5)
 
 
 @pytest.mark.parametrize("mode", MODE_NAMES)
