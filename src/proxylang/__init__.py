@@ -7,8 +7,8 @@ from .errors import (ContractViolation, LangReferenceError, LangTypeError,
 from .equality import (EqualityMode, builtin_is_equal, builtin_is_identical,
                        loose_equals, opaque_loose_equals,
                        opaque_strict_equals, raw_identical, strict_equals)
-from .interpreter import (Environment, ExecutionResult, Interpreter,
-                          evaluate_program, run_source)
+from .interpreter import (ExecutionResult, Interpreter, evaluate_program,
+                          run_source)
 from .lexer import tokenize
 from .nodes import Program, pretty_print
 from .objects import NULL, UNDEFINED, Heap, HeapObject, render_value
@@ -24,8 +24,7 @@ __all__ = [
     "EqualityMode", "builtin_is_equal", "builtin_is_identical",
     "loose_equals", "opaque_loose_equals", "opaque_strict_equals",
     "raw_identical", "strict_equals",
-    "Environment", "ExecutionResult", "Interpreter", "evaluate_program",
-    "run_source",
+    "ExecutionResult", "Interpreter", "evaluate_program", "run_source",
     "tokenize",
     "Program", "pretty_print",
     "NULL", "UNDEFINED", "Heap", "HeapObject", "render_value",

@@ -32,34 +32,33 @@ key that is already a string is used as it is. An error takes the line of
 the innermost node that raises it, so only the handlers of nodes that can
 raise one tag it.
 
-Calls: Interpreter.call_value is the entry for calling a value, from the
-evaluator, a trap, a builtin or the host (OrdinaryObject.call and
-ProxyObject.call lead back to it), and Interpreter.invoke is the one
+Calls: Interpreter.invoke is the one entry for calling a value, from the
+evaluator, a trap, an isTransparent vote, a builtin or the host
+(OrdinaryObject.call and ProxyObject.call lead back to it), and the one
 frame of a language call: it binds the parameters in a loop and runs the
 body itself, a return among the body's direct statements included. So
-`return f(n - 1) + 1` recurses through 4 host frames a level: _binary,
-_call, call_value and invoke. One caller skips call_value: a trap-mode
-vote whose isTransparent trap is an ordinary function object enters
-invoke directly (proxies.is_transparent), as it runs at every link of a
-chain for every equality decision. A vote through a trap whose body is
-one `return true;` or `return false;` skips invoke too, below
-MAX_CALL_DEPTH: its node's constant is the vote (see nodes.py), and it
-is not charged as a call. A builtin enters no helper frame under invoke.
+`return f(n - 1) + 1` recurses through 3 host frames a level: _binary,
+_call and invoke. A proxy callee enters invoke twice, once for itself and
+once for its trap or its chain's end. A vote through a trap whose body is
+one `return true;` or `return false;` skips invoke, below MAX_CALL_DEPTH:
+its node's constant is the vote (see nodes.py), and it is not charged as
+a call. A builtin enters no helper frame under invoke.
 
-Scopes: a call runs its body in a fresh Environment holding the
-parameters only if its node is scoped (a direct statement of the
-body declares, or a name in it reads or assigns a parameter; see
-nodes.py), and otherwise in the function's closure scope; an if or while
-block gets one only if Block.scoped (a direct statement is a var or
-function declaration). Skipping one changes no result: only _var_decl
-and _function_decl declare into the current scope, and hosts declare on
-globals, so a skipped Environment would hold nothing that a name of the
-body reaches, and every lookup, assignment and closure would pass
-through it. So `function(t, p) { return true; }`, the usual
-isTransparent trap, builds no scope when it votes. Every scope is built
-without an __init__ (see Environment). Name reads and assignments walk the
-chain in their handlers, and declarations write its bindings;
-Environment.lookup and declare are the host's.
+Scopes: a scope is a plain dict of its bindings, whose "." entry, a key
+no identifier can spell, is the enclosing scope, or None in globals. A
+call runs its body in a fresh scope holding the parameters only if its
+node is scoped (a direct statement of the body declares, or a name in it
+reads or assigns a parameter; see nodes.py), and otherwise in the
+function's closure scope; an if or while block gets one only if
+Block.scoped (a direct statement is a var or function declaration).
+Skipping one changes no result: only _var_decl and _function_decl
+declare into the current scope, and hosts declare in globals, so a
+skipped scope would hold nothing that a name of the body reaches, and
+every lookup, assignment and closure would pass through it. So
+`function(t, p) { return true; }`, the usual isTransparent trap, builds
+no scope when it votes. Each scope is built as one dict display. Name
+reads and assignments walk the chain in their handlers, and declarations
+index the scope.
 """
 
 import io
@@ -93,25 +92,6 @@ _RESOLVERS = {EqualityMode.OPAQUE: None,
               EqualityMode.TRAP: get_equality_object}
 
 
-class Environment:
-    """A scope: its own bindings, a dict kept as given, and the enclosing
-    scope, or None for globals. It has no __init__, which would cost every
-    call a host frame: each scope is built as `env = Environment()`, then
-    both slots are set."""
-    __slots__ = ("bindings", "parent")
-
-    def declare(self, name: str, value) -> None:
-        self.bindings[name] = value
-
-    def lookup(self, name: str):
-        env = self
-        while env is not None:
-            if name in env.bindings:
-                return env.bindings[name]
-            env = env.parent
-        raise LangReferenceError(f"'{name}' is not defined")
-
-
 @dataclass
 class ExecutionResult:
     status: str  # "ok" | "error"
@@ -136,9 +116,7 @@ class Interpreter:
         self.sink = sink if sink is not None else io.StringIO()
         self.override_stack: list = []  # (proxy, bool), LIFO
         self.depth = 0
-        self.globals = Environment()
-        self.globals.bindings = {}
-        self.globals.parent = None
+        self.globals = {".": None}
         self._proxy_builtin = _install_builtins(self)
 
     # --- output ---
@@ -158,28 +136,28 @@ class Interpreter:
 
     # --- calls ---
 
-    def call_value(self, value, this_value, args):
-        """Call a language value: the one entry for every call."""
-        if value.__class__ is OrdinaryObject:
-            if value.function is None:
-                raise LangTypeError("object is not callable")
-            return self.invoke(value.function, this_value, args)
-        if not isinstance(value, HeapObject):
-            raise LangTypeError(f"{kind_of(value)} is not callable")
-        return value.call(self, this_value, args)
-
-    def invoke(self, record, this_value, args):
-        """Run a FunctionRecord or NativeFunction as one call frame, the
-        one host frame of every language call. A call that would pass
+    def invoke(self, value, this_value, args):
+        """Call a language value: the one entry for every call, from the
+        evaluator, a trap, a builtin or the host, and the one host frame of
+        a language call. A proxy is called by its call, which enters here
+        again for its trap or the end of its chain; any other value but a
+        function object raises. A call of a function that would pass
         MAX_CALL_DEPTH raises StackOverflow before it is counted. If the
         FunctionExpr record.node is scoped, the parameters are bound in one
         pass in order, so a missing argument is undefined, an extra one is
-        ignored, and a repeated name takes its last position, in a scope
-        built without an __init__ frame; otherwise the body can observe no
+        ignored, and a repeated name takes its last position, in one dict
+        whose "." entry is record.env; otherwise the body can observe no
         scope of its own (see nodes.py) and runs in record.env. The body
         runs here, not in a helper, which would be another frame, and a
         return among its statements ends the call here, without _return;
         _if and _while run their blocks inline too."""
+        if value.__class__ is not OrdinaryObject:
+            if isinstance(value, HeapObject):
+                return value.call(self, this_value, args)
+            raise LangTypeError(f"{kind_of(value)} is not callable")
+        record = value.function
+        if record is None:
+            raise LangTypeError("object is not callable")
         if self.depth >= MAX_CALL_DEPTH:
             raise StackOverflow(
                 f"call stack exceeded {MAX_CALL_DEPTH} frames")
@@ -192,15 +170,12 @@ class Interpreter:
             if node.scoped:
                 # one pass in order, so a repeated name takes its last
                 # position; a loop, as 3.11's zip() has no fast constructor
-                bindings = {}
+                env = {".": record.env}
                 count = len(args)
                 i = 0
                 for param in node.params:
-                    bindings[param] = args[i] if i < count else UNDEFINED
+                    env[param] = args[i] if i < count else UNDEFINED
                     i += 1
-                env = Environment()
-                env.bindings = bindings
-                env.parent = record.env
             else:
                 env = record.env
             for stmt in node.body.statements:
@@ -230,17 +205,17 @@ def _expr_stmt(node, interp, env):
 
 
 def _var_decl(node, interp, env):
-    env.bindings[node.name] = node.init.evaluate(interp, env)
+    env[node.name] = node.init.evaluate(interp, env)
 
 
 def _assign(node, interp, env):
     value = node.value.evaluate(interp, env)
     name = node.name
     while env is not None:
-        if name in env.bindings:
-            env.bindings[name] = value
+        if name in env:
+            env[name] = value
             return
-        env = env.parent
+        env = env["."]
     raise LangReferenceError(f"'{name}' is not defined", line=node.line)
 
 
@@ -267,10 +242,7 @@ def _if(node, interp, env):
     block = node.then if test else node.otherwise
     if block is not None:
         if block.scoped:
-            outer = env
-            env = Environment()
-            env.bindings = {}
-            env.parent = outer
+            env = {".": env}
         for stmt in block.statements:
             returned = stmt.execute(interp, env)
             if returned is not None:
@@ -288,9 +260,7 @@ def _while(node, interp, env):
         if test is not True and (test is False or not truthy(test)):
             return None
         if scoped:
-            inner = Environment()
-            inner.bindings = {}
-            inner.parent = env
+            inner = {".": env}
         for stmt in statements:
             returned = stmt.execute(interp, inner)
             if returned is not None:
@@ -303,7 +273,7 @@ def _return(node, interp, env):
 
 
 def _function_decl(node, interp, env):
-    env.bindings[node.name] = interp.alloc_function(
+    env[node.name] = interp.alloc_function(
         FunctionRecord(node.function, env))
 
 
@@ -321,9 +291,9 @@ def _literal(node, interp, env):
 def _identifier(node, interp, env):
     name = node.name
     while env is not None:
-        if name in env.bindings:
-            return env.bindings[name]
-        env = env.parent
+        if name in env:
+            return env[name]
+        env = env["."]
     raise LangReferenceError(f"'{name}' is not defined", line=node.line)
 
 
@@ -373,7 +343,7 @@ def _call(node, interp, env):
         args = []
         for expr in node.args:
             args.append(expr.evaluate(interp, env))
-        return interp.call_value(callee, UNDEFINED, args)
+        return interp.invoke(callee, UNDEFINED, args)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -392,7 +362,7 @@ def _method_call(node, interp, env):
         args = []
         for expr in node.args:
             args.append(expr.evaluate(interp, env))
-        return interp.call_value(method, obj, args)
+        return interp.invoke(method, obj, args)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -532,7 +502,7 @@ def _builtin_reflect_apply(interp, this, args):
     args_obj = args[2] if len(args) > 2 else UNDEFINED
     if not is_callable(fn):
         raise LangTypeError("Reflect.apply needs a callable")
-    return interp.call_value(
+    return interp.invoke(
         fn, this_value, unpack_args_object(interp, args_obj))
 
 
@@ -574,8 +544,8 @@ def _install_builtins(interp: Interpreter) -> OrdinaryObject:
                  for member, fn in entry.items()})
         else:
             value = interp.alloc_native(name, entry)
-        interp.globals.declare(name, value)
-    return interp.globals.bindings["Proxy"]
+        interp.globals[name] = value
+    return interp.globals["Proxy"]
 
 
 # --- embedding API ---
@@ -636,5 +606,5 @@ def run_source(source: str, *, mode=EqualityMode.OPAQUE,
     if result is None or result.ok:
         result = evaluate_program(program, interp)
     if not isinstance(result.value, HeapObject):
-        interp.globals.bindings.clear()
+        interp.globals.clear()
     return result

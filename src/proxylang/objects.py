@@ -49,7 +49,7 @@ class FunctionRecord:
     flags a call reads (see nodes.py), and its closure scope. A node a
     host builds has scoped True and constant None, so its record binds."""
     node: object  # FunctionExpr
-    env: object   # Environment
+    env: dict     # the closure scope (see interpreter.py)
 
 
 @dataclass(slots=True)
@@ -105,7 +105,7 @@ class OrdinaryObject(HeapObject):
         return list(self.properties)
 
     def call(self, interp, this_value, args):
-        return interp.call_value(self, this_value, args)
+        return interp.invoke(self, this_value, args)
 
 
 class Heap:

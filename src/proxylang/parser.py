@@ -122,13 +122,15 @@ _MAX_OPEN = 2 * _MAX_NESTING + 1
 # parse_function's included), for the deepest pretty_print of a tree the
 # parser accepts (2,402 for as many 'if' blocks around 399 nested calls, 3
 # frames a block and 3 a call) and for the evaluator's deepest call stack
-# (4,101 measured from run_source for rec(1023), whose body returns
-# rec(n - 1) + 1: 4 host frames a language call, as invoke runs the return
-# itself), with room to spare. That is for a plain body: each language call
-# also takes its body's expression height in frames, so the call depth a
-# program reaches depends on its shape, not only on MAX_CALL_DEPTH. With
-# 390 prefix '-' in `return -...-r(n - 1);`, r(50) returns and r(51)
-# exceeds this limit.
+# (3,077 measured from run_source for rec(1023), whose body returns
+# rec(n - 1) + 1: 3 host frames a language call, _binary, _call and invoke,
+# which is the call's entry and runs the return itself), with room to
+# spare. That is for a plain body: each language call also takes its body's
+# expression height in frames, so the call depth a program reaches depends
+# on its shape, not only on MAX_CALL_DEPTH. With 390 prefix '-' in
+# `return -...-r(n - 1);`, r(50) returns and r(51) exceeds this limit; with
+# 390 prefix '!' around the call and h around a trap-mode `p === o` at its
+# base, r(50) returns at h = 386 and exceeds it at h = 387.
 HOST_RECURSION_LIMIT = 20_000
 
 

@@ -91,7 +91,7 @@ class ProxyObject(HeapObject):
         link, handler, trap = self._forward(interp, "get")
         if trap is None:
             return link.get(interp, key)
-        return interp.call_value(trap, handler, [link.target, key, link])
+        return interp.invoke(trap, handler, [link.target, key, link])
 
     def set(self, interp, key, value):
         link, handler, trap = self._forward(interp, "set")
@@ -99,7 +99,7 @@ class ProxyObject(HeapObject):
             link.set(interp, key, value)
             return
         # the trap's return value carries no meaning
-        interp.call_value(trap, handler, [link.target, key, value, link])
+        interp.invoke(trap, handler, [link.target, key, value, link])
 
     def has(self, interp, key):
         return self._end("has").has(interp, key)
@@ -113,9 +113,9 @@ class ProxyObject(HeapObject):
     def call(self, interp, this_value, args):
         link, handler, trap = self._forward(interp, "apply")
         if trap is None:
-            return interp.call_value(link, this_value, args)
+            return interp.invoke(link, this_value, args)
         args_obj = pack_args_object(interp, args)
-        return interp.call_value(
+        return interp.invoke(
             trap, handler, [link.target, this_value, args_obj, link])
 
     # --- trap lookup ---
@@ -227,10 +227,9 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     is a function object whose record's node has a constant, and the call
     depth is below MAX_CALL_DEPTH, the constant is the vote: no override is
     pushed, no argument list built and no Interpreter.invoke made.
-    Otherwise, under the override, an ordinary function object is run by one
-    invoke, with no call_value frame between; a handler that is a proxy is
-    asked by its get; any other trap (a callable proxy, say) goes through
-    call_value, and every answer is coerced with truthy."""
+    Otherwise, under the override, a handler that is a proxy is asked by
+    its get, a callable trap is run by one invoke, and every answer is
+    coerced with truthy."""
     override_stack = interp.override_stack
     if override_stack:
         for overridden, flag in reversed(override_stack):
@@ -251,12 +250,9 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     try:
         if handler.__class__ is not OrdinaryObject:
             trap = handler.get(interp, "isTransparent")
-        if trap.__class__ is OrdinaryObject:
-            function = trap.function
-            answer = False if function is None else interp.invoke(
-                function, handler, [proxy.target, proxy])
-        elif is_callable(trap):
-            answer = interp.call_value(trap, handler, [proxy.target, proxy])
+        if trap.__class__ is OrdinaryObject and trap.function is not None \
+                or is_callable(trap):
+            answer = interp.invoke(trap, handler, [proxy.target, proxy])
         else:
             answer = False
         if answer.__class__ is not bool:
@@ -343,7 +339,7 @@ def with_transparency(interp, proxy, flag, thunk):
                             "must be callable")
     interp.override_stack.append((proxy, flag))
     try:
-        return interp.call_value(thunk, UNDEFINED, [])
+        return interp.invoke(thunk, UNDEFINED, [])
     finally:
         interp.override_stack.pop()
 

@@ -345,25 +345,23 @@ def test_criterion_07_membrane_and_revocation():
         assert result.ok, (result.error_kind, result.error_message)
         env = interp.globals
 
-        wet_refs = [env.lookup("wet")]
+        wet_refs = [env["wet"]]
         wet_refs.append(wet_refs[0].get(interp, "child"))
         wet_refs.append(wet_refs[1].get(interp, "leaf"))
         wet_refs.append(wet_refs[0].get(interp, "f"))
 
-        wrappers = [env.lookup(n) for n in ("w0", "w1", "w2", "w3")]
+        wrappers = [env[n] for n in ("w0", "w1", "w2", "w3")]
         # repeated crossings reuse the cached wrapper, by raw identity
-        assert opaque_strict_equals(interp, env.lookup("w1"),
-                                    env.lookup("w1again"))
-        assert opaque_strict_equals(interp, env.lookup("echoed"),
-                                    env.lookup("w2"))
+        assert opaque_strict_equals(interp, env["w1"], env["w1again"])
+        assert opaque_strict_equals(interp, env["echoed"], env["w2"])
         # the dry side holds only wrappers, never a wet reference
         for wrapper in wrappers:
             assert isinstance(wrapper, ProxyObject)
             for wet in wet_refs:
                 assert not opaque_strict_equals(interp, wrapper, wet)
 
-        revoke = env.lookup("m").get(interp, "revoke")
-        interp.call_value(revoke, None, [])
+        revoke = env["m"].get(interp, "revoke")
+        interp.invoke(revoke, None, [])
         for obj in wrappers:
             for probe in (
                 lambda: obj.get(interp, "x"),

@@ -122,8 +122,7 @@ def test_operators_match_the_model(mode, op, left, left_literal, right,
               + f"{left_expr}\n  {op} {right_expr};\n")
     interp = Interpreter(mode=mode)
     result = evaluate_program(parse_source(source), interp)
-    expected = model(interp, op, interp.globals.lookup("l"),
-                     interp.globals.lookup("r"))
+    expected = model(interp, op, interp.globals["l"], interp.globals["r"])
     if type(expected) is tuple:
         assert not result.ok, source
         assert (result.error_kind, result.error_message, result.error_line) \

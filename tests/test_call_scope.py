@@ -19,7 +19,7 @@ import reference_front_end as reference
 from proxylang.interpreter import Interpreter, evaluate_program, run_source
 from proxylang.nodes import (Block, FunctionDecl, FunctionExpr, Identifier,
                              Return)
-from proxylang.objects import FunctionRecord, render_value
+from proxylang.objects import FunctionRecord, OrdinaryObject, render_value
 from proxylang.parser import parse_expression, parse_source
 from proxylang.prelude import default_prelude_source
 
@@ -90,8 +90,9 @@ def test_host_built_functions_bind():
     interp = Interpreter()
     record = FunctionRecord(FunctionExpr(["t"], body), interp.globals)
     assert record.node.scoped is True
-    assert interp.invoke(record, None, [5.0]) == 5.0
-    assert "t" not in interp.globals.bindings
+    assert interp.invoke(OrdinaryObject(function=record), None, [5.0]) \
+        == 5.0
+    assert "t" not in interp.globals
 
 
 def test_closures_share_their_node():
@@ -103,12 +104,12 @@ def test_closures_share_their_node():
         "var a = make(1);\nvar b = make(2);")
     result = evaluate_program(program, interp)
     assert result.ok
-    a, b = (interp.globals.bindings[name].function for name in "ab")
+    a, b = (interp.globals[name].function for name in "ab")
     assert a.node is b.node
     assert isinstance(a.node, FunctionExpr)
     assert a.env is not b.env
-    assert interp.call_value(interp.globals.bindings["b"], None, []) == 2.0
-    make = interp.globals.bindings["make"].function
+    assert interp.invoke(interp.globals["b"], None, []) == 2.0
+    make = interp.globals["make"].function
     # a declaration's closure is made from the FunctionExpr it holds
     assert make.node is program.statements[0].function
     assert make.env is interp.globals

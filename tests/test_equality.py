@@ -462,12 +462,12 @@ def test_equality_matches_a_resolve_first_reference(mode):
         assert raw_identical(a, b) is strict
     interp = Interpreter(mode=mode)
     assert evaluate_program(parse_source(EQUALITY_OPERANDS), interp).ok
-    operands = primitives + [interp.globals.lookup(name)
+    operands = primitives + [interp.globals[name]
                              for name in OBJECT_NAMES]
     for op in ("==", "!=", "===", "!=="):
         node = parse_expression(f"a {op} b")
         for a, b in itertools.product(operands, repeat=2):
-            interp.globals.bindings["a"] = a
-            interp.globals.bindings["b"] = b
+            interp.globals["a"] = a
+            interp.globals["b"] = b
             assert node.evaluate(interp, interp.globals) \
                 is reference_equals(interp, op, a, b), (op, a, b)

@@ -13,11 +13,11 @@ primitive equality, two strings, an if or a '?:' on a bool, a number
 literal as a right operand, which must enter no frame, the equality workload's statement,
 print and Proxy.isIdentical, which must enter no helper (render_value,
 raw_identical, arg or write), and the literals that must not enter a
-comprehension's frame. So are the scopes a call builds, counted
-through a patched Environment. A repeated look-through of a deep proxy chain is
-bounded in lines run (sys.settrace "line" events), so that losing its
-memo fails here, and so is a read through trap-less links, with one
-handler for all and with one a link. The parser's deepest inputs are
+comprehension's frame. So are the scopes a call or a loop builds, counted
+by line-tracing the evaluator's statements that build one. A repeated
+look-through of a deep proxy chain is bounded in lines run (sys.settrace
+"line" events), so that losing its memo fails here, and so is a read
+through trap-less links, with one handler for all and with one a link. The parser's deepest inputs are
 bounded too, both in frames entered and in frames on the stack at once,
 which HOST_RECURSION_LIMIT must cover: one parser frame a parenthesis or
 a '?:' arm, two an object-literal value, three a nested 'if' and six a
@@ -78,16 +78,16 @@ def frames_entered(mode, setup, expression):
 
 
 def test_one_language_call():
-    # _call, _identifier, _literal, call_value, invoke and _identifier:
-    # invoke binds the parameters and builds the scope without a frame of
-    # its own (no Environment.__init__), and runs the body's return itself
-    # (7 frames with _return)
+    # _call, _identifier, _literal, invoke and _identifier: _call enters
+    # invoke directly, which binds the parameters and builds the scope, one
+    # dict, without a frame of its own, and runs the body's return itself
+    # (6 frames with call_value before invoke, 7 with _return)
     value, names = frames_entered(
         "opaque", "function f(x) { return x; }", "f(1)")
     assert value == 1.0
     assert names.count("invoke") == 1
     assert "_return" not in names
-    assert len(names) <= 6, names
+    assert len(names) <= 5, names
 
 
 def test_one_trap_mode_vote():
@@ -98,7 +98,7 @@ def test_one_trap_mode_vote():
     # results itself (one frame more with raw_identical). A trap whose
     # body is `return true;` is answered by its record's constant, with no
     # invoke and no _literal (10 frames when it was invoked). Any other
-    # trap is invoked directly, without call_value, and invoke runs its
+    # trap is invoked directly, with no frame before invoke, which runs its
     # return itself: `return yes;` adds invoke and _identifier (12 frames
     # with the handler's get, _return and raw_identical, 13 when each
     # operand went through a resolver that branched on the mode)
@@ -110,7 +110,7 @@ def test_one_trap_mode_vote():
         assert value is True
         assert names.count("is_transparent") == 1
         assert names.count("invoke") == calls, body
-        for skipped in ("call_value", "get", "_return", "_literal"):
+        for skipped in ("get", "_return", "_literal"):
             assert skipped not in names, (body, skipped)
         assert len(names) <= most, (body, names)
 
@@ -165,20 +165,44 @@ def test_one_vote_that_runs_code_is_asked_on_every_repeat():
         assert names.count("invoke") == 1
 
 
-def test_scopes_built_per_call(monkeypatch):
+def scope_lines():
+    """The lines of interpreter.py that build a scope: each is a dict
+    display whose "." entry is the enclosing scope, one in invoke, one in
+    _if and one in _while."""
+    with open(interpreter.__file__) as source:
+        lines = {number for number, text in enumerate(source, 1)
+                 if '= {".": ' in text and "globals" not in text}
+    assert len(lines) == 3, lines
+    return lines
+
+
+def scopes_built(function, *args):
+    """The value of function(*args) and how many scopes it built: the
+    sys.settrace "line" events of the statements scope_lines() gives."""
+    path, lines, built = interpreter.__file__, scope_lines(), 0
+
+    def trace(frame, event, arg):
+        nonlocal built
+        if event == "line" and frame.f_lineno in lines:
+            built += 1
+        return trace
+
+    def enter(frame, event, arg):
+        return trace if frame.f_code.co_filename == path else None
+
+    sys.settrace(enter)
+    try:
+        value = function(*args)
+    finally:
+        sys.settrace(None)
+    return value, built
+
+
+def test_scopes_built_per_call():
     # a call binds its parameters in a scope of its own only if its body
     # can observe one: a vote through function(t, p) { return true; } and
     # the compute workload's counter closure build none, and
     # function(x) { return x; } builds one
-    built = []
-
-    class Counted(interpreter.Environment):
-        __slots__ = ()
-
-        def __new__(cls):
-            built.append(cls)
-            return super().__new__(cls)
-
     cases = [
         ("trap", "var o = {}; var p = new Proxy(o, "
          "{isTransparent: function(t, p) { return true; }});",
@@ -192,11 +216,9 @@ def test_scopes_built_per_call(monkeypatch):
         interp = Interpreter(mode=mode)
         assert evaluate_program(parse_source(setup), interp).ok
         node = parse_expression(expression)
-        monkeypatch.setattr(interpreter, "Environment", Counted)
-        built.clear()
-        assert node.evaluate(interp, interp.globals) == expected
-        monkeypatch.undo()
-        assert len(built) == scopes, (expression, built)
+        value, built = scopes_built(node.evaluate, interp, interp.globals)
+        assert value == expected
+        assert built == scopes, (expression, built)
 
 
 RESOLVERS = ("look_through", "get_equality_object")
@@ -234,12 +256,13 @@ def test_one_equality_workload_statement():
     # their lambdas, strict_equals twice, loose_equals,
     # opaque_strict_equals, two look_through, builtin_is_identical, and
     # print's and isIdentical's calls (_call, _method_call, get, two
-    # call_value, two invoke, the Proxy lambda and _builtin_print): 36
-    # frames, and 6 get_equality_object more in trap mode. print renders a
-    # bool or a string itself and writes the sink, and the comparisons
-    # compare raw identity inline (48 and 54 frames with five
-    # render_value, four raw_identical, two arg and a write)
-    for mode, most in (("opaque", 36), ("trap", 42)):
+    # invoke, the Proxy lambda and _builtin_print): 34 frames, and 6
+    # get_equality_object more in trap mode (36 and 42 with a call_value
+    # before each invoke). print renders a bool or a string itself and
+    # writes the sink, and the comparisons compare raw identity inline (48
+    # and 54 frames with five render_value, four raw_identical, two arg
+    # and a write)
+    for mode, most in (("opaque", 34), ("trap", 40)):
         interp = Interpreter(mode=mode)
         assert evaluate_program(parse_source(PAIR_SETUP), interp).ok
         assert parse_expression("p === q").evaluate(
@@ -255,15 +278,15 @@ def test_one_equality_workload_statement():
 
 
 def test_builtins_enter_no_helper():
-    # print(true, false, "s"): _call, _identifier, three _literal,
-    # call_value, invoke and _builtin_print (12 frames with three
-    # render_value and a write); Proxy.isIdentical(p, q): _method_call,
-    # three _identifier, get, call_value, invoke, the lambda,
-    # builtin_is_identical and two look_through (14 frames with two arg
-    # and a raw_identical)
-    for setup, expression, most in (("", 'print(true, false, "s")', 8),
+    # print(true, false, "s"): _call, _identifier, three _literal, invoke
+    # and _builtin_print (8 frames with call_value, 12 with three
+    # render_value and a write besides); Proxy.isIdentical(p, q):
+    # _method_call, three _identifier, get, invoke, the lambda,
+    # builtin_is_identical and two look_through (11 frames with
+    # call_value, 14 with two arg and a raw_identical besides)
+    for setup, expression, most in (("", 'print(true, false, "s")', 7),
                                     (PAIR_SETUP, "Proxy.isIdentical(p, q)",
-                                     11)):
+                                     10)):
         value, names = frames_entered("opaque", setup, expression)
         assert value is (UNDEFINED if setup == "" else True)
         for helper in HELPERS:
@@ -296,11 +319,12 @@ def test_one_membrane_read():
     # comes first and reads its argument inline, never resolving a raw
     # map's key. w.a, with a's wrapper already made, is answered by the
     # probe, a hit: no typeofValue, and if (w) tests an object, so truthy
-    # is entered once (43 frames when typeofValue(value) != "object" came
-    # first, 56 when wrap asked innerOf.has, wrapperOf.has and
-    # wrapperOf.get). w.n, a number, misses and pays the type test, whose
-    # typeofValue reads the kind table inline and whose != compares two
-    # strings in _binary (31 frames when the test came first and skipped
+    # is entered once: 26 frames (29 with a call_value before each of its
+    # three invoke, 43 when typeofValue(value) != "object" came first, 56
+    # when wrap asked innerOf.has, wrapperOf.has and wrapperOf.get). w.n, a
+    # number, misses and pays the type test, whose typeofValue reads the
+    # kind table inline and whose != compares two strings in _binary: 34
+    # frames (38 with call_value, 31 when the test came first and skipped
     # the probe). Either way _trap reads the get trap from the ordinary
     # handler's properties and asks no is_callable
     interp = Interpreter()
@@ -309,8 +333,8 @@ def test_one_membrane_read():
         + "var inner = {a: {v: 1}, n: 1}; var m = membrane(inner);"
         + "var w = m.wrapper; var first = w.a;"), interp).ok
     for expression, expected, typeofs, most in (
-            ("w.a", interp.globals.lookup("first"), 0, 29),
-            ("w.n", 1.0, 1, 38)):
+            ("w.a", interp.globals["first"], 0, 26),
+            ("w.n", 1.0, 1, 34)):
         value, names = names_entered(parse_expression(expression).evaluate,
                                      interp, interp.globals)
         assert value is expected or value == expected, expression
@@ -353,16 +377,19 @@ def test_two_strings_enter_no_operator_entry():
 
 
 def test_weakmap_probe_of_an_ordinary_key():
-    # _method_call, two _identifier, the method read (get), call_value,
-    # invoke, wm_get and idmap_get: an ordinary key stands for itself in
-    # every mode, so it is not resolved, in trap mode no more than in
-    # opaque mode (10 and 11 frames when it was); a proxy key still is,
-    # by the mode's resolver, and in opaque mode by none: 9 frames there
-    # with _resolve_key, and 15 in trap mode with the vote (10 and 16 when
-    # _resolve_key called a resolver that branched on the mode)
+    # _method_call, two _identifier, the method read (get), invoke,
+    # wm_get and idmap_get: 7 frames (8 with a call_value before invoke).
+    # An ordinary key stands for itself in every mode, so it is not
+    # resolved, in trap mode no more than in opaque mode (one and two
+    # frames more when it was); a proxy key still is, by the mode's
+    # resolver, and in opaque mode by none: 8 frames there with
+    # _resolve_key, 9 in transparent mode with look_through, and 10 in
+    # trap mode with the vote, whose `return true;` is its constant (one
+    # frame more each with call_value; one more again when _resolve_key
+    # called a resolver that branched on the mode)
     # each mode's resolver of a proxy key, and the frames its probe enters
-    proxy_probe = {"opaque": (None, 9), "transparent": ("look_through", 10),
-                   "trap": ("get_equality_object", 15)}
+    proxy_probe = {"opaque": (None, 8), "transparent": ("look_through", 9),
+                   "trap": ("get_equality_object", 10)}
     for mode, (resolver, most) in proxy_probe.items():
         setup = ("var m = WeakMap(); var o = {}; m.set(o, 1); var p = "
                  "new Proxy(o, {isTransparent: function(t, q) "
@@ -370,7 +397,7 @@ def test_weakmap_probe_of_an_ordinary_key():
         value, names = frames_entered(mode, setup, "m.get(o)")
         assert value == 1.0
         assert "_resolve_key" not in names, mode
-        assert len(names) <= 8, (mode, names)
+        assert len(names) <= 7, (mode, names)
         value, names = frames_entered(mode, setup, "m.get(p)")
         assert value == (UNDEFINED if mode == "opaque" else 1.0)
         assert [name for name in names if name in RESOLVERS] \
@@ -385,7 +412,7 @@ def test_if_takes_a_bool_condition_as_it_is():
     _, names = names_entered(
         evaluate_program,
         parse_source("if (a < 2) { b = 1; } else { b = 2; }"), interp)
-    assert interp.globals.lookup("b") == 1.0
+    assert interp.globals["b"] == 1.0
     assert "_if" in names
     assert "truthy" not in names
 
@@ -416,7 +443,7 @@ def frames_per_iteration(loop):
             parse_source(f"var i = 0; var s = 0; var n = {n};"), interp).ok
         count, _ = frames(lambda p: evaluate_program(p, interp),
                           parse_source(loop))
-        assert interp.globals.lookup("i") == n
+        assert interp.globals["i"] == n
         return count
 
     return (entered(110) - entered(10)) / 100
@@ -448,12 +475,19 @@ def test_number_literal_operands_enter_no_frame():
 
 def test_one_scoped_loop_iteration():
     # a var in the body makes it a scoped block, so each iteration gets a
-    # fresh scope, built without a frame (no Environment.__init__): the
-    # 10 frames above, plus _var_decl and _identifier for the var, and
-    # _identifier for the t that s = s + t reads: 13
+    # fresh scope, one dict built without a frame: the 10 frames above,
+    # plus _var_decl and _identifier for the var (the t that s = s + t
+    # reads stands for the i it read): 12. The unscoped loop builds none
     per_iteration = frames_per_iteration(
         "while (i < n) { var t = i; s = s + t; i = i + 1; }")
-    assert per_iteration <= 13, per_iteration
+    assert per_iteration <= 12, per_iteration
+    for body, scopes in (("var t = i; s = s + t; i = i + 1;", 10),
+                         ("s = s + i; i = i + 1;", 0)):
+        interp = Interpreter()
+        _, built = scopes_built(evaluate_program, parse_source(
+            f"var i = 0; var s = 0; while (i < 10) {{ {body} }}"), interp)
+        assert interp.globals["s"] == 45.0
+        assert built == scopes, (body, built)
 
 
 def lines_run(mode, setup, expression):

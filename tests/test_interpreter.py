@@ -16,8 +16,9 @@ from proxylang.errors import LexError, ParseError, PlxRuntimeError
 from proxylang.interpreter import (ExecutionResult, Interpreter,
                                    evaluate_program, run_source)
 from proxylang.nodes import pretty_print
-from proxylang.objects import UNDEFINED, NativeFunction
+from proxylang.objects import UNDEFINED, NativeFunction, OrdinaryObject
 from proxylang.parser import parse_source
+from proxylang.proxies import ProxyObject
 from proxylang.prelude import default_prelude_source
 
 from conftest import MODE_NAMES, MODES, run_in_child
@@ -335,7 +336,7 @@ def test_calling_non_function():
 
 # Every way of calling a value that cannot be called fails with the same
 # kind, message and line: a call, a method call, Reflect.apply, an apply
-# trap, and the host's call_value and obj.call.
+# trap, and the host's invoke and obj.call.
 
 CALL_SETUP = """var rp = new Proxy(function() { return 1; }, {});
 Proxy.revoke(rp);
@@ -392,8 +393,8 @@ def test_host_call_errors_agree(callee):
     interp = Interpreter()
     assert evaluate_program(parse_source(
         CALL_SETUP + f"var v = {NOT_CALLABLE[callee]};"), interp).ok
-    value = interp.globals.lookup("v")
-    attempts = [lambda: interp.call_value(value, UNDEFINED, [])]
+    value = interp.globals["v"]
+    attempts = [lambda: interp.invoke(value, UNDEFINED, [])]
     if callee != "number":
         attempts.append(lambda: value.call(interp, UNDEFINED, []))
     for attempt in attempts:
@@ -401,6 +402,94 @@ def test_host_call_errors_agree(callee):
             attempt()
         assert (caught.value.kind, caught.value.message, caught.value.line) \
             == CALL_ERRORS["call"][callee] + (None,)
+    assert interp.depth == 0
+
+
+# Every way of calling a value enters Interpreter.invoke directly: once
+# for each language call, and once more for a proxy callee, which passes
+# the call to its trap. f counts its runs; each site's list is the callees
+# invoke is entered with, in order.
+ENTRY_SETUP = """var calls = 0;
+function f(a, b, c, d) { calls = calls + 1; return true; }
+var o = {m: f};
+var t = {};
+var p = new Proxy(t, {get: f, set: f, apply: f, isTransparent: f});
+var fp = new Proxy(function() {}, {apply: f});
+"""
+ENTRY_SITES = {
+    "call": ("f();", ["f"]),
+    "method call": ("o.m();", ["f"]),
+    "get trap": ("p.x;", ["f"]),
+    "set trap": ("p.x = 1;", ["f"]),
+    "apply trap": ("fp();", ["proxy", "f"]),
+    "Reflect.apply": ("Reflect.apply(f, undefined, {length: 0});",
+                      ["apply", "f"]),
+    "withTransparency": ("Proxy.withTransparency(p, true, f);",
+                         ["withTransparency", "f"]),
+    # a vote that runs code, asked in trap mode only
+    "isTransparent vote": ("p === t;", ["f"]),
+}
+
+
+def invoked_callees(monkeypatch, interp):
+    """Wrap Interpreter.invoke to record each callee it is entered with:
+    "f", "proxy", a native's name, or "other"."""
+    callees = []
+    invoke = interpreter.Interpreter.invoke
+
+    def counted(self, value, this_value, args):
+        if value is interp.globals["f"]:
+            callees.append("f")
+        elif isinstance(value, ProxyObject):
+            callees.append("proxy")
+        elif isinstance(value, OrdinaryObject) and value.function:
+            callees.append(value.function.name)
+        else:
+            callees.append("other")
+        return invoke(self, value, this_value, args)
+
+    monkeypatch.setattr(interpreter.Interpreter, "invoke", counted)
+    return callees
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("site", ENTRY_SITES)
+def test_every_call_enters_invoke_once(monkeypatch, site, mode):
+    interp = Interpreter(mode=mode)
+    assert evaluate_program(parse_source(ENTRY_SETUP), interp).ok
+    source, expected = ENTRY_SITES[site]
+    if site == "isTransparent vote" and mode != "trap":
+        expected = []
+    callees = invoked_callees(monkeypatch, interp)
+    assert evaluate_program(parse_source(source), interp).ok
+    assert callees == expected
+    assert interp.globals["calls"] == expected.count("f")
+    assert interp.depth == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_host_call_enters_invoke_once(monkeypatch, mode):
+    interp = Interpreter(mode=mode)
+    assert evaluate_program(parse_source(ENTRY_SETUP), interp).ok
+    callees = invoked_callees(monkeypatch, interp)
+    assert interp.globals["f"].call(interp, UNDEFINED, []) is True
+    assert callees == ["f"]
+    assert interp.globals["calls"] == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("callee", ["number", "object", "revoked proxy"])
+def test_calling_a_non_function_enters_invoke_once(monkeypatch, callee,
+                                                   mode):
+    # invoke raises the error every call site raises, at the call's line
+    interp = Interpreter(mode=mode)
+    assert evaluate_program(parse_source(ENTRY_SETUP + CALL_SETUP), interp).ok
+    callees = invoked_callees(monkeypatch, interp)
+    result = evaluate_program(parse_source(
+        f"\n\nvar v = {NOT_CALLABLE[callee]};\nv();"), interp)
+    assert callees == ["proxy" if callee == "revoked proxy" else "other"]
+    assert (result.error_kind, result.error_message, result.error_line) \
+        == CALL_ERRORS["call"][callee] + (4,)
     assert interp.depth == 0
 
 
@@ -468,8 +557,10 @@ def test_reflect_apply():
 
 def test_builtin_surface():
     interp = Interpreter()
-    bindings = interp.globals.bindings
-    assert sorted(bindings) == [
+    bindings = interp.globals
+    # every entry is a builtin but ".", the parent entry, None in globals
+    assert bindings["."] is None
+    assert sorted(bindings.keys() - {"."}) == [
         "Proxy", "RawWeakMap", "Reflect", "WeakMap", "contractViolation",
         "print", "typeofValue"]
     assert len(interp.heap) == 12
@@ -493,7 +584,7 @@ def test_builtin_surface():
     # each map allocates itself and its four methods
     for name in ("WeakMap", "RawWeakMap"):
         allocated = len(interp.heap)
-        wm = interp.call_value(bindings[name], UNDEFINED, [])
+        wm = interp.invoke(bindings[name], UNDEFINED, [])
         assert len(interp.heap) == allocated + 5
         assert list(wm.properties) == ["set", "get", "has", "delete"]
         for key, method in wm.properties.items():
@@ -502,7 +593,7 @@ def test_builtin_surface():
     # 'new' accepts the Proxy object and no other global
     assert interp._proxy_builtin is bindings["Proxy"]
     assert evaluate_program(parse_source("new Proxy({}, {});"), interp).ok
-    for name in sorted(bindings.keys() - {"Proxy"}):
+    for name in sorted(bindings.keys() - {"Proxy", "."}):
         result = evaluate_program(
             parse_source(f"new {name}({{}}, {{}});"), interp)
         assert result.error_message == "'new' can only construct Proxy"
@@ -614,7 +705,7 @@ interp = Interpreter(mode="trap")
 h = interp.heap.alloc_object()
 for _ in range(100_000):
     h = proxy_create(interp, interp.heap.alloc_object(), h)
-interp.globals.declare("h", h)
+interp.globals["h"] = h
 program = parse_source("""
 var q = new Proxy({}, {});
 print("before");
@@ -698,8 +789,7 @@ def test_host_memory_exhaustion_comes_back_as_resource_error():
     def exhausted(interp, this, args):
         raise MemoryError
     interp = Interpreter()
-    interp.globals.declare("allocate", interp.alloc_native("allocate",
-                                                          exhausted))
+    interp.globals["allocate"] = interp.alloc_native("allocate", exhausted)
     result = evaluate_program(parse_source("""
     function f() { return allocate(); }
     print("before");
@@ -931,11 +1021,11 @@ def test_run_source_leaves_no_cyclic_garbage(source, prelude, expected, mode,
 
 def test_a_returned_object_keeps_the_globals_it_reads():
     value = run_source("var x = 41; function f() { return x + 1; } f;").value
-    assert Interpreter().call_value(value, UNDEFINED, []) == 42.0
+    assert Interpreter().invoke(value, UNDEFINED, []) == 42.0
     obj = run_source("var x = 41; var o = {m: function() { return x + 1; }};"
                      " o;").value
     host = Interpreter()
-    assert host.call_value(obj.get(host, "m"), obj, []) == 42.0
+    assert host.invoke(obj.get(host, "m"), obj, []) == 42.0
 
 
 def test_releasing_a_long_structure_is_safe():

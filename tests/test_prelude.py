@@ -155,7 +155,7 @@ def test_membrane_revoke_covers_all_internal_operations():
     m.revoke();
     """)
     env = interp.globals
-    wrappers = [env.lookup(n) for n in ("w1", "w2", "w3")]
+    wrappers = [env[n] for n in ("w1", "w2", "w3")]
     for obj in wrappers:
         assert isinstance(obj, HeapObject)
         assert isinstance(obj, ProxyObject)
@@ -533,7 +533,7 @@ def test_contract_wrappers_report_transparent_via_builtin():
         function(v) { return true; });
     """, mode="opaque")
     env = interp.globals
-    wrapped = env.lookup("wrapped")
+    wrapped = env["wrapped"]
     assert isinstance(wrapped, ProxyObject)
     from proxylang.proxies import is_transparent
     assert is_transparent(interp, wrapped) is True
@@ -542,8 +542,8 @@ def test_contract_wrappers_report_transparent_via_builtin():
 def test_prelude_functions_callable_from_host():
     interp = interp_after("var seed = { x: 1 };")
     env = interp.globals
-    revocable_fn = env.lookup("revocable")
-    seed = env.lookup("seed")
+    revocable_fn = env["revocable"]
+    seed = env["seed"]
     pair = revocable_fn.call(interp, None, [seed])
     proxy = pair.get(interp, "proxy")
     assert proxy.get(interp, "x") == 1.0

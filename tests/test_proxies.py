@@ -784,9 +784,9 @@ def test_host_delete_of_the_trap_stales_a_memoised_walk(interp):
         print(p === o);
     """)
     assert output == "true\n"
-    proxy, target = interp.globals.lookup("p"), interp.globals.lookup("o")
+    proxy, target = interp.globals["p"], interp.globals["o"]
     assert proxy.voted[1] is target
-    handler = interp.globals.lookup("h")
+    handler = interp.globals["h"]
     assert handler.delete(interp, "isTransparent") is True
     assert run_output(interp, "print(p === o);") == "true\nfalse\n"
 
@@ -803,11 +803,11 @@ def test_only_a_handler_s_is_transparent_write_stales_memos(interp):
         d.isTransparent = 1;
     """)
     assert output == "true\n"
-    proxy = interp.globals.lookup("p")
+    proxy = interp.globals["p"]
     assert proxy.voted[0] == objects.walk_epoch
     handler = interp.heap.alloc_object()
     ProxyObject(interp.heap.alloc_object(), handler)
-    for obj, moves in ((interp.globals.lookup("d"), 0), (handler, 1)):
+    for obj, moves in ((interp.globals["d"], 0), (handler, 1)):
         count = objects.walk_epoch
         obj.set(interp, "isTransparent", NULL)
         obj.set(interp, "x", NULL)

@@ -64,7 +64,7 @@ OBJECT_NAMES = ("o", "o2", "f", "yes", "also", "no", "plain", "deep", "dead",
 def build_objects():
     interp = Interpreter()
     assert evaluate_program(parse_source(OBJECTS_SETUP), interp).ok
-    return tuple(interp.globals.lookup(name) for name in OBJECT_NAMES)
+    return tuple(interp.globals[name] for name in OBJECT_NAMES)
 
 
 OBJECTS = build_objects()
@@ -136,7 +136,7 @@ def check_pair(a, b):
         assert outcome(equality.primitive_loose_equals, a, b) \
             == outcome(ref.primitive_loose_equals, a, b), (a, b)
     for mode, interp in INTERPRETERS.items():
-        interp.globals.bindings.update(a=a, b=b)
+        interp.globals.update(a=a, b=b)
         expected = reference_answers(mode, interp, a, b)
         for name, program in PROGRAMS.items():
             assert program.evaluate(interp, interp.globals) \
