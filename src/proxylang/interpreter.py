@@ -25,8 +25,10 @@ nodes.py), so _binary answers two numbers itself, for every operator but
 && and ||, equality included, and reads such a literal from the node
 without a frame. It answers two strings with the same operator, as the
 equality functions and an order would, for every operator but -, * and
-/, which need numbers; every other pair of operands goes through _BINARY,
-whose equality entries look up the functions of equality.py when called.
+/, which need numbers. Any other pair goes through _BINARY, whose equality
+entries look up the functions of equality.py when called, and _binary
+itself rejects a pair for an operator with no entry there (each operator
+that needs numbers, but +).
 _if, _while and _conditional take a bool condition as it is. A computed
 key that is already a string is used as it is. An error takes the line of
 the innermost node that raises it, so only the handlers of nodes that can
@@ -116,6 +118,8 @@ class Interpreter:
         self.sink = sink if sink is not None else io.StringIO()
         self.override_stack: list = []  # (proxy, bool), LIFO
         self.depth = 0
+        # trap-mode votes that were not static (see proxies.is_transparent)
+        self.votes_run = 0
         self.globals = {".": None}
         self._proxy_builtin = _install_builtins(self)
 
@@ -315,7 +319,11 @@ def _binary(node, interp, env):
         if left.__class__ is str and right.__class__ is str \
                 and node.op not in "-*/":
             return on_numbers(left, right)
-        return _BINARY[node.op](interp, left, right)
+        try:
+            operate = _BINARY[node.op]
+        except KeyError:
+            raise _not_numbers(node.op, left, right) from None
+        return operate(interp, left, right)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -440,17 +448,10 @@ def _plus(interp, left, right):
     raise _not_numbers("+", left, right)
 
 
-def _operator(op):
-    """op, an arithmetic or order operator, on operands that _binary does
-    not answer itself: an error."""
-    def operate(interp, left, right):
-        raise _not_numbers(op, left, right)
-    return operate
-
-
-# each operator on the operands that _binary does not answer itself; the
-# equality functions are looked up when called, not bound here, so that a
-# host can wrap them in this module (as a tracer does)
+# each operator that can answer operands _binary does not answer itself
+# (the others need numbers, and _binary rejects the pair); the equality
+# functions are looked up when called, not bound here, so that a host can
+# wrap them in this module (as a tracer does)
 _BINARY = {
     "==": lambda interp, a, b: loose_equals(interp, a, b),
     "!=": lambda interp, a, b: not loose_equals(interp, a, b),
@@ -459,13 +460,6 @@ _BINARY = {
     ":==:": lambda interp, a, b: opaque_loose_equals(interp, a, b),
     ":===:": lambda interp, a, b: opaque_strict_equals(interp, a, b),
     "+": _plus,
-    "-": _operator("-"),
-    "*": _operator("*"),
-    "/": _operator("/"),
-    "<": _operator("<"),
-    "<=": _operator("<="),
-    ">": _operator(">"),
-    ">=": _operator(">="),
 }
 
 

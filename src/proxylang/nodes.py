@@ -20,11 +20,13 @@ out as it reads the body (see parser.py); a node built by its constructor
 has True, and binds. The constant flag, also left out of equality and
 repr, is True or False when the body is exactly one `return true;` or
 `return false;`, and None otherwise. Below MAX_CALL_DEPTH a call of such a
-body observes nothing and returns the flag, so proxies.is_transparent
-answers an isTransparent vote through it with the flag and makes no
-language call, which is not charged as a call. The parser sets the flag
-when the body ends; a node built by its constructor has None, and every
-vote through it is a call.
+body observes nothing and returns the flag, so an isTransparent vote
+through it is static (proxies.py, rule 3): proxies.is_transparent answers
+it with the flag and makes no language call, which is not charged as a
+call. The flag is set when the node is built, by the parser when the body
+ends and by __post_init__ for a node built by its constructor, so its
+body is not edited afterwards, and a trap a host builds votes as a parsed
+one does.
 
 A Binary resolves its operator once, when it is built: on_numbers is
 the operator on two numbers, from objects.NUMBER_OPERATORS (None for &&
@@ -105,8 +107,13 @@ class FunctionExpr:
     # a call binds the parameters in a scope of its own (see above)
     scoped: bool = field(default=True, init=False, compare=False, repr=False)
     # the body is `return true;` or `return false;`: that bool; else None
-    constant: Optional[bool] = field(default=None, init=False,
-                                     compare=False, repr=False)
+    constant: Optional[bool] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        statements = self.body.statements
+        self.constant = statements[0].value.value \
+            if len(statements) == 1 and statements[0].__class__ is Return \
+            and statements[0].value.__class__ is BoolLit else None
 
 
 @dataclass(slots=True)

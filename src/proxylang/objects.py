@@ -47,7 +47,8 @@ class FunctionRecord:
     """A function defined in the language: the FunctionExpr it is made
     from (a declaration's too), whose params, body, scoped and constant
     flags a call reads (see nodes.py), and its closure scope. A node a
-    host builds has scoped True and constant None, so its record binds."""
+    host builds has scoped True, so its record binds, and its constant
+    set as the parser sets it."""
     node: object  # FunctionExpr
     env: dict     # the closure scope (see interpreter.py)
 

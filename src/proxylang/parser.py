@@ -66,9 +66,9 @@ name read in a nested function that binds the same name, which is
 conservative. The parser keeps the index of the token where each name was
 last read as an Identifier, and looks the parameters up there when the
 body ends: a parameter was read in the body if its last read is at or
-after the body's '{'. Then it sets the node's constant flag (see
-nodes.py): the BoolLit's value when the body is one Return of a BoolLit,
-and None otherwise.
+after the body's '{'. Then it sets the node's constant flag inline, by
+FunctionExpr.__post_init__'s rule (see nodes.py): the BoolLit's value
+when the body is one Return of a BoolLit, and None otherwise.
 """
 
 import sys

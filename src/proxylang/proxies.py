@@ -46,16 +46,18 @@ It is decided in this order:
    runs, the proxy is overridden opaque, so the trap can compare its own
    proxy without asking itself again. A language error from the lookup or
    the trap, or the proxy revoked by its own trap, is an opaque vote (a
-   host RecursionError or MemoryError is not caught). A trap whose body
-   is one `return true;` or `return false;` (the constant of its
-   FunctionRecord's node, see nodes.py), read from an ordinary handler
-   below MAX_CALL_DEPTH, is not invoked: the vote is its constant, which
-   the call would return and nothing could observe, and it is not
-   charged as a call. At the depth limit it is invoked, overflows and
-   votes opaque, as any trap. Such a vote is static, as is the vote of
-   a revoked link and of an ordinary handler whose isTransparent is
-   missing, undefined or null: it runs no code, and only revoke() or a
-   write or delete of the handler's isTransparent can change it;
+   host RecursionError or MemoryError is not caught). A vote is static
+   when it runs no code: the vote of a revoked link, of an ordinary
+   handler whose isTransparent is missing, undefined or null, and of an
+   ordinary handler whose trap is a function whose node has a constant
+   (its body is one `return true;` or `return false;`, see nodes.py),
+   below MAX_CALL_DEPTH. Such a trap is not invoked: the vote is its
+   constant, which the call would return and nothing could observe, and
+   it is not charged as a call. At the depth limit it is invoked,
+   overflows and votes opaque, as any trap. Only revoke() or a write or
+   delete of the handler's isTransparent can change a static vote.
+   is_transparent alone tells a vote static, and counts every other vote
+   in interp.votes_run;
 4. otherwise false.
 """
 
@@ -221,15 +223,13 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
     """Decide whether equality may look through the proxy (rules 1-4).
 
     Trap mode runs this once per link of every walk that is not answered
-    from a memo (get_equality_object), so the common cases are decided
+    from a memo (get_equality_object). A static vote (rule 3) is answered
     inline: a revoked proxy's handler is None, and an ordinary handler's
-    trap is read straight from its properties, as _forward reads one. If it
-    is a function object whose record's node has a constant, and the call
-    depth is below MAX_CALL_DEPTH, the constant is the vote: no override is
-    pushed, no argument list built and no Interpreter.invoke made.
-    Otherwise, under the override, a handler that is a proxy is asked by
-    its get, a callable trap is run by one invoke, and every answer is
-    coerced with truthy."""
+    trap is read straight from its properties, as _forward reads one, with
+    no override pushed, no argument list built and no Interpreter.invoke
+    made. Every other vote adds one to interp.votes_run and runs under the
+    override: a handler that is a proxy is asked by its get, a callable
+    trap is run by one invoke, and every answer is coerced with truthy."""
     override_stack = interp.override_stack
     if override_stack:
         for overridden, flag in reversed(override_stack):
@@ -246,6 +246,9 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
                     and function.node.constant is not None \
                     and interp.depth < MAX_CALL_DEPTH:
                 return function.node.constant
+        elif trap is UNDEFINED or trap is NULL:
+            return False
+    interp.votes_run += 1
     override_stack.append((proxy, False))
     try:
         if handler.__class__ is not OrdinaryObject:
@@ -290,8 +293,8 @@ def get_equality_object(interp, value):
     With no override on the stack and the call depth below
     MAX_CALL_DEPTH, the end is read from value's ``voted`` memo while
     its count is current. Otherwise every link is asked through
-    is_transparent, and the end is memoised if each vote was static
-    (rule 3). Static votes run no code, so the count cannot move while
+    is_transparent, and the end is memoised if interp.votes_run did not
+    move: every vote was static (rule 3), so the count cannot move while
     they are asked, and the same walk would ask them again.
     """
     if value.__class__ is not ProxyObject:
@@ -302,19 +305,10 @@ def get_equality_object(interp, value):
         count, end = value.voted
         if count == objects.walk_epoch:
             return end
-    while value.__class__ is ProxyObject:
-        handler = value.handler
-        if static and handler is not None:
-            trap = handler.properties.get("isTransparent", UNDEFINED) \
-                if handler.__class__ is OrdinaryObject else None
-            static = trap is UNDEFINED or trap is NULL \
-                or trap.__class__ is OrdinaryObject \
-                and trap.function.__class__ is FunctionRecord \
-                and trap.function.node.constant is not None
-        if not is_transparent(interp, value):
-            break
+        votes_run = interp.votes_run
+    while value.__class__ is ProxyObject and is_transparent(interp, value):
         value = value.target
-    if static:
+    if static and interp.votes_run == votes_run:
         start.voted = (objects.walk_epoch, value)
     return value
 

@@ -1,11 +1,19 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import proxylang
 from proxylang.equality import EqualityMode
 from proxylang.prelude import default_prelude_source
+
+# a child process (run_in_child, the CLI's tests) imports proxylang from
+# where this one did, also when only pytest's pythonpath setting names it
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(proxylang.__file__).parents[1]),
+    os.environ.get("PYTHONPATH"))))
 
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"

@@ -1,15 +1,16 @@
 """A trap-mode vote through a constant trap is answered without a call.
 
-The parser sets each FunctionExpr's constant flag, a declaration's
-included, to True or False when its body is exactly one `return true;` or
-`return false;`, and proxies.is_transparent answers a vote through such a
-trap with the flag, below MAX_CALL_DEPTH, instead of invoking it.
-test_front_end.py checks the flag of every function the corpus,
-coincidence, prelude and benchmark scripts programs hold against
-reference_front_end.mark_scopes. These tests check hand-picked bodies and
-host-built functions, and run generated proxy forests twice, once with the
-parser's flags and once with every constant cleared, so that every vote
-is a call, requiring the same output and error.
+Each FunctionExpr's constant flag, a declaration's included, is True or
+False when its body is exactly one `return true;` or `return false;`, set
+by the parser or, for a node a host builds, by FunctionExpr.__post_init__,
+and proxies.is_transparent answers a vote through such a trap with the
+flag, below MAX_CALL_DEPTH, instead of invoking it. test_front_end.py
+checks the flag of every function the corpus, coincidence, prelude and
+benchmark scripts programs hold against reference_front_end.mark_scopes.
+These tests check hand-picked bodies, parsed and host-built, and run
+generated proxy forests twice, once with the parser's flags and once with
+every constant cleared, so that every vote is a call, requiring the same
+output and error.
 
 A walk whose every vote was static is memoised on the proxy it started
 from (proxies.get_equality_object). The same forests, which also rewrite
@@ -31,26 +32,28 @@ from proxylang.proxies import (get_equality_object, is_transparent,
                                proxy_create)
 
 
+CONSTANTS = [
+    ("function(t, p) { return true; }", True),
+    ("function(t, p) { return false; }", False),
+    ("function() { return (true); }", True),
+]
+OTHERS = [
+    "function(t, p) { return 1; }",
+    "function(t, p) { return !false; }",
+    "function(t, p) { return yes; }",
+    "function(t, p) { return; }",
+    "function(t, p) { }",
+    "function(t, p) { return true; return false; }",
+    "function(t, p) { print(1); return true; }",
+    "function(t, p) { if (t) { return true; } }",
+    "function(t, p) { var x = true; return x; }",
+]
+
+
 def test_which_bodies_are_constant():
-    constants = [
-        ("function(t, p) { return true; }", True),
-        ("function(t, p) { return false; }", False),
-        ("function() { return (true); }", True),
-    ]
-    others = [
-        "function(t, p) { return 1; }",
-        "function(t, p) { return !false; }",
-        "function(t, p) { return yes; }",
-        "function(t, p) { return; }",
-        "function(t, p) { }",
-        "function(t, p) { return true; return false; }",
-        "function(t, p) { print(1); return true; }",
-        "function(t, p) { if (t) { return true; } }",
-        "function(t, p) { var x = true; return x; }",
-    ]
-    for source, constant in constants:
+    for source, constant in CONSTANTS:
         assert parse_expression(source).constant is constant, source
-    for source in others:
+    for source in OTHERS:
         assert parse_expression(source).constant is None, source
     declared, = parse_source("function no(t, p) { return false; }").statements
     assert declared.function.constant is False
@@ -61,21 +64,25 @@ def test_which_bodies_are_constant():
     assert outer.body.statements[0].value.constant is True
 
 
-def test_host_built_functions_are_called():
+def test_host_built_functions_vote_as_parsed_ones():
+    # FunctionExpr.__post_init__ gives a node a host builds the constant
+    # the parser gives the same body
+    for source in [source for source, _ in CONSTANTS] + OTHERS:
+        parsed = parse_expression(source)
+        built = FunctionExpr(parsed.params, parsed.body)
+        assert built.constant is parsed.constant, source
     body = Block([Return(BoolLit(True))])
     assert FunctionDecl("f", FunctionExpr([], body)).function.constant \
-        is None
-    assert FunctionExpr([], body).constant is None
+        is True
     # the flag is left out of equality and repr, like scoped
     parsed = parse_expression("function() { return true; }")
-    assert parsed.constant is True
     assert parsed == FunctionExpr([], body)
     assert "constant" not in repr(parsed)
-    # a record a host builds has no constant, so a vote through it runs
+    # a record a host builds votes by its constant, with no call, until a
+    # host clears it
     interp = Interpreter(mode="trap")
     record = FunctionRecord(FunctionExpr([], Block([Return(BoolLit(True))])),
                             interp.globals)
-    assert record.node.constant is None
     calls = []
     invoke = interp.invoke
     interp.invoke = lambda *args: calls.append(args) or invoke(*args)
@@ -83,10 +90,10 @@ def test_host_built_functions_are_called():
     proxy = proxy_create(interp, interp.heap.alloc_object(),
                          interp.heap.alloc_object({"isTransparent": trap}))
     assert is_transparent(interp, proxy) is True
-    assert len(calls) == 1
-    record.node.constant = False
-    assert is_transparent(interp, proxy) is False
-    assert len(calls) == 1
+    assert (calls, interp.votes_run) == ([], 0)
+    record.node.constant = None
+    assert is_transparent(interp, proxy) is True
+    assert (len(calls), interp.votes_run) == (1, 1)
 
 
 # --- generated proxy forests, with and without the parser's flags ---

@@ -1,13 +1,12 @@
-"""ProxyObject._forward against the loop it replaced.
+"""ProxyObject._forward against a walk that asks every link.
 
 _forward passes a run of links that share one trap-less ordinary handler
-in an inner loop that reads no dict. reference_forward below is the loop
-it had before, which read the handler of every unrevoked link. Both walk
-fresh, equal chains of up to 12 links, whose handlers come from a small
-shared pool and some of which are revoked, and must give the same link
-and handler and trap, or the same error, after the same calls of a proxy
-handler's get trap, in the same order. test_proxies.py runs forwarding
-end to end, against a walk that enters _trap at every link.
+in an inner loop that reads no dict. test_proxies.reference_forward
+enters _trap at every link. Both walk fresh, equal chains of up to 12
+links, whose handlers come from a small shared pool and some of which are
+revoked, and must give the same link and handler and trap, or the same
+error, after the same calls of a proxy handler's get trap, in the same
+order. test_proxies.py also runs forwarding end to end against it.
 """
 
 from hypothesis import given, settings
@@ -15,26 +14,10 @@ from hypothesis import strategies as st
 
 from proxylang.errors import PlxRuntimeError
 from proxylang.interpreter import Interpreter
-from proxylang.objects import NULL, UNDEFINED, OrdinaryObject
+from proxylang.objects import NULL, UNDEFINED
 from proxylang.proxies import ProxyObject, revoke
 
-
-def reference_forward(self, interp, name: str):
-    """_forward before runs of one handler were passed without a read."""
-    link = self
-    while True:
-        handler = link.handler
-        if handler is None or handler.__class__ is not OrdinaryObject:
-            trap = link._trap(interp, name)
-        else:
-            trap = handler.properties.get(name, UNDEFINED)
-            trap = None if trap is UNDEFINED or trap is NULL \
-                else link._trap(interp, name)
-        if trap is not None:
-            return link, handler, trap
-        link = link.target
-        if link.__class__ is not ProxyObject:
-            return link, None, None
+from test_proxies import reference_forward
 
 
 # every chain is built in this interpreter; a walk leaves nothing in it

@@ -81,7 +81,7 @@ def test_one_language_call():
     # _call, _identifier, _literal, invoke and _identifier: _call enters
     # invoke directly, which binds the parameters and builds the scope, one
     # dict, without a frame of its own, and runs the body's return itself
-    # (6 frames with call_value before invoke, 7 with _return)
+    # (7 frames with _return)
     value, names = frames_entered(
         "opaque", "function f(x) { return x; }", "f(1)")
     assert value == 1.0
@@ -257,11 +257,10 @@ def test_one_equality_workload_statement():
     # opaque_strict_equals, two look_through, builtin_is_identical, and
     # print's and isIdentical's calls (_call, _method_call, get, two
     # invoke, the Proxy lambda and _builtin_print): 34 frames, and 6
-    # get_equality_object more in trap mode (36 and 42 with a call_value
-    # before each invoke). print renders a bool or a string itself and
-    # writes the sink, and the comparisons compare raw identity inline (48
-    # and 54 frames with five render_value, four raw_identical, two arg
-    # and a write)
+    # get_equality_object more in trap mode. print renders a bool or a
+    # string itself and writes the sink, and the comparisons compare raw
+    # identity inline (48 and 54 frames with five render_value, four
+    # raw_identical, two arg and a write)
     for mode, most in (("opaque", 34), ("trap", 40)):
         interp = Interpreter(mode=mode)
         assert evaluate_program(parse_source(PAIR_SETUP), interp).ok
@@ -279,11 +278,10 @@ def test_one_equality_workload_statement():
 
 def test_builtins_enter_no_helper():
     # print(true, false, "s"): _call, _identifier, three _literal, invoke
-    # and _builtin_print (8 frames with call_value, 12 with three
-    # render_value and a write besides); Proxy.isIdentical(p, q):
-    # _method_call, three _identifier, get, invoke, the lambda,
-    # builtin_is_identical and two look_through (11 frames with
-    # call_value, 14 with two arg and a raw_identical besides)
+    # and _builtin_print (11 frames with three render_value and a write
+    # besides); Proxy.isIdentical(p, q): _method_call, three _identifier,
+    # get, invoke, the lambda, builtin_is_identical and two look_through
+    # (13 frames with two arg and a raw_identical besides)
     for setup, expression, most in (("", 'print(true, false, "s")', 7),
                                     (PAIR_SETUP, "Proxy.isIdentical(p, q)",
                                      10)):
@@ -319,14 +317,13 @@ def test_one_membrane_read():
     # comes first and reads its argument inline, never resolving a raw
     # map's key. w.a, with a's wrapper already made, is answered by the
     # probe, a hit: no typeofValue, and if (w) tests an object, so truthy
-    # is entered once: 26 frames (29 with a call_value before each of its
-    # three invoke, 43 when typeofValue(value) != "object" came first, 56
-    # when wrap asked innerOf.has, wrapperOf.has and wrapperOf.get). w.n, a
-    # number, misses and pays the type test, whose typeofValue reads the
-    # kind table inline and whose != compares two strings in _binary: 34
-    # frames (38 with call_value, 31 when the test came first and skipped
-    # the probe). Either way _trap reads the get trap from the ordinary
-    # handler's properties and asks no is_callable
+    # is entered once: 26 frames (43 when typeofValue(value) != "object"
+    # came first, 56 when wrap asked innerOf.has, wrapperOf.has and
+    # wrapperOf.get). w.n, a number, misses and pays the type test, whose
+    # typeofValue reads the kind table inline and whose != compares two
+    # strings in _binary: 34 frames (31 when the test came first and
+    # skipped the probe). Either way _trap reads the get trap from the
+    # ordinary handler's properties and asks no is_callable
     interp = Interpreter()
     assert evaluate_program(parse_source(
         default_prelude_source()
@@ -366,8 +363,8 @@ def test_primitive_equality():
 
 def test_two_strings_enter_no_operator_entry():
     # _binary answers two strings with the node's operator, as it answers
-    # two numbers: no entry of _BINARY (an equality lambda, _plus or an
-    # order's operate) and no loose_equals is entered, in any mode
+    # two numbers: no entry of _BINARY (an equality lambda or _plus) and
+    # no loose_equals is entered, in any mode
     for mode in MODES:
         for expression, expected in (('"a" + "b"', "ab"), ('"a" < "b"', True),
                                      ('"x" != "y"', True)):
@@ -378,15 +375,15 @@ def test_two_strings_enter_no_operator_entry():
 
 def test_weakmap_probe_of_an_ordinary_key():
     # _method_call, two _identifier, the method read (get), invoke,
-    # wm_get and idmap_get: 7 frames (8 with a call_value before invoke).
+    # wm_get and idmap_get: 7 frames.
     # An ordinary key stands for itself in every mode, so it is not
     # resolved, in trap mode no more than in opaque mode (one and two
     # frames more when it was); a proxy key still is, by the mode's
     # resolver, and in opaque mode by none: 8 frames there with
     # _resolve_key, 9 in transparent mode with look_through, and 10 in
     # trap mode with the vote, whose `return true;` is its constant (one
-    # frame more each with call_value; one more again when _resolve_key
-    # called a resolver that branched on the mode)
+    # frame more each when _resolve_key called a resolver that branched
+    # on the mode)
     # each mode's resolver of a proxy key, and the frames its probe enters
     proxy_probe = {"opaque": (None, 8), "transparent": ("look_through", 9),
                    "trap": ("get_equality_object", 10)}

@@ -8,7 +8,8 @@ from proxylang import objects
 from proxylang.errors import LangTypeError, RevokedProxyError
 from proxylang.interpreter import (MAX_CALL_DEPTH, Interpreter,
                                    evaluate_program)
-from proxylang.objects import NULL, UNDEFINED
+from proxylang.nodes import Block, BoolLit, FunctionExpr, Return
+from proxylang.objects import NULL, UNDEFINED, FunctionRecord
 from proxylang.parser import parse_source
 from proxylang.proxies import (MAX_ARGS_LENGTH, ProxyObject,
                                get_equality_object, is_transparent,
@@ -815,6 +816,64 @@ def test_only_a_handler_s_is_transparent_write_stales_memos(interp):
         assert obj.delete(interp, "isTransparent") is True
         assert obj.delete(interp, "x") is True
         assert objects.walk_epoch == count + 2 * moves
+
+
+def host_traps(interp):
+    """Binds two traps the host builds: built, a `return true;` made
+    without the parser, and native, a native answering true."""
+    node = FunctionExpr(["t", "q"], Block([Return(BoolLit(True))]))
+    interp.globals["built"] = interp.alloc_function(
+        FunctionRecord(node, interp.globals))
+    interp.globals["native"] = native(interp, lambda i, t, a: True)
+
+
+def voter(handler):
+    return f"var p = new Proxy(o, {handler});"
+
+
+COUNTING = voter(
+    "{isTransparent: function(t, q) { n = n + 1; return true; }}")
+
+# each kind of vote, as p's, and whether a walk through it is memoised:
+# only a static vote (no code runs) is
+VOTES = [
+    ("a revoked link", voter("{}") + " Proxy.revoke(p);", True),
+    ("a missing trap", voter("{}"), True),
+    ("an undefined trap", voter("{isTransparent: undefined}"), True),
+    ("a null trap", voter("{isTransparent: null}"), True),
+    ("a parsed constant",
+     voter("{isTransparent: function(t, q) { return true; }}"), True),
+    ("a host-built constant", voter("{isTransparent: built}"), True),
+    ("a function that runs code",
+     voter("{isTransparent: function(t, q) { return yes; }}"), False),
+    ("a counting trap", COUNTING, False),
+    ("a native", voter("{isTransparent: native}"), False),
+    ("a number", voter("{isTransparent: 5}"), False),
+    ("an object", voter("{isTransparent: {}}"), False),
+    ("a callable proxy", voter("{isTransparent: new Proxy(function(t, q) "
+                               "{ return true; }, {})}"), False),
+    ("a proxy handler", voter("new Proxy({isTransparent: function(t, q) "
+                              "{ return true; }}, {})"), False),
+]
+
+
+def test_which_walks_are_memoised_by_kind_of_vote():
+    # after one p === o, p's voted memo is current exactly when its vote
+    # was static, and interp.votes_run moved exactly when it was not; a
+    # trap that runs code is asked at every decision
+    for label, setup, memoised in VOTES:
+        interp = Interpreter(mode="trap")
+        host_traps(interp)
+        run_output(interp, "var yes = true; var n = 0; var o = {};" + setup)
+        votes = interp.votes_run
+        run_output(interp, "var same = p === o;")
+        proxy = interp.globals["p"]
+        assert (proxy.voted[0] == objects.walk_epoch) is memoised, label
+        assert (interp.votes_run == votes) is memoised, label
+    interp = Interpreter(mode="trap")
+    run_output(interp, "var n = 0; var o = {};" + COUNTING
+               + "print(p === o, p == o, p === o);")
+    assert (interp.globals["n"], interp.votes_run) == (3.0, 3)
 
 
 def test_args_object_round_trip(interp):
