@@ -26,15 +26,21 @@ coerce: an object compared to a primitive with == is simply unequal.
 
 Only a proxy operand of == or === is ever resolved: every resolver
 gives a non-proxy back as it is, so a primitive or an ordinary object is
-compared without a resolution step.
+compared without a resolution step. The memo a proxy operand's
+resolver would read (proxies.py) is read inline, and the resolver called
+only on a miss: endpoint for look_through and Proxy.isIdentical, voted
+for get_equality_object with no override on the stack, below
+MAX_CALL_DEPTH. Any other resolver, a host's, is called for every proxy.
 """
 
 import math
 import re
 from enum import Enum
 
+from . import objects
+from .errors import MAX_CALL_DEPTH
 from .objects import NULL, UNDEFINED, HeapObject
-from .proxies import ProxyObject, look_through
+from .proxies import ProxyObject, get_equality_object, look_through
 
 
 class EqualityMode(Enum):
@@ -55,21 +61,36 @@ def raw_identical(a, b) -> bool:
 
 def strict_equals(interp, a, b) -> bool:
     # only a proxy is resolved, by the interpreter's resolver (None in
-    # opaque mode); a is still resolved before b, as trap-mode votes run code
+    # opaque mode) or from the memo it would read (module docstring); a
+    # before b, as trap-mode votes run code, which may raise the count
     resolve = interp.resolve
-    if a.__class__ is ProxyObject and resolve is not None:
-        a = resolve(interp, a)
-    if b.__class__ is ProxyObject and resolve is not None:
-        b = resolve(interp, b)
+    if resolve is look_through or resolve is get_equality_object \
+            and not interp.override_stack and interp.depth < MAX_CALL_DEPTH:
+        if a.__class__ is ProxyObject:
+            count, end = a.endpoint if resolve is look_through else a.voted
+            a = end if count == objects.walk_epoch else resolve(interp, a)
+        if b.__class__ is ProxyObject:
+            count, end = b.endpoint if resolve is look_through else b.voted
+            b = end if count == objects.walk_epoch else resolve(interp, b)
+    elif resolve is not None:
+        a = resolve(interp, a) if a.__class__ is ProxyObject else a
+        b = resolve(interp, b) if b.__class__ is ProxyObject else b
     return a.__class__ is b.__class__ and a == b
 
 
 def loose_equals(interp, a, b) -> bool:
     resolve = interp.resolve
-    if a.__class__ is ProxyObject and resolve is not None:
-        a = resolve(interp, a)
-    if b.__class__ is ProxyObject and resolve is not None:
-        b = resolve(interp, b)
+    if resolve is look_through or resolve is get_equality_object \
+            and not interp.override_stack and interp.depth < MAX_CALL_DEPTH:
+        if a.__class__ is ProxyObject:
+            count, end = a.endpoint if resolve is look_through else a.voted
+            a = end if count == objects.walk_epoch else resolve(interp, a)
+        if b.__class__ is ProxyObject:
+            count, end = b.endpoint if resolve is look_through else b.voted
+            b = end if count == objects.walk_epoch else resolve(interp, b)
+    elif resolve is not None:
+        a = resolve(interp, a) if a.__class__ is ProxyObject else a
+        b = resolve(interp, b) if b.__class__ is ProxyObject else b
     if a.__class__ is b.__class__:
         return a == b  # raw identity, before any coercion rule
     if isinstance(a, HeapObject) or isinstance(b, HeapObject):
@@ -93,7 +114,12 @@ def opaque_loose_equals(interp, a, b) -> bool:
 
 def builtin_is_identical(interp, a, b) -> bool:
     """Proxy.isIdentical: === through every proxy, in any mode."""
-    a, b = look_through(interp, a), look_through(interp, b)
+    if a.__class__ is ProxyObject:
+        count, end = a.endpoint
+        a = end if count == objects.walk_epoch else look_through(interp, a)
+    if b.__class__ is ProxyObject:
+        count, end = b.endpoint
+        b = end if count == objects.walk_epoch else look_through(interp, b)
     return a.__class__ is b.__class__ and a == b
 
 

@@ -25,10 +25,10 @@ nodes.py), so _binary answers two numbers itself, for every operator but
 && and ||, equality included, and reads such a literal from the node
 without a frame. It answers two strings with the same operator, as the
 equality functions and an order would, for every operator but -, * and
-/, which need numbers. Any other pair goes through _BINARY, whose equality
-entries look up the functions of equality.py when called, and _binary
-itself rejects a pair for an operator with no entry there (each operator
-that needs numbers, but +).
+/, which need numbers. Any other pair goes to the node's on_others, set
+from OTHER_OPERATORS when it was built: an equality entry, which looks
+up its function of equality.py when called, _plus, or the rejection of
+an operator that needs numbers.
 _if, _while and _conditional take a bool condition as it is. A computed
 key that is already a string is used as it is. An error takes the line of
 the innermost node that raises it, so only the handlers of nodes that can
@@ -65,7 +65,7 @@ index the scope.
 
 import io
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import (MAX_CALL_DEPTH, ContractViolation, LangReferenceError,
@@ -73,9 +73,9 @@ from .errors import (MAX_CALL_DEPTH, ContractViolation, LangReferenceError,
                      StackOverflow)
 from .nodes import (Assign, Binary, BoolLit, Call, Conditional, ExprStmt,
                     FunctionDecl, FunctionExpr, Identifier, If, MethodCall,
-                    New, NullLit, NumberLit, ObjectLit, Program, PropertyGet,
-                    PropertySet, Return, StringLit, UndefinedLit, Unary,
-                    VarDecl, While)
+                    New, NullLit, NumberLit, ObjectLit, OTHER_OPERATORS,
+                    Program, PropertyGet, PropertySet, Return, StringLit,
+                    UndefinedLit, Unary, VarDecl, While)
 from .objects import (_KINDS, NULL, UNDEFINED, FunctionRecord, Heap,
                       HeapObject, NativeFunction, OrdinaryObject, kind_of,
                       render_value, to_property_key, truthy)
@@ -319,11 +319,7 @@ def _binary(node, interp, env):
         if left.__class__ is str and right.__class__ is str \
                 and node.op not in "-*/":
             return on_numbers(left, right)
-        try:
-            operate = _BINARY[node.op]
-        except KeyError:
-            raise _not_numbers(node.op, left, right) from None
-        return operate(interp, left, right)
+        return node.on_others(interp, left, right)
     except PlxRuntimeError as err:
         raise _at(err, node)
 
@@ -435,9 +431,10 @@ for _table, _method in ((_EXEC, "execute"), (_EVAL, "evaluate")):
 
 # --- binary operators: (interp, left value, right value) -> value ---
 
-def _not_numbers(op, left, right):
+def _not_numbers(op, interp, left, right):
+    # the entry, op bound, of an operator that needs numbers
     bad = right if left.__class__ is float else left
-    return LangTypeError(f"'{op}' needs numbers, not {kind_of(bad)}")
+    raise LangTypeError(f"'{op}' needs numbers, not {kind_of(bad)}")
 
 
 def _plus(interp, left, right):
@@ -445,22 +442,23 @@ def _plus(interp, left, right):
         if isinstance(left, HeapObject) or isinstance(right, HeapObject):
             raise LangTypeError("cannot concatenate an object with a string")
         return render_value(left) + render_value(right)
-    raise _not_numbers("+", left, right)
+    _not_numbers("+", interp, left, right)  # raises
 
 
-# each operator that can answer operands _binary does not answer itself
-# (the others need numbers, and _binary rejects the pair); the equality
-# functions are looked up when called, not bound here, so that a host can
-# wrap them in this module (as a tracer does)
-_BINARY = {
+# each Binary's entry for operands _binary does not answer itself (see
+# nodes.py); the equality functions are looked up when called, not bound
+# here, so that a host can wrap them in this module (as a tracer does)
+OTHER_OPERATORS.update({
     "==": lambda interp, a, b: loose_equals(interp, a, b),
     "!=": lambda interp, a, b: not loose_equals(interp, a, b),
     "===": lambda interp, a, b: strict_equals(interp, a, b),
     "!==": lambda interp, a, b: not strict_equals(interp, a, b),
     ":==:": lambda interp, a, b: opaque_loose_equals(interp, a, b),
     ":===:": lambda interp, a, b: opaque_strict_equals(interp, a, b),
-    "+": _plus,
-}
+    "+": _plus, "&&": None, "||": None,
+    **{op: partial(_not_numbers, op)
+       for op in ("-", "*", "/", "<", "<=", ">", ">=")},
+})
 
 
 # --- builtins ---

@@ -29,16 +29,17 @@ body is not edited afterwards, and a trap a host builds votes as a parsed
 one does.
 
 A Binary resolves its operator once, when it is built: on_numbers is
-the operator on two numbers, from objects.NUMBER_OPERATORS (None for &&
-and ||), and literal is the right operand's value when that is a
-NumberLit, else None. Both are left out of equality and repr. The parser
-sets them inline; a Binary built by its constructor gets them in
+the operator on two numbers, from objects.NUMBER_OPERATORS, on_others
+its entry for any other pair, from OTHER_OPERATORS (both None for && and
+||), and literal is the right operand's value when that is a NumberLit,
+else None. All three are left out of equality and repr. The parser sets
+them inline; a Binary built by its constructor gets them in
 __post_init__, so its op and right are not edited afterwards.
 
 The parser builds the nodes it makes most without their dataclass
 __init__, which would cost a frame each: object.__new__(cls), then one
 store per slot, line, the scoped and constant flags and a Binary's
-on_numbers and literal included, so each is equal to what its
+on_numbers, on_others and literal included, so each is equal to what its
 constructor builds (tests/test_parser.py checks it). The constructors
 stay the public way to build a node.
 """
@@ -49,6 +50,11 @@ from typing import Callable, Optional, Union
 
 from .lexer import ESCAPES, KEYWORDS, WORD
 from .objects import NUMBER_OPERATORS
+
+
+# op -> (interp, left, right) -> value on a pair not two numbers, filled
+# by interpreter.py as it loads: its equality calls, _plus and rejections
+OTHER_OPERATORS: dict = {}
 
 
 def _pos():
@@ -156,11 +162,14 @@ class Binary:
     # op on two numbers, from objects.NUMBER_OPERATORS; None for && and ||
     on_numbers: Optional[Callable] = field(init=False, compare=False,
                                            repr=False)
+    on_others: Optional[Callable] = field(init=False, compare=False,
+                                          repr=False)
     # the right operand's value if it is a NumberLit, else None
     literal: Optional[float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.on_numbers = NUMBER_OPERATORS[self.op]
+        self.on_others = OTHER_OPERATORS[self.op]
         right = self.right
         self.literal = right.value if right.__class__ is NumberLit else None
 

@@ -27,11 +27,13 @@ when its handler is None. So the endpoint of an unconditional look-through
 walk (transparent mode, Proxy.isEqual, Proxy.isIdentical) can change only
 when some proxy is revoked. A trap-mode walk whose every vote was static
 (rule 3) can change only then too, or when a handler's isTransparent is
-written or deleted. Each proxy memoises the end of the last walk of each
-kind started from it, stamped with objects.walk_epoch, the process-wide
-count of those events, and a memo stands while the count is unchanged (see
-look_through and get_equality_object); only on an object marked as a
-handler (OrdinaryObject.handles) does an isTransparent write raise it. A
+written or deleted. Such an end is memoised, stamped with
+objects.walk_epoch, the process-wide count of those events, and stands
+while the count is unchanged: an unconditional walk's on the proxy it
+started from (endpoint), a trap-mode walk's on every link it asked
+(voted). equality.py reads these memos inline (see look_through and
+get_equality_object). Only on an object marked as a handler
+(OrdinaryObject.handles) does an isTransparent write raise the count. A
 vote that is not static is asked at every decision. The count is a plain
 global, so interpreters that share objects must stay on one thread.
 
@@ -39,7 +41,8 @@ Transparency is the proxy's answer to "may equality look through you".
 It is decided in this order:
 
 1. the innermost dynamic override installed by with_transparency, if
-   any entry on the override stack names this proxy;
+   any entry on the override stack names this proxy; a memoised
+   trap-mode path holds for each link on it that no override names;
 2. revoked proxies are never transparent;
 3. a callable isTransparent trap on the handler, invoked with
    (target, proxy) and coerced to a boolean. While it is looked up and
@@ -68,7 +71,7 @@ from .objects import (NULL, UNDEFINED, FunctionRecord, HeapObject,
                       OrdinaryObject, format_number, kind_of, truthy)
 
 
-# the memo of a proxy no walk has started from: no count matches it
+# the memo of a proxy no walk has memoised: no count matches it
 _NO_ENDPOINT = (-1, None)
 
 
@@ -77,7 +80,8 @@ class ProxyObject(HeapObject):
     which sets the handler to None for good. ``endpoint`` is (walk_epoch,
     end): the end of the last unconditional look-through walk started from
     this proxy, and the count it was taken at. ``voted`` is the same for
-    the last trap-mode walk through static votes only. It marks its handler."""
+    the last trap-mode walk through static votes only that asked this
+    proxy. It marks its handler."""
     __slots__ = ("target", "handler", "endpoint", "voted")
 
     def __init__(self, target: HeapObject, handler: HeapObject):
@@ -270,7 +274,8 @@ def is_transparent(interp, proxy: ProxyObject) -> bool:
 def look_through(interp, value):
     """The end of an unconditional walk from value, the first non-proxy
     or revoked proxy, read from value's endpoint memo while its count is
-    current. interp is unused: every resolver is called alike."""
+    current; equality.py reads that memo itself, and calls this on a miss.
+    interp is unused: every resolver is called alike."""
     if value.__class__ is not ProxyObject or value.handler is None:
         return value
     count, end = value.endpoint
@@ -290,26 +295,46 @@ def get_equality_object(interp, value):
     at revoked proxies. Proxy chains are acyclic because targets are
     fixed at construction, so the walk terminates.
 
-    With no override on the stack and the call depth below
-    MAX_CALL_DEPTH, the end is read from value's ``voted`` memo while
-    its count is current. Otherwise every link is asked through
-    is_transparent, and the end is memoised if interp.votes_run did not
-    move: every vote was static (rule 3), so the count cannot move while
-    they are asked, and the same walk would ask them again.
+    Below MAX_CALL_DEPTH a link whose ``voted`` memo is current ends the
+    walk at the memo's end, and other links are asked through
+    is_transparent. A walk whose every vote was static (interp.votes_run
+    did not move) stores one (walk_epoch, end) on each link it asked, the
+    last included (path compression), unless an override is on the stack.
+    Under overrides a memoised path is followed by target to its end, or
+    to the first link an override names, whose override is applied, and
+    the walk goes on. No memo is read or written at the depth limit.
     """
     if value.__class__ is not ProxyObject:
         return value
-    start = value
-    static = not interp.override_stack and interp.depth < MAX_CALL_DEPTH
-    if static:
+    below = interp.depth < MAX_CALL_DEPTH
+    if interp.override_stack or not below:
+        overrides = dict(interp.override_stack)  # the innermost wins
+        while value.__class__ is ProxyObject:
+            count, end = value.voted
+            if count == objects.walk_epoch and below:
+                while value is not end and value not in overrides:
+                    value = value.target
+                if not overrides.get(value, False):  # the end, or opaque
+                    return value
+            elif not is_transparent(interp, value):
+                return value
+            value = value.target
+        return value
+    votes_run = interp.votes_run
+    asked = []
+    while value.__class__ is ProxyObject:
         count, end = value.voted
         if count == objects.walk_epoch:
-            return end
-        votes_run = interp.votes_run
-    while value.__class__ is ProxyObject and is_transparent(interp, value):
+            value = end
+            break
+        asked.append(value)
+        if not is_transparent(interp, value):
+            break
         value = value.target
-    if static and interp.votes_run == votes_run:
-        start.voted = (objects.walk_epoch, value)
+    if interp.votes_run == votes_run:
+        memo = (objects.walk_epoch, value)
+        for link in asked:
+            link.voted = memo
     return value
 
 

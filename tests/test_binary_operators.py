@@ -3,8 +3,9 @@
 _binary answers a pair of numbers itself, with the operator that the node
 was given when it was built (Binary.on_numbers), and takes a number
 literal on the right from the node (Binary.literal) without evaluating
-it; every other pair goes through _BINARY, or is rejected by _binary
-itself for an operator that needs numbers. Each of the 16 operators, on
+it; every other pair goes to the entry the node was given for it
+(Binary.on_others), which rejects it for an operator that needs
+numbers. Each of the 16 operators, on
 operands drawn from NaN, +0, -0, +Infinity, -Infinity, integers, numeric
 and non-numeric strings, "", booleans, null, undefined, an object and two
 proxies of it, with the left operand a literal or a variable and the

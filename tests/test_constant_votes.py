@@ -12,10 +12,14 @@ generated proxy forests twice, once with the parser's flags and once with
 every constant cleared, so that every vote is a call, requiring the same
 output and error.
 
-A walk whose every vote was static is memoised on the proxy it started
-from (proxies.get_equality_object). The same forests, which also rewrite
-handlers' isTransparent, run once as parsed and once with every memo
-made stale before each resolution, again requiring the same outcome.
+A walk whose every vote was static is memoised on every link it asked
+(proxies.get_equality_object), and a memoised path holds under overrides
+that name no link on it. The same forests, which also rewrite handlers'
+isTransparent, override links on and off the operands' chains and
+compare from the middle of chains already walked, run once as parsed and
+once with every memo made stale before each resolution, again requiring
+the same outcome. That second run installs its own interp.resolve, which
+the equality operators must call for every proxy operand.
 """
 
 from hypothesis import given, settings
@@ -29,7 +33,7 @@ from proxylang.nodes import Block, BoolLit, FunctionDecl, FunctionExpr, Return
 from proxylang.objects import FunctionRecord, render_value
 from proxylang.parser import parse_expression, parse_source
 from proxylang.proxies import (get_equality_object, is_transparent,
-                               proxy_create)
+                               look_through, proxy_create)
 
 
 CONSTANTS = [
@@ -149,12 +153,13 @@ def forests(draw):
     and compares, a statement a line. Proxy n{k} has handler h{k}. A
     revocation or rewrite of link k is bracketed by the same === of a
     proxy whose chain holds k. A comparison may run under a
-    withTransparency override of a proxy on an operand's chain, and an
-    operator between a proxy and a node on its chain may run in a call
-    MAX_CALL_DEPTH - 2 to MAX_CALL_DEPTH deep, where a constant vote is
-    still answered and then is called; either follows the same === at the
-    top level. So many comparisons repeat one
-    whose walk may have been memoised."""
+    withTransparency override of a proxy on an operand's chain or of any
+    proxy, an operator between a proxy and a node on its chain may run in
+    a call MAX_CALL_DEPTH - 2 to MAX_CALL_DEPTH deep, where a constant vote
+    is still answered and then is called, and a comparison may start from
+    a link below a proxy it names; each follows the same === of that proxy
+    at the top level. So many comparisons repeat one whose walk may have
+    been memoised, or start inside one."""
     nodes, proxies, targets = 2, [], {}
     lines = [PRELUDE]
 
@@ -192,7 +197,8 @@ def forests(draw):
                 change = f"h{k}.isTransparent = {trap};"
             lines += [f"print({a} === {b});", change, f"print({a} === {b});"]
         else:
-            how = draw(st.sampled_from(["top", "pinned", "deep", "deep"]))
+            how = draw(st.sampled_from(["top", "pinned", "deep", "deep",
+                                        "inside"]))
             # the first operand is a proxy at least half the time, and
             # always in a deep call, where the second is on its chain
             x = draw(st.sampled_from(proxies)) \
@@ -201,15 +207,21 @@ def forests(draw):
             y = draw(st.sampled_from([*chain(x)][1:])) if how == "deep" \
                 else partner(x)
             a, b = f"n{x}", f"n{y}"
+            if how != "top":
+                lines.append(f"print({a} === {b});")
+            if how == "inside":
+                # from a proxy below x, whose walk the line above passed
+                a = f"n{draw(st.sampled_from([*chain(x)][1:-1] or [x]))}"
             expression = draw(st.sampled_from(
                 [f"{a} {op} {b}" for op in OPERATORS]
                 + [probe.format(a=a, b=b) for probe in PROBES]))
-            if how != "top":
-                lines.append(f"print({a} === {b});")
             if how == "pinned":
                 on_chains = [n for n in (*chain(x), *chain(y))
                              if n in targets]
-                pinned = draw(st.sampled_from(on_chains or proxies))
+                # half the time any proxy, most often on neither chain
+                pinned = draw(st.sampled_from(
+                    on_chains if on_chains and draw(st.booleans())
+                    else proxies))
                 flag = draw(st.sampled_from(["true", "false"]))
                 expression = (f"Proxy.withTransparency(n{pinned}, {flag}, "
                               f"function() {{ return {expression}; }})")
@@ -239,6 +251,36 @@ def outcome(program, stale=False):
     return (result.status, result.error_kind, result.error_message,
             result.error_line, result.output, value, interp.depth,
             len(interp.override_stack))
+
+
+def test_a_host_resolver_is_called_for_every_proxy_operand():
+    # the operators read a memo inline only for the mode's own resolver;
+    # one a host installs, as outcome(stale=True) does, is called for each
+    # proxy operand, first operand first, on a repeat too, when every
+    # walk below is memoised
+    for mode, resolver in (("transparent", look_through),
+                           ("trap", get_equality_object)):
+        interp = Interpreter(mode=mode)
+        assert evaluate_program(parse_source(
+            "var o = {}; var p = new Proxy(o, {isTransparent: "
+            "function(t, q) { return true; }}); var q = new Proxy(p, {});"
+            "var r = new Proxy(p, {}); print(q === r, q == o);"),
+            interp).ok
+        asked = []
+
+        def resolve(interp, value):
+            asked.append(value)
+            return resolver(interp, value)
+        interp.resolve = resolve
+        proxies = {name: interp.globals[name] for name in "pqr"}
+        for op in OPERATORS:
+            for left, right in ("pq", "qo", "or", "rp"):
+                for _ in range(2):
+                    asked.clear()
+                    assert evaluate_program(parse_source(
+                        f"{left} {op} {right};"), interp).ok
+                    assert asked == [proxies[name] for name in left + right
+                                     if name in proxies], (mode, op, left)
 
 
 @settings(max_examples=300, deadline=None)

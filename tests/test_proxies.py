@@ -764,17 +764,28 @@ def test_vote_at_the_call_depth_limit(interp, depth, answer):
 
 
 def test_memoised_walk_yields_to_an_override(interp):
-    # the first p === o memoises its walk through two `return true;`
-    # links; under an override the memo is not read, and afterwards it is
+    # the first p === o memoises its walk through three `return true;`
+    # links on each of them. An override of a link on the path, the
+    # first or a later one, decides that link, the innermost winning, and
+    # one of a proxy off the path changes nothing; afterwards the memo
+    # stands
     output = run_output(interp, """
         var o = {};
         var h = {isTransparent: function(t, q) { return true; }};
-        var p = new Proxy(new Proxy(o, h), h);
+        var m = new Proxy(new Proxy(o, h), h);
+        var p = new Proxy(m, h);
+        var r = new Proxy(o, {});
+        function under(x, flag, f) {
+            return Proxy.withTransparency(x, flag, f); }
+        function compare() { return p === o; }
         print(p === o);
-        print(Proxy.withTransparency(p, false, function() { return p === o; }));
-        print(p === o);
+        print(under(p, false, compare), under(m, false, compare),
+              under(r, false, compare), under(m, true, compare),
+              under(m, false, function() { return under(m, true, compare); }),
+              under(m, true, function() { return under(m, false, compare); }));
+        print(p === o, m === o);
     """)
-    assert output == "true\nfalse\ntrue\n"
+    assert output == "true\nfalse false true true true false\ntrue true\n"
 
 
 def test_host_delete_of_the_trap_stales_a_memoised_walk(interp):
